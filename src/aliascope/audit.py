@@ -6,6 +6,15 @@ invariance checks.
 Per-image protocol randomness (positions) is seeded from (global seed,
 image id) so reports are stable under reordering; records are sorted by
 image id before aggregation and writing.
+
+Every audit scores its canvases in batches: canvases are built lazily and
+stacked into one `nn.forward` / `nn.layer_activations` call per chunk of at
+most `CHUNK_VALUES` input values. The forward kernels are batch-invariant
+(see `nn`), so a canvas gets the same bits whichever chunk it lands in, and
+reports do not depend on image order or chunking. The chunk is bounded by
+memory, not tuned for speed: a larger one stops paying once the per-call
+overhead is amortised, while every activation of the chunk is held at once,
+and canvases of skipped images or invalid sweep points are never stacked.
 """
 
 from __future__ import annotations
@@ -21,6 +30,35 @@ import numpy as np
 from . import nn, sampling, transforms
 from .tensor import argmax_flat, spatial_sum
 from .transforms import EmbeddingProtocol, PiecewiseTransform, ShiftSpec
+
+
+CHUNK_VALUES = 16384  # input values per batched forward call: 10 canvases at 40x40
+
+
+def _forward_chunks(fn, items):
+    """Yield (key, fn(stack)[row]) for each (key, canvas) of `items`, in order.
+
+    Canvases are stacked into calls of at most CHUNK_VALUES input values (a
+    larger canvas goes alone); a change of canvas shape also closes a chunk.
+    """
+    keys, batch, size = [], [], 0
+    for key, canvas in items:
+        if batch and (size + canvas.size > CHUNK_VALUES or canvas.shape != batch[0].shape):
+            yield from zip(keys, fn(np.stack(batch)))
+            keys, batch, size = [], [], 0
+        keys.append(key)
+        batch.append(canvas)
+        size += canvas.size
+    if batch:
+        yield from zip(keys, fn(np.stack(batch)))
+
+
+def _pooled_activations(model, layer_index: int):
+    """Batched layer features, spatially summed when the layer is spatial."""
+    def fn(x):
+        act = nn.layer_activations(model, x, layer_index)
+        return spatial_sum(act) if act.ndim == 4 else act
+    return fn
 
 
 class AuditMode(Enum):
@@ -93,10 +131,6 @@ def _embedded_extent(img, embed_size):
     return embed_size, max(1, round(w * embed_size / h))
 
 
-def _score(probs: np.ndarray, cls: int) -> float:
-    return float(probs[0, cls] if probs.ndim == 2 else probs[cls])
-
-
 def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: AuditMode,
                             seed: int = 0, delta: ShiftSpec = ShiftSpec(1, 0),
                             crop_size: int = 0, noise_scale: float = 0.0,
@@ -111,42 +145,47 @@ def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: Audit
     records = []
     skipped = []
     label_of = dict(labels) if labels else {}
-    for image_id, img in images:
-        rng = np.random.default_rng(image_seed(seed, image_id))
-        try:
-            if mode is AuditMode.TRANSLATE:
-                eh, ew = _embedded_extent(img, proto.embed_size)
-                pos = _random_position(rng, proto, eh, ew,
-                                       margin_bottom=max(0, delta.dy),
-                                       margin_right=max(0, delta.dx))
-                p = replace(proto, position=pos)
-                before, _ = transforms.embed(img, p)
-                after = transforms.shift_embedded(img, p, delta)
-                pb, pa = f"{pos}", f"{(pos[0] + delta.dy, pos[1] + delta.dx)}"
-            elif mode is AuditMode.SCALE:
-                eh, ew = _embedded_extent(img, proto.embed_size + 1)
-                pos = _random_position(rng, proto, eh, ew)
-                p = replace(proto, position=pos)
-                before, after = transforms.scale_pair(img, p, proto.embed_size)
-                pb, pa = str(proto.embed_size), str(proto.embed_size + 1)
-            else:
-                before, after = transforms.crop_pair_with_noise(
-                    img, crop_size, noise_scale, image_seed(seed, image_id))
-                pb, pa = "crop", "crop+1px"
-        except ValueError as exc:
-            skipped.append((image_id, str(exc)))
-            continue
-        scores_b = model.forward(before[None])
-        scores_a = model.forward(after[None])
+    protocol = (f"canvas={proto.canvas_h}x{proto.canvas_w},embed={proto.embed_size},"
+                f"fill={proto.fill.value}")
+
+    def canvases():
+        for image_id, img in images:
+            rng = np.random.default_rng(image_seed(seed, image_id))
+            try:
+                if mode is AuditMode.TRANSLATE:
+                    eh, ew = _embedded_extent(img, proto.embed_size)
+                    pos = _random_position(rng, proto, eh, ew,
+                                           margin_bottom=max(0, delta.dy),
+                                           margin_right=max(0, delta.dx))
+                    p = replace(proto, position=pos)
+                    before, _ = transforms.embed(img, p)
+                    after = transforms.shift_embedded(img, p, delta)
+                    pb, pa = f"{pos}", f"{(pos[0] + delta.dy, pos[1] + delta.dx)}"
+                elif mode is AuditMode.SCALE:
+                    eh, ew = _embedded_extent(img, proto.embed_size + 1)
+                    pos = _random_position(rng, proto, eh, ew)
+                    p = replace(proto, position=pos)
+                    before, after = transforms.scale_pair(img, p, proto.embed_size)
+                    pb, pa = str(proto.embed_size), str(proto.embed_size + 1)
+                else:
+                    before, after = transforms.crop_pair_with_noise(
+                        img, crop_size, noise_scale, image_seed(seed, image_id))
+                    pb, pa = "crop", "crop+1px"
+            except ValueError as exc:
+                skipped.append((image_id, str(exc)))
+                continue
+            yield (image_id, pb, pa), before
+            yield None, after
+
+    scored = _forward_chunks(model.forward, canvases())
+    for ((image_id, pb, pa), scores_b), (_, scores_a) in zip(scored, scored):
         t1b, t1a = argmax_flat(scores_b), argmax_flat(scores_a)
         cls = label_of.get(image_id, t1b)
         records.append(AuditRecord(
-            image_id=image_id,
-            protocol=f"canvas={proto.canvas_h}x{proto.canvas_w},embed={proto.embed_size},"
-                     f"fill={proto.fill.value}",
+            image_id=image_id, protocol=protocol,
             mode=mode.value, param_before=pb, param_after=pa,
             top1_before=t1b, top1_after=t1a, changed=t1b != t1a,
-            score_before=_score(scores_b, cls), score_after=_score(scores_a, cls)))
+            score_before=float(scores_b[cls]), score_after=float(scores_a[cls])))
     records.sort(key=lambda r: r.image_id)
     skipped.sort()
     return AuditReport(tuple(records), tuple(skipped))
@@ -159,19 +198,22 @@ def jaggedness_curve(model, image, proto: EmbeddingProtocol, sweep, label: int,
     TRANSLATE sweeps the top-row position; SCALE sweeps the embed size.
     Invalid sweep points are emitted with a NaN score.
     """
-    series = []
-    for param in sweep:
-        try:
-            if mode is AuditMode.TRANSLATE:
-                p = replace(proto, position=(int(param), proto.position[1]))
-                canvas, _ = transforms.embed(image, p)
-            else:
-                canvas, _ = transforms.embed(image, replace(proto, embed_size=int(param)))
-        except ValueError:
-            series.append((param, float("nan")))
-            continue
-        scores = model.forward(canvas[None])
-        series.append((param, _score(scores, label)))
+    series = [(param, float("nan")) for param in sweep]
+
+    def canvases():
+        for i, (param, _) in enumerate(series):
+            try:
+                if mode is AuditMode.TRANSLATE:
+                    p = replace(proto, position=(int(param), proto.position[1]))
+                    canvas, _ = transforms.embed(image, p)
+                else:
+                    canvas, _ = transforms.embed(image, replace(proto, embed_size=int(param)))
+            except ValueError:
+                continue
+            yield i, canvas
+
+    for i, scores in _forward_chunks(model.forward, canvases()):
+        series[i] = (series[i][0], float(scores[label]))
     return series
 
 
@@ -207,19 +249,11 @@ def depth_invariance_profile(model, xs, ys, layer_indices, cfg, proto: Embedding
     out = []
     for li in layer_indices:
         readout = nn.train_readout(model, li, xs, ys, cfg)
-        acc = _readout_accuracy(readout, xs, ys)
+        acc = nn._accuracy(readout, xs, ys)
         report = top1_change_probability(readout, audit_images, proto,
                                          AuditMode.TRANSLATE, seed=seed, delta=delta)
         out.append(DepthProfileEntry(li, li / max(1, n_layers - 1), acc, report.p_hat))
     return out
-
-
-def _readout_accuracy(readout, xs, ys, batch: int = 256) -> float:
-    hits = 0
-    for i in range(0, len(xs), batch):
-        scores = readout.forward(np.asarray(xs[i:i + batch], dtype=np.float64))
-        hits += int(np.sum(np.argmax(scores, axis=1) == ys[i:i + batch]))
-    return hits / len(xs)
 
 
 def feature_shift_trace(model, layer_index: int, image, proto: EmbeddingProtocol,
@@ -229,15 +263,10 @@ def feature_shift_trace(model, layer_index: int, image, proto: EmbeddingProtocol
     Returns an array of shape (len(shifts), channels); shifts are vertical
     pixel displacements.
     """
-    rows = []
-    for dy in shifts:
-        canvas = transforms.shift_embedded(image, proto, ShiftSpec(int(dy), 0))
-        act = nn.layer_activations(model, canvas[None], layer_index)
-        if act.ndim == 2:
-            rows.append(act[0])
-        else:
-            rows.append(spatial_sum(act)[0])
-    return np.stack(rows)
+    canvases = ((None, transforms.shift_embedded(image, proto, ShiftSpec(int(dy), 0)))
+                for dy in shifts)
+    return np.stack([row for _, row in
+                     _forward_chunks(_pooled_activations(model, layer_index), canvases)])
 
 
 def feature_shiftability_error(model, layer_index: int, image, basis: sampling.BasisKernel) -> float:
@@ -252,17 +281,17 @@ def feature_shiftability_error(model, layer_index: int, image, basis: sampling.B
     s = model.spec.cumulative_factors[layer_index]
     if s == 1:
         return 0.0
-    x = np.asarray(image, dtype=np.float64)[None]
-    base = nn.layer_activations(model, x, layer_index)[0]  # (c, h, w)
-    c, h, w = base.shape
+    x = np.asarray(image, dtype=np.float64)
+    # input shifted by -t puts the response sampled at grid position j*s + t
+    shifted = ((None, np.roll(x, -t, axis=axis)) for axis in (1, 2) for t in range(s))
+    acts = [act for _, act in _forward_chunks(
+        lambda b: nn.layer_activations(model, b, layer_index), shifted)]
+    c, h, w = acts[0].shape
     dense_h = np.zeros((c, h * s, w))
     dense_w = np.zeros((c, h, w * s))
     for t in range(s):
-        # input shifted by -t puts the response sampled at grid position j*s + t
-        act_h = nn.layer_activations(model, np.roll(x, -t, axis=2), layer_index)[0]
-        act_w = nn.layer_activations(model, np.roll(x, -t, axis=3), layer_index)[0]
-        dense_h[:, t::s, :] = act_h
-        dense_w[:, :, t::s] = act_w
+        dense_h[:, t::s, :] = acts[t]
+        dense_w[:, :, t::s] = acts[s + t]
     worst = 0.0
     for ch in range(c):
         col = dense_h[ch, :, w // 2]
@@ -284,10 +313,8 @@ def piecewise_invariance_check(model, image, t: PiecewiseTransform,
     if layer_index is None:
         layer_index = _last_spatial_layer(model.spec)
     x = np.asarray(image, dtype=np.float64)
-    before = nn.layer_activations(model, x[None], layer_index)
-    after = nn.layer_activations(model, transforms.piecewise_shift(x, t)[None], layer_index)
-    pb = spatial_sum(before)[0] if before.ndim == 4 else before[0]
-    pa = spatial_sum(after)[0] if after.ndim == 4 else after[0]
+    pair = ((None, x), (None, transforms.piecewise_shift(x, t)))
+    pb, pa = (row for _, row in _forward_chunks(_pooled_activations(model, layer_index), pair))
     return float(np.max(np.abs(pa - pb)))
 
 

@@ -208,7 +208,7 @@ def cmd_feature_trace(args):
     with open(args.out, "w") as fh:
         fh.write("shift," + ",".join(f"ch{c}" for c in range(trace.shape[1])) + "\n")
         for dy, row in zip(shifts, trace):
-            fh.write(f"{dy}," + ",".join(repr(v) for v in row) + "\n")
+            fh.write(f"{dy}," + ",".join(repr(float(v)) for v in row) + "\n")
     write_manifest(args.out, args, [args.model, args.image], [args.out], t0)
     print(f"trace variance across shifts: {float(trace.var(axis=0).mean())!r}")
     return 0
@@ -221,9 +221,12 @@ def cmd_pool_swap(args):
     new = _parse_pool(args.new)
     new_spec = nn.replace_pooling(model.spec, old, new)
     swapped = nn.init_model(new_spec, seed=model.rng_seed)
-    for p_old, p_new in zip(model.params, swapped.params):
-        for key in p_old:
-            p_new[key] = p_old[key].copy()  # conv/dense weights carried over
+    for li, (p_old, p_new) in enumerate(zip(model.params, swapped.params)):
+        for key in p_old:  # conv/dense weights carried over
+            if p_old[key].shape != p_new[key].shape:
+                raise nn.SpecError(f"pool swap changes layer {li} {key} shape "
+                                   f"{p_old[key].shape} -> {p_new[key].shape}")
+            p_new[key] = p_old[key].copy()
     nn.save_model(swapped, args.out)
     write_manifest(args.out, args, [args.model], [args.out], t0)
     print(f"replaced {args.old} -> {args.new}")

@@ -8,6 +8,14 @@ against finite differences in the test suite.
 Circular padding is a first-class option because it makes gap-head networks
 with stride 1 *exactly* translation invariant at desk scale, with no edge
 caveats.
+
+Forward passes are batch-invariant: `forward(m, x)[i]` is bitwise equal to
+`forward(m, x[i:i+1])[0]` for every batch. Conv is one GEMM per image on
+that image's im2col matrix, dense is a per-image vector-matrix product, and
+pooling, gap and softmax are elementwise or per-row. So callers may stack
+inputs in any grouping (the audits do, see `audit`) and get the same bits as
+one at a time. The cost of a batch is its memory: every layer's activations
+for the whole batch are held at once, plus one image's patch matrix.
 """
 
 from __future__ import annotations
@@ -125,6 +133,11 @@ def _infer_shapes(input_shape, layers):
 
 
 def make_spec(input_shape, layers) -> NetworkSpec:
+    if any(d < 1 for d in input_shape):
+        raise SpecError("input dims must be >= 1")
+    for layer in layers:
+        if isinstance(layer, (ConvSpec, PoolSpec)) and (layer.stride < 1 or layer.kernel < 1):
+            raise SpecError("stride and kernel must be >= 1")
     shapes, factors = _infer_shapes(tuple(input_shape), tuple(layers))
     return NetworkSpec(tuple(input_shape), tuple(layers), shapes, factors)
 
@@ -187,12 +200,6 @@ def parse_spec(text: str) -> NetworkSpec:
             raise SpecError(f"line {line_no}: {exc}") from exc
     if input_shape is None:
         raise SpecError("missing 'input <c> <h> <w>' line")
-    for d in input_shape:
-        if d < 1:
-            raise SpecError("input dims must be >= 1")
-    for layer in layers:
-        if isinstance(layer, (ConvSpec, PoolSpec)) and (layer.stride < 1 or layer.kernel < 1):
-            raise SpecError("stride and kernel must be >= 1")
     return make_spec(input_shape, layers)
 
 
@@ -315,25 +322,38 @@ def _pad_spatial(x, left, right, mode: PadMode):
 
 
 def _conv_forward(x, layer: ConvSpec, p):
+    """GEMM convolution, one image at a time: W (o, c*k*k) @ im2col (c*k*k, ho*wo).
+
+    Each image's product has the same shapes whatever the batch size, so the
+    result for an image does not depend on the other images in the batch, and
+    only one image's patch matrix exists at a time.
+    """
     k, s = layer.kernel, layer.stride
-    left, right = (k - 1) // 2, k // 2
-    xp = _pad_spatial(x, left, right, layer.pad)
+    xp = _pad_spatial(x, (k - 1) // 2, k // 2, layer.pad)
+    n, c = x.shape[:2]
+    w = p["w"].reshape(p["w"].shape[0], -1)
+    ho, wo = -(-x.shape[2] // s), -(-x.shape[3] // s)
     patches = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]  # n,c,ho,wo,k,k
-    pre = np.einsum("nchwij,ocij->nohw", patches, p["w"], optimize=True) + p["b"][None, :, None, None]
+    pre = np.empty((n, w.shape[0], ho * wo))
+    for i in range(n):
+        cols = patches[i].transpose(0, 3, 4, 1, 2).reshape(c * k * k, ho * wo)  # im2col copy
+        np.matmul(w, cols, out=pre[i])
+    pre = pre.reshape(n, w.shape[0], ho, wo)
+    pre += p["b"][None, :, None, None]
     out = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
-    cache = (x.shape, xp.shape, patches, pre)
-    return out, cache
+    return out, (x.shape, xp, pre)
 
 
 def _conv_backward(dy, layer: ConvSpec, p, cache):
-    x_shape, xp_shape, patches, pre = cache
+    x_shape, xp, pre = cache
     k, s = layer.kernel, layer.stride
     left = (k - 1) // 2
     if layer.activation == "relu":
         dy = dy * (pre > 0)
+    patches = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]  # n,c,ho,wo,k,k
     dw = np.einsum("nohw,nchwij->ocij", dy, patches, optimize=True)
     db = dy.sum(axis=(0, 2, 3))
-    dxp = np.zeros(xp_shape)
+    dxp = np.zeros(xp.shape)
     ho, wo = dy.shape[2], dy.shape[3]
     w = p["w"]
     for i in range(k):
@@ -349,43 +369,51 @@ def _conv_backward(dy, layer: ConvSpec, p, cache):
         dx = dxp[:, :, left:left + h, left:left + wdt]
     else:
         dx = np.zeros(x_shape)
-        hp, wp = xp_shape[2], xp_shape[3]
+        hp, wp = xp.shape[2], xp.shape[3]
         rows = (np.arange(hp) - left) % h
         cols = (np.arange(wp) - left) % wdt
         np.add.at(dx, (slice(None), slice(None), rows[:, None], cols[None, :]), dxp)
     return dx, {"w": dw, "b": db}
 
 
+def _pool_windows(t, layer: PoolSpec, out_hw):
+    """For each kernel offset in row-major order, the strided view of `t`
+    holding that offset of every pooling window."""
+    k, s = layer.kernel, layer.stride
+    ho, wo = out_hw
+    for i in range(k):
+        for j in range(k):
+            yield t[:, :, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
+
+
 def _pool_forward(x, layer: PoolSpec):
     k, s = layer.kernel, layer.stride
-    windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]  # n,c,ho,wo,k,k
-    n, c, ho, wo = windows.shape[:4]
-    flat = windows.reshape(n, c, ho, wo, k * k)
-    if layer.op == "max":
-        idx = np.argmax(flat, axis=-1)  # first max: deterministic tie-break
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        cache = (x.shape, idx)
-    else:
-        out = flat.mean(axis=-1)
-        cache = (x.shape, None)
-    return out, cache
+    hw = ((x.shape[2] - k) // s + 1, (x.shape[3] - k) // s + 1)
+    combine = np.maximum if layer.op == "max" else np.add
+    windows = _pool_windows(x, layer, hw)
+    out = next(windows).copy()
+    for view in windows:
+        combine(out, view, out=out)
+    if layer.op == "avg":
+        out /= k * k
+    return out, (x, out)
 
 
 def _pool_backward(dy, layer: PoolSpec, cache):
-    x_shape, idx = cache
-    k, s = layer.kernel, layer.stride
-    n, c, ho, wo = dy.shape
-    dx = np.zeros(x_shape)
-    ni, ci, hi, wi = np.meshgrid(np.arange(n), np.arange(c), np.arange(ho), np.arange(wo),
-                                 indexing="ij")
+    x, out = cache
+    hw = dy.shape[2:]
+    dx = np.zeros(x.shape)
     if layer.op == "max":
-        di, dj = idx // k, idx % k
-        np.add.at(dx, (ni, ci, hi * s + di, wi * s + dj), dy)
+        # route each window's gradient to its first maximum in row-major order
+        routed = np.zeros(dy.shape, dtype=bool)
+        for x_view, dx_view in zip(_pool_windows(x, layer, hw), _pool_windows(dx, layer, hw)):
+            hit = (x_view == out) & ~routed
+            routed |= hit
+            dx_view += np.where(hit, dy, 0.0)
     else:
-        g = dy / (k * k)
-        for i in range(k):
-            for j in range(k):
-                np.add.at(dx, (ni, ci, hi * s + i, wi * s + j), g)
+        g = dy / (layer.kernel * layer.kernel)
+        for dx_view in _pool_windows(dx, layer, hw):
+            dx_view += g
     return dx
 
 
@@ -428,7 +456,7 @@ def _forward_layers(model: Model, x: np.ndarray, upto: int | None = None):
         elif isinstance(layer, DenseSpec):
             flat = cur.reshape(cur.shape[0], -1)
             cache = (cur.shape, flat)
-            cur = flat @ p["w"].T + p["b"]
+            cur = (flat[:, None] @ p["w"].T)[:, 0] + p["b"]  # per image: batch-invariant
         elif isinstance(layer, SoftmaxSpec):
             z = cur - cur.max(axis=1, keepdims=True)
             e = np.exp(z)

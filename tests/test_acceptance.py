@@ -153,7 +153,7 @@ def test_criterion_6_pool_swap(dataset, audit_images, strided_model, capsys):
         for seed in SEEDS:
             readout = nn.train_readout(model, 3, dataset.images, dataset.labels,
                                        READOUT_CFG(seed))
-            a.append(audit._readout_accuracy(readout, dataset.images, dataset.labels))
+            a.append(nn._accuracy(readout, dataset.images, dataset.labels))
             rep = audit.top1_change_probability(readout, audit_images[:300],
                                                 OFFSCALE_PROTO, AuditMode.TRANSLATE,
                                                 seed=seed, delta=DELTA)

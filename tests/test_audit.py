@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from aliascope import audit
 from aliascope.audit import (
     AuditMode,
     AuditReport,
@@ -104,6 +105,20 @@ def test_translate_report_is_order_independent():
     r2 = top1_change_probability(model, list(reversed(images)), PROTO,
                                  AuditMode.TRANSLATE, seed=3)
     assert r1 == r2
+
+
+@pytest.mark.parametrize("mode", [AuditMode.TRANSLATE, AuditMode.SCALE])
+def test_report_is_independent_of_chunking_and_order(monkeypatch, mode):
+    model = init_model(parse_spec(STRIDED), seed=1)
+    images = _images(40)  # 80 canvases of 16x16: two default chunks
+    whole = top1_change_probability(model, images, PROTO, mode, seed=3)
+    rotated = images[7:] + images[:7]  # moves images across the chunk boundary
+    assert top1_change_probability(model, rotated, PROTO, mode, seed=3) == whole
+    # 3 canvases per chunk: before and after of a pair land in different calls
+    monkeypatch.setattr(audit, "CHUNK_VALUES", 3 * 16 * 16)
+    assert top1_change_probability(model, images[::-1], PROTO, mode, seed=3) == whole
+    monkeypatch.setattr(audit, "CHUNK_VALUES", 1)  # one canvas per forward call
+    assert top1_change_probability(model, images, PROTO, mode, seed=3) == whole
 
 
 def test_translate_skips_images_with_no_room_to_shift():

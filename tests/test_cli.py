@@ -152,6 +152,9 @@ def test_feature_trace_csv(workspace, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "shift,ch0,ch1,ch2,ch3"
     assert len(lines) == 5
+    for line in lines[1:]:
+        for cell in line.split(","):
+            float(cell)  # plain numbers, not numpy reprs
     assert "variance" in capsys.readouterr().out
 
 
@@ -171,6 +174,19 @@ def test_pool_swap_bad_descriptor(workspace, capsys):
     assert main(["pool-swap", "--model", str(workspace / "model.shnn"),
                  "--out", str(workspace / "x.shnn"), "--old", "max2", "--new", "avg 2 2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("new", ["avg 4 0", "avg 0 0"])
+def test_pool_swap_refuses_model_that_would_not_load(tmp_path, capsys, new):
+    # dense straight after the pool: a new pool size changes the dense weight shape
+    spec = nn.parse_spec("input 1 16 16\nconv 4 3 pad=circular act=relu\n"
+                         "maxpool 2 stride=2\ndense 4\nsoftmax\n")
+    nn.save_model(nn.init_model(spec, seed=0), tmp_path / "flat.shnn")
+    out_model = tmp_path / "swapped.shnn"
+    assert main(["pool-swap", "--model", str(tmp_path / "flat.shnn"), "--out", str(out_model),
+                 "--old", "max 2 2", "--new", new]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out_model.exists()
 
 
 def test_parse_pool():

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aliascope import nn
 from aliascope.nn import (
@@ -84,6 +86,13 @@ def test_parse_conv_defaults():
 def test_parse_rejects(text, fragment):
     with pytest.raises(SpecError, match=fragment):
         parse_spec(text)
+
+
+@pytest.mark.parametrize("layer", [PoolSpec("max", 0, 0), PoolSpec("avg", 2, 0),
+                                   ConvSpec(2, 0), ConvSpec(2, 3, 0)])
+def test_make_spec_rejects_empty_kernel_or_stride(layer):
+    with pytest.raises(SpecError, match=">= 1"):
+        make_spec((1, 8, 8), (layer, GapSpec(), DenseSpec(2), SoftmaxSpec()))
 
 
 def test_pool_output_shape_valid_window():
@@ -174,21 +183,22 @@ def test_conv_forward_matches_scipy():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+POOL_ORACLE_CASES = {"max": [(2, 2), (3, 1)], "avg": [(2, 2), (3, 2), (6, 2)]}
+
+
 @pytest.mark.parametrize("op", ["max", "avg"])
 def test_pool_forward_matches_loop_oracle(op):
     rng = np.random.default_rng(12)
-    x = rng.normal(size=(2, 3, 6, 6))
-    spec = make_spec((3, 6, 6), (PoolSpec(op, 2, 2), GapSpec(), DenseSpec(2), SoftmaxSpec()))
-    model = init_model(spec, seed=0)
-    got = layer_activations(model, x, 0)
-    want = np.zeros((2, 3, 3, 3))
-    for n in range(2):
-        for c in range(3):
-            for i in range(3):
-                for j in range(3):
-                    win = x[n, c, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
-                    want[n, c, i, j] = win.max() if op == "max" else win.mean()
-    assert np.max(np.abs(got - want)) < 1e-12
+    x = rng.normal(size=(2, 3, 8, 7))
+    for k, s in POOL_ORACLE_CASES[op]:
+        spec = make_spec((3, 8, 7), (PoolSpec(op, k, s), GapSpec(), DenseSpec(2), SoftmaxSpec()))
+        model = init_model(spec, seed=0)
+        got = layer_activations(model, x, 0)
+        want = np.zeros((2, *spec.shapes[0]))
+        for n, c, i, j in np.ndindex(want.shape):
+            win = x[n, c, s * i:s * i + k, s * j:s * j + k]
+            want[n, c, i, j] = win.max() if op == "max" else win.mean()
+        assert np.max(np.abs(got - want)) < 1e-12, (k, s)
 
 
 def test_relu_clamps_negative():
@@ -244,6 +254,29 @@ def test_cross_entropy_known_values():
     assert cross_entropy(probs, np.array([0, 0])) == pytest.approx(np.log(2) / 2, abs=1e-12)
     assert cross_entropy(np.array([[1.0, 0.0]]), np.array([0])) == 0.0
     assert np.isfinite(cross_entropy(np.array([[0.0, 1.0]]), np.array([0])))
+
+
+# Every layer kind and option: zero/circular conv at stride 1 and 2, max/avg
+# pools with kernel == stride and kernel != stride, dense before and after gap.
+BATCH_INVARIANCE_BODIES = [
+    "conv 3 3 stride=1 pad=zero act=relu\ngap\ndense 4",
+    "conv 3 3 stride=2 pad=circular act=none\ndense 4",
+    "conv 3 2 stride=2 pad=zero act=relu\nmaxpool 2 stride=2\ngap\ndense 4",
+    "conv 3 3 stride=1 pad=circular act=relu\nmaxpool 3 stride=1\ndense 5\ndense 4",
+    "avgpool 2 stride=2\nconv 2 3 stride=1 pad=circular act=relu\ngap\ndense 4",
+    "conv 3 3 stride=1 pad=zero act=none\navgpool 3 stride=2\ndense 4",
+]
+
+
+@pytest.mark.parametrize("body", BATCH_INVARIANCE_BODIES)
+@settings(deadline=None, max_examples=8)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_forward_is_batch_invariant(body, n, seed):
+    model = init_model(parse_spec(f"input 2 9 10\n{body}\nsoftmax\n"), seed=seed % 7)
+    x = np.random.default_rng(seed).normal(size=(n, 2, 9, 10))
+    batched = forward(model, x)
+    for i in range(n):
+        assert np.array_equal(batched[i], forward(model, x[i:i + 1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +347,11 @@ def test_gradients_maxpool_and_flatten_dense():
                        "maxpool 2 stride=2\ndense 4\nsoftmax\n")
 
 
+def test_gradients_overlapping_maxpool():
+    _fd_gradient_check("input 1 7 7\nconv 2 3 pad=zero act=none\n"
+                       "maxpool 3 stride=1\nmaxpool 3 stride=2\ndense 3\nsoftmax\n")
+
+
 def test_maxpool_backward_routes_to_first_max():
     spec = make_spec((1, 2, 2), (PoolSpec("max", 2, 2), DenseSpec(2), SoftmaxSpec()))
     model = init_model(spec, seed=0)
@@ -327,6 +365,18 @@ def test_maxpool_backward_routes_to_first_max():
     dx = _pool_backward(np.ones((1, 1, 1, 1)), spec.layers[0], cache)
     assert dx[0, 0, 0, 0] == 1.0
     assert dx.sum() == 1.0
+    # overlapping 2x2 windows at stride 1: each window's gradient goes to its
+    # own first maximum, and windows sharing a maximum add up there
+    layer = PoolSpec("max", 2, 1)
+    tied = np.full((1, 1, 3, 3), 3.0)
+    dx = _pool_backward(np.ones((1, 1, 2, 2)), layer, _pool_forward(tied, layer)[1])
+    assert np.array_equal(dx[0, 0], [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    peak = np.zeros((1, 1, 3, 3))
+    peak[0, 0, 1, 1] = 5.0
+    dy = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+    dx = _pool_backward(dy, layer, _pool_forward(peak, layer)[1])
+    assert dx[0, 0, 1, 1] == 10.0
+    assert dx.sum() == 10.0
 
 
 # ---------------------------------------------------------------------------
