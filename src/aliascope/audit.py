@@ -24,6 +24,7 @@ import math
 import zlib
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -177,7 +178,7 @@ def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: Audit
             yield (image_id, pb, pa), before
             yield None, after
 
-    scored = _forward_chunks(model.forward, canvases())
+    scored = _forward_chunks(partial(nn.forward, model), canvases())
     for ((image_id, pb, pa), scores_b), (_, scores_a) in zip(scored, scored):
         t1b, t1a = argmax_flat(scores_b), argmax_flat(scores_a)
         cls = label_of.get(image_id, t1b)
@@ -212,7 +213,7 @@ def jaggedness_curve(model, image, proto: EmbeddingProtocol, sweep, label: int,
                 continue
             yield i, canvas
 
-    for i, scores in _forward_chunks(model.forward, canvases()):
+    for i, scores in _forward_chunks(partial(nn.forward, model), canvases()):
         series[i] = (series[i][0], float(scores[label]))
     return series
 

@@ -16,9 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, audit, biasstat, data, nn, sampling, theory, transforms
+from . import __version__, audit, biasstat, data, nn, sampling, theory
 from .audit import AuditMode
 from .transforms import EmbeddingProtocol, FillMode, ShiftSpec
 
@@ -35,16 +33,24 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_path, args, inputs, outputs, started: float) -> None:
+MANIFEST_INPUTS = ("spec", "model", "image", "annotations")  # flags naming hashed input files
+
+
+def write_manifest(args, started: float) -> None:
+    """Record the run of a command that wrote `args.out`: its invocation,
+    seed, input file hashes and wall time, next to the output (inside it
+    when the output is a directory, as for gen-data)."""
+    inputs = [getattr(args, flag) for flag in MANIFEST_INPUTS if getattr(args, flag, None)]
     manifest = {
         "command": "aliascope " + " ".join(getattr(args, "invocation", sys.argv[1:])),
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "input_hashes": {str(p): _sha256(p) for p in inputs if Path(p).is_file()},
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(args.out)],
         "wall_time_s": round(time.time() - started, 3),
     }
-    final = Path(str(out_path) + ".manifest.json")
+    out = Path(args.out)
+    final = Path(f"{out / 'dataset' if out.is_dir() else out}.manifest.json")
     tmp = final.with_suffix(".tmp")
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     tmp.replace(final)
@@ -75,24 +81,20 @@ def _print_summary(report) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args):
-    t0 = time.time()
     cfg = data.SyntheticConfig(args.classes, args.per_class, args.canvas,
                                args.pattern, args.jitter, args.seed)
     ds = data.generate_synthetic(cfg)
     data.save_dataset(ds, args.out)
-    write_manifest(Path(args.out) / "dataset", args, [], [args.out], t0)
     print(f"wrote {len(ds.images)} images to {args.out}")
     return 0
 
 
 def cmd_train(args):
-    t0 = time.time()
     spec = nn.parse_spec(Path(args.spec).read_text())
     ds = data.load_dataset(args.data)
     cfg = nn.TrainConfig(args.lr, args.epochs, args.batch, args.seed, args.init_scale)
     model = nn.train(spec, ds.images, ds.labels, cfg, verbose=True)
     nn.save_model(model, args.out)
-    write_manifest(args.out, args, [args.spec], [args.out], t0)
     return 0
 
 
@@ -104,42 +106,31 @@ def cmd_eval(args):
     return 0
 
 
-def _run_audit(args, mode: AuditMode, **kwargs):
-    t0 = time.time()
+def _run_audit(args, mode: AuditMode, proto: EmbeddingProtocol, **kwargs):
     model = nn.load_model(args.model)
     _, images, labels = _load_audit_images(args.data, args.limit)
-    report = audit.top1_change_probability(model, images, _proto(args), mode,
+    report = audit.top1_change_probability(model, images, proto, mode,
                                            seed=args.seed, labels=labels, **kwargs)
     audit.write_report_csv(report, args.out)
-    write_manifest(args.out, args, [args.model], [args.out], t0)
     _print_summary(report)
     return 0
 
 
 def cmd_audit_shift(args):
-    return _run_audit(args, AuditMode.TRANSLATE, delta=ShiftSpec(args.delta, 0))
+    return _run_audit(args, AuditMode.TRANSLATE, _proto(args), delta=ShiftSpec(args.delta, 0))
 
 
 def cmd_audit_scale(args):
-    return _run_audit(args, AuditMode.SCALE)
+    return _run_audit(args, AuditMode.SCALE, _proto(args))
 
 
 def cmd_audit_crop(args):
-    t0 = time.time()
-    model = nn.load_model(args.model)
-    _, images, labels = _load_audit_images(args.data, args.limit)
     proto = EmbeddingProtocol(args.crop_size, args.crop_size, args.crop_size, (0, 0))
-    report = audit.top1_change_probability(model, images, proto, AuditMode.CROP_NOISE,
-                                           seed=args.seed, crop_size=args.crop_size,
-                                           noise_scale=args.noise_scale, labels=labels)
-    audit.write_report_csv(report, args.out)
-    write_manifest(args.out, args, [args.model], [args.out], t0)
-    _print_summary(report)
-    return 0
+    return _run_audit(args, AuditMode.CROP_NOISE, proto, crop_size=args.crop_size,
+                      noise_scale=args.noise_scale)
 
 
 def cmd_sweep_embed(args):
-    t0 = time.time()
     model = nn.load_model(args.model)
     _, images, labels = _load_audit_images(args.data, args.limit)
     sizes = [int(s) for s in args.sizes.split(",")]
@@ -149,26 +140,22 @@ def cmd_sweep_embed(args):
                                          seed=args.seed, labels=labels, **kwargs)
     audit.write_curve_csv([(size, rep.p_hat) for size, rep in results], args.out,
                           param_name="embed_size", value_name="p_hat")
-    write_manifest(args.out, args, [args.model], [args.out], t0)
     for size, rep in results:
         print(f"embed={size} p_hat={rep.p_hat:.4f} n={rep.n}")
     return 0
 
 
 def cmd_jaggedness(args):
-    t0 = time.time()
     model = nn.load_model(args.model)
-    image = data.read_image(args.image) / 255.0
+    image = data.read_image(args.image)
     proto = _proto(args)
     sweep = range(args.sweep_start, args.sweep_end + 1)
     series = audit.jaggedness_curve(model, image, proto, sweep, args.label)
     audit.write_curve_csv(series, args.out, param_name="position", value_name="score")
-    write_manifest(args.out, args, [args.model, args.image], [args.out], t0)
     return 0
 
 
 def cmd_depth_profile(args):
-    t0 = time.time()
     model = nn.load_model(args.model)
     ds, images, _ = _load_audit_images(args.data, args.limit)
     layers = [int(x) for x in args.layers.split(",")]
@@ -180,7 +167,6 @@ def cmd_depth_profile(args):
         for e in profile:
             fh.write(f"{e.layer_index},{e.depth_fraction!r},{e.readout_accuracy!r},"
                      f"{e.flip_rate!r}\n")
-    write_manifest(args.out, args, [args.model], [args.out], t0)
     for e in profile:
         print(f"layer={e.layer_index} acc={e.readout_accuracy:.3f} flip={e.flip_rate:.4f}")
     return 0
@@ -188,7 +174,7 @@ def cmd_depth_profile(args):
 
 def cmd_shiftability(args):
     model = nn.load_model(args.model)
-    image = data.read_image(args.image) / 255.0
+    image = data.read_image(args.image)
     kind = {"tent": sampling.KernelKind.LINEAR_TENT,
             "cubic": sampling.KernelKind.CUBIC_BSPLINE,
             "sinc": sampling.KernelKind.WINDOWED_SINC}[args.kernel]
@@ -200,35 +186,22 @@ def cmd_shiftability(args):
 
 
 def cmd_feature_trace(args):
-    t0 = time.time()
     model = nn.load_model(args.model)
-    image = data.read_image(args.image) / 255.0
+    image = data.read_image(args.image)
     shifts = list(range(args.shifts + 1))
     trace = audit.feature_shift_trace(model, args.layer, image, _proto(args), shifts)
     with open(args.out, "w") as fh:
         fh.write("shift," + ",".join(f"ch{c}" for c in range(trace.shape[1])) + "\n")
         for dy, row in zip(shifts, trace):
             fh.write(f"{dy}," + ",".join(repr(float(v)) for v in row) + "\n")
-    write_manifest(args.out, args, [args.model, args.image], [args.out], t0)
     print(f"trace variance across shifts: {float(trace.var(axis=0).mean())!r}")
     return 0
 
 
 def cmd_pool_swap(args):
-    t0 = time.time()
     model = nn.load_model(args.model)
-    old = _parse_pool(args.old)
-    new = _parse_pool(args.new)
-    new_spec = nn.replace_pooling(model.spec, old, new)
-    swapped = nn.init_model(new_spec, seed=model.rng_seed)
-    for li, (p_old, p_new) in enumerate(zip(model.params, swapped.params)):
-        for key in p_old:  # conv/dense weights carried over
-            if p_old[key].shape != p_new[key].shape:
-                raise nn.SpecError(f"pool swap changes layer {li} {key} shape "
-                                   f"{p_old[key].shape} -> {p_new[key].shape}")
-            p_new[key] = p_old[key].copy()
+    swapped = nn.replace_pooling(model, _parse_pool(args.old), _parse_pool(args.new))
     nn.save_model(swapped, args.out)
-    write_manifest(args.out, args, [args.model], [args.out], t0)
     print(f"replaced {args.old} -> {args.new}")
     return 0
 
@@ -241,11 +214,9 @@ def _parse_pool(text: str) -> nn.PoolSpec:
 
 
 def cmd_bias_audit(args):
-    t0 = time.time()
     annotations = biasstat.read_annotations_csv(args.annotations)
     report = biasstat.category_bias_report(annotations, args.pos_grid, args.size_bins)
     biasstat.write_bias_report_csv(report, args.out, args.pos_grid, args.size_bins)
-    write_manifest(args.out, args, [args.annotations], [args.out], t0)
     flagged = sum(r.flagged for r in report)
     print(f"categories={len(report)} flagged={flagged}")
     return 0
@@ -279,6 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
+    def add_audit(name, fn, help):
+        """A subcommand that audits --model on the images under --data."""
+        p = add(name, fn, help=help)
+        p.add_argument("--model", required=True)
+        p.add_argument("--data", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--limit", type=int, default=None)
+        return p
+
     p = add("gen-data", cmd_gen_data, help="generate a synthetic translatable dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--classes", type=int, default=8)
@@ -301,30 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
 
     for name, fn in (("audit-shift", cmd_audit_shift), ("audit-scale", cmd_audit_scale)):
-        p = add(name, fn, help=f"top-1 flip rate under the {name.split('-')[1]} protocol")
-        p.add_argument("--model", required=True)
-        p.add_argument("--data", required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("--limit", type=int, default=None)
+        p = add_audit(name, fn, help=f"top-1 flip rate under the {name.split('-')[1]} protocol")
         _add_proto_flags(p)
         if name == "audit-shift":
             p.add_argument("--delta", type=int, default=1)
 
-    p = add("audit-crop", cmd_audit_crop, help="top-1 flip rate for 1-pixel-shifted crops")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--limit", type=int, default=None)
+    p = add_audit("audit-crop", cmd_audit_crop, help="top-1 flip rate for 1-pixel-shifted crops")
     p.add_argument("--crop-size", type=int, default=32)
     p.add_argument("--noise-scale", type=float, default=0.0)
 
-    p = add("sweep-embed", cmd_sweep_embed, help="flip rate vs embedding size")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = add_audit("sweep-embed", cmd_sweep_embed, help="flip rate vs embedding size")
     p.add_argument("--sizes", required=True, help="comma-separated embed sizes")
     p.add_argument("--mode", choices=["shift", "scale"], default="shift")
-    p.add_argument("--limit", type=int, default=None)
     _add_proto_flags(p)
 
     p = add("jaggedness", cmd_jaggedness, help="correct-class score vs position sweep")
@@ -336,15 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-end", type=int, default=8)
     _add_proto_flags(p)
 
-    p = add("depth-profile", cmd_depth_profile, help="per-layer readout accuracy and flip rate")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = add_audit("depth-profile", cmd_depth_profile,
+                  help="per-layer readout accuracy and flip rate")
     p.add_argument("--layers", required=True, help="comma-separated layer indices")
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--limit", type=int, default=None)
     _add_proto_flags(p)
 
     p = add("shiftability", cmd_shiftability, help="shiftability error of a strided layer")
@@ -383,8 +348,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.invocation = list(sys.argv[1:] if argv is None else argv)
+    started = time.time()
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        if status == 0 and getattr(args, "out", None):
+            write_manifest(args, started)
+        return status
     except (ValueError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,9 @@
 """Synthetic translatable datasets and binary PGM/PPM image I/O.
 
+Pixels are in [0, 1] everywhere in the library. Only the netpbm readers and
+writers (`read_pgm`, `write_pgm`, ...) work in the files' 0..255 units;
+`read_image`, `save_dataset` and `load_dataset` convert at that boundary.
+
 The synthetic generator is the desk-scale stand-in for a natural-image
 training set: each class is a distinct procedural pattern placed at
 seeded-random positions, so position invariance is exactly the quantity the
@@ -168,25 +172,25 @@ def write_ppm(t: np.ndarray, path) -> None:
 
 
 def read_image(path) -> np.ndarray:
+    """A PGM, or a PPM by its suffix, as a tensor in the library's [0, 1] range."""
     path = Path(path)
-    if path.suffix == ".ppm":
-        return read_ppm(path)
-    return read_pgm(path)
+    img = read_ppm(path) if path.suffix == ".ppm" else read_pgm(path)
+    return img / 255.0
 
 
-def save_dataset(ds: LabeledDataset, root, scale: float = 255.0) -> None:
-    """Write `<class_id>/<sample_id>.pgm`; values scaled by `scale`."""
+def save_dataset(ds: LabeledDataset, root) -> None:
+    """Write `<class_id>/<sample_id>.pgm`; [0, 1] values map to 0..255."""
     root = Path(root)
     counters = [0] * ds.num_classes
     for img, label in zip(ds.images, ds.labels):
         cls_dir = root / str(int(label))
         cls_dir.mkdir(parents=True, exist_ok=True)
-        write_pgm(np.clip(img * scale, 0, 255), cls_dir / f"{counters[int(label)]:05d}.pgm")
+        write_pgm(np.clip(img * 255.0, 0, 255), cls_dir / f"{counters[int(label)]:05d}.pgm")
         counters[int(label)] += 1
 
 
-def load_dataset(root, scale: float = 255.0) -> LabeledDataset:
-    """Read the `<class_id>/<sample_id>.pgm` layout back; values / scale."""
+def load_dataset(root) -> LabeledDataset:
+    """Read the `<class_id>/<sample_id>.pgm` layout back, in [0, 1]."""
     root = Path(root)
     class_dirs = sorted((d for d in root.iterdir() if d.is_dir()), key=lambda d: int(d.name))
     if not class_dirs:
@@ -194,7 +198,7 @@ def load_dataset(root, scale: float = 255.0) -> LabeledDataset:
     images, labels = [], []
     for d in class_dirs:
         for f in sorted(d.glob("*.p?m")):
-            images.append(read_image(f) / scale)
+            images.append(read_image(f))
             labels.append(int(d.name))
     return LabeledDataset(np.stack(images), np.asarray(labels, dtype=np.int64),
                           int(class_dirs[-1].name) + 1)

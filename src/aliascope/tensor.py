@@ -1,4 +1,4 @@
-"""Dense float64 tensors and the few array primitives every module shares.
+"""The array conventions and the few array primitives every module shares.
 
 All images and feature maps are numpy float64 arrays in (n, c, h, w) order
 (row-major). 64-bit storage is deliberate: the invariance checks assert
@@ -11,41 +11,13 @@ from enum import Enum
 
 import numpy as np
 
-Tensor = np.ndarray
-
 
 class PadMode(Enum):
     ZERO = "zero"
     CIRCULAR = "circular"
 
 
-def tensor(data, shape=None) -> Tensor:
-    """Build a contiguous float64 tensor, validating that no dim is empty."""
-    arr = np.asarray(data, dtype=np.float64)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    if arr.size == 0 or any(d < 1 for d in arr.shape):
-        raise ValueError(f"all dimensions must be >= 1, got shape {arr.shape}")
-    return np.ascontiguousarray(arr)
-
-
-def pad(t: Tensor, margin: int, mode: PadMode) -> Tensor:
-    """Pad the last two (spatial) dims by `margin` pixels per side.
-
-    Zero mode writes 0.0; circular mode wraps indices modulo the input size.
-    """
-    if t.ndim < 2:
-        raise ValueError("pad requires at least 2 spatial dims")
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    if margin == 0:
-        return np.array(t, dtype=np.float64)
-    width = [(0, 0)] * (t.ndim - 2) + [(margin, margin), (margin, margin)]
-    np_mode = "constant" if mode is PadMode.ZERO else "wrap"
-    return np.pad(np.asarray(t, dtype=np.float64), width, mode=np_mode)
-
-
-def argmax_flat(t: Tensor) -> int:
+def argmax_flat(t: np.ndarray) -> int:
     """Index of the maximum in flat row-major order; smallest index wins ties."""
     arr = np.asarray(t)
     if arr.size == 0:
@@ -53,7 +25,7 @@ def argmax_flat(t: Tensor) -> int:
     return int(np.argmax(arr))
 
 
-def spatial_sum(t: Tensor) -> Tensor:
+def spatial_sum(t: np.ndarray) -> np.ndarray:
     """Sum over the spatial (h, w) dims, one total per leading index.
 
     For an (n, c, h, w) tensor the result has shape (n, c).

@@ -158,10 +158,10 @@ def crop_pair_with_noise(img: np.ndarray, crop_size: int, noise_scale: float,
                          seed: int, long_side: int = 400) -> tuple[np.ndarray, np.ndarray]:
     """Two crops one horizontal pixel apart, sharing one pre-crop noise field.
 
-    The image is first resized so its long side is `long_side` pixels; one
-    Uniform[0,1]*noise_scale field is added to the whole image before
-    cropping (so the noise is identical in the two crops up to the 1-pixel
-    translation) and values are clipped to [0, 255].
+    The image ([0, 1] pixels) is first resized so its long side is
+    `long_side` pixels; one Uniform[0,1]*noise_scale field is added to the
+    whole image before cropping (so the noise is identical in the two crops
+    up to the 1-pixel translation) and values are clipped to [0, 1].
     """
     resized = resize_longest_side(img, long_side)
     c, h, w = resized.shape
@@ -171,7 +171,7 @@ def crop_pair_with_noise(img: np.ndarray, crop_size: int, noise_scale: float,
     noisy = resized
     if noise_scale != 0:
         noisy = resized + rng.uniform(0.0, 1.0, resized.shape) * noise_scale
-    noisy = np.clip(noisy, 0.0, 255.0)
+    noisy = np.clip(noisy, 0.0, 1.0)
     top = int(rng.integers(0, h - crop_size + 1))
     left = int(rng.integers(0, w - crop_size))  # leave room for the +1 shift
     a = noisy[:, top:top + crop_size, left:left + crop_size].copy()

@@ -11,6 +11,7 @@ The trained-model experiments share module-scoped fixtures; the whole file
 runs in a few minutes on one core.
 """
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -140,12 +141,7 @@ def test_criterion_5_depth_trend(dataset, audit_images, strided_model, capsys):
 
 def test_criterion_6_pool_swap(dataset, audit_images, strided_model, capsys):
     """Blurred average pooling: smoother features, fewer flips, lower accuracy."""
-    swapped_spec = nn.replace_pooling(strided_model.spec, PoolSpec("max", 2, 2),
-                                      PoolSpec("avg", 6, 2))
-    swapped = nn.init_model(swapped_spec, seed=strided_model.rng_seed)
-    for p_old, p_new in zip(strided_model.params, swapped.params):
-        for key in p_old:
-            p_new[key] = p_old[key].copy()
+    swapped = nn.replace_pooling(strided_model, PoolSpec("max", 2, 2), PoolSpec("avg", 6, 2))
 
     flips, accs = {}, {}
     for name, model in (("max", strided_model), ("avg", swapped)):
@@ -200,7 +196,7 @@ def test_criterion_8_subsampling_arithmetic(capsys):
                          "conv 4 3 stride=3 pad=zero act=relu\n"
                          "conv 4 3 stride=5 pad=zero act=relu\n"
                          "gap\ndense 4\nsoftmax\n")
-    factor = nn.subsampling_factor(spec)
+    factor = spec.cumulative_factors[-1]
     fraction = nn.exact_invariance_fraction(factor)
     ok = factor == 60 and fraction == Fraction(1, 3600)
     _report(capsys, 8, "subsampling arithmetic", ok,
@@ -269,7 +265,7 @@ def test_criterion_10_numerical_hygiene(capsys):
         rng = np.random.default_rng(ti)
         x = rng.normal(size=(3, *spec.input_shape))
         y = rng.integers(0, spec.shapes[-1][0], size=3)
-        stepped = model.copy()
+        stepped = copy.deepcopy(model)
         nn.backward_sgd_step(stepped, x, y, lr=1.0)
         for li, p in enumerate(model.params):
             for key, w in p.items():

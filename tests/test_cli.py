@@ -88,7 +88,7 @@ def test_audit_crop_runs(workspace, capsys):
     out_csv = workspace / "crop.csv"
     assert main(["audit-crop", "--model", str(workspace / "model.shnn"),
                  "--data", str(workspace / "ds"), "--out", str(out_csv),
-                 "--crop-size", "12", "--noise-scale", "40", "--limit", "6"]) == 0
+                 "--crop-size", "12", "--noise-scale", "0.15", "--limit", "6"]) == 0
     assert out_csv.exists()
     assert "p_hat=" in capsys.readouterr().out
 

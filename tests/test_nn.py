@@ -1,4 +1,7 @@
+import copy
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,14 +29,12 @@ from aliascope.nn import (
     load_model,
     make_spec,
     parse_spec,
-    predict_top1,
     replace_pooling,
     save_model,
-    subsampling_factor,
     train,
     train_readout,
 )
-from aliascope.tensor import PadMode
+from aliascope.tensor import PadMode, argmax_flat
 
 SMALL_TEXT = """\
 # toy classifier
@@ -89,9 +90,22 @@ def test_parse_rejects(text, fragment):
 
 
 @pytest.mark.parametrize("layer", [PoolSpec("max", 0, 0), PoolSpec("avg", 2, 0),
-                                   ConvSpec(2, 0), ConvSpec(2, 3, 0)])
+                                   ConvSpec(2, 0), ConvSpec(2, 3, 0),
+                                   ConvSpec(0, 3), ConvSpec(-1, 3), DenseSpec(0)])
 def test_make_spec_rejects_empty_kernel_or_stride(layer):
     with pytest.raises(SpecError, match=">= 1"):
+        make_spec((1, 8, 8), (layer, GapSpec(), DenseSpec(2), SoftmaxSpec()))
+    with pytest.raises(SpecError, match=">= 1"):  # wherever the layer sits
+        make_spec((1, 8, 8), (GapSpec(), DenseSpec(2), layer, SoftmaxSpec()))
+
+
+@pytest.mark.parametrize("layer,fragment", [
+    (ConvSpec(2, 3, 1, PadMode.ZERO, "tanh"), "activation"),
+    (ConvSpec(2, 3, 1, "zero"), "pad mode"),
+    (PoolSpec("median", 2, 2), "pooling op"),
+])
+def test_make_spec_rejects_bad_layer_fields(layer, fragment):
+    with pytest.raises(SpecError, match=fragment):
         make_spec((1, 8, 8), (layer, GapSpec(), DenseSpec(2), SoftmaxSpec()))
 
 
@@ -109,8 +123,8 @@ def test_subsampling_factor_product_of_strides():
     text = ("input 1 60 60\nconv 4 3 stride=2\nconv 4 3 stride=2\n"
             "conv 4 3 stride=3\nconv 4 3 stride=5\ngap\ndense 2\nsoftmax\n")
     spec = parse_spec(text)
-    assert subsampling_factor(spec) == 60
-    assert subsampling_factor(small_spec()) == 2
+    assert spec.cumulative_factors[-1] == 60
+    assert small_spec().cumulative_factors[-1] == 2
 
 
 def test_exact_invariance_fraction():
@@ -119,12 +133,18 @@ def test_exact_invariance_fraction():
 
 
 def test_replace_pooling():
-    spec = small_spec()
-    swapped = replace_pooling(spec, PoolSpec("max", 2, 2), PoolSpec("avg", 6, 0))
-    assert swapped.layers[1] == PoolSpec("avg", 6, 2)  # stride 0 keeps old stride
-    assert subsampling_factor(swapped) == subsampling_factor(spec)
-    with pytest.raises(SpecError):
-        replace_pooling(spec, PoolSpec("avg", 3, 3), PoolSpec("max", 2, 2))
+    model = init_model(small_spec(), seed=3)
+    swapped = replace_pooling(model, PoolSpec("max", 2, 2), PoolSpec("avg", 6, 0))
+    assert swapped.spec.layers[1] == PoolSpec("avg", 6, 2)  # stride 0 keeps old stride
+    assert swapped.spec.cumulative_factors == model.spec.cumulative_factors
+    for p_old, p_new in zip(model.params, swapped.params):
+        for key in p_old:  # conv and dense weights carried over, as copies
+            assert np.array_equal(p_old[key], p_new[key]) and p_old[key] is not p_new[key]
+    with pytest.raises(SpecError, match="matches"):
+        replace_pooling(model, PoolSpec("avg", 3, 3), PoolSpec("max", 2, 2))
+    flat = init_model(parse_spec("input 1 8 8\nmaxpool 2 stride=2\ndense 3\nsoftmax\n"))
+    with pytest.raises(SpecError, match="shape"):  # the dense weights no longer fit
+        replace_pooling(flat, PoolSpec("max", 2, 2), PoolSpec("avg", 4, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +266,7 @@ def test_predict_top1_tie_break():
     model = init_model(spec, seed=0)
     model.params[1]["w"][:] = 0.0
     model.params[1]["b"][:] = 0.0  # all classes tie
-    assert predict_top1(model, np.ones((1, 2, 2))) == 0
+    assert argmax_flat(forward(model, np.ones((1, 2, 2)))[0]) == 0
 
 
 def test_cross_entropy_known_values():
@@ -313,7 +333,7 @@ def _fd_gradient_check(text, seed=6, eps=1e-6, tol=1e-4):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(3, *spec.input_shape))
     y = rng.integers(0, spec.shapes[-1][0], size=3)
-    stepped = model.copy()
+    stepped = copy.deepcopy(model)
     backward_sgd_step(stepped, x, y, lr=1.0)
     worst = 0.0
     for li, p in enumerate(model.params):
@@ -352,29 +372,32 @@ def test_gradients_overlapping_maxpool():
                        "maxpool 3 stride=1\nmaxpool 3 stride=2\ndense 3\nsoftmax\n")
 
 
+def test_gradients_softmax_mid_network():
+    _fd_gradient_check("input 1 4 4\nconv 2 3 pad=circular act=relu\n"
+                       "dense 5\nsoftmax\ndense 3\nsoftmax\n")
+
+
 def test_maxpool_backward_routes_to_first_max():
     spec = make_spec((1, 2, 2), (PoolSpec("max", 2, 2), DenseSpec(2), SoftmaxSpec()))
     model = init_model(spec, seed=0)
     model.params[1]["w"][:] = np.array([[1.0], [-1.0]])
     x = np.full((1, 1, 2, 2), 3.0)  # all tied: gradient must hit index (0, 0) only
-    before = x.copy()
-    stepped = model.copy()
-    backward_sgd_step(stepped, before, np.array([0]), lr=1.0)
-    from aliascope.nn import _pool_backward, _pool_forward
-    out, cache = _pool_forward(x, spec.layers[0])
-    dx = _pool_backward(np.ones((1, 1, 1, 1)), spec.layers[0], cache)
+    backward_sgd_step(model, x.copy(), np.array([0]), lr=1.0)
+
+    def pool_dx(layer, x, dy):
+        return layer.backward(dy, {}, layer.forward(x, {})[1])[0]
+
+    dx = pool_dx(spec.layers[0], x, np.ones((1, 1, 1, 1)))
     assert dx[0, 0, 0, 0] == 1.0
     assert dx.sum() == 1.0
     # overlapping 2x2 windows at stride 1: each window's gradient goes to its
     # own first maximum, and windows sharing a maximum add up there
     layer = PoolSpec("max", 2, 1)
-    tied = np.full((1, 1, 3, 3), 3.0)
-    dx = _pool_backward(np.ones((1, 1, 2, 2)), layer, _pool_forward(tied, layer)[1])
+    dx = pool_dx(layer, np.full((1, 1, 3, 3), 3.0), np.ones((1, 1, 2, 2)))
     assert np.array_equal(dx[0, 0], [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     peak = np.zeros((1, 1, 3, 3))
     peak[0, 0, 1, 1] = 5.0
-    dy = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-    dx = _pool_backward(dy, layer, _pool_forward(peak, layer)[1])
+    dx = pool_dx(layer, peak, np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
     assert dx[0, 0, 1, 1] == 10.0
     assert dx.sum() == 10.0
 
@@ -453,14 +476,42 @@ def test_train_readout_frozen_base():
     spec = parse_spec("input 1 8 8\nconv 4 3 act=relu\nmaxpool 2 stride=2\n"
                       "gap\ndense 2\nsoftmax\n")
     base = train(spec, xs, ys, TrainConfig(0.1, 8, 8, seed=1))
-    frozen = base.copy()
+    frozen = copy.deepcopy(base)
     readout = train_readout(base, 1, xs, ys, TrainConfig(0.2, 8, 8, seed=2))
     for p1, p2 in zip(base.params, frozen.params):
         for key in p1:
             assert np.array_equal(p1[key], p2[key])
-    probs = readout.forward(xs)
+    # a plain model: the base's first two layers and weights, then the head
+    assert readout.spec.layers == spec.layers[:2] + (GapSpec(), DenseSpec(2), SoftmaxSpec())
+    assert np.array_equal(readout.params[0]["w"], base.params[0]["w"])
+    probs = forward(readout, xs)
     acc = float(np.mean(np.argmax(probs, axis=1) == ys))
     assert acc >= 0.95
+
+
+@settings(deadline=None, max_examples=4)
+@given(seed=st.integers(0, 2**16), layer_index=st.sampled_from([1, 2]))
+def test_readout_is_a_plain_model_that_round_trips(seed, layer_index):
+    # layer 1 is spatial (gap head), layer 2 a flat dense layer (dense head)
+    spec = parse_spec("input 1 8 8\nconv 3 3 pad=circular act=relu\nmaxpool 2 stride=2\n"
+                      "dense 5\nsoftmax\n")
+    base = init_model(spec, seed=seed)
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.random((12, 1, 8, 8)), rng.integers(0, 5, 12)
+    readout = train_readout(base, layer_index, xs, ys, TrainConfig(0.5, 2, 4, seed=seed))
+    # it scores as the trained head applied to the base's frozen features
+    feats = layer_activations(base, xs, layer_index)
+    if feats.ndim == 2:
+        feats = feats[:, :, None, None]
+    head_layers = readout.spec.layers[layer_index + 1:]
+    head = Model(make_spec(feats.shape[1:], head_layers), readout.params[layer_index + 1:])
+    scores = forward(readout, xs)
+    assert np.array_equal(scores, forward(head, feats))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(readout, Path(tmp) / "r.shnn")
+        loaded = load_model(Path(tmp) / "r.shnn")
+    assert loaded.spec == readout.spec
+    assert np.array_equal(forward(loaded, xs), scores)
 
 
 def test_train_readout_index_range():
@@ -517,3 +568,88 @@ def test_load_rejects_wrong_version(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ModelFileError, match="version"):
         load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# properties over generated specs and damaged model files
+# ---------------------------------------------------------------------------
+
+INPUT_SHAPES = st.tuples(st.integers(1, 2), st.integers(1, 8), st.integers(1, 8))
+SIZES = st.integers(0, 3)  # 0 is out of range for every size, so make_spec must reject it
+
+
+@st.composite
+def layer_lists(draw):
+    """Window layers, an optional gap, dense layers, an optional softmax;
+    sometimes shuffled, so that the shape rules reject the order."""
+    windows = st.one_of(
+        st.builds(ConvSpec, SIZES, SIZES, SIZES, st.sampled_from(PadMode),
+                  st.sampled_from(["relu", "none"])),
+        st.builds(PoolSpec, st.sampled_from(["max", "avg"]), SIZES, SIZES))
+    layers = draw(st.lists(windows, max_size=3))
+    layers += [GapSpec()] * draw(st.integers(0, 1))
+    layers += draw(st.lists(st.builds(DenseSpec, SIZES), max_size=2))
+    layers += [SoftmaxSpec()] * draw(st.integers(0, 1))
+    return draw(st.permutations(layers)) if draw(st.integers(0, 3)) == 0 else layers
+
+
+@settings(deadline=None, max_examples=150)
+@given(input_shape=INPUT_SHAPES, layers=layer_lists())
+def test_format_then_parse_is_identity(input_shape, layers):
+    try:
+        spec = make_spec(input_shape, layers)
+    except SpecError:
+        return
+    again = parse_spec(format_spec(spec))
+    assert again == spec
+    assert (again.shapes, again.cumulative_factors) == (spec.shapes, spec.cumulative_factors)
+
+
+@settings(deadline=None, max_examples=150)
+@given(input_shape=INPUT_SHAPES, layers=layer_lists(), seed=st.integers(0, 2**16))
+def test_every_accepted_spec_builds_runs_and_round_trips(input_shape, layers, seed):
+    try:
+        spec = make_spec(input_shape, layers)
+    except SpecError:  # the only error make_spec may raise
+        return
+    model = init_model(spec, seed=seed)
+    x = np.random.default_rng(seed).normal(size=(2, *input_shape))
+    scores = forward(model, x)
+    assert scores.shape == (2, *spec.shapes[-1]) and np.all(np.isfinite(scores))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.shnn"
+        save_model(model, path)
+        blob = path.read_bytes()
+        loaded = load_model(path)
+        save_model(loaded, path)
+        assert path.read_bytes() == blob
+    assert loaded.spec == spec
+    assert np.array_equal(forward(loaded, x), scores)
+
+
+@pytest.fixture(scope="module")
+def model_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m.shnn"
+    save_model(init_model(small_spec(), seed=0), path)
+    return path.read_bytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_damaged_model_file_raises_only_model_file_error(model_blob, data):
+    if data.draw(st.booleans(), label="truncate"):
+        blob = model_blob[:data.draw(st.integers(0, len(model_blob) - 1), label="length")]
+    else:
+        # half the flips land in the header and spec text, which is most of the risk
+        spec_end = 12 + int.from_bytes(model_blob[8:12], "little")
+        span = data.draw(st.sampled_from([spec_end, len(model_blob)]), label="span")
+        bit = data.draw(st.integers(0, 8 * span - 1), label="bit")
+        blob = bytearray(model_blob)
+        blob[bit // 8] ^= 1 << (bit % 8)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.shnn"
+        path.write_bytes(bytes(blob))
+        try:
+            load_model(path)
+        except ModelFileError:
+            pass

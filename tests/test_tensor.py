@@ -2,23 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aliascope.tensor import PadMode, argmax_flat, pad, spatial_sum, tensor
+from aliascope.nn import _pad_spatial
+from aliascope.tensor import PadMode, argmax_flat, spatial_sum
 
 
-def test_tensor_rejects_empty_dims():
-    with pytest.raises(ValueError):
-        tensor(np.zeros((2, 0, 3)))
-
+# The padding modes are applied by conv layers through nn._pad_spatial.
 
 def test_pad_margin_zero_identity():
     t = np.arange(12.0).reshape(1, 1, 3, 4)
-    assert np.array_equal(pad(t, 0, PadMode.ZERO), t)
-    assert np.array_equal(pad(t, 0, PadMode.CIRCULAR), t)
+    assert np.array_equal(_pad_spatial(t, 0, 0, PadMode.ZERO), t)
+    assert np.array_equal(_pad_spatial(t, 0, 0, PadMode.CIRCULAR), t)
 
 
 def test_pad_circular_wraps():
     t = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-    out = pad(t, 1, PadMode.CIRCULAR)
+    out = _pad_spatial(t, 1, 1, PadMode.CIRCULAR)
     assert out.shape == (1, 1, 4, 4)
     assert np.array_equal(out[0, 0, 1:3, 1:3], t[0, 0])
     # every border row/column equals the wrapped opposite one
@@ -31,19 +29,12 @@ def test_pad_circular_wraps():
 def test_pad_zero_preserves_sum():
     rng = np.random.default_rng(7)
     t = rng.random((1, 1, 3, 3))
-    out = pad(t, 2, PadMode.ZERO)
+    out = _pad_spatial(t, 2, 2, PadMode.ZERO)
     # brute-force oracle: sum every element of the padded tensor
     total = 0.0
     for v in out.flatten():
         total += v
     assert total == pytest.approx(t.sum(), abs=1e-12)
-
-
-def test_pad_rejects_flat_tensors():
-    with pytest.raises(ValueError):
-        pad(np.zeros(5), 1, PadMode.ZERO)
-    with pytest.raises(ValueError):
-        pad(np.zeros((2, 2)), -1, PadMode.ZERO)
 
 
 def test_argmax_flat_basic():
@@ -91,7 +82,7 @@ def test_spatial_sum_matches_double_loop():
 def test_circular_pad_preserves_value_multiset(seed, margin):
     rng = np.random.default_rng(seed)
     t = rng.random((1, 1, 3, 4))
-    out = pad(t, margin, PadMode.CIRCULAR)
+    out = _pad_spatial(t, margin, margin, PadMode.CIRCULAR)
     assert set(np.unique(out)) == set(np.unique(t))
 
 

@@ -199,7 +199,7 @@ def test_scale_pair_sizes_differ_by_one():
 
 def test_crop_pair_one_pixel_apart():
     rng = np.random.default_rng(4)
-    img = rng.random((1, 30, 40)) * 255
+    img = rng.random((1, 30, 40))
     a, b = crop_pair_with_noise(img, crop_size=10, noise_scale=0.0, seed=5, long_side=40)
     assert a.shape == b.shape == (1, 10, 10)
     # identical content shifted one horizontal pixel
@@ -207,26 +207,26 @@ def test_crop_pair_one_pixel_apart():
 
 
 def test_crop_pair_noise_is_shared():
-    img = np.full((1, 30, 40), 100.0)
-    a, b = crop_pair_with_noise(img, 10, noise_scale=240.0, seed=6, long_side=40)
+    img = np.full((1, 30, 40), 0.4)
+    a, b = crop_pair_with_noise(img, 10, noise_scale=0.94, seed=6, long_side=40)
     # same noise field sampled one pixel apart: overlap columns agree exactly
     assert np.array_equal(a[:, :, 1:], b[:, :, :-1])
     assert not np.array_equal(a, b)
-    assert a.min() >= 0.0 and a.max() <= 255.0
-    assert a.max() > 250.0  # clipping engaged for this scale
+    assert a.min() >= 0.0 and a.max() <= 1.0  # pixels stay in [0, 1]
+    assert a.max() == 1.0  # clipping engaged for this scale
 
 
 def test_crop_pair_seed_deterministic():
-    img = np.random.default_rng(7).random((1, 30, 40)) * 255
-    a1, b1 = crop_pair_with_noise(img, 10, 50.0, seed=8, long_side=40)
-    a2, b2 = crop_pair_with_noise(img, 10, 50.0, seed=8, long_side=40)
+    img = np.random.default_rng(7).random((1, 30, 40))
+    a1, b1 = crop_pair_with_noise(img, 10, 0.2, seed=8, long_side=40)
+    a2, b2 = crop_pair_with_noise(img, 10, 0.2, seed=8, long_side=40)
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
-    a3, _ = crop_pair_with_noise(img, 10, 50.0, seed=9, long_side=40)
+    a3, _ = crop_pair_with_noise(img, 10, 0.2, seed=9, long_side=40)
     assert not np.array_equal(a1, a3)
 
 
 def test_crop_pair_resizes_long_side():
-    img = np.random.default_rng(10).random((1, 10, 20)) * 255
+    img = np.random.default_rng(10).random((1, 10, 20))
     a, b = crop_pair_with_noise(img, 8, 0.0, seed=0, long_side=16)
     assert a.shape == (1, 8, 8)
 
