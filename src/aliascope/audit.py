@@ -125,13 +125,6 @@ def _random_position(rng, proto: EmbeddingProtocol, eh: int, ew: int,
     return top, left
 
 
-def _embedded_extent(img, embed_size):
-    _, h, w = img.shape
-    if w >= h:
-        return max(1, round(h * embed_size / w)), embed_size
-    return embed_size, max(1, round(w * embed_size / h))
-
-
 def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: AuditMode,
                             seed: int = 0, delta: ShiftSpec = ShiftSpec(1, 0),
                             crop_size: int = 0, noise_scale: float = 0.0,
@@ -154,7 +147,7 @@ def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: Audit
             rng = np.random.default_rng(image_seed(seed, image_id))
             try:
                 if mode is AuditMode.TRANSLATE:
-                    eh, ew = _embedded_extent(img, proto.embed_size)
+                    eh, ew = transforms.embedded_extent(*img.shape[1:], proto.embed_size)
                     pos = _random_position(rng, proto, eh, ew,
                                            margin_bottom=max(0, delta.dy),
                                            margin_right=max(0, delta.dx))
@@ -163,7 +156,7 @@ def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: Audit
                     after = transforms.shift_embedded(img, p, delta)
                     pb, pa = f"{pos}", f"{(pos[0] + delta.dy, pos[1] + delta.dx)}"
                 elif mode is AuditMode.SCALE:
-                    eh, ew = _embedded_extent(img, proto.embed_size + 1)
+                    eh, ew = transforms.embedded_extent(*img.shape[1:], proto.embed_size + 1)
                     pos = _random_position(rng, proto, eh, ew)
                     p = replace(proto, position=pos)
                     before, after = transforms.scale_pair(img, p, proto.embed_size)

@@ -340,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-bins", type=int, default=10)
 
     add("verify-theory", cmd_verify_theory,
-        help="numeric checks of the invariance observation / claim / corollary")
+        help="numeric checks of the invariance observation / claim / corollary / "
+             "stride lattice")
     return parser
 
 

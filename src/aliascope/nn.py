@@ -26,6 +26,17 @@ pooling, gap and softmax are elementwise or per-row. So callers may stack
 inputs in any grouping (the audits do, see `audit`) and get the same bits as
 one at a time. The cost of a batch is its memory: every layer's activations
 for the whole batch are held at once, plus one image's patch matrix.
+
+Conv backward is two more GEMMs per image on im2col matrices built by the
+same helper as the forward's (Chellapilla et al. 2006). The weight gradient
+is dy_i (o, ho*wo) @ cols_i^T, summed over images, with cols_i the forward's
+patch matrix, rebuilt rather than kept for the whole batch. The input
+gradient is the stride-1 "full" correlation of dy, dilated by the stride,
+with the flipped, channel-transposed kernel; padding's adjoint then crops
+(zero) or adds the margins back around the image (circular). Nothing reads
+the input gradient of layer 0, so `backward_sgd_step` asks every layer but
+the first for it (`need_dx`), and the first layer, a conv in every net here,
+costs only its weight GEMM.
 """
 
 from __future__ import annotations
@@ -63,6 +74,28 @@ def _pad_spatial(x, left, right, mode: PadMode):
         return x
     width = [(0, 0)] * (x.ndim - 2) + [(left, right), (left, right)]
     return np.pad(x, width, mode="constant" if mode is PadMode.ZERO else "wrap")
+
+
+def _im2col(xp, k: int, s: int):
+    """Yield each padded image's patch matrix (c*k*k, ho*wo), rows in (c, i, j)
+    order: the copy of one image's k x k windows at stride s, one at a time."""
+    c = xp.shape[1]
+    windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]  # n,c,ho,wo,k,k
+    ho, wo = windows.shape[2:4]
+    for image in windows:
+        yield image.transpose(0, 3, 4, 1, 2).reshape(c * k * k, ho * wo)
+
+
+def _fold_wrap(g, left: int, size: int, axis: int):
+    """Adjoint of circular padding along one axis, in place: each padded
+    position p outside [left, left + size) adds into left + (p - left) % size,
+    one slice add per period. Returns the view of the inner `size` positions."""
+    at = (slice(None),) * axis
+    for p in range(left - size * -(-left // size), g.shape[axis], size):
+        if p != left:  # the inner period itself; every other one is disjoint from it
+            lo, hi = max(p, 0), min(p + size, g.shape[axis])
+            g[at + (slice(left + lo - p, left + hi - p),)] += g[at + (slice(lo, hi),)]
+    return g[at + (slice(left, left + size),)]
 
 
 def _spatial_hw(shape, what: str, kernel: int = 1):
@@ -154,49 +187,47 @@ class ConvSpec(_Window):
         """
         k, s = self.kernel, self.stride
         xp = _pad_spatial(x, (k - 1) // 2, k // 2, self.pad)
-        n, c = x.shape[:2]
         w = p["w"].reshape(p["w"].shape[0], -1)
         ho, wo = -(-x.shape[2] // s), -(-x.shape[3] // s)
-        patches = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]  # n,c,ho,wo,k,k
-        pre = np.empty((n, w.shape[0], ho * wo))
-        for i in range(n):
-            cols = patches[i].transpose(0, 3, 4, 1, 2).reshape(c * k * k, ho * wo)  # im2col copy
+        pre = np.empty((x.shape[0], w.shape[0], ho * wo))
+        for i, cols in enumerate(_im2col(xp, k, s)):
             np.matmul(w, cols, out=pre[i])
-        pre = pre.reshape(n, w.shape[0], ho, wo)
+        pre = pre.reshape(x.shape[0], w.shape[0], ho, wo)
         pre += p["b"][None, :, None, None]
         out = np.maximum(pre, 0.0) if self.activation == "relu" else pre
         return out, (x.shape, xp, pre)
 
-    def backward(self, dy, p, cache):
+    def backward(self, dy, p, cache, need_dx=True):
+        """dw and, when asked for, dx: two im2col GEMMs per image (see the
+        module docstring)."""
         x_shape, xp, pre = cache
         k, s = self.kernel, self.stride
-        left = (k - 1) // 2
+        o, c = p["w"].shape[:2]
+        n, ho, wo = dy.shape[0], dy.shape[2], dy.shape[3]
         if self.activation == "relu":
             dy = dy * (pre > 0)
-        patches = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]  # n,c,ho,wo,k,k
-        dw = np.einsum("nohw,nchwij->ocij", dy, patches, optimize=True)
-        db = dy.sum(axis=(0, 2, 3))
-        dxp = np.zeros(xp.shape)
-        ho, wo = dy.shape[2], dy.shape[3]
-        w = p["w"]
-        for i in range(k):
-            for j in range(k):
-                contrib = np.einsum("nohw,oc->nchw", dy, w[:, :, i, j], optimize=True)
-                dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += contrib
-        # fold padding gradients back into the input
-        n, c, h, wdt = x_shape
-        right = k // 2
-        if left == 0 and right == 0:
-            dx = dxp
-        elif self.pad is PadMode.ZERO:
-            dx = dxp[:, :, left:left + h, left:left + wdt]
-        else:
-            dx = np.zeros(x_shape)
-            hp, wp = xp.shape[2], xp.shape[3]
-            rows = (np.arange(hp) - left) % h
-            cols = (np.arange(wp) - left) % wdt
-            np.add.at(dx, (slice(None), slice(None), rows[:, None], cols[None, :]), dxp)
-        return dx, {"w": dw, "b": db}
+        dy_rows = dy.reshape(n, o, ho * wo)
+        dw = np.zeros((o, c * k * k))
+        for i, cols in enumerate(_im2col(xp, k, s)):
+            dw += dy_rows[i] @ cols.T
+        grads = {"w": dw.reshape(p["w"].shape), "b": dy.sum(axis=(0, 2, 3))}
+        if not need_dx:
+            return None, grads
+        # dy dilated by s and placed k-1 in from the top-left of a frame one
+        # kernel larger than xp: its valid k x k correlation has xp's shape
+        hp, wp = xp.shape[2], xp.shape[3]
+        framed = np.zeros((n, o, hp + k - 1, wp + k - 1))
+        framed[:, :, k - 1:k - 1 + s * ho:s, k - 1:k - 1 + s * wo:s] = dy
+        w_flip = p["w"][:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
+        dxp = np.empty((n, c, hp * wp))
+        for i, cols in enumerate(_im2col(framed, k, 1)):
+            np.matmul(w_flip, cols, out=dxp[i])
+        dxp = dxp.reshape(n, c, hp, wp)
+        left = (k - 1) // 2
+        h, wdt = x_shape[2:]
+        if self.pad is PadMode.ZERO:
+            return dxp[:, :, left:left + h, left:left + wdt], grads
+        return _fold_wrap(_fold_wrap(dxp, left, h, axis=2), left, wdt, axis=3), grads
 
 
 @dataclass(frozen=True)
@@ -244,7 +275,7 @@ class PoolSpec(_Window):
             out /= self.kernel * self.kernel
         return out, (x, out)
 
-    def backward(self, dy, p, cache):
+    def backward(self, dy, p, cache, need_dx=True):
         x, out = cache
         hw = dy.shape[2:]
         dx = np.zeros(x.shape)
@@ -274,7 +305,7 @@ class GapSpec(_Layer):
     def forward(self, x, p):
         return x.mean(axis=(2, 3)), x.shape
 
-    def backward(self, dy, p, shape):
+    def backward(self, dy, p, shape, need_dx=True):
         return np.broadcast_to(dy[:, :, None, None] / (shape[2] * shape[3]), shape).copy(), {}
 
 
@@ -308,7 +339,7 @@ class DenseSpec(_Layer):
         out = (flat[:, None] @ p["w"].T)[:, 0] + p["b"]  # per image: batch-invariant
         return out, (x.shape, flat)
 
-    def backward(self, dy, p, cache):
+    def backward(self, dy, p, cache, need_dx=True):
         in_shape, flat = cache
         return (dy @ p["w"]).reshape(in_shape), {"w": dy.T @ flat, "b": dy.sum(axis=0)}
 
@@ -328,7 +359,7 @@ class SoftmaxSpec(_Layer):
         y = e / e.sum(axis=1, keepdims=True)
         return y, y
 
-    def backward(self, dy, p, y):
+    def backward(self, dy, p, y, need_dx=True):
         # the output softmax is folded into the loss gradient; this serves a softmax mid-network
         return y * (dy - (dy * y).sum(axis=1, keepdims=True)), {}
 
@@ -523,8 +554,10 @@ def backward_sgd_step(model: Model, batch_x: np.ndarray, batch_y: np.ndarray,
     dcur = probs.copy()
     dcur[np.arange(n), batch_y] -= 1.0
     dcur /= n
-    for layer, p, cache in zip(spec.layers[-2::-1], model.params[-2::-1], caches[-2::-1]):
-        dcur, grads = layer.backward(dcur, p, cache)
+    for li in range(len(spec.layers) - 2, -1, -1):
+        p = model.params[li]
+        # nothing reads the input gradient of layer 0
+        dcur, grads = spec.layers[li].backward(dcur, p, caches[li], need_dx=li > 0)
         for key, g in grads.items():
             p[key] -= lr * g
     return loss

@@ -1,7 +1,9 @@
-"""Numeric verification of the three invariance results: the observation
-(stride-1 + global pooling is exactly invariant), the claim (shiftable
-responses pool invariantly on the grid), and the corollary (piecewise
-constant transforms preserve the pooled response).
+"""Numeric verification of the invariance results: the observation
+(stride-1 + global pooling is exactly invariant), its strided form (a
+circular net is exactly invariant to shifts on its cumulative-stride
+lattice, and only to those), the claim (shiftable responses pool
+invariantly on the grid), and the corollary (piecewise constant transforms
+preserve the pooled response).
 
 Each check returns the measured worst-case gaps so callers can assert
 against their own tolerances; `verify_all` applies the standard ones.
@@ -33,19 +35,50 @@ def _test_input(rng, shape=(1, 16, 16)) -> np.ndarray:
     return x
 
 
-def observation_check(seed: int = 0) -> float:
-    """Max logit gap of a random stride-1 circular-pad gap-head net over
-    every integer 2D translation of a synthetic input."""
-    spec = _stride1_spec(16, 16)
-    model = nn.init_model(spec, seed=seed)
-    rng = np.random.default_rng(seed)
-    x = _test_input(rng)
-    h, w = spec.input_shape[1:]
+def _strided_spec(h: int, w: int) -> nn.NetworkSpec:
+    """Two circular convs, each followed by a 2x2 stride-2 max pool, and a gap
+    head: cumulative stride 4, so exactly invariant on that lattice only."""
+    return nn.parse_spec(f"input 1 {h} {w}\n"
+                         "conv 6 3 stride=1 pad=circular act=relu\nmaxpool 2 stride=2\n"
+                         "conv 6 3 stride=1 pad=circular act=relu\nmaxpool 2 stride=2\n"
+                         "gap\ndense 4\nsoftmax\n")
+
+
+def _translation_gaps(model: nn.Model, x: np.ndarray) -> np.ndarray:
+    """Max score gap between x and each integer 2D circular translation of
+    it, as an (h, w) array indexed by the shift."""
+    _, h, w = x.shape
     # one batch of every translation; row 0 is the identity, and the forward
     # pass is batch-invariant, so it is bitwise the unshifted score
     shifted = np.stack([np.roll(x, (dy, dx), axis=(1, 2)) for dy in range(h) for dx in range(w)])
     scores = nn.forward(model, shifted)
-    return float(np.max(np.abs(scores - scores[0])))
+    return np.max(np.abs(scores - scores[0]), axis=1).reshape(h, w)
+
+
+def observation_check(seed: int = 0) -> float:
+    """Max logit gap of a random stride-1 circular-pad gap-head net over
+    every integer 2D translation of a synthetic input."""
+    model = nn.init_model(_stride1_spec(16, 16), seed=seed)
+    return float(_translation_gaps(model, _test_input(np.random.default_rng(seed))).max())
+
+
+@dataclass(frozen=True)
+class LatticeResult:
+    on_lattice_gap: float   # worst gap over shifts that are multiples of the cumulative stride
+    off_lattice_gap: float  # smallest gap over every other shift
+
+
+def lattice_check(seed: int = 0) -> LatticeResult:
+    """Logit gaps of a random circular strided gap-head net over every
+    integer 2D translation, split by whether both shift components are
+    multiples of its cumulative stride."""
+    spec = _strided_spec(16, 16)
+    model = nn.init_model(spec, seed=seed)
+    gaps = _translation_gaps(model, _test_input(np.random.default_rng(seed)))
+    factor = spec.cumulative_factors[-1]
+    on = np.zeros(gaps.shape, dtype=bool)
+    on[::factor, ::factor] = True
+    return LatticeResult(float(gaps[on].max()), float(gaps[~on].min()))
 
 
 @dataclass(frozen=True)
@@ -122,14 +155,16 @@ def corollary_check(seed: int = 0) -> CorollaryResult:
 
 
 def verify_all(seed: int = 0) -> dict[str, bool]:
-    """The standard pass/fail gates over all three checks."""
+    """The standard pass/fail gates over all four checks."""
     obs = observation_check(seed)
     claim = claim_check()
     cor = corollary_check(seed)
+    lattice = lattice_check(seed)
     return {
         "observation": obs < 1e-9,
         "claim": (claim.shiftability < 1e-6
                   and claim.bandlimited_gap < 1e-5
                   and abs(claim.impulse_gap - claim.impulse_mass) < 1e-9),
         "corollary": cor.stride1_gap < 1e-6 and cor.detector_gap > 1e-3,
+        "lattice": lattice.on_lattice_gap < 1e-9 and lattice.off_lattice_gap > 1e-6,
     }

@@ -49,16 +49,15 @@ class PiecewiseTransform:
     pieces: tuple[tuple[Rect, tuple[int, int]], ...]
 
 
-def bilinear_resize(img: np.ndarray, new_w: int) -> np.ndarray:
-    """Resize (c, h, w) to width new_w, preserving aspect ratio.
+def bilinear_resize(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
+    """Resize (c, h, w) to (c, new_h, new_w).
 
     Source coordinate of destination pixel x: (x + 0.5) * src / dst - 0.5,
     clamped to the valid range; bilinear weights.
     """
-    if new_w < 1:
-        raise ValueError("new width must be >= 1")
+    if new_h < 1 or new_w < 1:
+        raise ValueError("new size must be >= 1")
     c, h, w = img.shape
-    new_h = max(1, round(h * new_w / w))
     if new_w == w and new_h == h:
         return img.copy()
 
@@ -76,11 +75,18 @@ def bilinear_resize(img: np.ndarray, new_w: int) -> np.ndarray:
     return top * (1 - fy[None, :, None]) + bot * fy[None, :, None]
 
 
+def embedded_extent(h: int, w: int, size: int) -> tuple[int, int]:
+    """(h, w) of an h x w image resized so its longest side is `size`; the
+    other side keeps the aspect ratio, rounded, and is at least 1."""
+    if w >= h:
+        return max(1, round(h * size / w)), size
+    return size, max(1, round(w * size / h))
+
+
 def resize_longest_side(img: np.ndarray, size: int) -> np.ndarray:
-    """Resize so the longest spatial side equals `size` (aspect preserved)."""
-    _, h, w = img.shape
-    new_w = size if w >= h else max(1, round(w * size / h))
-    return bilinear_resize(img, new_w)
+    """Resize so the longest side is `size`: to exactly `embedded_extent`,
+    the extent the audits draw positions for."""
+    return bilinear_resize(img, *embedded_extent(img.shape[1], img.shape[2], size))
 
 
 def inpaint_fill(canvas: np.ndarray, known: np.ndarray) -> np.ndarray:

@@ -8,7 +8,9 @@ max-to-blurred-average pooling swap, subsampling arithmetic, the chi-squared
 bias audit, and numerical hygiene of gradients and the Nyquist check.
 
 The trained-model experiments share module-scoped fixtures; the whole file
-runs in a few minutes on one core.
+runs in a few minutes on one core. The last test, the gradient form of the
+invariance results on the two reference nets, is no numbered criterion and
+prints no line.
 """
 
 import copy
@@ -291,3 +293,38 @@ def test_criterion_10_numerical_hygiene(capsys):
     _report(capsys, 10, "numerical hygiene", ok,
             f"grad rel err {worst:.2e}, Nyquist pass/fail "
             f"{res_low.shiftable}/{res_high.shiftable}")
+
+
+def _update_gaps(text, seed=0):
+    """Relative change of one SGD step's weight update when the whole batch
+    is circularly shifted, as an (h, w) array indexed by the shift."""
+    model = nn.init_model(nn.parse_spec(text), seed=seed)
+    x = np.random.default_rng(seed).random((2, *model.spec.input_shape))
+    y = np.array([3, 7])
+
+    def update(batch):
+        stepped = copy.deepcopy(model)
+        nn.backward_sgd_step(stepped, batch, y, lr=1.0)
+        return [p[key] - q[key] for p, q in zip(model.params, stepped.params) for key in p]
+
+    base = update(x)
+    scale = max(np.max(np.abs(u)) for u in base)
+    gaps = np.empty(model.spec.input_shape[1:])
+    for shift in np.ndindex(gaps.shape):
+        moved = update(np.roll(x, shift, axis=(2, 3)))
+        gaps[shift] = max(np.max(np.abs(u - v)) for u, v in zip(base, moved)) / scale
+    return gaps
+
+
+def test_sgd_update_is_shift_invariant_where_the_net_is():
+    """Gradient form of criterion 1 and of the stride lattice: the weight
+    update of a seed-initialised reference net does not change when the
+    batch shifts by any amount (stride-1 net) or by a multiple of the
+    cumulative stride (strided net), and does change off that lattice."""
+    assert _update_gaps(STRIDE1_SPEC).max() < 1e-12
+    gaps = _update_gaps(STRIDED_SPEC)
+    factor = nn.parse_spec(STRIDED_SPEC).cumulative_factors[-1]
+    on = np.zeros(gaps.shape, dtype=bool)
+    on[::factor, ::factor] = True
+    assert gaps[on].max() < 1e-12
+    assert gaps[~on].min() > 1e-4

@@ -212,7 +212,7 @@ def test_bias_audit_command(workspace, capsys):
 def test_verify_theory_command(capsys):
     assert main(["verify-theory", "--seed", "0"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 3
+    assert out.count("PASS") == 4
     assert "FAIL" not in out
 
 

@@ -377,6 +377,40 @@ def test_gradients_softmax_mid_network():
                        "dense 5\nsoftmax\ndense 3\nsoftmax\n")
 
 
+def test_gradients_circular_conv_after_conv():
+    # layer 1 is a conv, so its input gradient reaches layer 0's weights
+    _fd_gradient_check("input 1 7 5\nconv 3 3 pad=circular act=relu\n"
+                       "conv 3 4 stride=2 pad=circular act=relu\ngap\ndense 3\nsoftmax\n")
+
+
+def test_gradients_zero_pad_conv_after_conv():
+    _fd_gradient_check("input 1 7 5\nconv 3 3 pad=zero act=relu\n"
+                       "conv 3 4 stride=2 pad=zero act=relu\ngap\ndense 3\nsoftmax\n")
+
+
+@settings(deadline=None, max_examples=200)
+@given(pad=st.sampled_from(PadMode), kernel=st.integers(1, 5), stride=st.integers(1, 3),
+       extra=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       channels=st.tuples(st.integers(1, 3), st.integers(1, 3)), seed=st.integers(0, 2**16))
+def test_conv_backward_is_the_adjoint_of_forward(pad, kernel, stride, extra, channels, seed):
+    """With no activation, forward(x) - b is bilinear in x and w, so for any
+    dy: <forward(x) - b, dy> == <x, dx> == <w, dw>."""
+    c_in, c_out = channels
+    layer = ConvSpec(c_out, kernel, stride, pad, "none")
+    h, w = kernel + extra[0], kernel + extra[1]  # also non-square and not divisible by stride
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2, c_in, h, w))
+    p = {"w": rng.normal(size=(c_out, c_in, kernel, kernel)), "b": rng.normal(size=c_out)}
+    y, cache = layer.forward(x, p)
+    dy = rng.normal(size=y.shape)
+    dx, grads = layer.backward(dy, p, cache)
+    assert dx.shape == x.shape
+    lhs = np.vdot(y - p["b"][None, :, None, None], dy)
+    assert np.vdot(x, dx) == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+    assert np.vdot(p["w"], grads["w"]) == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+    assert np.allclose(grads["b"], dy.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+
+
 def test_maxpool_backward_routes_to_first_max():
     spec = make_spec((1, 2, 2), (PoolSpec("max", 2, 2), DenseSpec(2), SoftmaxSpec()))
     model = init_model(spec, seed=0)

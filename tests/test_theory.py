@@ -8,6 +8,13 @@ def test_observation_exact_invariance():
     assert theory.observation_check(seed=1) < 1e-9
 
 
+def test_strided_net_is_invariant_exactly_on_its_stride_lattice():
+    for seed in (0, 1):
+        res = theory.lattice_check(seed=seed)
+        assert res.on_lattice_gap < 1e-9
+        assert res.off_lattice_gap > 1e-6
+
+
 def test_claim_shiftable_vs_center_detector():
     res = theory.claim_check()
     assert res.shiftability < 1e-6
@@ -25,4 +32,4 @@ def test_corollary_piecewise_shifts():
 
 def test_verify_all_gates():
     assert theory.verify_all(seed=0) == {"observation": True, "claim": True,
-                                         "corollary": True}
+                                         "corollary": True, "lattice": True}

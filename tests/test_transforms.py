@@ -10,6 +10,7 @@ from aliascope.transforms import (
     bilinear_resize,
     crop_pair_with_noise,
     embed,
+    embedded_extent,
     inpaint_fill,
     piecewise_shift,
     resize_longest_side,
@@ -24,7 +25,7 @@ from aliascope.transforms import (
 
 def test_resize_identity():
     img = np.random.default_rng(0).random((1, 5, 5))
-    out = bilinear_resize(img, 5)
+    out = bilinear_resize(img, 5, 5)
     assert np.array_equal(out, img)
     assert out is not img
 
@@ -32,15 +33,15 @@ def test_resize_identity():
 def test_resize_constant_stays_constant():
     img = np.full((2, 6, 6), 0.7)
     for new_w in (3, 5, 7, 12):
-        out = bilinear_resize(img, new_w)
+        out = bilinear_resize(img, new_w, new_w)
         assert np.allclose(out, 0.7, atol=1e-12)
 
 
 def test_resize_preserves_aspect_ratio():
     img = np.zeros((1, 10, 20))
-    out = bilinear_resize(img, 10)
+    out = resize_longest_side(img, 10)
     assert out.shape == (1, 5, 10)
-    out = bilinear_resize(np.zeros((1, 7, 5)), 10)
+    out = resize_longest_side(np.zeros((1, 7, 5)), 14)
     assert out.shape == (1, 14, 10)
 
 
@@ -48,7 +49,7 @@ def test_resize_2x_half_pixel_centers():
     # doubling width puts two dst pixels at src offsets -0.25 and +0.25:
     # clamping at the edges, interior pixels mix neighbors with weights 3/4, 1/4
     img = np.array([[[0.0, 4.0, 8.0, 12.0]]])
-    out = bilinear_resize(img, 8)[0, 0]
+    out = bilinear_resize(img, 1, 8)[0, 0]
     expected = [0.0, 1.0, 3.0, 5.0, 7.0, 9.0, 11.0, 12.0]
     assert np.allclose(out, expected, atol=1e-12)
 
@@ -58,7 +59,7 @@ def test_resize_matches_scipy_zoom_on_linear_ramp():
     # from the clamped border, whatever the implementation
     h, w = 8, 8
     ramp = (np.arange(h)[:, None] * 2.0 + np.arange(w)[None, :] * 3.0)[None]
-    out = bilinear_resize(ramp, 16)[0]
+    out = bilinear_resize(ramp, 16, 16)[0]
     ys = np.clip((np.arange(16) + 0.5) * h / 16 - 0.5, 0, h - 1)
     xs = np.clip((np.arange(16) + 0.5) * w / 16 - 0.5, 0, w - 1)
     expected = ys[:, None] * 2.0 + xs[None, :] * 3.0
@@ -66,13 +67,26 @@ def test_resize_matches_scipy_zoom_on_linear_ramp():
 
 
 def test_resize_rejects_bad_width():
-    with pytest.raises(ValueError):
-        bilinear_resize(np.zeros((1, 4, 4)), 0)
+    for new_h, new_w in ((4, 0), (0, 4)):
+        with pytest.raises(ValueError):
+            bilinear_resize(np.zeros((1, 4, 4)), new_h, new_w)
 
 
 def test_resize_longest_side_orientation():
     assert resize_longest_side(np.zeros((1, 4, 8)), 16).shape == (1, 8, 16)
     assert resize_longest_side(np.zeros((1, 8, 4)), 16).shape == (1, 16, 8)
+
+
+def test_resize_longest_side_is_the_embedded_extent():
+    # the audits draw positions for embedded_extent, so the resize must land
+    # on it exactly, portrait images included (a 2x1 image at size 1 is 1x1)
+    for h in range(1, 40):
+        for w in range(1, 40):
+            img = np.zeros((1, h, w))
+            for size in range(1, 40):
+                extent = embedded_extent(h, w, size)
+                assert max(extent) == size
+                assert resize_longest_side(img, size).shape[1:] == extent, (h, w, size)
 
 
 # ---------------------------------------------------------------------------
