@@ -38,18 +38,20 @@ MANIFEST_INPUTS = ("spec", "model", "image", "annotations")  # flags naming hash
 
 def write_manifest(args, started: float) -> None:
     """Record the run of a command that wrote `args.out`: its invocation,
-    seed, input file hashes and wall time, next to the output (inside it
-    when the output is a directory, as for gen-data)."""
+    seed, input and output file hashes and wall time, next to the output
+    (inside it when the output is a directory, as for gen-data, whose
+    output is not hashed)."""
     inputs = [getattr(args, flag) for flag in MANIFEST_INPUTS if getattr(args, flag, None)]
+    out = Path(args.out)
     manifest = {
         "command": "aliascope " + " ".join(getattr(args, "invocation", sys.argv[1:])),
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "input_hashes": {str(p): _sha256(p) for p in inputs if Path(p).is_file()},
         "outputs": [str(args.out)],
+        "output_hashes": {str(args.out): _sha256(out)} if out.is_file() else {},
         "wall_time_s": round(time.time() - started, 3),
     }
-    out = Path(args.out)
     final = Path(f"{out / 'dataset' if out.is_dir() else out}.manifest.json")
     tmp = final.with_suffix(".tmp")
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

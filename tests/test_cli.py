@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -35,6 +36,11 @@ def _manifest(path):
     return json.loads((path.parent / (path.name + ".manifest.json")).read_text())
 
 
+def _assert_output_hashed(path):
+    assert _manifest(path)["output_hashes"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
 def test_gen_data_layout_and_manifest(workspace):
     ds = data.load_dataset(workspace / "ds")
     assert len(ds.images) == 24
@@ -43,6 +49,7 @@ def test_gen_data_layout_and_manifest(workspace):
     assert manifest["seed"] == 0
     assert "gen-data" in manifest["command"]
     assert manifest["wall_time_s"] >= 0
+    assert manifest["output_hashes"] == {}  # a directory output is not hashed
 
 
 def test_train_writes_model_and_manifest(workspace):
@@ -53,6 +60,7 @@ def test_train_writes_model_and_manifest(workspace):
     assert len(manifest["input_hashes"]) == 1  # the spec file, sha256-hashed
     (digest,) = manifest["input_hashes"].values()
     assert len(digest) == 64
+    _assert_output_hashed(workspace / "model.shnn")
 
 
 def test_eval_prints_accuracy(workspace, capsys):
@@ -73,6 +81,7 @@ def test_audit_shift_writes_report(workspace, capsys):
     assert lines[-1].startswith("#summary,")
     assert "p_hat=" in capsys.readouterr().out
     assert _manifest(out_csv)["seed"] == 1
+    _assert_output_hashed(out_csv)
 
 
 def test_audit_scale_runs(workspace, capsys):
