@@ -120,9 +120,13 @@ def image_seed(global_seed: int, image_id: str) -> int:
 
 def _random_position(rng, proto: EmbeddingProtocol, eh: int, ew: int,
                      margin_bottom: int = 0, margin_right: int = 0):
-    top = int(rng.integers(0, proto.canvas_h - eh - margin_bottom + 1))
-    left = int(rng.integers(0, proto.canvas_w - ew - margin_right + 1))
-    return top, left
+    room_h = proto.canvas_h - eh - margin_bottom
+    room_w = proto.canvas_w - ew - margin_right
+    if room_h < 0 or room_w < 0:
+        raise ValueError(f"embedded image {eh}x{ew} and a step of ({margin_bottom}, "
+                         f"{margin_right}) do not fit the {proto.canvas_h}x{proto.canvas_w} "
+                         f"canvas")
+    return int(rng.integers(0, room_h + 1)), int(rng.integers(0, room_w + 1))
 
 
 def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: AuditMode,

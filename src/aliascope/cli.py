@@ -3,7 +3,8 @@ JSON run manifest written atomically next to every output.
 
 All randomness flows from --seed (default 0, overridable via the
 ALIASCOPE_SEED environment variable). Exit codes: 0 success, 1 domain
-error, 2 usage error.
+error, 2 usage error. An audit that scores no image is a domain error and
+writes nothing.
 """
 
 from __future__ import annotations
@@ -72,6 +73,22 @@ def _proto(args) -> EmbeddingProtocol:
                              FillMode(args.fill))
 
 
+def _require_scored(report, what: str = "audit") -> None:
+    """Refuse a report that scored no image: it measures nothing."""
+    if report.n == 0:
+        first = (f"; first: {report.skipped[0][0]}: {report.skipped[0][1]}"
+                 if report.skipped else "")
+        raise ValueError(f"{what} scored no image ({len(report.skipped)} skipped{first})")
+
+
+def _nonzero_int(text: str) -> int:
+    value = int(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be nonzero: a zero shift compares an image "
+                                         "with itself")
+    return value
+
+
 def _print_summary(report) -> None:
     lo, hi = report.wilson_interval
     print(f"p_hat={report.p_hat:.4f} ci=[{lo:.4f},{hi:.4f}] n={report.n} "
@@ -113,6 +130,7 @@ def _run_audit(args, mode: AuditMode, proto: EmbeddingProtocol, **kwargs):
     _, images, labels = _load_audit_images(args.data, args.limit)
     report = audit.top1_change_probability(model, images, proto, mode,
                                            seed=args.seed, labels=labels, **kwargs)
+    _require_scored(report)
     audit.write_report_csv(report, args.out)
     _print_summary(report)
     return 0
@@ -140,6 +158,8 @@ def cmd_sweep_embed(args):
     kwargs = {"delta": ShiftSpec(1, 0)} if mode is AuditMode.TRANSLATE else {}
     results = audit.embedding_size_sweep(model, images, _proto(args), sizes, mode,
                                          seed=args.seed, labels=labels, **kwargs)
+    for size, rep in results:
+        _require_scored(rep, f"embed size {size}")
     audit.write_curve_csv([(size, rep.p_hat) for size, rep in results], args.out,
                           param_name="embed_size", value_name="p_hat")
     for size, rep in results:
@@ -286,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = add_audit(name, fn, help=f"top-1 flip rate under the {name.split('-')[1]} protocol")
         _add_proto_flags(p)
         if name == "audit-shift":
-            p.add_argument("--delta", type=int, default=1)
+            p.add_argument("--delta", type=_nonzero_int, default=1)
 
     p = add_audit("audit-crop", cmd_audit_crop, help="top-1 flip rate for 1-pixel-shifted crops")
     p.add_argument("--crop-size", type=int, default=32)
@@ -357,7 +377,7 @@ def main(argv=None) -> int:
         if status == 0 and getattr(args, "out", None):
             write_manifest(args, started)
         return status
-    except (ValueError, OSError, IndexError) as exc:
+    except (ValueError, OSError, IndexError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

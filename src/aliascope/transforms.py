@@ -2,10 +2,12 @@
 canvas, harmonic background inpainting, 1-pixel translations and rescalings,
 shifted crop pairs with shared noise, and piecewise region shifts.
 
-The inpainted background is the exact discrete harmonic fill, solved
-directly (a capacitance-matrix solve on the DCT-diagonalised grid Laplacian,
-see `inpaint_fill`) and checked against a stated residual bound on every
-call, so it does not depend on where in the canvas the image sits.
+The inpainted background is the exact discrete harmonic fill around the
+embedded rectangle, solved directly (a capacitance-matrix solve on the
+DCT-diagonalised grid Laplacian, built side by side from the rectangle's
+ring in O(h*w*(n_x + n_y)) for sides of n_x and n_y pixels, see
+`inpaint_fill`) and checked against a stated residual bound on every call,
+so it does not depend on where in the canvas the image sits.
 
 The resize convention (half-pixel centers, clamped) is pinned explicitly:
 1-pixel-rescaling audits are exquisitely sensitive to it.
@@ -95,18 +97,16 @@ def resize_longest_side(img: np.ndarray, size: int) -> np.ndarray:
     return bilinear_resize(img, *embedded_extent(img.shape[1], img.shape[2], size))
 
 
-_S_BLOCK_VALUES = 1 << 22  # values of S that inpaint_fill holds at once (32 MB)
-
-
 @lru_cache(maxsize=8)
 def _grid_operator(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(C_y, C_x, sqrt(pinv(Lambda)), deg) of the h x w grid Laplacian.
+    """(C_y, C_x, pinv(Lambda), deg) of the h x w grid Laplacian.
 
     The 4-neighbour grid graph's Laplacian, with in-grid neighbours only, is
     L = C^T Lambda C for the orthonormal 2-D DCT-II C = C_y (x) C_x (rows are
     frequencies) and lambda_pq = (2 - 2cos(pi p/h)) + (2 - 2cos(pi q/w)).
-    Only lambda_00 is 0. deg is the (h, w) count of in-grid neighbours. The
-    arrays are read-only: every caller shares them.
+    Only lambda_00 is 0, and pinv(Lambda) holds 0 there. deg is the (h, w)
+    count of in-grid neighbours. The arrays are read-only: every caller
+    shares them.
     """
     def dct(n):
         k = np.arange(n)[:, None]
@@ -118,11 +118,11 @@ def _grid_operator(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     cx, lx = dct(w)
     lam = ly[:, None] + lx[None, :]
     lam[0, 0] = np.inf  # the constant mode: pinv sends it to 0
-    root_pinv = 1.0 / np.sqrt(lam)
+    lam_pinv = 1.0 / lam
     deg = _neighbour_sum(np.ones((h, w)))
-    for a in (cy, cx, root_pinv, deg):
+    for a in (cy, cx, lam_pinv, deg):
         a.setflags(write=False)
-    return cy, cx, root_pinv, deg
+    return cy, cx, lam_pinv, deg
 
 
 def _neighbour_sum(x: np.ndarray) -> np.ndarray:
@@ -135,56 +135,108 @@ def _neighbour_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def inpaint_fill(canvas: np.ndarray, known: np.ndarray) -> np.ndarray:
-    """Fill unknown pixels with the discrete harmonic (Laplace) solution.
+def _ring_sides(rect: Rect, h: int, w: int) -> tuple[list[int], np.ndarray, list[int], np.ndarray]:
+    """(rows, X, cols, Y): the ring of a known rectangle in an h x w canvas.
+
+    The ring is every row in `rows` over the columns X (the top and bottom
+    sides) and every column in `cols` over the rows Y (the left and right
+    sides). A side on the canvas edge has no unknown neighbour and is absent;
+    a corner is counted once, on its row.
+    """
+    bottom, right = rect.top + rect.height - 1, rect.left + rect.width - 1
+    rows = sorted({y for y, inner in ((rect.top, rect.top > 0), (bottom, bottom < h - 1)) if inner})
+    cols = sorted({x for x, inner in ((rect.left, rect.left > 0), (right, right < w - 1)) if inner})
+    ys = np.array([y for y in range(rect.top, bottom + 1) if y not in rows], dtype=int)
+    return rows, np.arange(rect.left, right + 1), cols, ys
+
+
+def _capacitance(rows, xs, cols, ys, cy, cx, lam_pinv) -> np.ndarray:
+    """pinv(L)[R, R] for the ring R = rows x X, then cols x Y, side by side.
+
+    With C = C_y (x) C_x, pinv(L)[(y, x), (y', x')] is
+    sum_pq C_y[p, y] C_y[p, y'] lam_pinv[p, q] C_x[q, x] C_x[q, x'], and each
+    pair of sides sums one axis in closed form (* is elementwise):
+      row y_a x row y_b: C_x[:, X]^T diag(d) C_x[:, X],
+                         d = (C_y[:, y_a] * C_y[:, y_b]) @ lam_pinv, O(h*w + w*n_x^2);
+      col x_a x col x_b: C_y[:, Y]^T diag(e) C_y[:, Y],
+                         e = lam_pinv @ (C_x[:, x_a] * C_x[:, x_b]), O(h*w + h*n_y^2);
+      row y_a x col x_b: C_x[:, X]^T (lam_pinv * C_y[:, y_a] C_x[:, x_b]^T)^T C_y[:, Y],
+                         O(h*w*n_y).
+    """
+    bx, by = cx[:, xs], cy[:, ys]
+    lengths = [len(xs)] * len(rows) + [len(ys)] * len(cols)
+    sides = [slice(end - n, end) for n, end in zip(lengths, np.cumsum(lengths))]
+    gram = np.empty((sum(lengths), sum(lengths)))
+
+    def put(a, b, block):
+        gram[sides[a], sides[b]] = block
+        gram[sides[b], sides[a]] = block.T
+
+    for a, ya in enumerate(rows):
+        for b in range(a, len(rows)):
+            d = (cy[:, ya] * cy[:, rows[b]]) @ lam_pinv
+            put(a, b, bx.T @ (d[:, None] * bx))
+        weighted = lam_pinv.T @ (cy[:, ya, None] * by)  # (w, ny): the sum over p
+        for b, xb in enumerate(cols):
+            put(a, len(rows) + b, bx.T @ (cx[:, xb, None] * weighted))
+    for a, xa in enumerate(cols):
+        for b in range(a, len(cols)):
+            e = lam_pinv @ (cx[:, xa] * cx[:, cols[b]])
+            put(len(rows) + a, len(rows) + b, by.T @ (e[:, None] * by))
+    return gram
+
+
+def inpaint_fill(canvas: np.ndarray, rect: Rect) -> np.ndarray:
+    """Fill the pixels outside `rect` with the discrete harmonic (Laplace)
+    solution.
 
     Each unknown pixel equals the mean of its in-grid 4-neighbours (a pixel
-    on the image border averages only the neighbours it has); known pixels
-    are Dirichlet data and are returned bitwise unchanged.
+    on the image border averages only the neighbours it has); the pixels of
+    the rectangle are Dirichlet data and are returned bitwise unchanged.
 
     Solved directly, with no iteration, by the capacitance-matrix method
     (Buzbee, Dorr, George & Golub 1971) on the grid Laplacian L = C^T Lambda C,
     which the 2-D DCT-II C diagonalises (Strang 1999). Only the ring R of r
-    known pixels with an unknown neighbour couples to the unknowns. The fill
-    is u = pinv(L) E_R f + c with sum(f) = 0 and u_R = the known values: the
-    (r+1) x (r+1) bordered system [[S^T S, 1], [1^T, 0]] with
-    S = sqrt(pinv(Lambda)) C[:, R], one solve for all channels, then u by two
-    DCTs of the load f placed on the ring. Cost O(h*w*r^2) time and
-    O(r^2 + min(h*w*r, 2^22)) memory; an embed of eh x ew pixels has
-    r <= 2*(eh + ew).
+    known pixels with an unknown neighbour couples to the unknowns; for a
+    rectangle R is at most two row sides of n_x pixels and two column sides
+    of n_y pixels (see `_ring_sides`). The fill is u = pinv(L) E_R f + c with
+    sum(f) = 0 and u_R = the known values: the (r+1) x (r+1) bordered system
+    [[pinv(L)[R, R], 1], [1^T, 0]], one solve for all channels, then u by
+    two DCTs of the load f placed on the ring. Each block of pinv(L)[R, R]
+    sums one DCT axis in closed form (see `_capacitance`), so building it
+    costs O(h*w*(n_x + n_y)) time; the solve costs O(r^3) and the two DCTs
+    O(c*h*w*(h + w)). Memory is O(c*h*w + h^2 + w^2 + r^2), the dense DCT
+    matrices included.
 
     Error bound, checked on every call: the residual |deg*u - sum of
     neighbours| at each unknown pixel is at most
     1e-9 * max(1, max|known value|), else RuntimeError.
     """
-    known = np.asarray(known, dtype=bool)
-    if not known.any():
+    c, h, w = canvas.shape
+    if rect.height < 1 or rect.width < 1:
         raise ValueError("inpainting needs at least one known pixel")
+    if (rect.top < 0 or rect.left < 0 or rect.top + rect.height > h
+            or rect.left + rect.width > w):
+        raise ValueError(f"known rectangle {rect} outside the {h}x{w} canvas")
+    known = np.zeros((h, w), dtype=bool)
+    known[rect.top:rect.top + rect.height, rect.left:rect.left + rect.width] = True
     if known.all():
         return canvas.copy()
-    c, h, w = canvas.shape
-    cy, cx, root_pinv, deg = _grid_operator(h, w)
-    unknown = ~known
-    ys, xs = np.nonzero(known & (_neighbour_sum(unknown.astype(float)) > 0))
-    r = len(ys)
-    # capacitance matrix S^T S = pinv(L)[R, R], summed over blocks of DCT rows
-    # p so that S[p, q, j] = C[(p, q), R_j] / sqrt(lambda_pq) is never held whole
+    cy, cx, lam_pinv, deg = _grid_operator(h, w)
+    rows, xs, cols, ys = _ring_sides(rect, h, w)
+    ring_y = np.concatenate([np.full(len(xs), y) for y in rows] + [ys for _ in cols])
+    ring_x = np.concatenate([xs for _ in rows] + [np.full(len(ys), x) for x in cols])
+    r = len(ring_y)
     bordered = np.zeros((r + 1, r + 1))
-    rows = max(1, _S_BLOCK_VALUES // (w * r))
-    block = np.empty((min(rows, h), w, r))
-    for p in range(0, h, rows):
-        s = block[:min(rows, h - p)]
-        np.multiply(root_pinv[p:p + rows, :, None], cy[p:p + rows, None, ys], out=s)
-        s *= cx[None, :, xs]
-        s = s.reshape(-1, r)
-        bordered[:r, :r] += s.T @ s
+    bordered[:r, :r] = _capacitance(rows, xs, cols, ys, cy, cx, lam_pinv)
     bordered[:r, r] = bordered[r, :r] = 1.0
     rhs = np.zeros((r + 1, c))
-    rhs[:r] = canvas[:, ys, xs].T
+    rhs[:r] = canvas[:, ring_y, ring_x].T
     sol = np.linalg.solve(bordered, rhs)
     load = np.zeros((c, h, w))  # f on the ring: u = pinv(L) load + const
-    load[:, ys, xs] = sol[:r].T
-    filled = cy.T @ (root_pinv ** 2 * (cy @ load @ cx.T)) @ cx + sol[r][:, None, None]
+    load[:, ring_y, ring_x] = sol[:r].T
+    filled = cy.T @ (lam_pinv * (cy @ load @ cx.T)) @ cx + sol[r][:, None, None]
+    unknown = ~known
     out = canvas.copy()
     out[:, unknown] = filled[:, unknown]
     residual = float(np.max(np.abs(deg * out - _neighbour_sum(out))[:, unknown]))
@@ -211,7 +263,7 @@ def embed(img: np.ndarray, proto: EmbeddingProtocol) -> tuple[np.ndarray, np.nda
     mask = np.zeros((proto.canvas_h, proto.canvas_w), dtype=bool)
     mask[r:r + eh, col:col + ew] = True
     if proto.fill is FillMode.INPAINT:
-        canvas = inpaint_fill(canvas, mask)
+        canvas = inpaint_fill(canvas, Rect(r, col, eh, ew))
     return canvas, mask
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from aliascope import biasstat
 from aliascope.biasstat import (
     Annotation,
     BinnedCounts,
@@ -102,6 +103,31 @@ def test_upper_gamma_matches_scipy():
         got = regularized_upper_gamma(a, x)
         want = float(special.gammaincc(a, x))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+
+def test_chi2_pvalue_at_large_df():
+    # bias-audit --pos-grid reaches df in the tens of thousands, where the
+    # series needs O(sqrt(df)) terms; scipy.special.gammaincc(25000, 24950)
+    assert abs(chi2_pvalue(49900.0, 50000) - 0.623364903241486) < 1e-9
+
+
+def test_upper_gamma_matches_scipy_at_large_a():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        a = float(np.exp(rng.uniform(np.log(60.0), np.log(1e5))))
+        x = max(0.0, a + float(rng.normal()) * 3.0 * math.sqrt(a))
+        got = regularized_upper_gamma(a, x)
+        want = float(special.gammaincc(a, x))
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, x", [(40.0, 39.0), (40.0, 45.0)])
+def test_upper_gamma_raises_when_a_loop_hits_its_cap(monkeypatch, a, x):
+    # (40, 39) takes the series branch, (40, 45) the continued fraction
+    monkeypatch.setattr(biasstat, "_gamma_max_terms", lambda a: 5)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        regularized_upper_gamma(a, x)
 
 
 def test_upper_gamma_rejects_bad_args():

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from aliascope import data, nn
+from aliascope import biasstat, data, nn
 from aliascope.cli import _parse_pool, main
 
 SPEC_TEXT = """\
@@ -114,6 +114,38 @@ def test_sweep_embed_curve(workspace, capsys):
     assert "embed=12" in printed and "embed=16" in printed
 
 
+def test_audit_shift_delta_zero_is_a_usage_error(workspace, tmp_path, capsys):
+    argv = ["audit-shift", "--model", str(workspace / "model.shnn"),
+            "--data", str(workspace / "ds"), "--canvas", "20", "--embed", "16",
+            "--limit", "4"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "zero.csv"), "--delta", "0"])
+    assert exc.value.code == 2
+    assert "nonzero" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(argv + ["--out", str(tmp_path / "minus.csv"), "--delta", "-1"]) == 0
+    assert "p_hat=" in capsys.readouterr().out
+    _assert_output_hashed(tmp_path / "minus.csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit-shift", "--canvas", "10", "--embed", "32"],
+    ["audit-scale", "--canvas", "10", "--embed", "32"],
+    ["audit-crop", "--crop-size", "500"],
+    ["sweep-embed", "--sizes", "12,40", "--canvas", "20"],
+], ids=lambda argv: argv[0])
+def test_audit_that_scores_nothing_exits_1_and_writes_nothing(workspace, tmp_path, capsys,
+                                                              argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--model", str(workspace / "model.shnn"),
+                        "--data", str(workspace / "ds"), "--out", str(out),
+                        "--limit", "5"]) == 1
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "scored no image (5 skipped; first: 0/00000: " in err
+    assert "do not fit" in err or "too large" in err
+
+
 def test_jaggedness_curve_csv(workspace):
     img_path = workspace / "probe.pgm"
     data.write_pgm(np.clip(data.generate_synthetic(
@@ -216,6 +248,19 @@ def test_bias_audit_command(workspace, capsys):
     assert text.startswith("#bins,position=5x5,size=10")
     assert "true" in text
     assert "flagged=1" in capsys.readouterr().out
+
+
+def test_bias_audit_gamma_cap_is_a_domain_error(workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(biasstat, "_gamma_max_terms", lambda a: 2)
+    ann_path = workspace / "ann_cap.csv"
+    rows = ["category,img_w,img_h,box_x,box_y,box_w,box_h"]
+    rows += [f"spread,100,100,{(7 * i) % 90},{(13 * i) % 90},10,10" for i in range(400)]
+    ann_path.write_text("\n".join(rows) + "\n")
+    out_csv = tmp_path / "bias.csv"
+    assert main(["bias-audit", "--annotations", str(ann_path), "--out", str(out_csv),
+                 "--pos-grid", "8"]) == 1
+    assert "error: incomplete gamma" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_theory_command(capsys):

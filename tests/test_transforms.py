@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -121,12 +123,39 @@ def _dense_harmonic_solve(canvas, known):
     return out
 
 
+def _mask(rect, h, w):
+    known = np.zeros((h, w), dtype=bool)
+    known[rect.top:rect.top + rect.height, rect.left:rect.left + rect.width] = True
+    return known
+
+
+def _general_gram_fill(canvas, known):
+    """Oracle: the capacitance-matrix fill for any known mask, with the ring's
+    block of pinv(L) formed as the Gram S^T S, S = sqrt(pinv(Lambda)) C[:, R]."""
+    c, h, w = canvas.shape
+    cy, cx, lam_pinv, _ = transforms._grid_operator(h, w)
+    unknown = ~known
+    ys, xs = np.nonzero(known & (transforms._neighbour_sum(unknown.astype(float)) > 0))
+    r = len(ys)
+    s = (np.sqrt(lam_pinv)[:, :, None] * cy[:, None, ys] * cx[None, :, xs]).reshape(-1, r)
+    bordered = np.zeros((r + 1, r + 1))
+    bordered[:r, :r] = s.T @ s
+    bordered[:r, r] = bordered[r, :r] = 1.0
+    rhs = np.zeros((r + 1, c))
+    rhs[:r] = canvas[:, ys, xs].T
+    sol = np.linalg.solve(bordered, rhs)
+    load = np.zeros((c, h, w))
+    load[:, ys, xs] = sol[:r].T
+    filled = cy.T @ (lam_pinv * (cy @ load @ cx.T)) @ cx + sol[r][:, None, None]
+    return np.where(known, canvas, filled)
+
+
 def test_inpaint_constant_boundary():
-    canvas = np.full((1, 6, 6), 3.0)
-    known = np.ones((6, 6), dtype=bool)
-    known[2:4, 2:4] = False
-    canvas[0, 2:4, 2:4] = 0.0
-    out = inpaint_fill(canvas, known)
+    canvas = np.zeros((1, 9, 7))
+    rect = Rect(2, 1, 4, 3)
+    known = _mask(rect, 9, 7)
+    canvas[0, known] = 3.0
+    out = inpaint_fill(canvas, rect)
     assert np.allclose(out, 3.0, atol=1e-12)
     assert np.array_equal(out[0, known], canvas[0, known])
 
@@ -134,19 +163,18 @@ def test_inpaint_constant_boundary():
 def test_inpaint_matches_dense_solve():
     rng = np.random.default_rng(1)
     canvas = rng.random((1, 8, 8))
-    known = np.ones((8, 8), dtype=bool)
-    known[3:6, 2:6] = False
-    got = inpaint_fill(canvas, known)
-    want = _dense_harmonic_solve(canvas, known)
+    rect = Rect(3, 2, 3, 4)
+    got = inpaint_fill(canvas, rect)
+    want = _dense_harmonic_solve(canvas, _mask(rect, 8, 8))
     assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_inpaint_respects_maximum_principle():
     rng = np.random.default_rng(2)
     canvas = rng.random((1, 10, 10))
-    known = np.ones((10, 10), dtype=bool)
-    known[4:8, 4:8] = False
-    out = inpaint_fill(canvas, known)
+    rect = Rect(4, 3, 4, 5)
+    known = _mask(rect, 10, 10)
+    out = inpaint_fill(canvas, rect)
     lo, hi = canvas[0, known].min(), canvas[0, known].max()
     assert np.all(out >= lo - 1e-12)
     assert np.all(out <= hi + 1e-12)
@@ -154,26 +182,36 @@ def test_inpaint_respects_maximum_principle():
 
 def test_inpaint_edge_cases():
     canvas = np.random.default_rng(3).random((1, 4, 4))
-    assert np.array_equal(inpaint_fill(canvas, np.ones((4, 4), bool)), canvas)
-    with pytest.raises(ValueError):
-        inpaint_fill(canvas, np.zeros((4, 4), bool))
+    assert np.array_equal(inpaint_fill(canvas, Rect(0, 0, 4, 4)), canvas)
+    for rect in (Rect(0, 0, 0, 4), Rect(1, 1, 4, 0)):
+        with pytest.raises(ValueError, match="known pixel"):
+            inpaint_fill(canvas, rect)
+    for rect in (Rect(-1, 0, 2, 2), Rect(3, 0, 2, 2), Rect(0, 2, 1, 3)):
+        with pytest.raises(ValueError, match="outside"):
+            inpaint_fill(canvas, rect)
 
 
-def _masks(h, w):
-    """Known-pixel masks: scattered pixels, a rectangle (on small canvases
-    most touch the border), or a single known pixel."""
-    scattered = st.lists(st.booleans(), min_size=h * w, max_size=h * w).map(
-        lambda bits: np.array(bits).reshape(h, w))
-
+def _rects(h, w):
+    """Known rectangles: any, flush with a chosen canvas edge, a 1-pixel-wide
+    strip, or a single pixel."""
     def box(top, height, left, width):
-        known = np.zeros((h, w), dtype=bool)
-        known[top:top + height, left:left + width] = True
-        return known
+        height, width = min(height, h - top), min(width, w - left)
+        return Rect(top, left, height, width)
 
-    rectangle = st.builds(box, st.integers(0, h - 1), st.integers(1, h),
-                          st.integers(0, w - 1), st.integers(1, w))
-    single = st.builds(lambda y, x: box(y, 1, x, 1), st.integers(0, h - 1), st.integers(0, w - 1))
-    return st.one_of(scattered, rectangle, single)
+    any_rect = st.builds(box, st.integers(0, h - 1), st.integers(1, h),
+                         st.integers(0, w - 1), st.integers(1, w))
+    flush = st.builds(
+        lambda rect, edge: {"top": Rect(0, rect.left, rect.top + rect.height, rect.width),
+                            "bottom": Rect(rect.top, rect.left, h - rect.top, rect.width),
+                            "left": Rect(rect.top, 0, rect.height, rect.left + rect.width),
+                            "right": Rect(rect.top, rect.left, rect.height, w - rect.left)}[edge],
+        any_rect, st.sampled_from(["top", "bottom", "left", "right"]))
+    row_strip = st.builds(lambda y, left, width: box(y, 1, left, width),
+                          st.integers(0, h - 1), st.integers(0, w - 1), st.integers(1, w))
+    col_strip = st.builds(lambda x, top, height: box(top, height, x, 1),
+                          st.integers(0, w - 1), st.integers(0, h - 1), st.integers(1, h))
+    single = st.builds(lambda y, x: Rect(y, x, 1, 1), st.integers(0, h - 1), st.integers(0, w - 1))
+    return st.one_of(any_rect, flush, row_strip, col_strip, single)
 
 
 SIDES = st.one_of(st.just(1), st.integers(1, 12))
@@ -183,11 +221,42 @@ SIDES = st.one_of(st.just(1), st.integers(1, 12))
 @given(h=SIDES, w=SIDES, channels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        data=st.data())
 def test_inpaint_is_the_exact_harmonic_fill(h, w, channels, seed, data):
-    known = data.draw(_masks(h, w))
-    assume(known.any() and not known.all())
+    rect = data.draw(_rects(h, w))
+    known = _mask(rect, h, w)
+    assume(not known.all())
     canvas = np.random.default_rng(seed).normal(size=(channels, h, w))
-    got = inpaint_fill(canvas, known)
+    got = inpaint_fill(canvas, rect)
     assert np.max(np.abs(got - _dense_harmonic_solve(canvas, known))) < 1e-10
+    assert np.array_equal(got[:, known], canvas[:, known])
+
+
+def test_ring_sides_are_the_known_pixels_next_to_unknown_ones():
+    # every rectangle on canvases up to 6x6: each ring pixel once, corners included
+    for h in range(1, 7):
+        for w in range(1, 7):
+            for top, left, height, width in itertools.product(range(h), range(w), range(1, h + 1),
+                                                              range(1, w + 1)):
+                if top + height > h or left + width > w:
+                    continue
+                rect = Rect(top, left, height, width)
+                known = _mask(rect, h, w)
+                rows, xs, cols, ys = transforms._ring_sides(rect, h, w)
+                ring = [(y, x) for y in rows for x in xs] + [(y, x) for x in cols for y in ys]
+                unknown_nbrs = transforms._neighbour_sum((~known).astype(float))
+                want = {tuple(p) for p in np.argwhere(known & (unknown_nbrs > 0))}
+                assert len(ring) == len(set(ring)) and set(ring) == want, rect
+
+
+def test_inpaint_matches_the_general_gram_at_96():
+    # a 60 px embed on a 96x96 canvas: 206 ring pixels and 5856 unknown
+    # ones, past the dense oracle's reach, so the general-mask Gram is the
+    # reference
+    rng = np.random.default_rng(8)
+    rect = Rect(17, 29, 60, 45)
+    canvas = rng.random((2, 96, 96))
+    got = inpaint_fill(canvas, rect)
+    known = _mask(rect, 96, 96)
+    assert np.max(np.abs(got - _general_gram_fill(canvas, known))) < 1e-10
     assert np.array_equal(got[:, known], canvas[:, known])
 
 
@@ -201,27 +270,17 @@ def test_embed_inpaint_is_exact_at_every_position():
             assert np.max(np.abs(canvas - want)) < 1e-10, (top, left)
 
 
-@pytest.mark.parametrize("rows", [1, 4, 11])
-def test_inpaint_is_the_same_for_any_block_of_dct_rows(monkeypatch, rows):
-    canvas = np.random.default_rng(6).random((2, 11, 9))
-    known = np.zeros((11, 9), dtype=bool)
-    known[2:7, 3:8] = True  # ring: the 16 perimeter pixels of the 5x5 square
-    monkeypatch.setattr(transforms, "_S_BLOCK_VALUES", rows * 9 * 16)
-    got = inpaint_fill(canvas, known)
-    assert np.max(np.abs(got - _dense_harmonic_solve(canvas, known))) < 1e-10
-
-
 def test_inpaint_refuses_a_fill_outside_its_error_bound(monkeypatch):
     canvas = np.random.default_rng(7).random((1, 8, 8))
-    known = np.zeros((8, 8), dtype=bool)
-    known[2:5, 3:6] = True
+    rect = Rect(2, 3, 3, 3)
+    known = _mask(rect, 8, 8)
     with pytest.raises(RuntimeError, match="residual"):
-        inpaint_fill(np.where(known, np.nan, canvas), known)
-    cy, cx, root_pinv, deg = transforms._grid_operator(8, 8)
-    wrong = root_pinv * np.linspace(1.0, 1.1, 8)[:, None]  # not the grid's spectrum
+        inpaint_fill(np.where(known, np.nan, canvas), rect)
+    cy, cx, lam_pinv, deg = transforms._grid_operator(8, 8)
+    wrong = lam_pinv * np.linspace(1.0, 1.2, 8)[:, None]  # not the grid's spectrum
     monkeypatch.setattr(transforms, "_grid_operator", lambda h, w: (cy, cx, wrong, deg))
     with pytest.raises(RuntimeError, match="residual"):
-        inpaint_fill(canvas, known)
+        inpaint_fill(canvas, rect)
 
 
 # ---------------------------------------------------------------------------
