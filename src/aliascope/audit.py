@@ -8,13 +8,14 @@ image id) so reports are stable under reordering; records are sorted by
 image id before aggregation and writing.
 
 Every audit scores its canvases in batches: canvases are built lazily and
-stacked into one `nn.forward` / `nn.layer_activations` call per chunk of at
-most `CHUNK_VALUES` input values. The forward kernels are batch-invariant
-(see `nn`), so a canvas gets the same bits whichever chunk it lands in, and
-reports do not depend on image order or chunking. The chunk is bounded by
-memory, not tuned for speed: a larger one stops paying once the per-call
-overhead is amortised, while every activation of the chunk is held at once,
-and canvases of skipped images or invalid sweep points are never stacked.
+stacked by `nn.forward_chunks`, the chunk rule that also serves the dataset
+accuracy and readout features, into one `nn.forward` / `nn.layer_activations`
+call per chunk of at most `nn.CHUNK_VALUES` input values. The forward kernels
+are batch-invariant (see `nn`), so a canvas gets the same bits whichever
+chunk it lands in, and reports do not depend on image order or chunking.
+Canvases of skipped images or invalid sweep points are never stacked. An
+image is resized once per embed size and pasted at each position it is
+scored at.
 """
 
 from __future__ import annotations
@@ -31,27 +32,6 @@ import numpy as np
 from . import nn, sampling, transforms
 from .tensor import argmax_flat, spatial_sum
 from .transforms import EmbeddingProtocol, PiecewiseTransform, ShiftSpec
-
-
-CHUNK_VALUES = 16384  # input values per batched forward call: 10 canvases at 40x40
-
-
-def _forward_chunks(fn, items):
-    """Yield (key, fn(stack)[row]) for each (key, canvas) of `items`, in order.
-
-    Canvases are stacked into calls of at most CHUNK_VALUES input values (a
-    larger canvas goes alone); a change of canvas shape also closes a chunk.
-    """
-    keys, batch, size = [], [], 0
-    for key, canvas in items:
-        if batch and (size + canvas.size > CHUNK_VALUES or canvas.shape != batch[0].shape):
-            yield from zip(keys, fn(np.stack(batch)))
-            keys, batch, size = [], [], 0
-        keys.append(key)
-        batch.append(canvas)
-        size += canvas.size
-    if batch:
-        yield from zip(keys, fn(np.stack(batch)))
 
 
 def _pooled_activations(model, layer_index: int):
@@ -119,14 +99,17 @@ def image_seed(global_seed: int, image_id: str) -> int:
 
 
 def _random_position(rng, proto: EmbeddingProtocol, eh: int, ew: int,
-                     margin_bottom: int = 0, margin_right: int = 0):
-    room_h = proto.canvas_h - eh - margin_bottom
-    room_w = proto.canvas_w - ew - margin_right
+                     delta: ShiftSpec = ShiftSpec(0, 0)):
+    """A top-left corner drawn uniformly among those where an eh x ew image
+    fits the canvas both there and moved by `delta`."""
+    top, left = max(0, -delta.dy), max(0, -delta.dx)
+    room_h = proto.canvas_h - eh - abs(delta.dy)
+    room_w = proto.canvas_w - ew - abs(delta.dx)
     if room_h < 0 or room_w < 0:
-        raise ValueError(f"embedded image {eh}x{ew} and a step of ({margin_bottom}, "
-                         f"{margin_right}) do not fit the {proto.canvas_h}x{proto.canvas_w} "
+        raise ValueError(f"embedded image {eh}x{ew} and a step of ({delta.dy}, "
+                         f"{delta.dx}) do not fit the {proto.canvas_h}x{proto.canvas_w} "
                          f"canvas")
-    return int(rng.integers(0, room_h + 1)), int(rng.integers(0, room_w + 1))
+    return top + int(rng.integers(0, room_h + 1)), left + int(rng.integers(0, room_w + 1))
 
 
 def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: AuditMode,
@@ -152,13 +135,12 @@ def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: Audit
             try:
                 if mode is AuditMode.TRANSLATE:
                     eh, ew = transforms.embedded_extent(*img.shape[1:], proto.embed_size)
-                    pos = _random_position(rng, proto, eh, ew,
-                                           margin_bottom=max(0, delta.dy),
-                                           margin_right=max(0, delta.dx))
-                    p = replace(proto, position=pos)
-                    before, _ = transforms.embed(img, p)
-                    after = transforms.shift_embedded(img, p, delta)
-                    pb, pa = f"{pos}", f"{(pos[0] + delta.dy, pos[1] + delta.dx)}"
+                    pos = _random_position(rng, proto, eh, ew, delta)
+                    resized = transforms.resize_longest_side(img, proto.embed_size)
+                    moved = (pos[0] + delta.dy, pos[1] + delta.dx)
+                    before, _ = transforms.paste(resized, replace(proto, position=pos))
+                    after, _ = transforms.paste(resized, replace(proto, position=moved))
+                    pb, pa = f"{pos}", f"{moved}"
                 elif mode is AuditMode.SCALE:
                     eh, ew = transforms.embedded_extent(*img.shape[1:], proto.embed_size + 1)
                     pos = _random_position(rng, proto, eh, ew)
@@ -175,7 +157,7 @@ def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: Audit
             yield (image_id, pb, pa), before
             yield None, after
 
-    scored = _forward_chunks(partial(nn.forward, model), canvases())
+    scored = nn.forward_chunks(partial(nn.forward, model), canvases())
     for ((image_id, pb, pa), scores_b), (_, scores_a) in zip(scored, scored):
         t1b, t1a = argmax_flat(scores_b), argmax_flat(scores_a)
         cls = label_of.get(image_id, t1b)
@@ -199,18 +181,23 @@ def jaggedness_curve(model, image, proto: EmbeddingProtocol, sweep, label: int,
     series = [(param, float("nan")) for param in sweep]
 
     def canvases():
+        if mode is AuditMode.TRANSLATE:
+            try:
+                resized = transforms.resize_longest_side(image, proto.embed_size)
+            except ValueError:  # then no point of the sweep is valid
+                return
         for i, (param, _) in enumerate(series):
             try:
                 if mode is AuditMode.TRANSLATE:
                     p = replace(proto, position=(int(param), proto.position[1]))
-                    canvas, _ = transforms.embed(image, p)
+                    canvas, _ = transforms.paste(resized, p)
                 else:
                     canvas, _ = transforms.embed(image, replace(proto, embed_size=int(param)))
             except ValueError:
                 continue
             yield i, canvas
 
-    for i, scores in _forward_chunks(partial(nn.forward, model), canvases()):
+    for i, scores in nn.forward_chunks(partial(nn.forward, model), canvases()):
         series[i] = (series[i][0], float(scores[label]))
     return series
 
@@ -261,10 +248,12 @@ def feature_shift_trace(model, layer_index: int, image, proto: EmbeddingProtocol
     Returns an array of shape (len(shifts), channels); shifts are vertical
     pixel displacements.
     """
-    canvases = ((None, transforms.shift_embedded(image, proto, ShiftSpec(int(dy), 0)))
-                for dy in shifts)
+    resized = transforms.resize_longest_side(image, proto.embed_size)
+    top, left = proto.position
+    canvases = ((None, transforms.paste(resized, replace(proto, position=(top + dy, left)))[0])
+                for dy in map(int, shifts))
     return np.stack([row for _, row in
-                     _forward_chunks(_pooled_activations(model, layer_index), canvases)])
+                     nn.forward_chunks(_pooled_activations(model, layer_index), canvases)])
 
 
 def feature_shiftability_error(model, layer_index: int, image, basis: sampling.BasisKernel) -> float:
@@ -282,7 +271,7 @@ def feature_shiftability_error(model, layer_index: int, image, basis: sampling.B
     x = np.asarray(image, dtype=np.float64)
     # input shifted by -t puts the response sampled at grid position j*s + t
     shifted = ((None, np.roll(x, -t, axis=axis)) for axis in (1, 2) for t in range(s))
-    acts = [act for _, act in _forward_chunks(
+    acts = [act for _, act in nn.forward_chunks(
         lambda b: nn.layer_activations(model, b, layer_index), shifted)]
     c, h, w = acts[0].shape
     dense_h = np.zeros((c, h * s, w))
@@ -312,7 +301,7 @@ def piecewise_invariance_check(model, image, t: PiecewiseTransform,
         layer_index = _last_spatial_layer(model.spec)
     x = np.asarray(image, dtype=np.float64)
     pair = ((None, x), (None, transforms.piecewise_shift(x, t)))
-    pb, pa = (row for _, row in _forward_chunks(_pooled_activations(model, layer_index), pair))
+    pb, pa = (row for _, row in nn.forward_chunks(_pooled_activations(model, layer_index), pair))
     return float(np.max(np.abs(pa - pb)))
 
 

@@ -23,9 +23,30 @@ Forward passes are batch-invariant: `forward(m, x)[i]` is bitwise equal to
 `forward(m, x[i:i+1])[0]` for every batch. Conv is one GEMM per image on
 that image's im2col matrix, dense is a per-image vector-matrix product, and
 pooling, gap and softmax are elementwise or per-row. So callers may stack
-inputs in any grouping (the audits do, see `audit`) and get the same bits as
-one at a time. The cost of a batch is its memory: every layer's activations
-for the whole batch are held at once, plus one image's patch matrix.
+inputs in any grouping and get the same bits as one at a time. The cost of a
+batch is its memory: every layer's activations for the whole batch are held
+at once, plus one image's patch matrix. `forward_chunks` is the one chunk
+rule: it stacks inputs into calls of at most `CHUNK_VALUES` input values,
+and the audits, the dataset accuracy, readout features and `theory` all go
+through it, so only a training batch is ever larger.
+
+Each `Model` owns its layers' large arrays. `Model.scratch` holds one dict
+of buffers per layer (not compared, not saved, not settable), and the conv,
+pool and gap kernels write their padded frames, patch matrices, outputs and
+gradients into views of them. A buffer is replaced by a larger one only when
+a call needs more room than any before it, so it only grows, to the largest
+call the model has run. The reason is allocation churn: when every layer
+call allocates its temporaries afresh, glibc hands arrays above its mmap
+threshold new mappings and returns heap memory above its trim threshold on
+free, so each call faults in new pages. A warmed SGD step of the stride-1
+reference net allocated 22.8 MB that way, and a 1-epoch `train` of it took
+about 310k minor page faults and a third of its run time in the kernel.
+The kernels keep every GEMM's shapes and operands and every elementwise
+op's order, so the bits are those of fresh arrays. Two consequences: a
+`Model` is not reentrant (two calls on one model must not interleave, e.g.
+from threads), and nothing returned aliases a buffer: `forward`'s class
+scores come from gap, dense or softmax, which allocate their small outputs,
+and `layer_activations` returns a copy.
 
 Conv backward is two more GEMMs per image on im2col matrices built by the
 same helper as the forward's (Chellapilla et al. 2006). The weight gradient
@@ -41,9 +62,11 @@ costs only its weight GEMM.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -69,21 +92,67 @@ def _parse_kv(tokens):
     return kv
 
 
-def _pad_spatial(x, left, right, mode: PadMode):
+def _buffer(buf: dict, name: str, shape) -> np.ndarray:
+    """An uninitialised float64 array of `shape`: a view on the buffer `name`
+    of a layer's scratch dict, which is replaced by a larger one only when a
+    call needs more room than any call before it."""
+    size = math.prod(shape)
+    if name not in buf or buf[name].size < size:
+        buf[name] = np.empty(size)
+    return buf[name][:size].reshape(shape)
+
+
+def _pad_spatial(x, left, right, mode: PadMode, buf: dict):
+    """x with `left` and `right` extra positions around both spatial axes,
+    written into the buffer "xp": zeros, or the circular wrap of x."""
     if left == 0 and right == 0:
         return x
-    width = [(0, 0)] * (x.ndim - 2) + [(left, right), (left, right)]
-    return np.pad(x, width, mode="constant" if mode is PadMode.ZERO else "wrap")
+    n, c, h, w = x.shape
+    xp = _buffer(buf, "xp", (n, c, h + left + right, w + left + right))
+    xp[:, :, left:left + h, left:left + w] = x
+    if mode is PadMode.ZERO:
+        xp[:, :, :left] = 0.0
+        xp[:, :, left + h:] = 0.0
+        xp[:, :, left:left + h, :left] = 0.0
+        xp[:, :, left:left + h, left + w:] = 0.0
+    else:
+        _wrap(xp[:, :, :, left:left + w], left, h, axis=2)
+        _wrap(xp, left, w, axis=3)
+    return xp
 
 
-def _im2col(xp, k: int, s: int):
+def _im2col(xp, k: int, s: int, buf):
     """Yield each padded image's patch matrix (c*k*k, ho*wo), rows in (c, i, j)
-    order: the copy of one image's k x k windows at stride s, one at a time."""
+    order: one image's k x k windows at stride s, copied into the buffer
+    "cols", which each step of the iteration overwrites."""
     c = xp.shape[1]
     windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]  # n,c,ho,wo,k,k
     ho, wo = windows.shape[2:4]
+    cols = _buffer(buf, "cols", (c * k * k, ho * wo))
+    patches = cols.reshape(c, k, k, ho, wo)
     for image in windows:
-        yield image.transpose(0, 3, 4, 1, 2).reshape(c * k * k, ho * wo)
+        np.copyto(patches, image.transpose(0, 3, 4, 1, 2))
+        yield cols
+
+
+def _periods(left: int, size: int, length: int):
+    """(lo, hi, src) for each period of `size` positions along an axis of
+    `length` other than the inner one [left, left + size), and so disjoint
+    from it: its positions [lo, hi) correspond to [src, src + hi - lo) of
+    the inner period."""
+    for p in range(left - size * -(-left // size), length, size):
+        if p != left:
+            lo, hi = max(p, 0), min(p + size, length)
+            yield lo, hi, left + lo - p
+
+
+def _wrap(g, left: int, size: int, axis: int):
+    """Circular padding along one axis, in place: each position outside the
+    inner `size` positions from `left` copies its inner counterpart, one slice
+    copy per period (the forward twin of `_fold_wrap`)."""
+    at = (slice(None),) * axis
+    for lo, hi, src in _periods(left, size, g.shape[axis]):
+        g[at + (slice(lo, hi),)] = g[at + (slice(src, src + hi - lo),)]
 
 
 def _fold_wrap(g, left: int, size: int, axis: int):
@@ -91,10 +160,8 @@ def _fold_wrap(g, left: int, size: int, axis: int):
     position p outside [left, left + size) adds into left + (p - left) % size,
     one slice add per period. Returns the view of the inner `size` positions."""
     at = (slice(None),) * axis
-    for p in range(left - size * -(-left // size), g.shape[axis], size):
-        if p != left:  # the inner period itself; every other one is disjoint from it
-            lo, hi = max(p, 0), min(p + size, g.shape[axis])
-            g[at + (slice(left + lo - p, left + hi - p),)] += g[at + (slice(lo, hi),)]
+    for lo, hi, src in _periods(left, size, g.shape[axis]):
+        g[at + (slice(src, src + hi - lo),)] += g[at + (slice(lo, hi),)]
     return g[at + (slice(left, left + size),)]
 
 
@@ -178,37 +245,39 @@ class ConvSpec(_Window):
         return {"w": rng.uniform(-a, a, (self.out_channels, in_shape[0], k, k)),
                 "b": np.zeros(self.out_channels)}
 
-    def forward(self, x, p):
+    def forward(self, x, p, buf):
         """GEMM convolution, one image at a time: W (o, c*k*k) @ im2col (c*k*k, ho*wo).
 
         Each image's product has the same shapes whatever the batch size, so
         the result for an image does not depend on the other images in the
-        batch, and only one image's patch matrix exists at a time.
+        batch, and only one image's patch matrix exists at a time. Bias and
+        relu are applied in place on the GEMM output.
         """
         k, s = self.kernel, self.stride
-        xp = _pad_spatial(x, (k - 1) // 2, k // 2, self.pad)
+        xp = _pad_spatial(x, (k - 1) // 2, k // 2, self.pad, buf)
         w = p["w"].reshape(p["w"].shape[0], -1)
         ho, wo = -(-x.shape[2] // s), -(-x.shape[3] // s)
-        pre = np.empty((x.shape[0], w.shape[0], ho * wo))
-        for i, cols in enumerate(_im2col(xp, k, s)):
-            np.matmul(w, cols, out=pre[i])
-        pre = pre.reshape(x.shape[0], w.shape[0], ho, wo)
-        pre += p["b"][None, :, None, None]
-        out = np.maximum(pre, 0.0) if self.activation == "relu" else pre
-        return out, (x.shape, xp, pre)
+        out = _buffer(buf, "out", (x.shape[0], w.shape[0], ho * wo))
+        for i, cols in enumerate(_im2col(xp, k, s, buf)):
+            np.matmul(w, cols, out=out[i])
+        out = out.reshape(x.shape[0], w.shape[0], ho, wo)
+        out += p["b"][None, :, None, None]
+        if self.activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        return out, (x.shape, xp, out)
 
-    def backward(self, dy, p, cache, need_dx=True):
+    def backward(self, dy, p, cache, buf, need_dx=True):
         """dw and, when asked for, dx: two im2col GEMMs per image (see the
         module docstring)."""
-        x_shape, xp, pre = cache
+        x_shape, xp, out = cache
         k, s = self.kernel, self.stride
         o, c = p["w"].shape[:2]
         n, ho, wo = dy.shape[0], dy.shape[2], dy.shape[3]
-        if self.activation == "relu":
-            dy = dy * (pre > 0)
+        if self.activation == "relu":  # out > 0 exactly where the pre-activation is
+            dy = np.multiply(dy, out > 0, out=_buffer(buf, "dy", dy.shape))
         dy_rows = dy.reshape(n, o, ho * wo)
         dw = np.zeros((o, c * k * k))
-        for i, cols in enumerate(_im2col(xp, k, s)):
+        for i, cols in enumerate(_im2col(xp, k, s, buf)):
             dw += dy_rows[i] @ cols.T
         grads = {"w": dw.reshape(p["w"].shape), "b": dy.sum(axis=(0, 2, 3))}
         if not need_dx:
@@ -216,11 +285,12 @@ class ConvSpec(_Window):
         # dy dilated by s and placed k-1 in from the top-left of a frame one
         # kernel larger than xp: its valid k x k correlation has xp's shape
         hp, wp = xp.shape[2], xp.shape[3]
-        framed = np.zeros((n, o, hp + k - 1, wp + k - 1))
+        framed = _buffer(buf, "framed", (n, o, hp + k - 1, wp + k - 1))
+        framed.fill(0.0)
         framed[:, :, k - 1:k - 1 + s * ho:s, k - 1:k - 1 + s * wo:s] = dy
         w_flip = p["w"][:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
-        dxp = np.empty((n, c, hp * wp))
-        for i, cols in enumerate(_im2col(framed, k, 1)):
+        dxp = _buffer(buf, "dxp", (n, c, hp * wp))
+        for i, cols in enumerate(_im2col(framed, k, 1, buf)):
             np.matmul(w_flip, cols, out=dxp[i])
         dxp = dxp.reshape(n, c, hp, wp)
         left = (k - 1) // 2
@@ -265,20 +335,23 @@ class PoolSpec(_Window):
             for j in range(k):
                 yield t[:, :, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
 
-    def forward(self, x, p):
+    def forward(self, x, p, buf):
         combine = np.maximum if self.op == "max" else np.add
-        windows = self._windows(x, self.out_shape(x.shape[1:])[1:])
-        out = next(windows).copy()
+        _, ho, wo = self.out_shape(x.shape[1:])
+        windows = self._windows(x, (ho, wo))
+        out = _buffer(buf, "out", x.shape[:2] + (ho, wo))
+        np.copyto(out, next(windows))
         for view in windows:
             combine(out, view, out=out)
         if self.op == "avg":
             out /= self.kernel * self.kernel
         return out, (x, out)
 
-    def backward(self, dy, p, cache, need_dx=True):
+    def backward(self, dy, p, cache, buf, need_dx=True):
         x, out = cache
         hw = dy.shape[2:]
-        dx = np.zeros(x.shape)
+        dx = _buffer(buf, "dx", x.shape)
+        dx.fill(0.0)
         if self.op == "max":
             # route each window's gradient to its first maximum in row-major order
             routed = np.zeros(dy.shape, dtype=bool)
@@ -302,11 +375,13 @@ class GapSpec(_Layer):
         _spatial_hw(shape, "gap")
         return (shape[0],)
 
-    def forward(self, x, p):
+    def forward(self, x, p, buf):
         return x.mean(axis=(2, 3)), x.shape
 
-    def backward(self, dy, p, shape, need_dx=True):
-        return np.broadcast_to(dy[:, :, None, None] / (shape[2] * shape[3]), shape).copy(), {}
+    def backward(self, dy, p, shape, buf, need_dx=True):
+        dx = _buffer(buf, "dx", shape)
+        np.copyto(dx, dy[:, :, None, None] / (shape[2] * shape[3]))
+        return dx, {}
 
 
 @dataclass(frozen=True)
@@ -334,12 +409,12 @@ class DenseSpec(_Layer):
         a = init_scale / np.sqrt(fan_in)
         return {"w": rng.uniform(-a, a, (self.units, fan_in)), "b": np.zeros(self.units)}
 
-    def forward(self, x, p):
+    def forward(self, x, p, buf):
         flat = x.reshape(x.shape[0], -1)
         out = (flat[:, None] @ p["w"].T)[:, 0] + p["b"]  # per image: batch-invariant
         return out, (x.shape, flat)
 
-    def backward(self, dy, p, cache, need_dx=True):
+    def backward(self, dy, p, cache, buf, need_dx=True):
         in_shape, flat = cache
         return (dy @ p["w"]).reshape(in_shape), {"w": dy.T @ flat, "b": dy.sum(axis=0)}
 
@@ -354,12 +429,12 @@ class SoftmaxSpec(_Layer):
             raise SpecError("softmax needs a flat input")
         return shape
 
-    def forward(self, x, p):
+    def forward(self, x, p, buf):
         e = np.exp(x - x.max(axis=1, keepdims=True))
         y = e / e.sum(axis=1, keepdims=True)
         return y, y
 
-    def backward(self, dy, p, y, need_dx=True):
+    def backward(self, dy, p, y, buf, need_dx=True):
         # the output softmax is folded into the loss gradient; this serves a softmax mid-network
         return y * (dy - (dy * y).sum(axis=1, keepdims=True)), {}
 
@@ -461,6 +536,11 @@ class Model:
     spec: NetworkSpec
     params: list[dict]  # per layer: {"w": ..., "b": ...} or {}
     rng_seed: int = 0
+    # per layer: the buffers its kernels write into (see the module docstring)
+    scratch: list[dict] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = [{} for _ in self.spec.layers]
 
 
 def init_model(spec: NetworkSpec, seed: int = 0, init_scale: float = 1.0) -> Model:
@@ -512,25 +592,61 @@ def _forward_layers(model: Model, x: np.ndarray, upto: int | None = None):
     cur = np.asarray(x, dtype=np.float64)
     last = len(spec.layers) if upto is None else upto + 1
     acts, caches = [], []
-    for layer, p in zip(spec.layers[:last], model.params):
-        cur, cache = layer.forward(cur, p)
+    for layer, p, buf in zip(spec.layers[:last], model.params, model.scratch):
+        cur, cache = layer.forward(cur, p, buf)
         acts.append(cur)
         caches.append(cache)
     return acts, caches
 
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Full forward pass; returns (n, num_classes) class scores."""
+    """Full forward pass; returns (n, num_classes) class scores, a fresh
+    array: the last layer is gap, dense or softmax, which do not buffer."""
     acts, _ = _forward_layers(model, x)
     return acts[-1]
 
 
 def layer_activations(model: Model, x: np.ndarray, layer_index: int) -> np.ndarray:
-    """Forward truncated after layer_index."""
+    """Forward truncated after layer_index; a copy, not the layer's buffer."""
     if not 0 <= layer_index < len(model.spec.layers):
         raise IndexError(f"layer index {layer_index} out of range")
     acts, _ = _forward_layers(model, x, upto=layer_index)
-    return acts[layer_index]
+    return acts[layer_index].copy()
+
+
+CHUNK_VALUES = 16384  # input values per batched forward call: 10 canvases at 40x40
+
+
+def forward_chunks(fn, items):
+    """Yield (key, fn(stack)[row]) for each (key, input) of `items`, in order.
+
+    Inputs are stacked into calls of at most CHUNK_VALUES input values (a
+    larger input goes alone); a change of input shape also closes a chunk.
+    `fn` is a batched forward such as `forward` or `layer_activations`, whose
+    result for an input does not depend on the other inputs of its call.
+    """
+    keys, batch, size = [], [], 0
+    for key, x in items:
+        if batch and (size + x.size > CHUNK_VALUES or x.shape != batch[0].shape):
+            yield from zip(keys, fn(np.stack(batch)))
+            keys, batch, size = [], [], 0
+        keys.append(key)
+        batch.append(x)
+        size += x.size
+    if batch:
+        yield from zip(keys, fn(np.stack(batch)))
+
+
+def _stacked(fn, xs) -> np.ndarray:
+    """fn(xs) for an array of inputs, computed by `forward_chunks`."""
+    if len(xs) == 0:
+        raise ValueError("no inputs")
+    out = None
+    for i, row in forward_chunks(fn, enumerate(xs)):
+        if out is None:
+            out = np.empty((len(xs),) + row.shape, row.dtype)
+        out[i] = row
+    return out
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -557,18 +673,16 @@ def backward_sgd_step(model: Model, batch_x: np.ndarray, batch_y: np.ndarray,
     for li in range(len(spec.layers) - 2, -1, -1):
         p = model.params[li]
         # nothing reads the input gradient of layer 0
-        dcur, grads = spec.layers[li].backward(dcur, p, caches[li], need_dx=li > 0)
+        dcur, grads = spec.layers[li].backward(dcur, p, caches[li], model.scratch[li],
+                                               need_dx=li > 0)
         for key, g in grads.items():
             p[key] -= lr * g
     return loss
 
 
-def _accuracy(model, xs, ys, batch: int = 256) -> float:
-    hits = 0
-    for i in range(0, len(xs), batch):
-        scores = forward(model, xs[i:i + batch])
-        hits += int(np.sum(np.argmax(scores, axis=1) == ys[i:i + batch]))
-    return hits / len(xs)
+def _accuracy(model, xs, ys) -> float:
+    scores = _stacked(partial(forward, model), xs)
+    return int(np.sum(np.argmax(scores, axis=1) == ys)) / len(xs)
 
 
 def train(spec: NetworkSpec, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig,
@@ -605,8 +719,7 @@ def train_readout(model: Model, layer_index: int, xs: np.ndarray, ys: np.ndarray
         raise IndexError(f"layer index {layer_index} out of range")
     if num_classes is None:
         num_classes = int(model.spec.shapes[-1][0])
-    feats = np.concatenate([layer_activations(model, xs[i:i + 256], layer_index)
-                            for i in range(0, len(xs), 256)])
+    feats = _stacked(lambda x: layer_activations(model, x, layer_index), xs)
     head_layers = (DenseSpec(num_classes), SoftmaxSpec())
     if feats.ndim == 4:
         head_layers = (GapSpec(),) + head_layers

@@ -12,6 +12,7 @@ against their own tolerances; `verify_all` applies the standard ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -48,10 +49,10 @@ def _translation_gaps(model: nn.Model, x: np.ndarray) -> np.ndarray:
     """Max score gap between x and each integer 2D circular translation of
     it, as an (h, w) array indexed by the shift."""
     _, h, w = x.shape
-    # one batch of every translation; row 0 is the identity, and the forward
-    # pass is batch-invariant, so it is bitwise the unshifted score
-    shifted = np.stack([np.roll(x, (dy, dx), axis=(1, 2)) for dy in range(h) for dx in range(w)])
-    scores = nn.forward(model, shifted)
+    # every translation, batched by the chunker; row 0 is the identity, and
+    # the forward pass is batch-invariant, so it is bitwise the unshifted score
+    shifted = ((None, np.roll(x, (dy, dx), axis=(1, 2))) for dy in range(h) for dx in range(w))
+    scores = np.stack([row for _, row in nn.forward_chunks(partial(nn.forward, model), shifted)])
     return np.max(np.abs(scores - scores[0]), axis=1).reshape(h, w)
 
 

@@ -252,7 +252,13 @@ def embed(img: np.ndarray, proto: EmbeddingProtocol) -> tuple[np.ndarray, np.nda
     Returns (canvas, mask) where mask flags embedded pixels. Background is
     black or harmonically inpainted per proto.fill.
     """
-    resized = resize_longest_side(img, proto.embed_size)
+    return paste(resize_longest_side(img, proto.embed_size), proto)
+
+
+def paste(resized: np.ndarray, proto: EmbeddingProtocol) -> tuple[np.ndarray, np.ndarray]:
+    """The second half of `embed`: paste an image already resized to the
+    protocol's embed size at proto.position and fill the background. Callers
+    that place one image at several positions resize it once."""
     c, eh, ew = resized.shape
     r, col = proto.position
     if r < 0 or col < 0 or r + eh > proto.canvas_h or col + ew > proto.canvas_w:
@@ -265,14 +271,6 @@ def embed(img: np.ndarray, proto: EmbeddingProtocol) -> tuple[np.ndarray, np.nda
     if proto.fill is FillMode.INPAINT:
         canvas = inpaint_fill(canvas, Rect(r, col, eh, ew))
     return canvas, mask
-
-
-def shift_embedded(img: np.ndarray, proto: EmbeddingProtocol, delta: ShiftSpec) -> np.ndarray:
-    """Embed at position + delta, rerunning the fill at the new placement."""
-    moved = replace(proto, position=(proto.position[0] + delta.dy,
-                                     proto.position[1] + delta.dx))
-    canvas, _ = embed(img, moved)
-    return canvas
 
 
 def scale_pair(img: np.ndarray, proto: EmbeddingProtocol, w: int) -> tuple[np.ndarray, np.ndarray]:

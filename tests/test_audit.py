@@ -1,10 +1,11 @@
+import ast
 import csv
 import math
 
 import numpy as np
 import pytest
 
-from aliascope import audit
+from aliascope import nn
 from aliascope.audit import (
     AuditMode,
     AuditReport,
@@ -27,6 +28,7 @@ from aliascope.transforms import (
     FillMode,
     PiecewiseTransform,
     Rect,
+    ShiftSpec,
 )
 
 STRIDE1 = ("input 1 16 16\nconv 4 3 pad=circular act=relu\n"
@@ -115,9 +117,9 @@ def test_report_is_independent_of_chunking_and_order(monkeypatch, mode):
     rotated = images[7:] + images[:7]  # moves images across the chunk boundary
     assert top1_change_probability(model, rotated, PROTO, mode, seed=3) == whole
     # 3 canvases per chunk: before and after of a pair land in different calls
-    monkeypatch.setattr(audit, "CHUNK_VALUES", 3 * 16 * 16)
+    monkeypatch.setattr(nn, "CHUNK_VALUES", 3 * 16 * 16)
     assert top1_change_probability(model, images[::-1], PROTO, mode, seed=3) == whole
-    monkeypatch.setattr(audit, "CHUNK_VALUES", 1)  # one canvas per forward call
+    monkeypatch.setattr(nn, "CHUNK_VALUES", 1)  # one canvas per forward call
     assert top1_change_probability(model, images, PROTO, mode, seed=3) == whole
 
 
@@ -133,6 +135,19 @@ def test_translate_skips_images_with_no_room_to_shift():
     assert report.n == 3
     assert len(report.skipped) == 1
     assert report.skipped[0][0] == "big/000"
+
+
+@pytest.mark.parametrize("delta", [ShiftSpec(-1, 0), ShiftSpec(0, -2), ShiftSpec(-3, 2)])
+def test_translate_positions_leave_room_for_a_step_of_either_sign(delta):
+    model = init_model(parse_spec(STRIDE1), seed=0)
+    images = _images(40, size=12)  # 12x12 in a 16x16 canvas: 4 - |step| rows to spare
+    proto = EmbeddingProtocol(16, 16, 12, (0, 0))
+    report = top1_change_probability(model, images, proto, AuditMode.TRANSLATE, delta=delta)
+    assert report.skipped == () and report.n == 40
+    for r in report.records:
+        before, after = ast.literal_eval(r.param_before), ast.literal_eval(r.param_after)
+        assert after == (before[0] + delta.dy, before[1] + delta.dx)
+        assert all(0 <= v <= 4 for v in before + after)
 
 
 def test_scale_mode_params_and_flip_counting():

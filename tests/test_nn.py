@@ -1,11 +1,12 @@
 import copy
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aliascope import nn
@@ -401,9 +402,9 @@ def test_conv_backward_is_the_adjoint_of_forward(pad, kernel, stride, extra, cha
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(2, c_in, h, w))
     p = {"w": rng.normal(size=(c_out, c_in, kernel, kernel)), "b": rng.normal(size=c_out)}
-    y, cache = layer.forward(x, p)
+    y, cache = layer.forward(x, p, {})
     dy = rng.normal(size=y.shape)
-    dx, grads = layer.backward(dy, p, cache)
+    dx, grads = layer.backward(dy, p, cache, {})
     assert dx.shape == x.shape
     lhs = np.vdot(y - p["b"][None, :, None, None], dy)
     assert np.vdot(x, dx) == pytest.approx(lhs, rel=1e-12, abs=1e-12)
@@ -419,7 +420,7 @@ def test_maxpool_backward_routes_to_first_max():
     backward_sgd_step(model, x.copy(), np.array([0]), lr=1.0)
 
     def pool_dx(layer, x, dy):
-        return layer.backward(dy, {}, layer.forward(x, {})[1])[0]
+        return layer.backward(dy, {}, layer.forward(x, {}, {})[1], {})[0]
 
     dx = pool_dx(spec.layers[0], x, np.ones((1, 1, 1, 1)))
     assert dx[0, 0, 0, 0] == 1.0
@@ -687,3 +688,110 @@ def test_damaged_model_file_raises_only_model_file_error(model_blob, data):
             load_model(path)
         except ModelFileError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# per-model buffers: the same bits as fresh arrays, nothing returned aliased,
+# and no allocation churn
+# ---------------------------------------------------------------------------
+
+@st.composite
+def size_agnostic_nets(draw):
+    """A spec of 1-4 window layers then gap, dense and softmax, so that any
+    input at least as large as its own runs through it."""
+    windows = st.one_of(
+        st.builds(ConvSpec, st.integers(1, 3), st.integers(1, 4), st.integers(1, 3),
+                  st.sampled_from(PadMode), st.sampled_from(["relu", "none"])),
+        st.builds(PoolSpec, st.sampled_from(["max", "avg"]), st.integers(1, 3),
+                  st.integers(1, 2)))
+    layers = draw(st.lists(windows, min_size=1, max_size=4))
+    input_shape = (draw(st.integers(1, 2)), draw(st.integers(6, 12)), draw(st.integers(6, 12)))
+    try:
+        return make_spec(input_shape, layers + [GapSpec(), DenseSpec(3), SoftmaxSpec()])
+    except SpecError:
+        assume(False)
+
+
+@settings(deadline=None, max_examples=60)
+@given(spec=size_agnostic_nets(), seed=st.integers(0, 2**16),
+       calls=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(0, 4)),
+                      min_size=2, max_size=4))
+def test_scratch_buffers_give_the_bits_of_fresh_arrays(spec, seed, calls):
+    """One model runs calls of changing batch and spatial size, its buffers
+    poisoned with NaN between calls; a model with no buffers yet must agree
+    bitwise on every layer's activations, the loss and the updated weights."""
+    rng = np.random.default_rng(seed)
+    warm = init_model(spec, seed=seed)
+
+    def fresh():
+        return Model(spec, copy.deepcopy(warm.params))
+
+    c, h0, w0 = spec.input_shape
+    for n, dh, dw in calls:
+        x = rng.normal(size=(n, c, h0 + dh, w0 + dw))
+        y = rng.integers(0, 3, n)
+        assert np.array_equal(forward(warm, x), forward(fresh(), x))
+        for li in range(len(spec.layers)):
+            assert np.array_equal(layer_activations(warm, x, li),
+                                  layer_activations(fresh(), x, li))
+        before = fresh()
+        assert backward_sgd_step(warm, x, y, 0.1) == backward_sgd_step(before, x, y, 0.1)
+        for p_warm, p_fresh in zip(warm.params, before.params):
+            for key in p_warm:
+                assert np.array_equal(p_warm[key], p_fresh[key]), key
+        for buffers in warm.scratch:
+            for buf in buffers.values():
+                buf.fill(np.nan)
+
+
+def test_returned_arrays_survive_later_calls():
+    model = init_model(small_spec(), seed=0)
+    rng = np.random.default_rng(1)
+    x1, x2 = rng.normal(size=(3, 1, 8, 8)), rng.normal(size=(3, 1, 8, 8))
+    acts = [layer_activations(model, x1, li) for li in range(len(model.spec.layers))]
+    scores = forward(model, x1)
+    kept = [a.copy() for a in acts], scores.copy()
+    for li in range(len(model.spec.layers)):
+        layer_activations(model, x2, li)
+    forward(model, x2)
+    backward_sgd_step(model, x2, np.array([0, 1, 2]), 0.1)
+    assert all(np.array_equal(a, k) for a, k in zip(acts, kept[0]))
+    assert np.array_equal(scores, kept[1])
+
+
+REFERENCE_STRIDE1 = ("input 1 32 32\nconv 16 3 stride=1 pad=circular act=relu\n"
+                     "conv 16 3 stride=1 pad=circular act=relu\ngap\ndense 16\nsoftmax\n")
+REFERENCE_STRIDED = ("input 1 32 32\nconv 8 3 stride=1 pad=circular act=relu\n"
+                     "maxpool 2 stride=2\nconv 16 3 stride=1 pad=circular act=relu\n"
+                     "maxpool 2 stride=2\ngap\ndense 16\nsoftmax\n")
+
+
+def _warm_peak_mb(call) -> float:
+    """Peak of the memory `call` allocates through Python, once warmed up."""
+    call()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    call()
+    peak = tracemalloc.get_traced_memory()[1] - base
+    if not tracing:
+        tracemalloc.stop()
+    return peak / 1e6
+
+
+def test_warm_sgd_step_allocates_no_large_arrays():
+    model = init_model(parse_spec(REFERENCE_STRIDE1), seed=0)
+    rng = np.random.default_rng(2)
+    x, y = rng.random((16, 1, 32, 32)), rng.integers(0, 16, 16)
+    # every step re-allocated its activations and gradients: 22.8 MB
+    assert _warm_peak_mb(lambda: backward_sgd_step(model, x, y, 0.1)) < 2.0
+
+
+@pytest.mark.parametrize("text", [REFERENCE_STRIDE1, REFERENCE_STRIDED])
+def test_warm_forward_allocates_no_large_arrays(text):
+    model = init_model(parse_spec(text), seed=0)
+    x = np.random.default_rng(3).random((10, 1, 40, 40))  # one audit chunk
+    # every forward re-allocated its activations: 12.4 MB on the stride-1 net
+    assert _warm_peak_mb(lambda: forward(model, x)) < 1.0

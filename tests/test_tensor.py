@@ -10,13 +10,13 @@ from aliascope.tensor import PadMode, argmax_flat, spatial_sum
 
 def test_pad_margin_zero_identity():
     t = np.arange(12.0).reshape(1, 1, 3, 4)
-    assert np.array_equal(_pad_spatial(t, 0, 0, PadMode.ZERO), t)
-    assert np.array_equal(_pad_spatial(t, 0, 0, PadMode.CIRCULAR), t)
+    assert np.array_equal(_pad_spatial(t, 0, 0, PadMode.ZERO, {}), t)
+    assert np.array_equal(_pad_spatial(t, 0, 0, PadMode.CIRCULAR, {}), t)
 
 
 def test_pad_circular_wraps():
     t = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-    out = _pad_spatial(t, 1, 1, PadMode.CIRCULAR)
+    out = _pad_spatial(t, 1, 1, PadMode.CIRCULAR, {})
     assert out.shape == (1, 1, 4, 4)
     assert np.array_equal(out[0, 0, 1:3, 1:3], t[0, 0])
     # every border row/column equals the wrapped opposite one
@@ -29,7 +29,7 @@ def test_pad_circular_wraps():
 def test_pad_zero_preserves_sum():
     rng = np.random.default_rng(7)
     t = rng.random((1, 1, 3, 3))
-    out = _pad_spatial(t, 2, 2, PadMode.ZERO)
+    out = _pad_spatial(t, 2, 2, PadMode.ZERO, {})
     # brute-force oracle: sum every element of the padded tensor
     total = 0.0
     for v in out.flatten():
@@ -82,7 +82,7 @@ def test_spatial_sum_matches_double_loop():
 def test_circular_pad_preserves_value_multiset(seed, margin):
     rng = np.random.default_rng(seed)
     t = rng.random((1, 1, 3, 4))
-    out = _pad_spatial(t, margin, margin, PadMode.CIRCULAR)
+    out = _pad_spatial(t, margin, margin, PadMode.CIRCULAR, {})
     assert set(np.unique(out)) == set(np.unique(t))
 
 
@@ -99,3 +99,16 @@ def test_argmax_invariant_under_constant_shift(seed, c):
     rng = np.random.default_rng(seed)
     v = rng.random(20)
     assert argmax_flat(v + c) == argmax_flat(v)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PadMode), st.integers(0, 9), st.integers(0, 9),
+       st.integers(1, 4), st.integers(1, 4))
+def test_pad_into_a_reused_buffer_is_np_pad(seed, mode, left, right, h, w):
+    """Slice-copy padding, margins wider than the image included, equals
+    np.pad bitwise, also when the buffer held other data before."""
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=(2, 2, h, w))
+    want = np.pad(t, [(0, 0), (0, 0), (left, right), (left, right)],
+                  mode="constant" if mode is PadMode.ZERO else "wrap")
+    buf = {"xp": np.full(want.size + 5, np.nan)}
+    assert np.array_equal(_pad_spatial(t, left, right, mode, buf), want)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,16 +12,15 @@ from aliascope.transforms import (
     FillMode,
     PiecewiseTransform,
     Rect,
-    ShiftSpec,
     bilinear_resize,
     crop_pair_with_noise,
     embed,
     embedded_extent,
     inpaint_fill,
+    paste,
     piecewise_shift,
     resize_longest_side,
     scale_pair,
-    shift_embedded,
 )
 
 
@@ -315,13 +315,23 @@ def test_embed_inpaint_background_is_nonzero():
     assert np.allclose(canvas[0, ~mask], 5.0, atol=1e-12)  # harmonic fill of constant
 
 
-def test_shift_embedded_translates_content():
+def test_paste_at_a_moved_position_translates_content():
     img = np.full((1, 3, 3), 1.0)
     base, _ = embed(img, PROTO)
-    shifted = shift_embedded(img, PROTO, ShiftSpec(1, 0))
+    resized = resize_longest_side(img, PROTO.embed_size)
+    shifted, _ = paste(resized, replace(PROTO, position=(3, 3)))
     assert np.array_equal(shifted, np.roll(base, 1, axis=1))
-    shifted = shift_embedded(img, PROTO, ShiftSpec(0, -1))
+    shifted, _ = paste(resized, replace(PROTO, position=(2, 2)))
     assert np.array_equal(shifted, np.roll(base, -1, axis=2))
+
+
+@pytest.mark.parametrize("fill", FillMode)
+def test_embed_is_resize_then_paste(fill):
+    img = np.random.default_rng(3).random((2, 5, 7))
+    proto = EmbeddingProtocol(12, 14, 9, (1, 4), fill)
+    canvas, mask = embed(img, proto)
+    pasted, pasted_mask = paste(resize_longest_side(img, 9), proto)
+    assert np.array_equal(canvas, pasted) and np.array_equal(mask, pasted_mask)
 
 
 def test_scale_pair_sizes_differ_by_one():
