@@ -1,0 +1,206 @@
+"""Run every aliascope subcommand at seed 0 on a tiny fixed dataset and
+record what each one printed and wrote, so that two revisions can be
+compared byte for byte.
+
+    python3 scripts/golden.py [--out golden.json]
+    python3 scripts/golden.py --base HEAD~1
+
+The commands run in-process through `aliascope.cli.main`, all of them in
+one child process per revision whose PYTHONPATH is that revision's `src`:
+the working tree's, and with `--base REV` also REV's committed files,
+exported by `bench_pairs.export` into a temporary directory. The command
+list, the spec file and the annotations CSV come from this script, so both
+revisions get the same inputs. Each command's record holds its exit status,
+its stdout and stderr with the temporary directory spelled `$WORK`, and the
+sha256 of every file it wrote or changed; a manifest is hashed without its
+`wall_time_s`, the one field that differs between identical runs.
+
+Without --base the working tree's record is written to --out (default:
+stdout). With --base the two records are compared, each difference is
+printed, and the exit status is 1 if any command differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent
+REPO = SCRIPTS.parent
+
+SPEC = """\
+input 1 16 16
+conv 4 3 stride=1 pad=circular act=relu
+maxpool 2 stride=2
+conv 4 3 stride=1 pad=circular act=relu
+maxpool 2 stride=2
+gap
+dense 3
+softmax
+"""
+
+DATA, MODEL, IMAGE = "$WORK/ds", "$WORK/model.shnn", "$WORK/ds/0/00000.pgm"
+
+# (name, argv); "$WORK" stands for the run's directory
+COMMANDS = [
+    ("gen-data", ["gen-data", "--out", DATA, "--classes", "3", "--per-class", "8",
+                  "--canvas", "16", "--pattern", "7", "--jitter", "2"]),
+    ("train", ["train", "--spec", "$WORK/net.spec", "--data", DATA, "--out", MODEL,
+               "--epochs", "20", "--lr", "0.3", "--batch", "4"]),
+    ("eval", ["eval", "--model", MODEL, "--data", DATA]),
+    ("audit-shift", ["audit-shift", "--model", MODEL, "--data", DATA,
+                     "--out", "$WORK/shift.csv", "--canvas", "20", "--embed", "16"]),
+    ("audit-shift-inpaint", ["audit-shift", "--model", MODEL, "--data", DATA,
+                             "--out", "$WORK/shift_inpaint.csv", "--canvas", "20",
+                             "--embed", "12", "--delta", "-1", "--fill", "inpaint"]),
+    ("audit-shift-nothing-scored", ["audit-shift", "--model", MODEL, "--data", DATA,
+                                    "--out", "$WORK/none.csv", "--canvas", "10",
+                                    "--embed", "16"]),
+    ("audit-scale", ["audit-scale", "--model", MODEL, "--data", DATA,
+                     "--out", "$WORK/scale.csv", "--canvas", "20", "--embed", "14"]),
+    ("audit-crop", ["audit-crop", "--model", MODEL, "--data", DATA, "--out", "$WORK/crop.csv",
+                    "--crop-size", "12", "--noise-scale", "0.1"]),
+    ("sweep-embed", ["sweep-embed", "--model", MODEL, "--data", DATA,
+                     "--out", "$WORK/sweep.csv", "--canvas", "20", "--sizes", "10,14"]),
+    ("jaggedness", ["jaggedness", "--model", MODEL, "--image", IMAGE, "--label", "0",
+                    "--out", "$WORK/jag.csv", "--canvas", "20", "--embed", "12",
+                    "--sweep-end", "9"]),
+    ("depth-profile", ["depth-profile", "--model", MODEL, "--data", DATA,
+                       "--out", "$WORK/depth.csv", "--layers", "0,1,3", "--epochs", "2",
+                       "--canvas", "20", "--embed", "14"]),
+    ("shiftability", ["shiftability", "--model", MODEL, "--image", IMAGE, "--layer", "1"]),
+    ("feature-trace", ["feature-trace", "--model", MODEL, "--image", IMAGE, "--layer", "3",
+                       "--out", "$WORK/trace_max.csv", "--canvas", "20", "--embed", "12",
+                       "--shifts", "4"]),
+    ("pool-swap", ["pool-swap", "--model", MODEL, "--out", "$WORK/blurred.shnn",
+                   "--old", "max 2 2", "--new", "avg 4 0"]),
+    ("feature-trace-blurred", ["feature-trace", "--model", "$WORK/blurred.shnn",
+                               "--image", IMAGE, "--layer", "3", "--out", "$WORK/trace_avg.csv",
+                               "--canvas", "20", "--embed", "12", "--shifts", "4"]),
+    ("bias-audit", ["bias-audit", "--annotations", "$WORK/boxes.csv", "--out", "$WORK/bias.csv",
+                    "--pos-grid", "3", "--size-bins", "4"]),
+    ("verify-theory", ["verify-theory"]),
+]
+
+
+def _annotations() -> str:
+    """A fixed annotations CSV: one category of centred boxes, one spread."""
+    rows = ["category,img_w,img_h,box_x,box_y,box_w,box_h"]
+    for i in range(120):
+        rows.append(f"centred,100,100,{45 + i % 3},{44 + i % 5},8,{10 + i % 7}")
+        rows.append(f"spread,100,100,{(i * 37) % 90},{(i * 53) % 90},8,{5 + (i * 11) % 40}")
+    return "\n".join(rows) + "\n"
+
+
+def _file_hashes(work: Path) -> dict[str, str]:
+    """sha256 of every file under `work`, by path relative to it; manifests
+    without their wall time."""
+    out = {}
+    for path in sorted(p for p in work.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(data)
+            manifest.pop("wall_time_s", None)
+            data = json.dumps(manifest, sort_keys=True).replace(str(work), "$WORK").encode()
+        out[str(path.relative_to(work))] = hashlib.sha256(data).hexdigest()
+    return out
+
+
+def collect(work: Path, src: Path) -> dict:
+    """Run COMMANDS in `work` with this process's aliascope, which must be
+    the one under `src`; returns the record."""
+    import numpy as np
+
+    import aliascope
+    from aliascope import cli
+
+    if Path(aliascope.__file__).resolve().parent != src.resolve() / "aliascope":
+        raise RuntimeError(f"imported aliascope from {aliascope.__file__}, not {src}")
+    (work / "net.spec").write_text(SPEC)
+    (work / "boxes.csv").write_text(_annotations())
+    record = {"env": {"python": sys.version.split()[0], "numpy": np.__version__},
+              "commands": {}}
+    for name, argv in COMMANDS:
+        before = _file_hashes(work)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main([a.replace("$WORK", str(work)) for a in argv] + ["--seed", "0"])
+        after = _file_hashes(work)
+        record["commands"][name] = {
+            "argv": argv,
+            "status": status,
+            "stdout": out.getvalue().replace(str(work), "$WORK"),
+            "stderr": err.getvalue().replace(str(work), "$WORK"),
+            "files": {p: h for p, h in after.items() if before.get(p) != h},
+        }
+    return record
+
+
+def run_revision(src: Path) -> dict:
+    """The record of the aliascope under `src`, from one child process."""
+    with tempfile.TemporaryDirectory(prefix="golden_") as tmp:
+        work = Path(tmp) / "work"
+        work.mkdir()
+        env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{SCRIPTS}")
+        code = ("import json, sys; from pathlib import Path; import golden; "
+                "print(json.dumps(golden.collect(Path(sys.argv[1]), Path(sys.argv[2]))))")
+        proc = subprocess.run([sys.executable, "-c", code, str(work), str(src)], cwd=tmp,
+                              env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"golden run of {src} failed:\n{proc.stderr[-2000:]}")
+        return json.loads(proc.stdout)
+
+
+def diff(base: dict, change: dict) -> list[str]:
+    """One line per command field in which the two records differ."""
+    lines = []
+    for name in dict.fromkeys(list(base["commands"]) + list(change["commands"])):
+        b, c = base["commands"].get(name), change["commands"].get(name)
+        if b is None or c is None:
+            lines.append(f"{name}: only in {'change' if b is None else 'base'}")
+            continue
+        for key in ("status", "stdout", "stderr"):
+            if b[key] != c[key]:
+                lines.append(f"{name}: {key} differs: {b[key]!r} vs {c[key]!r}")
+        for path in sorted(set(b["files"]) | set(c["files"])):
+            if b["files"].get(path) != c["files"].get(path):
+                lines.append(f"{name}: {path} differs")
+    return lines
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", help="git revision to compare the working tree with")
+    p.add_argument("--out", help="where to write the working tree's record (default: stdout)")
+    args = p.parse_args(argv)
+    change = run_revision(REPO / "src")
+    if args.base is None:
+        text = json.dumps(change, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return 0
+    from bench_pairs import export
+
+    with tempfile.TemporaryDirectory(prefix="golden_base_") as tmp:
+        export(REPO, args.base, Path(tmp) / "base")
+        base = run_revision(Path(tmp) / "base" / "src")
+    lines = diff(base, change)
+    for line in lines:
+        print(line)
+    n = len(change["commands"])
+    print(f"{n - len({ln.split(':')[0] for ln in lines})}/{n} commands identical to {args.base}")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

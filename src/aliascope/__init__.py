@@ -1,15 +1,16 @@
 """aliascope: sampling-theory auditing of CNN translation invariance.
 
 Library modules:
-  tensor      array conventions: padding modes, argmax, spatial sums
-  sampling    basis kernels, shiftability and Nyquist checks
-  nn          minimal trainable CNN engine: one class per layer kind, a
-              line-oriented spec grammar, SHNN model files, readouts
+  sampling    basis kernels, shiftability, Nyquist and pooling-gap checks
+  nn          minimal trainable float64 CNN engine in (n, c, h, w) order:
+              one class per layer kind, a line-oriented spec grammar, SHNN
+              model files, readouts
   transforms  embedding, inpainting, 1-pixel translation/rescaling, crops
   audit       top-1 flip-rate protocols, depth profiles, feature traces
   biasstat    chi-squared bounding-box bias statistics
   data        synthetic datasets and PGM/PPM I/O; pixels in [0, 1]
-  theory      numeric verification of the invariance results
+  theory      numeric verification of the invariance results, including
+              the 1/s^2 exact-invariance fraction and Nyquist on nets
   cli         one subcommand per experiment, each output with a run manifest
 """
 

@@ -1,7 +1,6 @@
 """Measurement harness: top-1 change probabilities under 1-pixel protocols,
 jaggedness curves, embedding-size sweeps, depth-wise readout profiles,
-feature-map shift traces, feature shiftability errors, and piecewise
-invariance checks.
+feature-map shift traces and feature shiftability errors.
 
 Per-image protocol randomness (positions) is seeded from (global seed,
 image id) so reports are stable under reordering; records are sorted by
@@ -30,15 +29,14 @@ from functools import partial
 import numpy as np
 
 from . import nn, sampling, transforms
-from .tensor import argmax_flat, spatial_sum
-from .transforms import EmbeddingProtocol, PiecewiseTransform, ShiftSpec
+from .transforms import EmbeddingProtocol, ShiftSpec
 
 
 def _pooled_activations(model, layer_index: int):
     """Batched layer features, spatially summed when the layer is spatial."""
     def fn(x):
         act = nn.layer_activations(model, x, layer_index)
-        return spatial_sum(act) if act.ndim == 4 else act
+        return act.sum(axis=(2, 3)) if act.ndim == 4 else act
     return fn
 
 
@@ -159,7 +157,7 @@ def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: Audit
 
     scored = nn.forward_chunks(partial(nn.forward, model), canvases())
     for ((image_id, pb, pa), scores_b), (_, scores_a) in zip(scored, scored):
-        t1b, t1a = argmax_flat(scores_b), argmax_flat(scores_a)
+        t1b, t1a = int(np.argmax(scores_b)), int(np.argmax(scores_a))
         cls = label_of.get(image_id, t1b)
         records.append(AuditRecord(
             image_id=image_id, protocol=protocol,
@@ -171,28 +169,22 @@ def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: Audit
     return AuditReport(tuple(records), tuple(skipped))
 
 
-def jaggedness_curve(model, image, proto: EmbeddingProtocol, sweep, label: int,
-                     mode: AuditMode = AuditMode.TRANSLATE):
-    """Correct-class score as one protocol parameter sweeps.
+def jaggedness_curve(model, image, proto: EmbeddingProtocol, sweep, label: int):
+    """Correct-class score as the top-row position of the embedding sweeps.
 
-    TRANSLATE sweeps the top-row position; SCALE sweeps the embed size.
     Invalid sweep points are emitted with a NaN score.
     """
     series = [(param, float("nan")) for param in sweep]
 
     def canvases():
-        if mode is AuditMode.TRANSLATE:
-            try:
-                resized = transforms.resize_longest_side(image, proto.embed_size)
-            except ValueError:  # then no point of the sweep is valid
-                return
+        try:
+            resized = transforms.resize_longest_side(image, proto.embed_size)
+        except ValueError:  # then no point of the sweep is valid
+            return
         for i, (param, _) in enumerate(series):
             try:
-                if mode is AuditMode.TRANSLATE:
-                    p = replace(proto, position=(int(param), proto.position[1]))
-                    canvas, _ = transforms.paste(resized, p)
-                else:
-                    canvas, _ = transforms.embed(image, replace(proto, embed_size=int(param)))
+                canvas, _ = transforms.paste(
+                    resized, replace(proto, position=(int(param), proto.position[1])))
             except ValueError:
                 continue
             yield i, canvas
@@ -287,32 +279,6 @@ def feature_shiftability_error(model, layer_index: int, image, basis: sampling.B
             if profile.shape[0] >= 4 * s + 2 * basis.support:
                 worst = max(worst, sampling.shiftability_error(profile, s, basis))
     return worst
-
-
-def piecewise_invariance_check(model, image, t: PiecewiseTransform,
-                               layer_index: int | None = None) -> float:
-    """Max gap-pooled feature gap between an image and its piecewise shift.
-
-    Features are taken at `layer_index` (default: the last spatial layer)
-    and pooled by spatial summation. The caller asserts containment of
-    feature support and receptive fields via margins in `t`.
-    """
-    if layer_index is None:
-        layer_index = _last_spatial_layer(model.spec)
-    x = np.asarray(image, dtype=np.float64)
-    pair = ((None, x), (None, transforms.piecewise_shift(x, t)))
-    pb, pa = (row for _, row in nn.forward_chunks(_pooled_activations(model, layer_index), pair))
-    return float(np.max(np.abs(pa - pb)))
-
-
-def _last_spatial_layer(spec: nn.NetworkSpec) -> int:
-    last = None
-    for i, shape in enumerate(spec.shapes):
-        if len(shape) == 3:
-            last = i
-    if last is None:
-        raise ValueError("model has no spatial layers")
-    return last
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Command-line surface: one subcommand per experiment, CSV artifacts, and a
 JSON run manifest written atomically next to every output.
 
-All randomness flows from --seed (default 0, overridable via the
-ALIASCOPE_SEED environment variable). Exit codes: 0 success, 1 domain
-error, 2 usage error. An audit that scores no image is a domain error and
-writes nothing.
+All randomness flows from --seed (default 0). Exit codes: 0 success, 1
+domain error, 2 usage error. An audit that scores no image is a domain
+error and writes nothing.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -20,10 +18,6 @@ from pathlib import Path
 from . import __version__, audit, biasstat, data, nn, sampling, theory
 from .audit import AuditMode
 from .transforms import EmbeddingProtocol, FillMode, ShiftSpec
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("ALIASCOPE_SEED", "0"))
 
 
 def _sha256(path) -> str:
@@ -268,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int, default=0)
         p.set_defaults(fn=fn)
         return p
 

@@ -3,7 +3,9 @@
 Layers: conv (zero or circular padding, optional relu), max/avg pooling,
 global average pooling, dense, softmax. Everything runs on float64 numpy
 arrays in (n, c, h, w) order; backward passes are hand-written and checked
-against finite differences in the test suite.
+against finite differences in the test suite. 64-bit storage is deliberate:
+the invariance checks assert tolerances down to 1e-9, which float32 would
+blur.
 
 Circular padding is a first-class option because it makes gap-head networks
 with stride 1 *exactly* translation invariant at desk scale, with no edge
@@ -65,13 +67,16 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from fractions import Fraction
+from enum import Enum
 from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import PadMode
+
+class PadMode(Enum):
+    ZERO = "zero"
+    CIRCULAR = "circular"
 
 
 class SpecError(ValueError):
@@ -509,11 +514,6 @@ def format_spec(spec: NetworkSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def exact_invariance_fraction(factor: int) -> Fraction:
-    """Fraction of 2D translations for which exact invariance is guaranteed."""
-    return Fraction(1, factor * factor)
-
-
 # ---------------------------------------------------------------------------
 # Model: weights + forward/backward
 # ---------------------------------------------------------------------------
@@ -707,28 +707,32 @@ def train(spec: NetworkSpec, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig,
 
 
 def train_readout(model: Model, layer_index: int, xs: np.ndarray, ys: np.ndarray,
-                  cfg: TrainConfig, num_classes: int | None = None) -> Model:
+                  cfg: TrainConfig) -> Model:
     """Train a gap+dense+softmax readout on frozen features of one layer.
 
     The readout is a plain Model: the base's layers [0..layer_index] with
     copies of their weights, then the head (dense+softmax alone when the
-    features are already flat). The head is trained on its own, on features
-    extracted once from the base.
+    features are already flat). Only dense+softmax are trained, on features
+    extracted once from the base and, for a spatial layer, pooled there by
+    the gap forward: gap has no weights, so its output is all the dense
+    layer ever sees, and the full-resolution maps are never kept.
     """
     if not 0 <= layer_index < len(model.spec.layers):
         raise IndexError(f"layer index {layer_index} out of range")
-    if num_classes is None:
-        num_classes = int(model.spec.shapes[-1][0])
-    feats = _stacked(lambda x: layer_activations(model, x, layer_index), xs)
-    head_layers = (DenseSpec(num_classes), SoftmaxSpec())
-    if feats.ndim == 4:
-        head_layers = (GapSpec(),) + head_layers
-    else:  # flat features feed the head as 1x1 maps
-        feats = feats[:, :, None, None]
+    spatial = len(model.spec.shapes[layer_index]) == 3
+
+    def features(x):
+        act = layer_activations(model, x, layer_index)
+        return GapSpec().forward(act, {}, {})[0] if spatial else act
+
+    feats = _stacked(features, xs)[:, :, None, None]  # the head's input: (n, c, 1, 1)
+    head_layers = (DenseSpec(int(model.spec.shapes[-1][0])), SoftmaxSpec())
     head = train(make_spec(feats.shape[1:], head_layers), feats, ys, cfg)
-    spec = make_spec(model.spec.input_shape, model.spec.layers[:layer_index + 1] + head_layers)
+    gap = (GapSpec(),) if spatial else ()
+    spec = make_spec(model.spec.input_shape,
+                     model.spec.layers[:layer_index + 1] + gap + head_layers)
     base = [{k: v.copy() for k, v in p.items()} for p in model.params[:layer_index + 1]]
-    return Model(spec, base + head.params, rng_seed=cfg.seed)
+    return Model(spec, base + [{} for _ in gap] + head.params, rng_seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Shiftability mathematics: basis kernels, grid reconstruction, Nyquist
-energy checks, and the numeric verification primitives for the claim that
-global pooling of a shiftable response is translation invariant.
+"""Shiftability mathematics: basis kernels, the shiftability error of a
+dense response (its worst reconstruction from each subsampling grid), Nyquist
+energy checks, and the pooling invariance gap behind the claim that global
+pooling of a shiftable response is translation invariant.
 
 The continuous theory is discretized to integer positions x with sub-stride
 phases, which is exactly the resolution at which pixel-shift experiments can
@@ -19,26 +20,6 @@ class KernelKind(Enum):
     LINEAR_TENT = "linear-tent"
     CUBIC_BSPLINE = "cubic-bspline"
     WINDOWED_SINC = "windowed-sinc"
-
-
-@dataclass(frozen=True)
-class SamplingGrid:
-    """Integer grid x_i = offset + i * factor, i in [0, length)."""
-
-    factor: int
-    offset: int
-    length: int
-
-    def __post_init__(self):
-        if self.factor < 1:
-            raise ValueError("factor must be a positive integer")
-        if not 0 <= self.offset < self.factor:
-            raise ValueError("offset must lie in [0, factor)")
-        if self.length < 1:
-            raise ValueError("grid must be nonempty")
-
-    def points(self) -> np.ndarray:
-        return self.offset + self.factor * np.arange(self.length)
 
 
 @dataclass(frozen=True)
@@ -88,29 +69,6 @@ def basis_kernel_eval(b: BasisKernel, x) -> np.ndarray:
         window = np.where(np.abs(x) <= w, 0.5 * (1.0 + np.cos(np.pi * x / w)), 0.0)
         out = np.sinc(x / s) * window
     return out if out.ndim else float(out)
-
-
-def partition_constant(b: BasisKernel, x_i: int = 0) -> float:
-    """K = sum over all integer x of B(x - x_i).
-
-    Grid points are integers, so the sum is a shift of the same series for
-    every x_i and K is phase-independent by construction; x_i is accepted so
-    the property can be asserted numerically.
-    """
-    sup = b.support
-    x = np.arange(x_i - sup, x_i + sup + 1)
-    return float(np.sum(basis_kernel_eval(b, x - x_i)))
-
-
-def reconstruct_from_grid(r_sampled: np.ndarray, grid: SamplingGrid, b: BasisKernel, x: float) -> float:
-    """sum_i B_s(x - x_i) r(x_i) at a single interior query point."""
-    r_sampled = np.asarray(r_sampled, dtype=np.float64)
-    if r_sampled.shape != (grid.length,):
-        raise ValueError("sample count does not match grid length")
-    pts = grid.points()
-    if x < pts[0] + b.support or x > pts[-1] - b.support:
-        raise ValueError(f"query {x} lies in the edge margin of the grid")
-    return float(np.dot(basis_kernel_eval(b, x - pts), r_sampled))
 
 
 def shiftability_error(r_dense: np.ndarray, s: int, b: BasisKernel) -> float:
@@ -165,14 +123,6 @@ def bandlimit_check(r_dense: np.ndarray, s: int, energy_tol: float) -> Bandlimit
     return BandlimitResult(frac <= energy_tol, frac)
 
 
-def grid_pool(r_sampled: np.ndarray) -> float:
-    """Global pooling on the sampling grid: the plain sum of samples."""
-    r_sampled = np.asarray(r_sampled, dtype=np.float64)
-    if r_sampled.size == 0:
-        raise ValueError("cannot pool an empty sample set")
-    return float(r_sampled.sum())
-
-
 def pooling_invariance_gap(r_dense: np.ndarray, s: int, shifts, margin: int | None = None) -> float:
     """Worst |pooled(shifted) - pooled(unshifted)| over shifts and phases.
 
@@ -194,8 +144,8 @@ def pooling_invariance_gap(r_dense: np.ndarray, s: int, shifts, margin: int | No
     worst = 0.0
     for phase in range(s):
         pts = np.arange(phase, n, s)
-        base = grid_pool(r_dense[pts])
+        base = float(r_dense[pts].sum())  # global pooling on the grid: the plain sum
         for delta in shifts:
             shifted = np.roll(r_dense, delta)
-            worst = max(worst, abs(grid_pool(shifted[pts]) - base))
+            worst = max(worst, abs(float(shifted[pts].sum()) - base))
     return worst

@@ -1,9 +1,10 @@
 """Numeric verification of the invariance results: the observation
 (stride-1 + global pooling is exactly invariant), its strided form (a
-circular net is exactly invariant to shifts on its cumulative-stride
-lattice, and only to those), the claim (shiftable responses pool
-invariantly on the grid), and the corollary (piecewise constant transforms
-preserve the pooled response).
+circular net of cumulative stride s is exactly invariant to the shifts on
+its stride lattice, and only to those, so to exactly 1/s^2 of all
+translations), the claim (shiftable responses pool invariantly on the grid,
+and a response is shiftable below Nyquist and not above it), and the
+corollary (piecewise constant transforms preserve the pooled response).
 
 Each check returns the measured worst-case gaps so callers can assert
 against their own tolerances; `verify_all` applies the standard ones.
@@ -12,13 +13,18 @@ against their own tolerances; `verify_all` applies the standard ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from . import nn, sampling
-from .tensor import PadMode, spatial_sum
 from .transforms import PiecewiseTransform, Rect, piecewise_shift
+
+
+def exact_invariance_fraction(factor: int) -> Fraction:
+    """Fraction of 2D translations for which exact invariance is guaranteed."""
+    return Fraction(1, factor * factor)
 
 
 def _stride1_spec(h: int, w: int) -> nn.NetworkSpec:
@@ -67,6 +73,8 @@ def observation_check(seed: int = 0) -> float:
 class LatticeResult:
     on_lattice_gap: float   # worst gap over shifts that are multiples of the cumulative stride
     off_lattice_gap: float  # smallest gap over every other shift
+    factor: int             # the cumulative stride
+    exact_fraction: Fraction  # of all shifts, those whose gap is exactly 0
 
 
 def lattice_check(seed: int = 0) -> LatticeResult:
@@ -79,7 +87,8 @@ def lattice_check(seed: int = 0) -> LatticeResult:
     factor = spec.cumulative_factors[-1]
     on = np.zeros(gaps.shape, dtype=bool)
     on[::factor, ::factor] = True
-    return LatticeResult(float(gaps[on].max()), float(gaps[~on].min()))
+    return LatticeResult(float(gaps[on].max()), float(gaps[~on].min()), factor,
+                         Fraction(int(np.count_nonzero(gaps == 0.0)), gaps.size))
 
 
 @dataclass(frozen=True)
@@ -88,10 +97,13 @@ class ClaimResult:
     bandlimited_gap: float    # pooling gap of that response
     impulse_gap: float        # pooling gap of the center-detector response
     impulse_mass: float       # its pooled mass (the gap should equal it)
+    bandlimited_nyquist: sampling.BandlimitResult  # Nyquist check of the bump
+    impulse_nyquist: sampling.BandlimitResult      # and of the impulse train
 
 
 def claim_check(s: int = 2, length: int = 512) -> ClaimResult:
-    """Pooling invariance for a shiftable response vs. the center detector."""
+    """Pooling invariance and the Nyquist check for a shiftable response vs.
+    the center detector."""
     kernel = sampling.BasisKernel(sampling.KernelKind.WINDOWED_SINC, s,
                                   window_halfwidth=96 * s)
     x = np.arange(length, dtype=np.float64)
@@ -107,7 +119,9 @@ def claim_check(s: int = 2, length: int = 512) -> ClaimResult:
     impulse[margin:length - margin:s] = 1.0  # fires only on exact grid positions
     mass = float(impulse.sum())
     impulse_gap = sampling.pooling_invariance_gap(impulse, s, shifts=[1], margin=margin)
-    return ClaimResult(err, gap, impulse_gap, mass)
+    return ClaimResult(err, gap, impulse_gap, mass,
+                       sampling.bandlimit_check(bump, s, 0.01),
+                       sampling.bandlimit_check(impulse, s, 0.01))
 
 
 @dataclass(frozen=True)
@@ -123,6 +137,22 @@ def _two_halves_transform(h: int, w: int, d1=(2, 0), d2=(-1, 1)) -> PiecewiseTra
     ))
 
 
+def piecewise_gap(model: nn.Model, x: np.ndarray, t: PiecewiseTransform,
+                  layer_index: int) -> float:
+    """Max gap between the spatial sums of a spatial layer's features for the
+    (c, h, w) image x and for its piecewise shift by t.
+
+    The caller keeps feature support and receptive fields inside the pieces
+    through the margins of t.
+    """
+    def pooled(batch):
+        return nn.layer_activations(model, batch, layer_index).sum(axis=(2, 3))
+
+    pair = ((None, x), (None, piecewise_shift(x, t)))
+    before, after = (row for _, row in nn.forward_chunks(pooled, pair))
+    return float(np.max(np.abs(after - before)))
+
+
 def corollary_check(seed: int = 0) -> CorollaryResult:
     """Piecewise two-region shifts: invariant for a stride-1 circular net,
     non-invariant for the stride-2 exact-center detector."""
@@ -132,27 +162,20 @@ def corollary_check(seed: int = 0) -> CorollaryResult:
     # two small blobs well inside their halves (margins cover the receptive field)
     canvas[0, 6:10, 6:10] = rng.random((4, 4))
     canvas[0, 6:10, 22:26] = rng.random((4, 4))
-    t = _two_halves_transform(h, w)
-
     model = nn.init_model(_stride1_spec(h, w), seed=seed)
-    before = spatial_sum(nn.layer_activations(model, canvas[None], 1))
-    after = spatial_sum(nn.layer_activations(model, piecewise_shift(canvas, t)[None], 1))
-    stride1_gap = float(np.max(np.abs(after - before)))
+    stride1_gap = piecewise_gap(model, canvas, _two_halves_transform(h, w), 1)
 
     # exact-center detector: 1x1 identity conv with stride 2 on isolated dots
     dots = np.zeros((1, h, w))
     dots[0, 6:10:2, 6:10:2] = 1.0
     dots[0, 6:10:2, 22:26:2] = 1.0
-    det_spec = nn.make_spec((1, h, w), (nn.ConvSpec(1, 1, stride=2, pad=PadMode.ZERO),
+    det_spec = nn.make_spec((1, h, w), (nn.ConvSpec(1, 1, stride=2, pad=nn.PadMode.ZERO),
                                         nn.GapSpec(), nn.DenseSpec(2), nn.SoftmaxSpec()))
     det = nn.init_model(det_spec, seed=0)
     det.params[0]["w"][:] = 1.0
     det.params[0]["b"][:] = 0.0
     t_odd = _two_halves_transform(h, w, d1=(1, 0), d2=(0, 0))
-    b = spatial_sum(nn.layer_activations(det, dots[None], 0))
-    a = spatial_sum(nn.layer_activations(det, piecewise_shift(dots, t_odd)[None], 0))
-    detector_gap = float(np.max(np.abs(a - b)))
-    return CorollaryResult(stride1_gap, detector_gap)
+    return CorollaryResult(stride1_gap, piecewise_gap(det, dots, t_odd, 0))
 
 
 def verify_all(seed: int = 0) -> dict[str, bool]:
@@ -165,7 +188,10 @@ def verify_all(seed: int = 0) -> dict[str, bool]:
         "observation": obs < 1e-9,
         "claim": (claim.shiftability < 1e-6
                   and claim.bandlimited_gap < 1e-5
-                  and abs(claim.impulse_gap - claim.impulse_mass) < 1e-9),
+                  and abs(claim.impulse_gap - claim.impulse_mass) < 1e-9
+                  and claim.bandlimited_nyquist.shiftable
+                  and not claim.impulse_nyquist.shiftable),
         "corollary": cor.stride1_gap < 1e-6 and cor.detector_gap > 1e-3,
-        "lattice": lattice.on_lattice_gap < 1e-9 and lattice.off_lattice_gap > 1e-6,
+        "lattice": (lattice.on_lattice_gap < 1e-9 and lattice.off_lattice_gap > 1e-6
+                    and lattice.exact_fraction == exact_invariance_fraction(lattice.factor)),
     }

@@ -199,7 +199,7 @@ def test_criterion_8_subsampling_arithmetic(capsys):
                          "conv 4 3 stride=5 pad=zero act=relu\n"
                          "gap\ndense 4\nsoftmax\n")
     factor = spec.cumulative_factors[-1]
-    fraction = nn.exact_invariance_fraction(factor)
+    fraction = theory.exact_invariance_fraction(factor)
     ok = factor == 60 and fraction == Fraction(1, 3600)
     _report(capsys, 8, "subsampling arithmetic", ok,
             f"factor {factor}, fraction {fraction}")

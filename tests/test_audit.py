@@ -15,7 +15,6 @@ from aliascope.audit import (
     feature_shiftability_error,
     image_seed,
     jaggedness_curve,
-    piecewise_invariance_check,
     top1_change_probability,
     wilson_interval,
     write_curve_csv,
@@ -26,8 +25,6 @@ from aliascope.sampling import BasisKernel, KernelKind
 from aliascope.transforms import (
     EmbeddingProtocol,
     FillMode,
-    PiecewiseTransform,
-    Rect,
     ShiftSpec,
 )
 
@@ -207,13 +204,6 @@ def test_jaggedness_curve_nan_for_invalid_points():
     assert math.isnan(series[1][1])
 
 
-def test_jaggedness_curve_scale_mode():
-    model = init_model(parse_spec(STRIDE1), seed=4)
-    img = np.random.default_rng(7).random((1, 6, 6))
-    series = jaggedness_curve(model, img, PROTO, [4, 8, 12], label=0, mode=AuditMode.SCALE)
-    assert all(not math.isnan(v) for _, v in series)
-
-
 def test_embedding_size_sweep_structure():
     model = init_model(parse_spec(STRIDED), seed=5)
     out = embedding_size_sweep(model, _images(6), PROTO, [6, 8, 10], AuditMode.TRANSLATE)
@@ -285,41 +275,6 @@ def test_feature_shiftability_error_positive_after_pooling():
     basis = BasisKernel(KernelKind.LINEAR_TENT, 2)
     err = feature_shiftability_error(model, 1, img, basis)
     assert err > 0.0
-
-
-# ---------------------------------------------------------------------------
-# piecewise invariance
-# ---------------------------------------------------------------------------
-
-def test_piecewise_invariance_stride1_exact():
-    model = init_model(parse_spec(STRIDE1), seed=11)
-    canvas = np.zeros((1, 16, 16))
-    canvas[0, 3:6, 3:6] = 1.0
-    canvas[0, 10:13, 10:13] = 2.0
-    t = PiecewiseTransform(((Rect(0, 0, 8, 8), (1, 0)), (Rect(8, 8, 8, 8), (0, -1))))
-    assert piecewise_invariance_check(model, canvas, t) < 1e-9
-
-
-def test_piecewise_invariance_detects_exact_position_detector():
-    # 1x1 conv then stride-2 pooling: content on even rows only; shifting one
-    # half by an odd offset changes the pooled response
-    spec = parse_spec("input 1 16 16\nconv 1 1\nmaxpool 1 stride=2\n"
-                      "gap\ndense 2\nsoftmax\n")
-    model = init_model(spec, seed=12)
-    model.params[0]["w"][:] = 1.0
-    canvas = np.zeros((1, 16, 16))
-    canvas[0, 2:6:2, 2:6:2] = 1.0
-    canvas[0, 10:14:2, 2:6:2] = 1.0
-    t = PiecewiseTransform(((Rect(8, 0, 8, 8), (1, 0)),))
-    assert piecewise_invariance_check(model, canvas, t, layer_index=1) > 0.5
-
-
-def test_piecewise_invariance_default_layer_errors_without_spatial():
-    spec = parse_spec("input 1 4 4\ndense 2\nsoftmax\n")
-    model = init_model(spec, seed=0)
-    with pytest.raises(ValueError, match="no spatial"):
-        piecewise_invariance_check(model, np.zeros((1, 4, 4)),
-                                   PiecewiseTransform(()))
 
 
 # ---------------------------------------------------------------------------

@@ -282,13 +282,3 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["not-a-command"])
-
-
-def test_seed_env_default(workspace, monkeypatch, capsys):
-    monkeypatch.setenv("ALIASCOPE_SEED", "7")
-    out_csv = workspace / "shift_env.csv"
-    assert main(["audit-shift", "--model", str(workspace / "model.shnn"),
-                 "--data", str(workspace / "ds"), "--out", str(out_csv),
-                 "--canvas", "20", "--embed", "16", "--limit", "4"]) == 0
-    capsys.readouterr()
-    assert _manifest(out_csv)["seed"] == 7

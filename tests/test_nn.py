@@ -1,7 +1,6 @@
 import copy
 import tempfile
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +17,12 @@ from aliascope.nn import (
     ModelFileError,
     PoolSpec,
     SoftmaxSpec,
+    PadMode,
     SpecError,
     TrainConfig,
+    _pad_spatial,
     backward_sgd_step,
     cross_entropy,
-    exact_invariance_fraction,
     format_spec,
     forward,
     init_model,
@@ -35,7 +35,6 @@ from aliascope.nn import (
     train,
     train_readout,
 )
-from aliascope.tensor import PadMode, argmax_flat
 
 SMALL_TEXT = """\
 # toy classifier
@@ -128,11 +127,6 @@ def test_subsampling_factor_product_of_strides():
     assert small_spec().cumulative_factors[-1] == 2
 
 
-def test_exact_invariance_fraction():
-    assert exact_invariance_fraction(1) == Fraction(1)
-    assert exact_invariance_fraction(60) == Fraction(1, 3600)
-
-
 def test_replace_pooling():
     model = init_model(small_spec(), seed=3)
     swapped = replace_pooling(model, PoolSpec("max", 2, 2), PoolSpec("avg", 6, 0))
@@ -146,6 +140,60 @@ def test_replace_pooling():
     flat = init_model(parse_spec("input 1 8 8\nmaxpool 2 stride=2\ndense 3\nsoftmax\n"))
     with pytest.raises(SpecError, match="shape"):  # the dense weights no longer fit
         replace_pooling(flat, PoolSpec("max", 2, 2), PoolSpec("avg", 4, 0))
+
+
+# ---------------------------------------------------------------------------
+# padding, as conv layers apply it through _pad_spatial
+# ---------------------------------------------------------------------------
+
+def test_pad_margin_zero_identity():
+    t = np.arange(12.0).reshape(1, 1, 3, 4)
+    assert np.array_equal(_pad_spatial(t, 0, 0, PadMode.ZERO, {}), t)
+    assert np.array_equal(_pad_spatial(t, 0, 0, PadMode.CIRCULAR, {}), t)
+
+
+def test_pad_circular_wraps():
+    t = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+    out = _pad_spatial(t, 1, 1, PadMode.CIRCULAR, {})
+    assert out.shape == (1, 1, 4, 4)
+    assert np.array_equal(out[0, 0, 1:3, 1:3], t[0, 0])
+    # every border row/column equals the wrapped opposite one
+    assert np.array_equal(out[0, 0, 0, 1:3], t[0, 0, 1])
+    assert np.array_equal(out[0, 0, 3, 1:3], t[0, 0, 0])
+    assert np.array_equal(out[0, 0, 1:3, 0], t[0, 0, :, 1])
+    assert np.array_equal(out[0, 0, 1:3, 3], t[0, 0, :, 0])
+
+
+def test_pad_zero_preserves_sum():
+    rng = np.random.default_rng(7)
+    t = rng.random((1, 1, 3, 3))
+    out = _pad_spatial(t, 2, 2, PadMode.ZERO, {})
+    # brute-force oracle: sum every element of the padded tensor
+    total = 0.0
+    for v in out.flatten():
+        total += v
+    assert total == pytest.approx(t.sum(), abs=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_circular_pad_preserves_value_multiset(seed, margin):
+    rng = np.random.default_rng(seed)
+    t = rng.random((1, 1, 3, 4))
+    out = _pad_spatial(t, margin, margin, PadMode.CIRCULAR, {})
+    assert set(np.unique(out)) == set(np.unique(t))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PadMode), st.integers(0, 9), st.integers(0, 9),
+       st.integers(1, 4), st.integers(1, 4))
+def test_pad_into_a_reused_buffer_is_np_pad(seed, mode, left, right, h, w):
+    """Slice-copy padding, margins wider than the image included, equals
+    np.pad bitwise, also when the buffer held other data before."""
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=(2, 2, h, w))
+    want = np.pad(t, [(0, 0), (0, 0), (left, right), (left, right)],
+                  mode="constant" if mode is PadMode.ZERO else "wrap")
+    buf = {"xp": np.full(want.size + 5, np.nan)}
+    assert np.array_equal(_pad_spatial(t, left, right, mode, buf), want)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +315,7 @@ def test_predict_top1_tie_break():
     model = init_model(spec, seed=0)
     model.params[1]["w"][:] = 0.0
     model.params[1]["b"][:] = 0.0  # all classes tie
-    assert argmax_flat(forward(model, np.ones((1, 2, 2)))[0]) == 0
+    assert int(np.argmax(forward(model, np.ones((1, 2, 2)))[0])) == 0
 
 
 def test_cross_entropy_known_values():
@@ -795,3 +843,36 @@ def test_warm_forward_allocates_no_large_arrays(text):
     x = np.random.default_rng(3).random((10, 1, 40, 40))  # one audit chunk
     # every forward re-allocated its activations: 12.4 MB on the stride-1 net
     assert _warm_peak_mb(lambda: forward(model, x)) < 1.0
+
+
+def _readout_head_on_full_features(model, layer_index, xs, ys, cfg):
+    """The reference readout head: gap+dense+softmax trained on the probed
+    layer's full-resolution features."""
+    feats = layer_activations(model, xs, layer_index)
+    head_layers = (GapSpec(), DenseSpec(model.spec.shapes[-1][0]), SoftmaxSpec())
+    return train(make_spec(feats.shape[1:], head_layers), feats, ys, cfg)
+
+
+@pytest.mark.parametrize("layer_index", [0, 1, 3])
+def test_readout_on_pooled_features_is_the_gap_head_bitwise(layer_index):
+    model = init_model(parse_spec(REFERENCE_STRIDED), seed=0)
+    rng = np.random.default_rng(4)
+    xs, ys = rng.random((40, 1, 32, 32)), rng.integers(0, 16, 40)
+    cfg = TrainConfig(0.5, 2, 8, seed=3)
+    readout = train_readout(model, layer_index, xs, ys, cfg)
+    oracle = _readout_head_on_full_features(model, layer_index, xs, ys, cfg)
+    assert readout.spec.layers[layer_index + 1:] == oracle.spec.layers
+    head = readout.params[layer_index + 1:]
+    assert [sorted(p) for p in head] == [sorted(p) for p in oracle.params]
+    for p, q in zip(head, oracle.params):
+        for key in p:
+            assert np.array_equal(p[key], q[key]), key
+
+
+def test_layer0_readout_keeps_no_full_resolution_features():
+    model = init_model(parse_spec(REFERENCE_STRIDED), seed=0)
+    rng = np.random.default_rng(5)
+    xs, ys = rng.random((800, 1, 32, 32)), rng.integers(0, 16, 800)  # acceptance-size data
+    cfg = TrainConfig(0.5, 1, 32, seed=0)
+    # the 800x8x32x32 layer-0 features alone are 52 MB
+    assert _warm_peak_mb(lambda: train_readout(model, 0, xs, ys, cfg)) < 8.0
