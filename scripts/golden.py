@@ -13,11 +13,14 @@ list, the spec file and the annotations CSV come from this script, so both
 revisions get the same inputs. Each command's record holds its exit status,
 its stdout and stderr with the temporary directory spelled `$WORK`, and the
 sha256 of every file it wrote or changed; a manifest is hashed without its
-`wall_time_s`, the one field that differs between identical runs.
+`wall_time_s`, the one field that differs between identical runs. Each
+manifest a command writes must give the sha256 of its output's bytes.
 
 Without --base the working tree's record is written to --out (default:
 stdout). With --base the two records are compared, each difference is
-printed, and the exit status is 1 if any command differs.
+printed, and the exit status is 1 if any command differs. A run that REV's
+own copy of this script does not list is left out of REV's record, so a run
+added to COMMANDS shows as new, not as a difference.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -64,6 +68,9 @@ COMMANDS = [
     ("audit-shift-nothing-scored", ["audit-shift", "--model", MODEL, "--data", DATA,
                                     "--out", "$WORK/none.csv", "--canvas", "10",
                                     "--embed", "16"]),
+    ("depth-profile-nothing-scored", ["depth-profile", "--model", MODEL, "--data", DATA,
+                                      "--out", "$WORK/none_depth.csv", "--layers", "0",
+                                      "--epochs", "1", "--canvas", "10", "--embed", "16"]),
     ("audit-scale", ["audit-scale", "--model", MODEL, "--data", DATA,
                      "--out", "$WORK/scale.csv", "--canvas", "20", "--embed", "14"]),
     ("audit-crop", ["audit-crop", "--model", MODEL, "--data", DATA, "--out", "$WORK/crop.csv",
@@ -73,6 +80,10 @@ COMMANDS = [
     ("jaggedness", ["jaggedness", "--model", MODEL, "--image", IMAGE, "--label", "0",
                     "--out", "$WORK/jag.csv", "--canvas", "20", "--embed", "12",
                     "--sweep-end", "9"]),
+    ("jaggedness-nothing-scored", ["jaggedness", "--model", MODEL, "--image", IMAGE,
+                                   "--label", "0", "--out", "$WORK/none_jag.csv",
+                                   "--canvas", "20", "--embed", "12", "--sweep-start", "30",
+                                   "--sweep-end", "40"]),
     ("depth-profile", ["depth-profile", "--model", MODEL, "--data", DATA,
                        "--out", "$WORK/depth.csv", "--layers", "0,1,3", "--epochs", "2",
                        "--canvas", "20", "--embed", "14"]),
@@ -114,6 +125,12 @@ def _file_hashes(work: Path) -> dict[str, str]:
     return out
 
 
+def _check_output_hashes(manifest: Path) -> None:
+    for out, digest in json.loads(manifest.read_text())["output_hashes"].items():
+        if hashlib.sha256(Path(out).read_bytes()).hexdigest() != digest:
+            raise RuntimeError(f"{manifest.name}: output_hashes does not match {out}")
+
+
 def collect(work: Path, src: Path) -> dict:
     """Run COMMANDS in `work` with this process's aliascope, which must be
     the one under `src`; returns the record."""
@@ -134,6 +151,9 @@ def collect(work: Path, src: Path) -> dict:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             status = cli.main([a.replace("$WORK", str(work)) for a in argv] + ["--seed", "0"])
         after = _file_hashes(work)
+        for path in after:
+            if path.endswith(".manifest.json") and before.get(path) != after[path]:
+                _check_output_hashes(work / path)
         record["commands"][name] = {
             "argv": argv,
             "status": status,
@@ -194,6 +214,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="golden_base_") as tmp:
         export(REPO, args.base, Path(tmp) / "base")
         base = run_revision(Path(tmp) / "base" / "src")
+        script = Path(tmp) / "base" / "scripts" / "golden.py"
+        if script.is_file():
+            spec = importlib.util.spec_from_file_location("golden_base", script)
+            listed = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(listed)
+            names = {name for name, _ in listed.COMMANDS}
+            base["commands"] = {k: v for k, v in base["commands"].items() if k in names}
     lines = diff(base, change)
     for line in lines:
         print(line)

@@ -1,6 +1,6 @@
 """Measurement harness: top-1 change probabilities under 1-pixel protocols,
-jaggedness curves, embedding-size sweeps, depth-wise readout profiles,
-feature-map shift traces and feature shiftability errors.
+jaggedness curves, depth-wise readout profiles, feature-map shift traces and
+feature shiftability errors, and the CSV text of reports and curves.
 
 Per-image protocol randomness (positions) is seeded from (global seed,
 image id) so reports are stable under reordering; records are sorted by
@@ -14,12 +14,14 @@ are batch-invariant (see `nn`), so a canvas gets the same bits whichever
 chunk it lands in, and reports do not depend on image order or chunking.
 Canvases of skipped images or invalid sweep points are never stacked. An
 image is resized once per embed size and pasted at each position it is
-scored at.
+scored at. An audit that scores no image, and a jaggedness curve that scores
+no position, raise ValueError: they measured nothing.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import zlib
 from dataclasses import dataclass, replace
@@ -71,9 +73,7 @@ class AuditReport:
 
     @property
     def p_hat(self) -> float:
-        if not self.records:
-            return 0.0
-        return sum(r.changed for r in self.records) / len(self.records)
+        return sum(r.changed for r in self.records) / self.n
 
     @property
     def wilson_interval(self) -> tuple[float, float]:
@@ -166,43 +166,45 @@ def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: Audit
             score_before=float(scores_b[cls]), score_after=float(scores_a[cls])))
     records.sort(key=lambda r: r.image_id)
     skipped.sort()
+    if not records:
+        first = f"; first: {skipped[0][0]}: {skipped[0][1]}" if skipped else ""
+        raise ValueError(f"audit scored no image ({len(skipped)} skipped{first})")
     return AuditReport(tuple(records), tuple(skipped))
 
 
 def jaggedness_curve(model, image, proto: EmbeddingProtocol, sweep, label: int):
     """Correct-class score as the top-row position of the embedding sweeps.
 
-    Invalid sweep points are emitted with a NaN score.
+    Invalid sweep points are emitted with a NaN score; a sweep with no valid
+    point raises ValueError.
     """
     series = [(param, float("nan")) for param in sweep]
+    reasons = []
 
     def canvases():
         try:
             resized = transforms.resize_longest_side(image, proto.embed_size)
-        except ValueError:  # then no point of the sweep is valid
+        except ValueError as exc:  # then no point of the sweep is valid
+            reasons.append(str(exc))
             return
         for i, (param, _) in enumerate(series):
             try:
                 canvas, _ = transforms.paste(
                     resized, replace(proto, position=(int(param), proto.position[1])))
-            except ValueError:
+            except ValueError as exc:
+                reasons.append(f"position {param}: {exc}")
                 continue
             yield i, canvas
 
+    scored = 0
     for i, scores in nn.forward_chunks(partial(nn.forward, model), canvases()):
         series[i] = (series[i][0], float(scores[label]))
+        scored += 1
+    if not scored:
+        first = f"; first: {reasons[0]}" if reasons else ""
+        raise ValueError(f"jaggedness curve scored no position ({len(series)} in the "
+                         f"sweep{first})")
     return series
-
-
-def embedding_size_sweep(model, images, proto: EmbeddingProtocol, sizes, mode: AuditMode,
-                         seed: int = 0, **kwargs) -> list[tuple[int, AuditReport]]:
-    """top1_change_probability per embedding size, in the given order."""
-    out = []
-    for size in sizes:
-        report = top1_change_probability(model, images, replace(proto, embed_size=size),
-                                         mode, seed=seed, **kwargs)
-        out.append((size, report))
-    return out
 
 
 @dataclass(frozen=True)
@@ -289,21 +291,26 @@ REPORT_HEADER = ["image_id", "protocol", "mode", "param_before", "param_after",
                  "top1_before", "top1_after", "changed", "score_before", "score_after"]
 
 
-def write_report_csv(report: AuditReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_HEADER)
-        for r in report.records:
-            writer.writerow([r.image_id, r.protocol, r.mode, r.param_before, r.param_after,
-                             r.top1_before, r.top1_after, str(r.changed).lower(),
-                             repr(r.score_before), repr(r.score_after)])
-        lo, hi = report.wilson_interval
-        fh.write(f"#summary,p_hat={report.p_hat!r},ci_low={lo!r},ci_high={hi!r},n={report.n}\n")
+def report_csv(report: AuditReport) -> str:
+    """The report as CSV text: one row per record, then a #summary line."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(REPORT_HEADER)
+    for r in report.records:
+        writer.writerow([r.image_id, r.protocol, r.mode, r.param_before, r.param_after,
+                         r.top1_before, r.top1_after, str(r.changed).lower(),
+                         repr(r.score_before), repr(r.score_after)])
+    lo, hi = report.wilson_interval
+    buf.write(f"#summary,p_hat={report.p_hat!r},ci_low={lo!r},ci_high={hi!r},n={report.n}\n")
+    return buf.getvalue()
 
 
-def write_curve_csv(series, path, param_name: str = "param", value_name: str = "value") -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([param_name, value_name])
-        for param, value in series:
-            writer.writerow([param, repr(float(value))])
+def curve_csv(series, header=("param", "value")) -> str:
+    """CSV text: the header, then one row per point of `series`, which holds
+    the parameter, the value (written with repr) and any further columns."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for param, value, *rest in series:
+        writer.writerow([param, repr(float(value)), *rest])
+    return buf.getvalue()

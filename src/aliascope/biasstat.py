@@ -9,6 +9,7 @@ height normalized by image height so differently-sized images compare.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -235,14 +236,16 @@ def read_annotations_csv(path) -> list[Annotation]:
     return out
 
 
-def write_bias_report_csv(report, path, position_grid: int = 5, size_bins: int = 10) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"#bins,position={position_grid}x{position_grid},size={size_bins}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["category", "n", "chi2_pos", "p_pos", "chi2_size", "p_size", "flagged"])
-        for r in report:
-            if r.insufficient:
-                writer.writerow([r.category, r.n, "", "", "", "", "insufficient data"])
-            else:
-                writer.writerow([r.category, r.n, repr(r.chi2_pos), repr(r.p_pos),
-                                 repr(r.chi2_size), repr(r.p_size), str(r.flagged).lower()])
+def bias_report_csv(report, position_grid: int = 5, size_bins: int = 10) -> str:
+    """The report as CSV text, after a #bins line naming the binning."""
+    buf = io.StringIO()
+    buf.write(f"#bins,position={position_grid}x{position_grid},size={size_bins}\n")
+    writer = csv.writer(buf)
+    writer.writerow(["category", "n", "chi2_pos", "p_pos", "chi2_size", "p_size", "flagged"])
+    for r in report:
+        if r.insufficient:
+            writer.writerow([r.category, r.n, "", "", "", "", "insufficient data"])
+        else:
+            writer.writerow([r.category, r.n, repr(r.chi2_pos), repr(r.p_pos),
+                             repr(r.chi2_size), repr(r.p_size), str(r.flagged).lower()])
+    return buf.getvalue()

@@ -1,9 +1,17 @@
-"""Command-line surface: one subcommand per experiment, CSV artifacts, and a
-JSON run manifest written atomically next to every output.
+"""Command-line surface: one subcommand per experiment.
+
+`main` does every subcommand's I/O in one place. It loads the input flags
+through `INPUTS`, in its order, so the first input that fails to load is the
+one reported, and passes the loaded values to the command by flag name. The
+command prints its summary and returns its artifact: CSV text, model bytes,
+or None when it writes no file. `main` writes the artifact to `<out>.tmp` and
+renames that over `<out>`, then writes a JSON run manifest next to it the
+same way, with the sha256 of the bytes written. gen-data alone writes its
+output, a directory, itself.
 
 All randomness flows from --seed (default 0). Exit codes: 0 success, 1
-domain error, 2 usage error. An audit that scores no image is a domain
-error and writes nothing.
+domain error, 2 usage error. An audit that scores no image, and a jaggedness
+curve that scores no position, are domain errors and write nothing.
 """
 
 from __future__ import annotations
@@ -13,66 +21,65 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, audit, biasstat, data, nn, sampling, theory
 from .audit import AuditMode
 from .transforms import EmbeddingProtocol, FillMode, ShiftSpec
 
+# Input flags and their loaders, in load order. Each loader looks its module
+# function up when called, so a wrapper installed on the module sees the call.
+INPUTS = {
+    "spec": lambda path: nn.parse_spec(Path(path).read_text()),
+    "model": lambda path: nn.load_model(path),
+    "image": lambda path: data.read_image(path),
+    "data": lambda path: data.load_dataset(path),
+    "annotations": lambda path: biasstat.read_annotations_csv(path),
+}
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+
+def _write_atomically(path: Path, blob: bytes) -> None:
+    """Write `blob` to `<path>.tmp`, then rename it over `path`."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(blob)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-MANIFEST_INPUTS = ("spec", "model", "image", "annotations")  # flags naming hashed input files
-
-
-def write_manifest(args, started: float) -> None:
+def write_manifest(args, started: float, artifact: bytes | None) -> None:
     """Record the run of a command that wrote `args.out`: its invocation,
-    seed, input and output file hashes and wall time, next to the output
-    (inside it when the output is a directory, as for gen-data, whose
-    output is not hashed)."""
-    inputs = [getattr(args, flag) for flag in MANIFEST_INPUTS if getattr(args, flag, None)]
+    seed, input file hashes, the hash of the artifact it wrote, and wall
+    time, next to the output (inside it when the output is a directory, as
+    for gen-data, whose output is not hashed)."""
+    inputs = [Path(getattr(args, flag)) for flag in INPUTS if hasattr(args, flag)]
     out = Path(args.out)
     manifest = {
-        "command": "aliascope " + " ".join(getattr(args, "invocation", sys.argv[1:])),
-        "seed": getattr(args, "seed", None),
+        "command": "aliascope " + " ".join(args.invocation),
+        "seed": args.seed,
         "version": __version__,
-        "input_hashes": {str(p): _sha256(p) for p in inputs if Path(p).is_file()},
+        "input_hashes": {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in inputs if p.is_file()},
         "outputs": [str(args.out)],
-        "output_hashes": {str(args.out): _sha256(out)} if out.is_file() else {},
+        "output_hashes": ({} if artifact is None else
+                          {str(args.out): hashlib.sha256(artifact).hexdigest()}),
         "wall_time_s": round(time.time() - started, 3),
     }
     final = Path(f"{out / 'dataset' if out.is_dir() else out}.manifest.json")
-    tmp = final.with_suffix(".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    tmp.replace(final)
+    _write_atomically(final, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
-def _load_audit_images(root, limit=None):
-    ds = data.load_dataset(root)
-    images = [(f"{int(lbl)}/{i:05d}", img) for i, (img, lbl) in enumerate(zip(ds.images, ds.labels))]
-    labels = [(iid, int(lbl)) for (iid, _), lbl in zip(images, ds.labels)]
-    if limit:
-        images, labels = images[:limit], labels[:limit]
-    return ds, images, labels
+def _audit_images(ds, limit=None):
+    """(image id, image) and (image id, label) pairs of the first `limit` images."""
+    ids = [f"{int(lbl)}/{i:05d}" for i, lbl in enumerate(ds.labels)][:limit or None]
+    return list(zip(ids, ds.images)), [(iid, int(lbl)) for iid, lbl in zip(ids, ds.labels)]
 
 
 def _proto(args) -> EmbeddingProtocol:
     return EmbeddingProtocol(args.canvas, args.canvas, args.embed, (0, 0),
                              FillMode(args.fill))
-
-
-def _require_scored(report, what: str = "audit") -> None:
-    """Refuse a report that scored no image: it measures nothing."""
-    if report.n == 0:
-        first = (f"; first: {report.skipped[0][0]}: {report.skipped[0][1]}"
-                 if report.skipped else "")
-        raise ValueError(f"{what} scored no image ({len(report.skipped)} skipped{first})")
 
 
 def _nonzero_int(text: str) -> int:
@@ -81,12 +88,6 @@ def _nonzero_int(text: str) -> int:
         raise argparse.ArgumentTypeError("must be nonzero: a zero shift compares an image "
                                          "with itself")
     return value
-
-
-def _print_summary(report) -> None:
-    lo, hi = report.wilson_interval
-    print(f"p_hat={report.p_hat:.4f} ci=[{lo:.4f},{hi:.4f}] n={report.n} "
-          f"skipped={len(report.skipped)}")
 
 
 # ---------------------------------------------------------------------------
@@ -99,98 +100,77 @@ def cmd_gen_data(args):
     ds = data.generate_synthetic(cfg)
     data.save_dataset(ds, args.out)
     print(f"wrote {len(ds.images)} images to {args.out}")
-    return 0
 
 
-def cmd_train(args):
-    spec = nn.parse_spec(Path(args.spec).read_text())
-    ds = data.load_dataset(args.data)
+def cmd_train(args, spec, data):
     cfg = nn.TrainConfig(args.lr, args.epochs, args.batch, args.seed, args.init_scale)
-    model = nn.train(spec, ds.images, ds.labels, cfg, verbose=True)
-    nn.save_model(model, args.out)
-    return 0
+    return nn.model_bytes(nn.train(spec, data.images, data.labels, cfg, verbose=True))
 
 
-def cmd_eval(args):
-    model = nn.load_model(args.model)
-    ds = data.load_dataset(args.data)
-    acc = nn._accuracy(model, ds.images, ds.labels)
-    print(f"accuracy={acc:.4f} n={len(ds.images)}")
-    return 0
+def cmd_eval(args, model, data):
+    acc = nn._accuracy(model, data.images, data.labels)
+    print(f"accuracy={acc:.4f} n={len(data.images)}")
 
 
-def _run_audit(args, mode: AuditMode, proto: EmbeddingProtocol, **kwargs):
-    model = nn.load_model(args.model)
-    _, images, labels = _load_audit_images(args.data, args.limit)
+def _run_audit(args, model, ds, mode: AuditMode, proto: EmbeddingProtocol, **kwargs):
+    images, labels = _audit_images(ds, args.limit)
     report = audit.top1_change_probability(model, images, proto, mode,
                                            seed=args.seed, labels=labels, **kwargs)
-    _require_scored(report)
-    audit.write_report_csv(report, args.out)
-    _print_summary(report)
-    return 0
+    lo, hi = report.wilson_interval
+    print(f"p_hat={report.p_hat:.4f} ci=[{lo:.4f},{hi:.4f}] n={report.n} "
+          f"skipped={len(report.skipped)}")
+    return audit.report_csv(report)
 
 
-def cmd_audit_shift(args):
-    return _run_audit(args, AuditMode.TRANSLATE, _proto(args), delta=ShiftSpec(args.delta, 0))
+def cmd_audit_shift(args, model, data):
+    return _run_audit(args, model, data, AuditMode.TRANSLATE, _proto(args),
+                      delta=ShiftSpec(args.delta, 0))
 
 
-def cmd_audit_scale(args):
-    return _run_audit(args, AuditMode.SCALE, _proto(args))
+def cmd_audit_scale(args, model, data):
+    return _run_audit(args, model, data, AuditMode.SCALE, _proto(args))
 
 
-def cmd_audit_crop(args):
+def cmd_audit_crop(args, model, data):
     proto = EmbeddingProtocol(args.crop_size, args.crop_size, args.crop_size, (0, 0))
-    return _run_audit(args, AuditMode.CROP_NOISE, proto, crop_size=args.crop_size,
-                      noise_scale=args.noise_scale)
+    return _run_audit(args, model, data, AuditMode.CROP_NOISE, proto,
+                      crop_size=args.crop_size, noise_scale=args.noise_scale)
 
 
-def cmd_sweep_embed(args):
-    model = nn.load_model(args.model)
-    _, images, labels = _load_audit_images(args.data, args.limit)
+def cmd_sweep_embed(args, model, data):
+    images, labels = _audit_images(data, args.limit)
     sizes = [int(s) for s in args.sizes.split(",")]
     mode = AuditMode.TRANSLATE if args.mode == "shift" else AuditMode.SCALE
     kwargs = {"delta": ShiftSpec(1, 0)} if mode is AuditMode.TRANSLATE else {}
-    results = audit.embedding_size_sweep(model, images, _proto(args), sizes, mode,
-                                         seed=args.seed, labels=labels, **kwargs)
-    for size, rep in results:
-        _require_scored(rep, f"embed size {size}")
-    audit.write_curve_csv([(size, rep.p_hat) for size, rep in results], args.out,
-                          param_name="embed_size", value_name="p_hat")
-    for size, rep in results:
+    reports = [audit.top1_change_probability(model, images, replace(_proto(args), embed_size=size),
+                                             mode, seed=args.seed, labels=labels, **kwargs)
+               for size in sizes]
+    for size, rep in zip(sizes, reports):
         print(f"embed={size} p_hat={rep.p_hat:.4f} n={rep.n}")
-    return 0
+    return audit.curve_csv([(size, rep.p_hat, rep.n) for size, rep in zip(sizes, reports)],
+                           ("embed_size", "p_hat", "n"))
 
 
-def cmd_jaggedness(args):
-    model = nn.load_model(args.model)
-    image = data.read_image(args.image)
-    proto = _proto(args)
+def cmd_jaggedness(args, model, image):
     sweep = range(args.sweep_start, args.sweep_end + 1)
-    series = audit.jaggedness_curve(model, image, proto, sweep, args.label)
-    audit.write_curve_csv(series, args.out, param_name="position", value_name="score")
-    return 0
+    series = audit.jaggedness_curve(model, image, _proto(args), sweep, args.label)
+    return audit.curve_csv(series, ("position", "score"))
 
 
-def cmd_depth_profile(args):
-    model = nn.load_model(args.model)
-    ds, images, _ = _load_audit_images(args.data, args.limit)
+def cmd_depth_profile(args, model, data):
+    images, _ = _audit_images(data, args.limit)
     layers = [int(x) for x in args.layers.split(",")]
     cfg = nn.TrainConfig(args.lr, args.epochs, args.batch, args.seed)
-    profile = audit.depth_invariance_profile(model, ds.images, ds.labels, layers, cfg,
+    profile = audit.depth_invariance_profile(model, data.images, data.labels, layers, cfg,
                                              _proto(args), images, seed=args.seed)
-    with open(args.out, "w") as fh:
-        fh.write("layer,depth_fraction,readout_accuracy,flip_rate\n")
-        for e in profile:
-            fh.write(f"{e.layer_index},{e.depth_fraction!r},{e.readout_accuracy!r},"
-                     f"{e.flip_rate!r}\n")
     for e in profile:
         print(f"layer={e.layer_index} acc={e.readout_accuracy:.3f} flip={e.flip_rate:.4f}")
-    return 0
+    return "layer,depth_fraction,readout_accuracy,flip_rate\n" + "".join(
+        f"{e.layer_index},{e.depth_fraction!r},{e.readout_accuracy!r},{e.flip_rate!r}\n"
+        for e in profile)
 
 
-def cmd_shiftability(args):
-    model = nn.load_model(args.model)
-    image = data.read_image(args.image)
+def cmd_shiftability(args, model, image):
     kind = {"tent": sampling.KernelKind.LINEAR_TENT,
             "cubic": sampling.KernelKind.CUBIC_BSPLINE,
             "sinc": sampling.KernelKind.WINDOWED_SINC}[args.kernel]
@@ -198,28 +178,21 @@ def cmd_shiftability(args):
     basis = sampling.BasisKernel(kind, max(1, s), window_halfwidth=args.window)
     err = audit.feature_shiftability_error(model, args.layer, image, basis)
     print(f"layer={args.layer} stride={s} shiftability_error={err!r}")
-    return 0
 
 
-def cmd_feature_trace(args):
-    model = nn.load_model(args.model)
-    image = data.read_image(args.image)
+def cmd_feature_trace(args, model, image):
     shifts = list(range(args.shifts + 1))
     trace = audit.feature_shift_trace(model, args.layer, image, _proto(args), shifts)
-    with open(args.out, "w") as fh:
-        fh.write("shift," + ",".join(f"ch{c}" for c in range(trace.shape[1])) + "\n")
-        for dy, row in zip(shifts, trace):
-            fh.write(f"{dy}," + ",".join(repr(float(v)) for v in row) + "\n")
     print(f"trace variance across shifts: {float(trace.var(axis=0).mean())!r}")
-    return 0
+    return "shift," + ",".join(f"ch{c}" for c in range(trace.shape[1])) + "\n" + "".join(
+        f"{dy}," + ",".join(repr(float(v)) for v in row) + "\n"
+        for dy, row in zip(shifts, trace))
 
 
-def cmd_pool_swap(args):
-    model = nn.load_model(args.model)
+def cmd_pool_swap(args, model):
     swapped = nn.replace_pooling(model, _parse_pool(args.old), _parse_pool(args.new))
-    nn.save_model(swapped, args.out)
     print(f"replaced {args.old} -> {args.new}")
-    return 0
+    return nn.model_bytes(swapped)
 
 
 def _parse_pool(text: str) -> nn.PoolSpec:
@@ -229,20 +202,19 @@ def _parse_pool(text: str) -> nn.PoolSpec:
     return nn.PoolSpec(parts[0], int(parts[1]), int(parts[2]))
 
 
-def cmd_bias_audit(args):
-    annotations = biasstat.read_annotations_csv(args.annotations)
+def cmd_bias_audit(args, annotations):
     report = biasstat.category_bias_report(annotations, args.pos_grid, args.size_bins)
-    biasstat.write_bias_report_csv(report, args.out, args.pos_grid, args.size_bins)
-    flagged = sum(r.flagged for r in report)
-    print(f"categories={len(report)} flagged={flagged}")
-    return 0
+    print(f"categories={len(report)} flagged={sum(r.flagged for r in report)}")
+    return biasstat.bias_report_csv(report, args.pos_grid, args.size_bins)
 
 
 def cmd_verify_theory(args):
     results = theory.verify_all(args.seed)
     for name, ok in results.items():
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
-    return 0 if all(results.values()) else 1
+    failed = [name for name, ok in results.items() if not ok]
+    if failed:
+        raise ValueError(f"theory gates failed: {', '.join(failed)}")
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +339,16 @@ def main(argv=None) -> int:
     args.invocation = list(sys.argv[1:] if argv is None else argv)
     started = time.time()
     try:
-        status = args.fn(args)
-        if status == 0 and getattr(args, "out", None):
-            write_manifest(args, started)
-        return status
+        inputs = {flag: load(getattr(args, flag)) for flag, load in INPUTS.items()
+                  if hasattr(args, flag)}
+        artifact = args.fn(args, **inputs)
+        if isinstance(artifact, str):
+            artifact = artifact.encode()
+        if artifact is not None:
+            _write_atomically(Path(args.out), artifact)
+        if hasattr(args, "out"):
+            write_manifest(args, started, artifact)
+        return 0
     except (ValueError, OSError, IndexError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

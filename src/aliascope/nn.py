@@ -743,7 +743,8 @@ MAGIC = b"SHNN"
 FORMAT_VERSION = 1
 
 
-def save_model(model: Model, path) -> None:
+def model_bytes(model: Model) -> bytes:
+    """The model file: magic, version, spec text, then each weight array's shape and values."""
     spec_text = format_spec(model.spec).encode("utf-8")
     chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION),
               struct.pack("<I", len(spec_text)), spec_text]
@@ -754,8 +755,12 @@ def save_model(model: Model, path) -> None:
                 chunks.append(struct.pack("<I", arr.ndim))
                 chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
                 chunks.append(arr.tobytes())
+    return b"".join(chunks)
+
+
+def save_model(model: Model, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(model_bytes(model))
 
 
 class ModelFileError(ValueError):

@@ -174,14 +174,12 @@ def test_criterion_6_pool_swap(dataset, audit_images, strided_model, capsys):
 
 def test_criterion_7_embedding_size_trend(audit_images, strided_model, capsys):
     """Smaller embedded images flip more: smallest >= 1.5x the largest size."""
-    proto = EmbeddingProtocol(44, 44, 32, (0, 0), FillMode.BLACK)
     sizes = [32, 36, 40]
     small, large = [], []
     for seed in SEEDS:
-        results = audit.embedding_size_sweep(strided_model, audit_images[:300], proto,
-                                             sizes, AuditMode.TRANSLATE, seed=seed,
-                                             delta=DELTA)
-        by_size = {size: rep.p_hat for size, rep in results}
+        by_size = {size: audit.top1_change_probability(
+            strided_model, audit_images[:300], EmbeddingProtocol(44, 44, size, (0, 0)),
+            AuditMode.TRANSLATE, seed=seed, delta=DELTA).p_hat for size in sizes}
         small.append(by_size[sizes[0]])
         large.append(by_size[sizes[-1]])
     s, l = float(np.mean(small)), float(np.mean(large))

@@ -1,5 +1,6 @@
 import ast
 import csv
+import io
 import math
 
 import numpy as np
@@ -8,17 +9,15 @@ import pytest
 from aliascope import nn
 from aliascope.audit import (
     AuditMode,
-    AuditReport,
+    curve_csv,
     depth_invariance_profile,
-    embedding_size_sweep,
     feature_shift_trace,
     feature_shiftability_error,
     image_seed,
     jaggedness_curve,
+    report_csv,
     top1_change_probability,
     wilson_interval,
-    write_curve_csv,
-    write_report_csv,
 )
 from aliascope.nn import TrainConfig, init_model, parse_spec
 from aliascope.sampling import BasisKernel, KernelKind
@@ -177,10 +176,14 @@ def test_labels_select_scored_class():
         assert 0.0 < r.score_before < 1.0
 
 
-def test_report_properties_empty():
-    report = AuditReport((), ())
-    assert report.p_hat == 0.0
-    assert report.wilson_interval == (0.0, 1.0)
+def test_audit_that_scores_nothing_raises():
+    model = init_model(parse_spec(STRIDE1), seed=0)
+    proto = EmbeddingProtocol(6, 6, 8, (0, 0))  # an 8-pixel embed never fits
+    with pytest.raises(ValueError, match=r"^audit scored no image \(3 skipped; first: "
+                                         r"img/000: .*do not fit"):
+        top1_change_probability(model, _images(3), proto, AuditMode.TRANSLATE)
+    with pytest.raises(ValueError, match=r"^audit scored no image \(0 skipped\)$"):
+        top1_change_probability(model, [], PROTO, AuditMode.SCALE)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +207,14 @@ def test_jaggedness_curve_nan_for_invalid_points():
     assert math.isnan(series[1][1])
 
 
-def test_embedding_size_sweep_structure():
-    model = init_model(parse_spec(STRIDED), seed=5)
-    out = embedding_size_sweep(model, _images(6), PROTO, [6, 8, 10], AuditMode.TRANSLATE)
-    assert [size for size, _ in out] == [6, 8, 10]
-    for _, report in out:
-        assert isinstance(report, AuditReport)
-        assert report.n + len(report.skipped) == 6
+def test_jaggedness_curve_that_scores_nothing_raises():
+    model = init_model(parse_spec(STRIDE1), seed=4)
+    img = np.random.default_rng(6).random((1, 6, 6))
+    with pytest.raises(ValueError, match=r"scored no position \(2 in the sweep; first: "
+                                         r"position 50: "):
+        jaggedness_curve(model, img, PROTO, [50, 60], label=0)
+    with pytest.raises(ValueError, match=r"scored no position \(0 in the sweep\)$"):
+        jaggedness_curve(model, img, PROTO, range(5, 3), label=0)
 
 
 def _tiny_dataset(n_per=6, seed=8):
@@ -281,16 +285,14 @@ def test_feature_shiftability_error_positive_after_pooling():
 # CSV output
 # ---------------------------------------------------------------------------
 
-def test_write_report_csv_roundtrip(tmp_path):
+def test_write_report_csv_roundtrip():
     model = init_model(parse_spec(STRIDED), seed=13)
     report = top1_change_probability(model, _images(5), PROTO, AuditMode.TRANSLATE)
-    path = tmp_path / "report.csv"
-    write_report_csv(report, path)
-    lines = path.read_text().splitlines()
+    text = report_csv(report)
+    lines = text.splitlines()
     assert lines[0].split(",")[0] == "image_id"
     assert lines[-1].startswith("#summary,")
-    with open(path) as fh:
-        rows = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+    rows = [row for row in csv.reader(io.StringIO(text)) if not row[0].startswith("#")]
     assert len(rows) == 1 + report.n
     for row, rec in zip(rows[1:], report.records):
         assert row[0] == rec.image_id
@@ -301,10 +303,10 @@ def test_write_report_csv_roundtrip(tmp_path):
     assert int(summary["n"]) == report.n
 
 
-def test_write_curve_csv(tmp_path):
-    path = tmp_path / "curve.csv"
-    write_curve_csv([(0, 0.5), (1, 0.25)], path, "shift", "score")
-    lines = path.read_text().splitlines()
+def test_write_curve_csv():
+    lines = curve_csv([(0, 0.5), (1, 0.25)], ("shift", "score")).splitlines()
     assert lines[0] == "shift,score"
     assert lines[1] == "0,0.5"
     assert lines[2] == "1,0.25"
+    assert curve_csv([(12, 0.25, 6)], ("embed_size", "p_hat", "n")).splitlines() == [
+        "embed_size,p_hat,n", "12,0.25,6"]

@@ -8,13 +8,13 @@ from aliascope import biasstat
 from aliascope.biasstat import (
     Annotation,
     BinnedCounts,
+    bias_report_csv,
     bin_annotations,
     category_bias_report,
     chi2_pvalue,
     chi2_statistic,
     read_annotations_csv,
     regularized_upper_gamma,
-    write_bias_report_csv,
 )
 
 
@@ -271,13 +271,11 @@ def test_read_annotations_csv_rejects_bad_header(tmp_path):
         read_annotations_csv(path)
 
 
-def test_write_bias_report_csv(tmp_path):
+def test_write_bias_report_csv():
     anns = [_ann("biased", cx=0.5, cy=0.5, rel_h=0.31) for _ in range(200)]
     anns += [_ann("tiny")]
     report = category_bias_report(anns)
-    path = tmp_path / "report.csv"
-    write_bias_report_csv(report, path)
-    lines = path.read_text().splitlines()
+    lines = bias_report_csv(report).splitlines()
     assert lines[0] == "#bins,position=5x5,size=10"
     assert lines[1].startswith("category,")
     rows = {line.split(",")[0]: line for line in lines[2:]}

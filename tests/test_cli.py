@@ -1,10 +1,15 @@
+import csv
 import hashlib
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aliascope import biasstat, data, nn
+from aliascope import biasstat, data, nn, theory
 from aliascope.cli import _parse_pool, main
 
 SPEC_TEXT = """\
@@ -108,8 +113,8 @@ def test_sweep_embed_curve(workspace, capsys):
                  "--data", str(workspace / "ds"), "--out", str(out_csv),
                  "--sizes", "12,16", "--canvas", "20", "--limit", "6"]) == 0
     lines = out_csv.read_text().splitlines()
-    assert lines[0] == "embed_size,p_hat"
-    assert len(lines) == 3
+    assert lines[0] == "embed_size,p_hat,n"
+    assert [line.split(",")[::2] for line in lines[1:]] == [["12", "6"], ["16", "6"]]
     printed = capsys.readouterr().out
     assert "embed=12" in printed and "embed=16" in printed
 
@@ -128,22 +133,35 @@ def test_audit_shift_delta_zero_is_a_usage_error(workspace, tmp_path, capsys):
     _assert_output_hashed(tmp_path / "minus.csv")
 
 
-@pytest.mark.parametrize("argv", [
-    ["audit-shift", "--canvas", "10", "--embed", "32"],
-    ["audit-scale", "--canvas", "10", "--embed", "32"],
-    ["audit-crop", "--crop-size", "500"],
-    ["sweep-embed", "--sizes", "12,40", "--canvas", "20"],
-], ids=lambda argv: argv[0])
+AUDIT_INPUTS = ["--data", "$WORK/ds", "--limit", "5"]
+NO_IMAGE = "scored no image (5 skipped; first: 0/00000: "
+JAGGEDNESS_INPUTS = ["--image", "$WORK/ds/0/00000.pgm", "--label", "0"]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["audit-shift", "--canvas", "10", "--embed", "32", *AUDIT_INPUTS], NO_IMAGE),
+    (["audit-scale", "--canvas", "10", "--embed", "32", *AUDIT_INPUTS], NO_IMAGE),
+    (["audit-crop", "--crop-size", "500", *AUDIT_INPUTS], NO_IMAGE),
+    (["sweep-embed", "--sizes", "12,40", "--canvas", "20", *AUDIT_INPUTS], NO_IMAGE),
+    (["depth-profile", "--layers", "0,1", "--epochs", "1", "--canvas", "10", "--embed", "16",
+      *AUDIT_INPUTS], NO_IMAGE),
+    (["jaggedness", "--canvas", "20", "--embed", "12", "--sweep-start", "30",
+      "--sweep-end", "40", *JAGGEDNESS_INPUTS],
+     "scored no position (11 in the sweep; first: position 30: "),
+    (["jaggedness", "--sweep-start", "5", "--sweep-end", "4", *JAGGEDNESS_INPUTS],
+     "scored no position (0 in the sweep)"),
+], ids=["audit-shift", "audit-scale", "audit-crop", "sweep-embed", "depth-profile",
+        "jaggedness-no-position-fits", "jaggedness-empty-sweep"])
 def test_audit_that_scores_nothing_exits_1_and_writes_nothing(workspace, tmp_path, capsys,
-                                                              argv):
+                                                              argv, err):
     out = tmp_path / "out.csv"
-    assert main(argv + ["--model", str(workspace / "model.shnn"),
-                        "--data", str(workspace / "ds"), "--out", str(out),
-                        "--limit", "5"]) == 1
+    assert main([a.replace("$WORK", str(workspace)) for a in argv]
+                + ["--model", str(workspace / "model.shnn"), "--out", str(out)]) == 1
     assert list(tmp_path.iterdir()) == []
-    err = capsys.readouterr().err
-    assert "scored no image (5 skipped; first: 0/00000: " in err
-    assert "do not fit" in err or "too large" in err
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: ") and err in stderr
+    if err == NO_IMAGE:
+        assert "do not fit" in stderr or "too large" in stderr
 
 
 def test_jaggedness_curve_csv(workspace):
@@ -270,6 +288,15 @@ def test_verify_theory_command(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_theory_failed_gate_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(theory, "verify_all",
+                        lambda seed: {"observation": True, "lattice": False})
+    assert main(["verify-theory"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "observation: PASS\nlattice: FAIL\n"
+    assert captured.err == "error: theory gates failed: lattice\n"  # no traceback
+
+
 def test_missing_model_is_domain_error(workspace, capsys):
     assert main(["eval", "--model", str(workspace / "nope.shnn"),
                  "--data", str(workspace / "ds")]) == 1
@@ -282,3 +309,52 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["not-a-command"])
+
+
+def _check_artifact(command: str, out: Path) -> None:
+    """The CSV `out` parses and measured something: n > 0, or a finite score."""
+    text = out.read_text()
+    header, *rows = csv.reader(line for line in text.splitlines() if not line.startswith("#"))
+    if command in ("audit-shift", "audit-scale"):
+        summary_n = int(text.rsplit("n=", 1)[1])
+        assert header[0] == "image_id" and len(rows) == summary_n > 0
+    elif command == "sweep-embed":
+        assert header == ["embed_size", "p_hat", "n"] and rows
+        assert all(0.0 <= float(p) <= 1.0 and int(n) > 0 for _, p, n in rows)
+    elif command == "depth-profile":
+        assert header[0] == "layer" and len(rows) == 1
+        assert 0.0 <= float(rows[0][3]) <= 1.0
+    else:
+        assert header == ["position", "score"]
+        assert any(math.isfinite(float(score)) for _, score in rows)
+
+
+@settings(deadline=None, max_examples=15)
+@given(command=st.sampled_from(["audit-shift", "audit-scale", "sweep-embed", "depth-profile",
+                                "jaggedness"]),
+       canvas=st.integers(8, 24), embed=st.integers(4, 24), start=st.integers(0, 16),
+       length=st.integers(-1, 4))
+def test_exit_0_leaves_a_valid_hashed_artifact_and_failure_leaves_nothing(
+        workspace, command, canvas, embed, start, length):
+    out_dir = Path(tempfile.mkdtemp(dir=workspace))
+    out = out_dir / "out.csv"
+    argv = [command, "--model", str(workspace / "model.shnn"), "--out", str(out),
+            "--canvas", str(canvas)]
+    if command == "jaggedness":
+        argv += ["--embed", str(embed), "--image", str(workspace / "ds" / "0" / "00000.pgm"),
+                 "--label", "0", "--sweep-start", str(start),
+                 "--sweep-end", str(start + length)]
+    else:
+        argv += ["--data", str(workspace / "ds"), "--limit", "4"]
+        if command == "sweep-embed":
+            argv += ["--sizes", f"{embed},{embed + length}"]
+        else:
+            argv += ["--embed", str(embed)]
+        if command == "depth-profile":
+            argv += ["--layers", "1", "--epochs", "1"]
+    if main(argv) != 0:
+        assert list(out_dir.iterdir()) == []
+        return
+    assert sorted(p.name for p in out_dir.iterdir()) == ["out.csv", "out.csv.manifest.json"]
+    _assert_output_hashed(out)
+    _check_artifact(command, out)
