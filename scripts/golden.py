@@ -87,6 +87,9 @@ COMMANDS = [
     ("depth-profile", ["depth-profile", "--model", MODEL, "--data", DATA,
                        "--out", "$WORK/depth.csv", "--layers", "0,1,3", "--epochs", "2",
                        "--canvas", "20", "--embed", "14"]),
+    ("depth-profile-repeated-layers", ["depth-profile", "--model", MODEL, "--data", DATA,
+                                       "--out", "$WORK/depth_repeated.csv", "--layers", "3,0,3",
+                                       "--epochs", "2", "--canvas", "20", "--embed", "14"]),
     ("shiftability", ["shiftability", "--model", MODEL, "--image", IMAGE, "--layer", "1"]),
     ("feature-trace", ["feature-trace", "--model", MODEL, "--image", IMAGE, "--layer", "3",
                        "--out", "$WORK/trace_max.csv", "--canvas", "20", "--embed", "12",

@@ -8,14 +8,18 @@ image id before aggregation and writing.
 
 Every audit scores its canvases in batches: canvases are built lazily and
 stacked by `nn.forward_chunks`, the chunk rule that also serves the dataset
-accuracy and readout features, into one `nn.forward` / `nn.layer_activations`
-call per chunk of at most `nn.CHUNK_VALUES` input values. The forward kernels
-are batch-invariant (see `nn`), so a canvas gets the same bits whichever
-chunk it lands in, and reports do not depend on image order or chunking.
-Canvases of skipped images or invalid sweep points are never stacked. An
-image is resized once per embed size and pasted at each position it is
-scored at. An audit that scores no image, and a jaggedness curve that scores
-no position, raise ValueError: they measured nothing.
+accuracy, into one forward call per chunk of at most `nn.CHUNK_VALUES` input
+values. The forward kernels are batch-invariant (see `nn`), so a canvas gets
+the same bits whichever chunk it lands in, and reports do not depend on
+image order or chunking. Canvases of skipped images or invalid sweep points
+are never stacked. An image is resized once per embed size and pasted at
+each position it is scored at. `top1_change_probability` and the depth
+profile build their canvas pairs with the same code (`_scored_pairs`); the
+profile runs the base net once per canvas and once per training image, up to
+its deepest probed layer, and every probed layer's readout head scores that
+layer's pooled features from the one pass. An audit that scores no image,
+and a jaggedness curve that scores no position, raise ValueError: they
+measured nothing.
 """
 
 from __future__ import annotations
@@ -110,22 +114,20 @@ def _random_position(rng, proto: EmbeddingProtocol, eh: int, ew: int,
     return top + int(rng.integers(0, room_h + 1)), left + int(rng.integers(0, room_w + 1))
 
 
-def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: AuditMode,
-                            seed: int = 0, delta: ShiftSpec = ShiftSpec(1, 0),
-                            crop_size: int = 0, noise_scale: float = 0.0,
-                            labels=None) -> AuditReport:
-    """Fraction of images whose top-1 prediction flips under a 1-step protocol.
+def _scored_pairs(fn, images, proto: EmbeddingProtocol, mode: AuditMode, seed: int = 0,
+                  delta: ShiftSpec = ShiftSpec(1, 0), crop_size: int = 0,
+                  noise_scale: float = 0.0):
+    """Build each image's before/after canvases under a 1-step protocol and
+    score them with the batched `fn`, through `nn.forward_chunks`.
 
-    `images` is a sequence of (image_id, (c, h, w) array). Positions are
-    drawn per image from the derived seed; geometry violations are recorded
-    as skips, not raised. When labels are given, the recorded scores are the
-    correct-class scores; otherwise the before-top-1 class is scored.
+    Positions are drawn per image from the derived seed. Returns (keys,
+    before, after, skipped): keys holds (image_id, param_before, param_after)
+    for each scored image in input order, before and after stack fn's rows
+    for its two canvases, and skipped holds the sorted (image_id, reason) of
+    the images whose canvases do not fit. Raises ValueError when no image is
+    scored.
     """
-    records = []
     skipped = []
-    label_of = dict(labels) if labels else {}
-    protocol = (f"canvas={proto.canvas_h}x{proto.canvas_w},embed={proto.embed_size},"
-                f"fill={proto.fill.value}")
 
     def canvases():
         for image_id, img in images:
@@ -155,9 +157,36 @@ def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: Audit
             yield (image_id, pb, pa), before
             yield None, after
 
-    scored = nn.forward_chunks(partial(nn.forward, model), canvases())
-    for ((image_id, pb, pa), scores_b), (_, scores_a) in zip(scored, scored):
-        t1b, t1a = int(np.argmax(scores_b)), int(np.argmax(scores_a))
+    scored = nn.forward_chunks(fn, canvases())
+    pairs = [(key, row_b, row_a) for (key, row_b), (_, row_a) in zip(scored, scored)]
+    skipped.sort()
+    if not pairs:
+        first = f"; first: {skipped[0][0]}: {skipped[0][1]}" if skipped else ""
+        raise ValueError(f"audit scored no image ({len(skipped)} skipped{first})")
+    keys, before, after = zip(*pairs)
+    return keys, np.stack(before), np.stack(after), tuple(skipped)
+
+
+def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: AuditMode,
+                            seed: int = 0, delta: ShiftSpec = ShiftSpec(1, 0),
+                            crop_size: int = 0, noise_scale: float = 0.0,
+                            labels=None) -> AuditReport:
+    """Fraction of images whose top-1 prediction flips under a 1-step protocol.
+
+    `images` is a sequence of (image_id, (c, h, w) array). Positions are
+    drawn per image from the derived seed; geometry violations are recorded
+    as skips, not raised. When labels are given, the recorded scores are the
+    correct-class scores; otherwise the before-top-1 class is scored.
+    """
+    keys, before, after, skipped = _scored_pairs(partial(nn.forward, model), images, proto,
+                                                 mode, seed, delta, crop_size, noise_scale)
+    label_of = dict(labels) if labels else {}
+    protocol = (f"canvas={proto.canvas_h}x{proto.canvas_w},embed={proto.embed_size},"
+                f"fill={proto.fill.value}")
+    records = []
+    for (image_id, pb, pa), scores_b, scores_a, t1b, t1a in zip(
+            keys, before, after, np.argmax(before, axis=1).tolist(),
+            np.argmax(after, axis=1).tolist()):
         cls = label_of.get(image_id, t1b)
         records.append(AuditRecord(
             image_id=image_id, protocol=protocol,
@@ -165,11 +194,7 @@ def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: Audit
             top1_before=t1b, top1_after=t1a, changed=t1b != t1a,
             score_before=float(scores_b[cls]), score_after=float(scores_a[cls])))
     records.sort(key=lambda r: r.image_id)
-    skipped.sort()
-    if not records:
-        first = f"; first: {skipped[0][0]}: {skipped[0][1]}" if skipped else ""
-        raise ValueError(f"audit scored no image ({len(skipped)} skipped{first})")
-    return AuditReport(tuple(records), tuple(skipped))
+    return AuditReport(tuple(records), skipped)
 
 
 def jaggedness_curve(model, image, proto: EmbeddingProtocol, sweep, label: int):
@@ -215,24 +240,60 @@ class DepthProfileEntry:
     flip_rate: float
 
 
+def _pooled_layers(model, layer_indices):
+    """Batched features of several layers from one forward pass up to the
+    deepest of them: each layer's output, averaged over space by the gap
+    forward when it is spatial, concatenated along axis 1 in the order of
+    `layer_indices`."""
+    gap = nn.GapSpec()
+
+    def fn(x):
+        acts, _ = nn._forward_layers(model, x, upto=max(layer_indices))
+        return np.concatenate([gap.forward(acts[li], {}, {})[0] if acts[li].ndim == 4
+                               else acts[li] for li in layer_indices], axis=1)
+    return fn
+
+
 def depth_invariance_profile(model, xs, ys, layer_indices, cfg, proto: EmbeddingProtocol,
                              audit_images, seed: int = 0,
                              delta: ShiftSpec = ShiftSpec(1, 0)) -> list[DepthProfileEntry]:
     """Per-layer readout accuracy and 1-pixel-shift flip rate.
 
-    A gap+dense+softmax readout is trained on frozen features of each probed
-    layer, then audited with the translate protocol. Reports absolute layer
-    indices plus a normalized depth fraction.
+    A dense+softmax head is trained by `cfg` on the frozen, gap-pooled
+    features of each probed layer, and scores the layer's features of the
+    training images (its readout accuracy) and of the translate protocol's
+    canvas pairs (its flip rate). The base net runs once per training image
+    and once per canvas, up to the deepest probed layer, whatever the number
+    of layers; a repeated layer reuses its head. This is bitwise what a
+    readout model (the base's layers up to the probed one, gap, then the
+    head) gives run on its own, since the kernels are batch-invariant and a
+    layer's output does not depend on the layers after it. Entries follow
+    `layer_indices` and report absolute layer indices plus a normalized
+    depth fraction.
     """
     n_layers = len(model.spec.layers)
-    out = []
-    for li in layer_indices:
-        readout = nn.train_readout(model, li, xs, ys, cfg)
-        acc = nn._accuracy(readout, xs, ys)
-        report = top1_change_probability(readout, audit_images, proto,
-                                         AuditMode.TRANSLATE, seed=seed, delta=delta)
-        out.append(DepthProfileEntry(li, li / max(1, n_layers - 1), acc, report.p_hat))
-    return out
+    layers = list(dict.fromkeys(layer_indices))
+    for li in layers:
+        if not 0 <= li < n_layers:
+            raise IndexError(f"layer index {li} out of range")
+    features = _pooled_layers(model, layers)
+    _, before, after, _ = _scored_pairs(features, audit_images, proto, AuditMode.TRANSLATE,
+                                        seed, delta)
+    train_feats = nn._stacked(features, xs)
+    head_layers = (nn.DenseSpec(int(model.spec.shapes[-1][0])), nn.SoftmaxSpec())
+    measured, lo = {}, 0
+    for li in layers:
+        hi = lo + model.spec.shapes[li][0]  # channels, or units of a flat layer
+        # the head's input: contiguous (n, c, 1, 1) columns of this layer
+        f_train, f_before, f_after = (np.ascontiguousarray(f[:, lo:hi])[:, :, None, None]
+                                      for f in (train_feats, before, after))
+        head = nn.train(nn.make_spec(f_train.shape[1:], head_layers), f_train, ys, cfg)
+        flips = np.argmax(nn.forward(head, f_before), axis=1) != np.argmax(
+            nn.forward(head, f_after), axis=1)
+        measured[li] = (nn._accuracy(head, f_train, ys), int(np.sum(flips)) / len(flips))
+        lo = hi
+    return [DepthProfileEntry(li, li / max(1, n_layers - 1), *measured[li])
+            for li in layer_indices]
 
 
 def feature_shift_trace(model, layer_index: int, image, proto: EmbeddingProtocol,

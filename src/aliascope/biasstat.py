@@ -4,6 +4,12 @@ chi-squared-test them against the uniform distribution.
 The binning defaults (5x5 position grid, 10 size deciles) are artifact
 choices, configurable and recorded in the report header. Sizes are box
 height normalized by image height so differently-sized images compare.
+
+Boxes are held as columns (`Annotations`): one float64 array per coordinate
+and each box's category as an integer code. Validity is one boolean mask,
+every valid box's bins come from one array expression, and each category's
+counts from one `np.bincount` per histogram, so no Python object is made per
+box.
 """
 
 from __future__ import annotations
@@ -13,24 +19,42 @@ import io
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 FLAG_THRESHOLD = 1e-10  # categories below this p are "highly non uniform"
 
 
-@dataclass(frozen=True)
-class Annotation:
-    category: str
-    box_x: float
-    box_y: float
-    box_w: float
-    box_h: float
-    img_w: float
-    img_h: float
+@dataclass(frozen=True, eq=False)
+class Annotations:
+    """Bounding boxes as columns: `codes` indexes each box's category in the
+    sorted `categories`, and each coordinate is a float64 array."""
+    categories: tuple[str, ...]
+    codes: np.ndarray
+    box_x: np.ndarray
+    box_y: np.ndarray
+    box_w: np.ndarray
+    box_h: np.ndarray
+    img_w: np.ndarray
+    img_h: np.ndarray
 
-    def valid(self) -> bool:
-        return (self.box_w > 0 and self.box_h > 0 and self.img_w > 0 and self.img_h > 0
-                and self.box_x >= 0 and self.box_y >= 0
-                and self.box_x + self.box_w <= self.img_w
-                and self.box_y + self.box_h <= self.img_h)
+    @classmethod
+    def of(cls, category, box_x, box_y, box_w, box_h, img_w, img_h) -> Annotations:
+        """Columns from one sequence per field."""
+        categories, codes = np.unique(np.asarray(category, dtype=str), return_inverse=True)
+        return cls(tuple(categories.tolist()), codes.reshape(-1),
+                   *(np.asarray(col, dtype=np.float64)
+                     for col in (box_x, box_y, box_w, box_h, img_w, img_h)))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def valid(self) -> np.ndarray:
+        """Mask of the boxes of positive size that lie inside an image of
+        positive size."""
+        return ((self.box_w > 0) & (self.box_h > 0) & (self.img_w > 0) & (self.img_h > 0)
+                & (self.box_x >= 0) & (self.box_y >= 0)
+                & (self.box_x + self.box_w <= self.img_w)
+                & (self.box_y + self.box_h <= self.img_h))
 
 
 @dataclass(frozen=True)
@@ -43,33 +67,46 @@ class BinnedCounts:
         return sum(self.observed)
 
 
-def _bin_index(value: float, k: int) -> int:
-    """Right-open bins over [0, 1]; the last interval is closed."""
-    return min(int(value * k), k - 1)
+def _bins(ann: Annotations, position_grid: int, size_bins: int):
+    """(valid, pos, size): the mask of valid boxes and, for each valid box,
+    the position-grid cell of its center (normalized to [0,1]^2, row-major)
+    and the size bin of its relative height. Bins are right-open over [0, 1]
+    and the last one is closed."""
+    valid = ann.valid()
+    bx, by, bw, bh, iw, ih = (col[valid] for col in (ann.box_x, ann.box_y, ann.box_w,
+                                                     ann.box_h, ann.img_w, ann.img_h))
+    if not np.isfinite(bx + by + bw + bh).all():  # inside an infinite image, but no bin
+        raise ValueError("a valid box has a coordinate or size that is not finite")
+
+    def bins(v, k):
+        return np.minimum((v * k).astype(np.intp), k - 1)
+
+    cx = (bx + bw / 2) / iw
+    cy = (by + bh / 2) / ih
+    return (valid, bins(cy, position_grid) * position_grid + bins(cx, position_grid),
+            bins(bh / ih, size_bins))
 
 
-def bin_annotations(annotations, position_grid: int = 5, size_bins: int = 10):
+def _binned_counts(pos, size, position_grid: int, size_bins: int):
+    """BinnedCounts of the position cells and size bins of some boxes."""
+    n_pos = position_grid * position_grid
+    return (BinnedCounts(f"position {position_grid}x{position_grid}",
+                         tuple(np.bincount(pos, minlength=n_pos).tolist())),
+            BinnedCounts(f"size height/img_h {size_bins} bins",
+                         tuple(np.bincount(size, minlength=size_bins).tolist())))
+
+
+def bin_annotations(annotations: Annotations, position_grid: int = 5, size_bins: int = 10):
     """Histogram box centers (normalized to [0,1]^2) and relative heights.
 
     Returns (position_counts, size_counts, rejects) where the counts are
     BinnedCounts and rejects tallies invalid boxes that were skipped.
     """
-    if not annotations:
+    if not len(annotations):
         raise ValueError("no annotations to bin")
-    pos = [0] * (position_grid * position_grid)
-    size = [0] * size_bins
-    rejects = 0
-    for a in annotations:
-        if not a.valid():
-            rejects += 1
-            continue
-        cx = (a.box_x + a.box_w / 2) / a.img_w
-        cy = (a.box_y + a.box_h / 2) / a.img_h
-        pos[_bin_index(cy, position_grid) * position_grid + _bin_index(cx, position_grid)] += 1
-        size[_bin_index(a.box_h / a.img_h, size_bins)] += 1
-    return (BinnedCounts(f"position {position_grid}x{position_grid}", tuple(pos)),
-            BinnedCounts(f"size height/img_h {size_bins} bins", tuple(size)),
-            rejects)
+    valid, pos, size = _bins(annotations, position_grid, size_bins)
+    return (*_binned_counts(pos, size, position_grid, size_bins),
+            len(annotations) - int(np.count_nonzero(valid)))
 
 
 def chi2_statistic(counts: BinnedCounts) -> tuple[float, int]:
@@ -185,30 +222,34 @@ class CategoryBias:
     insufficient: bool
 
 
-def category_bias_report(annotations, position_grid: int = 5, size_bins: int = 10,
-                         min_per_bin: int = 5) -> list[CategoryBias]:
+def category_bias_report(annotations: Annotations, position_grid: int = 5,
+                         size_bins: int = 10, min_per_bin: int = 5) -> list[CategoryBias]:
     """Per-category uniformity test of positions and sizes.
 
     Categories with fewer than min_per_bin * max(bins) valid boxes are
     marked insufficient rather than tested. A category is flagged when
     either p-value falls below 1e-10.
     """
-    groups: dict[str, list[Annotation]] = {}
-    for a in annotations:
-        groups.setdefault(a.category, []).append(a)
+    valid, pos, size = _bins(annotations, position_grid, size_bins)
+    # the valid boxes grouped by category, then each category's range of them
+    codes = annotations.codes[valid]
+    order = np.argsort(codes)
+    pos, size = pos[order], size[order]
+    starts = np.searchsorted(codes[order], np.arange(len(annotations.categories) + 1))
     out = []
     k_max = max(position_grid * position_grid, size_bins)
-    for category in sorted(groups):
-        anns = [a for a in groups[category] if a.valid()]
-        if len(anns) < min_per_bin * k_max:
-            out.append(CategoryBias(category, len(anns), math.nan, math.nan,
+    for i, category in enumerate(annotations.categories):
+        lo, hi = int(starts[i]), int(starts[i + 1])
+        if hi - lo < min_per_bin * k_max:
+            out.append(CategoryBias(category, hi - lo, math.nan, math.nan,
                                     math.nan, math.nan, False, True))
             continue
-        pos, size, _ = bin_annotations(anns, position_grid, size_bins)
-        cp, dfp = chi2_statistic(pos)
-        cs, dfs = chi2_statistic(size)
+        pos_counts, size_counts = _binned_counts(pos[lo:hi], size[lo:hi], position_grid,
+                                                 size_bins)
+        cp, dfp = chi2_statistic(pos_counts)
+        cs, dfs = chi2_statistic(size_counts)
         pp, ps = chi2_pvalue(cp, dfp), chi2_pvalue(cs, dfs)
-        out.append(CategoryBias(category, len(anns), cp, pp, cs, ps,
+        out.append(CategoryBias(category, hi - lo, cp, pp, cs, ps,
                                 pp < FLAG_THRESHOLD or ps < FLAG_THRESHOLD, False))
     return out
 
@@ -220,20 +261,31 @@ def category_bias_report(annotations, position_grid: int = 5, size_bins: int = 1
 ANNOTATION_HEADER = ["category", "img_w", "img_h", "box_x", "box_y", "box_w", "box_h"]
 
 
-def read_annotations_csv(path) -> list[Annotation]:
+def read_annotations_csv(path) -> Annotations:
+    """The annotations of a CSV file whose first line is ANNOTATION_HEADER.
+
+    The rows are parsed by `np.loadtxt` with CSV quoting. Blank lines are
+    skipped; a row with another number of fields, or a number that does not
+    parse, raises ValueError.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ANNOTATION_HEADER:
-            raise ValueError(f"expected header {','.join(ANNOTATION_HEADER)}")
-        out = []
-        for row in reader:
-            if not row:
-                continue
-            cat, iw, ih, bx, by, bw, bh = row
-            out.append(Annotation(cat, float(bx), float(by), float(bw), float(bh),
-                                  float(iw), float(ih)))
-    return out
+        header = next(csv.reader([fh.readline()]), None)
+        text = fh.read()
+    if header != ANNOTATION_HEADER:
+        raise ValueError(f"expected header {','.join(ANNOTATION_HEADER)}")
+    if not text.strip("\r\n"):
+        return Annotations.of(*[()] * len(ANNOTATION_HEADER))
+    csv_format = {"delimiter": ",", "quotechar": '"', "comments": None}
+    # the category column is read as 0.0 here so that loadtxt checks that
+    # every row has as many fields as the first
+    numbers = np.loadtxt(io.StringIO(text), converters={0: lambda field: 0.0}, ndmin=2,
+                         **csv_format)
+    if numbers.shape[1] != len(ANNOTATION_HEADER):
+        raise ValueError(f"expected {len(ANNOTATION_HEADER)} fields per row, "
+                         f"got {numbers.shape[1]}")
+    category = np.loadtxt(io.StringIO(text), usecols=0, dtype=object, ndmin=1, **csv_format)
+    _, iw, ih, bx, by, bw, bh = numbers.T
+    return Annotations.of(category, bx, by, bw, bh, iw, ih)
 
 
 def bias_report_csv(report, position_grid: int = 5, size_bins: int = 10) -> str:

@@ -29,8 +29,15 @@ inputs in any grouping and get the same bits as one at a time. The cost of a
 batch is its memory: every layer's activations for the whole batch are held
 at once, plus one image's patch matrix. `forward_chunks` is the one chunk
 rule: it stacks inputs into calls of at most `CHUNK_VALUES` input values,
-and the audits, the dataset accuracy, readout features and `theory` all go
-through it, so only a training batch is ever larger.
+and the audits, the dataset accuracy, the depth profile's features and
+`theory` all go through it, so only a training batch is ever larger.
+`_forward_layers(..., upto=i)` runs layers 0..i and returns every one of
+their outputs, so one pass serves several probed layers (the depth profile);
+a layer's output does not depend on how far the pass goes.
+
+`backward_sgd_step` also returns how many of its batch's images the forward
+pass before the step got right, so `train` prints each epoch's running
+accuracy without a second pass over the data.
 
 Each `Model` owns its layers' large arrays. `Model.scratch` holds one dict
 of buffers per layer (not compared, not saved, not settable), and the conv,
@@ -581,16 +588,16 @@ def _forward_layers(model: Model, x: np.ndarray, upto: int | None = None):
         x = x[None]
     if x.shape[1] != spec.input_shape[0]:
         raise ValueError(f"input has {x.shape[1]} channels, spec wants {spec.input_shape[0]}")
-    # any spatial size works when every dense layer's input is already flat:
-    # then no weight shape depends on h or w
+    # any spatial size works when every dense layer that runs has a flat
+    # input: then no weight shape it uses depends on h or w
+    last = len(spec.layers) if upto is None else upto + 1
     in_shapes = (spec.input_shape,) + spec.shapes[:-1]
     fixed_size = any(isinstance(layer, DenseSpec) and len(s) > 1
-                     for layer, s in zip(spec.layers, in_shapes))
+                     for layer, s in zip(spec.layers[:last], in_shapes))
     if x.shape[2:] != spec.input_shape[1:] and fixed_size:
         raise ValueError(f"input shape {x.shape[1:]} does not match spec {spec.input_shape} "
                          "and the network is not spatial-size agnostic")
     cur = np.asarray(x, dtype=np.float64)
-    last = len(spec.layers) if upto is None else upto + 1
     acts, caches = [], []
     for layer, p, buf in zip(spec.layers[:last], model.params, model.scratch):
         cur, cache = layer.forward(cur, p, buf)
@@ -655,8 +662,12 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def backward_sgd_step(model: Model, batch_x: np.ndarray, batch_y: np.ndarray,
-                      lr: float) -> float:
-    """One SGD step on mean cross-entropy; mutates model weights in place."""
+                      lr: float) -> tuple[float, int]:
+    """One SGD step on mean cross-entropy; mutates model weights in place.
+
+    Returns the batch's mean cross-entropy and the number of its images whose
+    top-1 class is the label, both from the forward pass before the step.
+    """
     if len(batch_x) == 0:
         raise ValueError("empty batch")
     spec = model.spec
@@ -666,6 +677,7 @@ def backward_sgd_step(model: Model, batch_x: np.ndarray, batch_y: np.ndarray,
         raise SpecError("training requires a softmax output layer")
     n = len(batch_y)
     loss = cross_entropy(probs, batch_y)
+    correct = int(np.sum(np.argmax(probs, axis=1) == batch_y))
     # softmax + cross-entropy folded into one gradient
     dcur = probs.copy()
     dcur[np.arange(n), batch_y] -= 1.0
@@ -677,7 +689,7 @@ def backward_sgd_step(model: Model, batch_x: np.ndarray, batch_y: np.ndarray,
                                                need_dx=li > 0)
         for key, g in grads.items():
             p[key] -= lr * g
-    return loss
+    return loss, correct
 
 
 def _accuracy(model, xs, ys) -> float:
@@ -687,7 +699,12 @@ def _accuracy(model, xs, ys) -> float:
 
 def train(spec: NetworkSpec, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig,
           verbose: bool = False) -> Model:
-    """Train from scratch with plain SGD; deterministic given cfg.seed."""
+    """Train from scratch with plain SGD; deterministic given cfg.seed.
+
+    With `verbose`, each epoch prints its mean loss and running accuracy:
+    both come from the forward pass of each SGD step, so they describe the
+    weights as they moved through the epoch, not the weights at its end.
+    """
     if len(xs) == 0:
         raise ValueError("empty dataset")
     xs = np.asarray(xs, dtype=np.float64)
@@ -696,43 +713,16 @@ def train(spec: NetworkSpec, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed + 1)
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(xs))
-        total = 0.0
+        total, correct = 0.0, 0
         for i in range(0, len(order), cfg.batch_size):
             sel = order[i:i + cfg.batch_size]
-            total += backward_sgd_step(model, xs[sel], ys[sel], cfg.learning_rate) * len(sel)
+            loss, right = backward_sgd_step(model, xs[sel], ys[sel], cfg.learning_rate)
+            total += loss * len(sel)
+            correct += right
         if verbose:
             print(f"epoch {epoch + 1}: loss={total / len(xs):.4f} "
-                  f"acc={_accuracy(model, xs, ys):.3f}")
+                  f"running_acc={correct / len(xs):.3f}")
     return model
-
-
-def train_readout(model: Model, layer_index: int, xs: np.ndarray, ys: np.ndarray,
-                  cfg: TrainConfig) -> Model:
-    """Train a gap+dense+softmax readout on frozen features of one layer.
-
-    The readout is a plain Model: the base's layers [0..layer_index] with
-    copies of their weights, then the head (dense+softmax alone when the
-    features are already flat). Only dense+softmax are trained, on features
-    extracted once from the base and, for a spatial layer, pooled there by
-    the gap forward: gap has no weights, so its output is all the dense
-    layer ever sees, and the full-resolution maps are never kept.
-    """
-    if not 0 <= layer_index < len(model.spec.layers):
-        raise IndexError(f"layer index {layer_index} out of range")
-    spatial = len(model.spec.shapes[layer_index]) == 3
-
-    def features(x):
-        act = layer_activations(model, x, layer_index)
-        return GapSpec().forward(act, {}, {})[0] if spatial else act
-
-    feats = _stacked(features, xs)[:, :, None, None]  # the head's input: (n, c, 1, 1)
-    head_layers = (DenseSpec(int(model.spec.shapes[-1][0])), SoftmaxSpec())
-    head = train(make_spec(feats.shape[1:], head_layers), feats, ys, cfg)
-    gap = (GapSpec(),) if spatial else ()
-    spec = make_spec(model.spec.input_shape,
-                     model.spec.layers[:layer_index + 1] + gap + head_layers)
-    base = [{k: v.copy() for k, v in p.items()} for p in model.params[:layer_index + 1]]
-    return Model(spec, base + [{} for _ in gap] + head.params, rng_seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------

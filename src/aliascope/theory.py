@@ -8,6 +8,10 @@ corollary (piecewise constant transforms preserve the pooled response).
 
 Each check returns the measured worst-case gaps so callers can assert
 against their own tolerances; `verify_all` applies the standard ones.
+"Exactly invariant" means a gap below EXACT_TOL: a shift on the stride
+lattice gives feature maps that are bitwise rolled copies of the unshifted
+ones, but the global mean sums a rolled map in another order, so the scores
+may differ by a few ulp (up to 5.6e-17 measured).
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ import numpy as np
 
 from . import nn, sampling
 from .transforms import PiecewiseTransform, Rect, piecewise_shift
+
+
+EXACT_TOL = 1e-9  # the largest gap that counts as exact invariance
 
 
 def exact_invariance_fraction(factor: int) -> Fraction:
@@ -74,7 +81,7 @@ class LatticeResult:
     on_lattice_gap: float   # worst gap over shifts that are multiples of the cumulative stride
     off_lattice_gap: float  # smallest gap over every other shift
     factor: int             # the cumulative stride
-    exact_fraction: Fraction  # of all shifts, those whose gap is exactly 0
+    exact_fraction: Fraction  # of all shifts, those whose gap is below EXACT_TOL
 
 
 def lattice_check(seed: int = 0) -> LatticeResult:
@@ -88,7 +95,7 @@ def lattice_check(seed: int = 0) -> LatticeResult:
     on = np.zeros(gaps.shape, dtype=bool)
     on[::factor, ::factor] = True
     return LatticeResult(float(gaps[on].max()), float(gaps[~on].min()), factor,
-                         Fraction(int(np.count_nonzero(gaps == 0.0)), gaps.size))
+                         Fraction(int(np.count_nonzero(gaps < EXACT_TOL)), gaps.size))
 
 
 @dataclass(frozen=True)
@@ -185,13 +192,13 @@ def verify_all(seed: int = 0) -> dict[str, bool]:
     cor = corollary_check(seed)
     lattice = lattice_check(seed)
     return {
-        "observation": obs < 1e-9,
+        "observation": obs < EXACT_TOL,
         "claim": (claim.shiftability < 1e-6
                   and claim.bandlimited_gap < 1e-5
                   and abs(claim.impulse_gap - claim.impulse_mass) < 1e-9
                   and claim.bandlimited_nyquist.shiftable
                   and not claim.impulse_nyquist.shiftable),
         "corollary": cor.stride1_gap < 1e-6 and cor.detector_gap > 1e-3,
-        "lattice": (lattice.on_lattice_gap < 1e-9 and lattice.off_lattice_gap > 1e-6
+        "lattice": (lattice.on_lattice_gap < EXACT_TOL and lattice.off_lattice_gap > 1e-6
                     and lattice.exact_fraction == exact_invariance_fraction(lattice.factor)),
     }

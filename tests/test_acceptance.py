@@ -149,13 +149,11 @@ def test_criterion_6_pool_swap(dataset, audit_images, strided_model, capsys):
     for name, model in (("max", strided_model), ("avg", swapped)):
         f, a = [], []
         for seed in SEEDS:
-            readout = nn.train_readout(model, 3, dataset.images, dataset.labels,
-                                       READOUT_CFG(seed))
-            a.append(nn._accuracy(readout, dataset.images, dataset.labels))
-            rep = audit.top1_change_probability(readout, audit_images[:300],
-                                                OFFSCALE_PROTO, AuditMode.TRANSLATE,
-                                                seed=seed, delta=DELTA)
-            f.append(rep.p_hat)
+            (entry,) = audit.depth_invariance_profile(
+                model, dataset.images, dataset.labels, [3], READOUT_CFG(seed),
+                OFFSCALE_PROTO, audit_images[:300], seed=seed, delta=DELTA)
+            a.append(entry.readout_accuracy)
+            f.append(entry.flip_rate)
         flips[name], accs[name] = float(np.mean(f)), float(np.mean(a))
 
     trace_proto = EmbeddingProtocol(40, 40, 32, (2, 2), FillMode.BLACK)
@@ -211,8 +209,7 @@ def test_criterion_9_chi_squared_audit(capsys):
 
     def box(category, cx, cy, rel_h):
         bh, bw = rel_h * 100, 5.0
-        return biasstat.Annotation(category, cx * 100 - bw / 2, cy * 100 - bh / 2,
-                                   bw, bh, 100.0, 100.0)
+        return (category, cx * 100 - bw / 2, cy * 100 - bh / 2, bw, bh, 100.0, 100.0)
 
     anns = [box("concentrated", 0.5, 0.5, 0.31) for _ in range(10000)]
     # jointly bin-balanced uniform sample: edge grid rows host the deciles
@@ -231,7 +228,8 @@ def test_criterion_9_chi_squared_audit(capsys):
             for d in deciles:
                 anns.extend(box("uniform", (col + 0.5) / 5, row_cy[(row, d)],
                                 (d + 0.5) / 10) for _ in range(per_pair))
-    by_cat = {r.category: r for r in biasstat.category_bias_report(anns)}
+    by_cat = {r.category: r for r in biasstat.category_bias_report(
+        biasstat.Annotations.of(*zip(*anns)))}
     flags = by_cat["concentrated"].flagged and not by_cat["uniform"].flagged
 
     rng = np.random.default_rng(0)

@@ -9,6 +9,7 @@ import pytest
 from aliascope import nn
 from aliascope.audit import (
     AuditMode,
+    DepthProfileEntry,
     curve_csv,
     depth_invariance_profile,
     feature_shift_trace,
@@ -240,6 +241,90 @@ def test_depth_profile_shape_and_monotone_depth_fraction():
     for e in entries:
         assert 0.0 <= e.readout_accuracy <= 1.0
         assert 0.0 <= e.flip_rate <= 1.0
+
+
+DEEP = ("input 1 16 16\nconv 4 3 pad=circular act=relu\nmaxpool 2 stride=2\n"
+        "conv 6 3 pad=circular act=relu\nmaxpool 2 stride=2\ngap\ndense 3\nsoftmax\n")
+# a dense layer fed by a spatial one: layer 2 is flat, and inputs keep the spec's size
+FLAT = "input 1 8 8\nconv 3 3 pad=circular act=relu\nmaxpool 2 stride=2\ndense 5\nsoftmax\n"
+
+
+def _three_pass_profile(model, xs, ys, layer_indices, cfg, proto, audit_images, seed, delta):
+    """The depth profile as each probed layer's own readout model gives it:
+    the base's layers up to the probed one, a gap when it is spatial, then a
+    dense+softmax head trained on its pooled features. The readout runs the
+    base's layers again for its accuracy and once more for its audit."""
+    n_layers = len(model.spec.layers)
+    out = []
+    for li in layer_indices:
+        feats = nn.layer_activations(model, xs, li)
+        gap = (nn.GapSpec(),) if feats.ndim == 4 else ()
+        if gap:
+            feats = feats.mean(axis=(2, 3))
+        head_layers = (nn.DenseSpec(model.spec.shapes[-1][0]), nn.SoftmaxSpec())
+        head = nn.train(nn.make_spec((feats.shape[1], 1, 1), head_layers),
+                        feats[:, :, None, None], ys, cfg)
+        spec = nn.make_spec(model.spec.input_shape,
+                            model.spec.layers[:li + 1] + gap + head_layers)
+        readout = nn.Model(spec, model.params[:li + 1] + [{} for _ in gap] + head.params)
+        report = top1_change_probability(readout, audit_images, proto, AuditMode.TRANSLATE,
+                                         seed=seed, delta=delta)
+        out.append(DepthProfileEntry(li, li / max(1, n_layers - 1),
+                                     nn._accuracy(readout, xs, ys), report.p_hat))
+    return out
+
+
+def test_depth_profile_is_the_three_pass_readout_bitwise():
+    xs, ys = _tiny_dataset()
+    model = nn.train(parse_spec(DEEP), xs, ys, TrainConfig(0.3, 15, 6, seed=1))
+    proto = EmbeddingProtocol(20, 20, 14, (0, 0), FillMode.BLACK)
+    images = _images(40, seed=6, size=10)
+    cfg = TrainConfig(0.5, 5, 8, seed=1)
+    entries = depth_invariance_profile(model, xs, ys, [3, 0, 3], cfg, proto, images, seed=2)
+    assert entries == _three_pass_profile(model, xs, ys, [3, 0, 3], cfg, proto, images,
+                                          seed=2, delta=ShiftSpec(1, 0))
+    assert entries[0] == entries[2]
+    assert entries[0].flip_rate > 0.0
+
+
+def test_depth_profile_of_a_flat_layer_is_the_three_pass_readout_bitwise():
+    model = init_model(parse_spec(FLAT), seed=3, init_scale=3.0)
+    rng = np.random.default_rng(5)
+    xs, ys = rng.random((30, 1, 8, 8)), rng.integers(0, 5, 30)
+    proto = EmbeddingProtocol(8, 8, 6, (0, 0), FillMode.BLACK)
+    images = _images(20, seed=7)
+    cfg = TrainConfig(0.5, 3, 8, seed=2)
+    entries = depth_invariance_profile(model, xs, ys, [2, 1], cfg, proto, images, seed=4,
+                                       delta=ShiftSpec(0, 1))
+    assert entries == _three_pass_profile(model, xs, ys, [2, 1], cfg, proto, images,
+                                          seed=4, delta=ShiftSpec(0, 1))
+    # layers before the dense one take canvases of any size, as their readout does
+    larger = EmbeddingProtocol(11, 11, 6, (0, 0), FillMode.BLACK)
+    assert depth_invariance_profile(model, xs, ys, [1], cfg, larger, images) == \
+        _three_pass_profile(model, xs, ys, [1], cfg, larger, images, seed=0,
+                            delta=ShiftSpec(1, 0))
+
+
+def test_depth_profile_runs_the_base_once_per_image(monkeypatch):
+    model = init_model(parse_spec(DEEP), seed=4)
+    xs, ys = _tiny_dataset()
+    # wide images fit the canvas moved down a row; the square one does not
+    images = [(f"wide/{i}", x) for i, x in enumerate(xs[:9, :, :8])] + _images(1)
+    proto = EmbeddingProtocol(16, 16, 16, (0, 0), FillMode.BLACK)
+    seen = []
+    forward_layers = nn._forward_layers
+
+    def counting(m, x, upto=None):
+        if m is model:
+            seen.append(len(x))
+        return forward_layers(m, x, upto)
+
+    monkeypatch.setattr(nn, "_forward_layers", counting)
+    for layers in ([0], [3, 0, 3], [0, 1, 2, 3]):
+        seen.clear()
+        depth_invariance_profile(model, xs, ys, layers, TrainConfig(0.2, 1, 8, 0), proto,
+                                 images)
+        assert sum(seen) == len(xs) + 2 * 9
 
 
 # ---------------------------------------------------------------------------

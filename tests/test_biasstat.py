@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from aliascope import biasstat
 from aliascope.biasstat import (
-    Annotation,
+    Annotations,
     BinnedCounts,
     bias_report_csv,
     bin_annotations,
@@ -19,8 +20,13 @@ from aliascope.biasstat import (
 
 
 def _ann(category="cat", cx=0.5, cy=0.5, rel_h=0.3, rel_w=0.3, img=100.0):
+    """One box as a row: category, box_x, box_y, box_w, box_h, img_w, img_h."""
     bw, bh = rel_w * img, rel_h * img
-    return Annotation(category, cx * img - bw / 2, cy * img - bh / 2, bw, bh, img, img)
+    return (category, cx * img - bw / 2, cy * img - bh / 2, bw, bh, img, img)
+
+
+def _columns(rows):
+    return Annotations.of(*zip(*rows)) if rows else Annotations.of(*[()] * 7)
 
 
 # ---------------------------------------------------------------------------
@@ -28,11 +34,12 @@ def _ann(category="cat", cx=0.5, cy=0.5, rel_h=0.3, rel_w=0.3, img=100.0):
 # ---------------------------------------------------------------------------
 
 def test_annotation_validity():
-    assert _ann().valid()
-    assert not Annotation("c", -1, 0, 10, 10, 100, 100).valid()
-    assert not Annotation("c", 95, 0, 10, 10, 100, 100).valid()  # overflows right
-    assert not Annotation("c", 0, 0, 0, 10, 100, 100).valid()  # zero width
-    assert not Annotation("c", 0, 0, 10, 10, 0, 100).valid()  # zero image
+    rows = [_ann(),
+            ("c", -1, 0, 10, 10, 100, 100),
+            ("c", 95, 0, 10, 10, 100, 100),  # overflows right
+            ("c", 0, 0, 0, 10, 100, 100),  # zero width
+            ("c", 0, 0, 10, 10, 0, 100)]  # zero image
+    assert _columns(rows).valid().tolist() == [True, False, False, False, False]
 
 
 def test_bin_annotations_center_and_edges():
@@ -40,7 +47,7 @@ def test_bin_annotations_center_and_edges():
             _ann(cx=0.95, cy=0.95, rel_h=0.05, rel_w=0.05),  # bottom-right cell
             _ann(cx=0.5, cy=0.5, rel_h=0.999, rel_w=0.05),   # center, last decile
             _ann(cx=0.5, cy=0.5, rel_h=0.55, rel_w=0.05)]    # center, decile 5
-    pos, size, rejects = bin_annotations(anns)
+    pos, size, rejects = bin_annotations(_columns(anns))
     assert rejects == 0
     assert pos.observed[0] == 1
     assert pos.observed[24] == 1
@@ -53,17 +60,17 @@ def test_bin_annotations_center_and_edges():
 
 def test_bin_annotations_boundary_value_goes_left_open_right():
     # center exactly on a bin edge belongs to the right bin; 1.0 to the last
-    pos, size, _ = bin_annotations([_ann(cx=0.2, cy=0.5, rel_h=1.0, rel_w=0.4)])
+    pos, size, _ = bin_annotations(_columns([_ann(cx=0.2, cy=0.5, rel_h=1.0, rel_w=0.4)]))
     assert size.observed[9] == 1
     assert pos.observed[2 * 5 + 1] == 1  # cx = 0.2 falls in bin 1 of 5
 
 
 def test_bin_annotations_counts_rejects():
-    anns = [_ann(), Annotation("c", -5, 0, 10, 10, 100, 100)]
-    _, _, rejects = bin_annotations(anns)
+    anns = [_ann(), ("c", -5, 0, 10, 10, 100, 100)]
+    _, _, rejects = bin_annotations(_columns(anns))
     assert rejects == 1
     with pytest.raises(ValueError):
-        bin_annotations([])
+        bin_annotations(_columns([]))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +211,7 @@ def _balanced_annotations(category, n):
 
 
 def test_balanced_annotations_are_exactly_uniform():
-    pos, size, rejects = bin_annotations(_balanced_annotations("x", 500))
+    pos, size, rejects = bin_annotations(_columns(_balanced_annotations("x", 500)))
     assert rejects == 0
     assert set(pos.observed) == {20}
     assert set(size.observed) == {50}
@@ -213,7 +220,7 @@ def test_balanced_annotations_are_exactly_uniform():
 def test_report_flags_concentrated_not_uniform():
     concentrated = [_ann("biased", cx=0.5, cy=0.5, rel_h=0.31) for _ in range(2000)]
     fair = _balanced_annotations("fair", 2000)
-    report = category_bias_report(concentrated + fair)
+    report = category_bias_report(_columns(concentrated + fair))
     by_cat = {r.category: r for r in report}
     assert by_cat["biased"].flagged
     assert by_cat["biased"].p_pos < 1e-10
@@ -225,7 +232,7 @@ def test_report_flags_concentrated_not_uniform():
 
 
 def test_report_insufficient_category():
-    report = category_bias_report([_ann("tiny") for _ in range(10)])
+    report = category_bias_report(_columns([_ann("tiny") for _ in range(10)]))
     assert len(report) == 1
     assert report[0].insufficient
     assert math.isnan(report[0].chi2_pos)
@@ -234,7 +241,7 @@ def test_report_insufficient_category():
 
 def test_report_sorted_by_category():
     anns = [_ann("zeta"), _ann("alpha")]
-    report = category_bias_report(anns)
+    report = category_bias_report(_columns(anns))
     assert [r.category for r in report] == ["alpha", "zeta"]
 
 
@@ -242,7 +249,7 @@ def test_report_threshold_boundary():
     # mild imbalance stays unflagged at the extreme 1e-10 threshold
     anns = _balanced_annotations("ok", 1000)
     anns.extend(_ann("ok", cx=0.5, cy=0.5, rel_h=0.55, rel_w=0.05) for _ in range(40))
-    (r,) = category_bias_report(anns)
+    (r,) = category_bias_report(_columns(anns))
     assert not r.insufficient
     assert r.chi2_pos > 0 and r.chi2_size > 0
     assert not r.flagged
@@ -260,8 +267,85 @@ def test_read_annotations_csv(tmp_path):
                     "cat,320,240,0,0,320,240\n")
     anns = read_annotations_csv(path)
     assert len(anns) == 2
-    assert anns[0] == Annotation("dog", 10.0, 20.0, 100.0, 50.0, 640.0, 480.0)
-    assert anns[1].category == "cat"
+    assert anns.categories == ("cat", "dog")
+    assert anns.codes.tolist() == [1, 0]
+    assert [anns.box_x[0], anns.box_y[0], anns.box_w[0], anns.box_h[0], anns.img_w[0],
+            anns.img_h[0]] == [10.0, 20.0, 100.0, 50.0, 640.0, 480.0]
+
+
+def _read_row_by_row(path):
+    """The reader's oracle: csv rows after the header, blank lines skipped,
+    each number parsed by float()."""
+    with open(path, newline="") as fh:
+        rows = [row for row in list(csv.reader(fh))[1:] if row]
+    return [(cat, float(bx), float(by), float(bw), float(bh), float(iw), float(ih))
+            for cat, iw, ih, bx, by, bw, bh in rows]
+
+
+def test_read_annotations_csv_matches_row_by_row_oracle(tmp_path):
+    rng = np.random.default_rng(3)
+    lines = ["category,img_w,img_h,box_x,box_y,box_w,box_h"]
+    for i in range(300):
+        cat = ['"dog, small"', "cat", '"say ""hi"""', "zebra"][i % 4]
+        numbers = [rng.integers(1, 500), rng.uniform(1, 500), repr(float(rng.normal(50, 80))),
+                   "1e2", " 7 ", rng.integers(0, 90)]
+        lines.append(",".join([cat, *map(str, numbers)]))
+        if i % 50 == 0:
+            lines.append("")
+    path = tmp_path / "ann.csv"
+    path.write_text("\r\n".join(lines) + "\r\n")
+    anns = read_annotations_csv(path)
+    oracle = _read_row_by_row(path)
+    assert anns.categories == ('cat', 'dog, small', 'say "hi"', 'zebra')
+    assert [anns.categories[c] for c in anns.codes] == [row[0] for row in oracle]
+    for i, name in enumerate(("box_x", "box_y", "box_w", "box_h", "img_w", "img_h")):
+        assert getattr(anns, name).tolist() == [row[i + 1] for row in oracle], name
+    got = bias_report_csv(category_bias_report(anns, 2, 3, min_per_bin=1))
+    assert got == bias_report_csv(category_bias_report(_columns(oracle), 2, 3, min_per_bin=1))
+
+
+@pytest.mark.parametrize("row", ["dog,640,480,10,20,100", "dog,640,480,10,20,100,50,7",
+                                 "dog,640,480,ten,20,100,50", "dog,640,480,10,20,100,"])
+def test_read_annotations_csv_rejects_a_malformed_row(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text("category,img_w,img_h,box_x,box_y,box_w,box_h\n"
+                    "cat,320,240,0,0,320,240\n" + row + "\n")
+    with pytest.raises(ValueError):
+        read_annotations_csv(path)
+
+
+def test_valid_box_with_an_infinite_center_raises(tmp_path):
+    path = tmp_path / "inf.csv"
+    path.write_text("category,img_w,img_h,box_x,box_y,box_w,box_h\n"
+                    "dog,inf,480,inf,20,100,50\n")
+    anns = read_annotations_csv(path)
+    assert anns.valid().tolist() == [True]
+    with pytest.raises(ValueError, match="not finite"):
+        category_bias_report(anns)
+
+
+def _bin_row_by_row(rows, grid, size_bins):
+    """The binning oracle: each valid box's bins from Python floats."""
+    pos, size = [0] * grid * grid, [0] * size_bins
+    for _, bx, by, bw, bh, iw, ih in rows:
+        if bw > 0 and bh > 0 and iw > 0 and ih > 0 and bx >= 0 and by >= 0 and \
+                bx + bw <= iw and by + bh <= ih:
+            cx, cy = (bx + bw / 2) / iw, (by + bh / 2) / ih
+            pos[min(int(cy * grid), grid - 1) * grid + min(int(cx * grid), grid - 1)] += 1
+            size[min(int(bh / ih * size_bins), size_bins - 1)] += 1
+    return tuple(pos), tuple(size)
+
+
+def test_bin_annotations_matches_row_by_row_oracle():
+    rng = np.random.default_rng(8)
+    rows = [("c", float(rng.integers(-5, 90)), float(rng.integers(0, 90)),
+             float(rng.integers(0, 40)), float(rng.integers(1, 50)), 100.0, 100.0)
+            for _ in range(2000)]
+    rows += [("c", 0.0, 0.0, 20.0, 100.0, 100.0, 100.0), ("c", 40.0, 0.0, 20.0, 50.0, 100.0, 100.0)]
+    for grid, size_bins in ((5, 10), (3, 4), (7, 1)):
+        pos, size, rejects = bin_annotations(_columns(rows), grid, size_bins)
+        assert (pos.observed, size.observed) == _bin_row_by_row(rows, grid, size_bins)
+        assert rejects == len(rows) - pos.total
 
 
 def test_read_annotations_csv_rejects_bad_header(tmp_path):
@@ -274,7 +358,7 @@ def test_read_annotations_csv_rejects_bad_header(tmp_path):
 def test_write_bias_report_csv():
     anns = [_ann("biased", cx=0.5, cy=0.5, rel_h=0.31) for _ in range(200)]
     anns += [_ann("tiny")]
-    report = category_bias_report(anns)
+    report = category_bias_report(_columns(anns))
     lines = bias_report_csv(report).splitlines()
     assert lines[0] == "#bins,position=5x5,size=10"
     assert lines[1].startswith("category,")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aliascope import nn
+from aliascope import audit, nn
 from aliascope.nn import (
     ConvSpec,
     DenseSpec,
@@ -33,8 +33,8 @@ from aliascope.nn import (
     replace_pooling,
     save_model,
     train,
-    train_readout,
 )
+from aliascope.transforms import EmbeddingProtocol
 
 SMALL_TEXT = """\
 # toy classifier
@@ -554,54 +554,33 @@ def _stripes_dataset(n_per=20, seed=23):
     return np.array(xs), np.array(ys)
 
 
+def _profile(model, layer_index, xs, ys, cfg):
+    """The depth profile's entry for one layer, audited on the first four
+    training images."""
+    proto = EmbeddingProtocol(xs.shape[2] + 2, xs.shape[3] + 2, xs.shape[2], (0, 0))
+    images = [(f"x/{i}", x) for i, x in enumerate(xs[:4])]
+    (entry,) = audit.depth_invariance_profile(model, xs, ys, [layer_index], cfg, proto, images)
+    return entry
+
+
 def test_train_readout_frozen_base():
     xs, ys = _stripes_dataset()
     spec = parse_spec("input 1 8 8\nconv 4 3 act=relu\nmaxpool 2 stride=2\n"
                       "gap\ndense 2\nsoftmax\n")
     base = train(spec, xs, ys, TrainConfig(0.1, 8, 8, seed=1))
     frozen = copy.deepcopy(base)
-    readout = train_readout(base, 1, xs, ys, TrainConfig(0.2, 8, 8, seed=2))
+    entry = _profile(base, 1, xs, ys, TrainConfig(0.2, 8, 8, seed=2))
     for p1, p2 in zip(base.params, frozen.params):
         for key in p1:
             assert np.array_equal(p1[key], p2[key])
-    # a plain model: the base's first two layers and weights, then the head
-    assert readout.spec.layers == spec.layers[:2] + (GapSpec(), DenseSpec(2), SoftmaxSpec())
-    assert np.array_equal(readout.params[0]["w"], base.params[0]["w"])
-    probs = forward(readout, xs)
-    acc = float(np.mean(np.argmax(probs, axis=1) == ys))
-    assert acc >= 0.95
-
-
-@settings(deadline=None, max_examples=4)
-@given(seed=st.integers(0, 2**16), layer_index=st.sampled_from([1, 2]))
-def test_readout_is_a_plain_model_that_round_trips(seed, layer_index):
-    # layer 1 is spatial (gap head), layer 2 a flat dense layer (dense head)
-    spec = parse_spec("input 1 8 8\nconv 3 3 pad=circular act=relu\nmaxpool 2 stride=2\n"
-                      "dense 5\nsoftmax\n")
-    base = init_model(spec, seed=seed)
-    rng = np.random.default_rng(seed)
-    xs, ys = rng.random((12, 1, 8, 8)), rng.integers(0, 5, 12)
-    readout = train_readout(base, layer_index, xs, ys, TrainConfig(0.5, 2, 4, seed=seed))
-    # it scores as the trained head applied to the base's frozen features
-    feats = layer_activations(base, xs, layer_index)
-    if feats.ndim == 2:
-        feats = feats[:, :, None, None]
-    head_layers = readout.spec.layers[layer_index + 1:]
-    head = Model(make_spec(feats.shape[1:], head_layers), readout.params[layer_index + 1:])
-    scores = forward(readout, xs)
-    assert np.array_equal(scores, forward(head, feats))
-    with tempfile.TemporaryDirectory() as tmp:
-        save_model(readout, Path(tmp) / "r.shnn")
-        loaded = load_model(Path(tmp) / "r.shnn")
-    assert loaded.spec == readout.spec
-    assert np.array_equal(forward(loaded, xs), scores)
+    assert entry.readout_accuracy >= 0.95
 
 
 def test_train_readout_index_range():
     model = init_model(small_spec(), seed=0)
     with pytest.raises(IndexError):
-        train_readout(model, 9, np.zeros((1, 1, 8, 8)), np.zeros(1, dtype=int),
-                      TrainConfig(0.1, 0, 8, 0))
+        _profile(model, 9, np.zeros((4, 1, 8, 8)), np.zeros(4, dtype=int),
+                 TrainConfig(0.1, 0, 8, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -854,19 +833,28 @@ def _readout_head_on_full_features(model, layer_index, xs, ys, cfg):
 
 
 @pytest.mark.parametrize("layer_index", [0, 1, 3])
-def test_readout_on_pooled_features_is_the_gap_head_bitwise(layer_index):
+def test_readout_on_pooled_features_is_the_gap_head_bitwise(layer_index, monkeypatch):
     model = init_model(parse_spec(REFERENCE_STRIDED), seed=0)
     rng = np.random.default_rng(4)
     xs, ys = rng.random((40, 1, 32, 32)), rng.integers(0, 16, 40)
     cfg = TrainConfig(0.5, 2, 8, seed=3)
-    readout = train_readout(model, layer_index, xs, ys, cfg)
     oracle = _readout_head_on_full_features(model, layer_index, xs, ys, cfg)
-    assert readout.spec.layers[layer_index + 1:] == oracle.spec.layers
-    head = readout.params[layer_index + 1:]
-    assert [sorted(p) for p in head] == [sorted(p) for p in oracle.params]
-    for p, q in zip(head, oracle.params):
+    heads = []
+
+    def recording_train(*args, **kwargs):
+        heads.append(train(*args, **kwargs))
+        return heads[-1]
+
+    monkeypatch.setattr(nn, "train", recording_train)
+    entry = _profile(model, layer_index, xs, ys, cfg)
+    (head,) = heads
+    assert head.spec.layers == oracle.spec.layers[1:]
+    assert [sorted(p) for p in head.params] == [sorted(p) for p in oracle.params[1:]]
+    for p, q in zip(head.params, oracle.params[1:]):
         for key in p:
             assert np.array_equal(p[key], q[key]), key
+    assert entry.readout_accuracy == nn._accuracy(oracle, layer_activations(model, xs,
+                                                                             layer_index), ys)
 
 
 def test_layer0_readout_keeps_no_full_resolution_features():
@@ -875,4 +863,4 @@ def test_layer0_readout_keeps_no_full_resolution_features():
     xs, ys = rng.random((800, 1, 32, 32)), rng.integers(0, 16, 800)  # acceptance-size data
     cfg = TrainConfig(0.5, 1, 32, seed=0)
     # the 800x8x32x32 layer-0 features alone are 52 MB
-    assert _warm_peak_mb(lambda: train_readout(model, 0, xs, ys, cfg)) < 8.0
+    assert _warm_peak_mb(lambda: _profile(model, 0, xs, ys, cfg)) < 8.0

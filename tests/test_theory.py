@@ -77,3 +77,11 @@ def test_piecewise_gap_detects_exact_position_detector():
 def test_verify_all_gates():
     assert theory.verify_all(seed=0) == {"observation": True, "claim": True,
                                          "corollary": True, "lattice": True}
+
+
+def test_verify_all_passes_on_every_seed():
+    # on seeds such as 8, 12 and 13 the on-lattice gaps are a few ulp, not 0:
+    # the global mean sums a rolled feature map in another order
+    failed = {seed: gates for seed in range(100)
+              if not all((gates := theory.verify_all(seed)).values())}
+    assert failed == {}
