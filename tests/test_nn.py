@@ -513,6 +513,27 @@ def test_train_learns_separable_data():
     assert nn._accuracy(model, xs, ys) >= 0.95
 
 
+def test_train_prints_the_running_accuracy_of_each_epoch(capsys):
+    xs, ys = _two_blob_dataset()
+    spec = parse_spec("input 1 8 8\nconv 2 3 act=relu\ngap\ndense 2\nsoftmax\n")
+    cfg = TrainConfig(0.1, 3, 8, seed=5)
+    model = train(spec, xs, ys, cfg, verbose=True)
+    printed = [line.split("running_acc=")[1] for line in capsys.readouterr().out.splitlines()]
+    # the same SGD steps, each batch's top-1 hits counted before its step
+    oracle = init_model(spec, seed=cfg.seed, init_scale=cfg.init_scale)
+    rng = np.random.default_rng(cfg.seed + 1)
+    want = []
+    for _ in range(cfg.epochs):
+        order, right = rng.permutation(len(xs)), 0
+        for i in range(0, len(xs), cfg.batch_size):
+            sel = order[i:i + cfg.batch_size]
+            right += int(np.sum(np.argmax(forward(oracle, xs[sel]), axis=1) == ys[sel]))
+            backward_sgd_step(oracle, xs[sel], ys[sel], cfg.learning_rate)
+        want.append(f"{right / len(xs):.3f}")
+    assert printed == want
+    assert nn.model_bytes(model) == nn.model_bytes(oracle)
+
+
 def test_train_is_seed_deterministic():
     xs, ys = _two_blob_dataset(n_per=8)
     spec = parse_spec("input 1 8 8\nconv 2 3 act=relu\ngap\ndense 2\nsoftmax\n")
