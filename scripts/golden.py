@@ -84,6 +84,9 @@ COMMANDS = [
                                    "--label", "0", "--out", "$WORK/none_jag.csv",
                                    "--canvas", "20", "--embed", "12", "--sweep-start", "30",
                                    "--sweep-end", "40"]),
+    ("jaggedness-label-out-of-range", ["jaggedness", "--model", MODEL, "--image", IMAGE,
+                                       "--label", "-1", "--out", "$WORK/label_jag.csv",
+                                       "--canvas", "20", "--embed", "12"]),
     ("depth-profile", ["depth-profile", "--model", MODEL, "--data", DATA,
                        "--out", "$WORK/depth.csv", "--layers", "0,1,3", "--epochs", "2",
                        "--canvas", "20", "--embed", "14"]),
@@ -91,6 +94,8 @@ COMMANDS = [
                                        "--out", "$WORK/depth_repeated.csv", "--layers", "3,0,3",
                                        "--epochs", "2", "--canvas", "20", "--embed", "14"]),
     ("shiftability", ["shiftability", "--model", MODEL, "--image", IMAGE, "--layer", "1"]),
+    ("shiftability-layer-out-of-range", ["shiftability", "--model", MODEL, "--image", IMAGE,
+                                         "--layer", "-1"]),
     ("feature-trace", ["feature-trace", "--model", MODEL, "--image", IMAGE, "--layer", "3",
                        "--out", "$WORK/trace_max.csv", "--canvas", "20", "--embed", "12",
                        "--shifts", "4"]),

@@ -7,19 +7,19 @@ image id) so reports are stable under reordering; records are sorted by
 image id before aggregation and writing.
 
 Every audit scores its canvases in batches: canvases are built lazily and
-stacked by `nn.forward_chunks`, the chunk rule that also serves the dataset
-accuracy, into one forward call per chunk of at most `nn.CHUNK_VALUES` input
-values. The forward kernels are batch-invariant (see `nn`), so a canvas gets
-the same bits whichever chunk it lands in, and reports do not depend on
-image order or chunking. Canvases of skipped images or invalid sweep points
-are never stacked. An image is resized once per embed size and pasted at
-each position it is scored at. `top1_change_probability` and the depth
-profile build their canvas pairs with the same code (`_scored_pairs`); the
-profile runs the base net once per canvas and once per training image, up to
-its deepest probed layer, and every probed layer's readout head scores that
-layer's pooled features from the one pass. An audit that scores no image,
-and a jaggedness curve that scores no position, raise ValueError: they
-measured nothing.
+stacked by `nn.forward_chunks` (keyed pairs and sweep points) or `nn._stacked`
+(traces and shifted copies) into one forward call per chunk of at most
+`nn.CHUNK_VALUES` input values. The forward kernels are batch-invariant (see
+`nn`), so a canvas gets the same bits whichever chunk it lands in, and
+reports do not depend on image order or chunking. Canvases of skipped images
+or invalid sweep points are never stacked. An image is resized once per
+embed size and pasted at each position it is scored at.
+`top1_change_probability` and the depth profile build their canvas pairs
+with the same code (`_scored_pairs`); the profile runs the base net once per
+canvas and once per training image, up to its deepest probed layer, and
+every probed layer's readout head scores that layer's pooled features from
+the one pass. An audit that scores no image, and a jaggedness curve that
+scores no position, raise ValueError: they measured nothing.
 """
 
 from __future__ import annotations
@@ -84,10 +84,11 @@ class AuditReport:
         return wilson_interval(sum(r.changed for r in self.records), self.n)
 
 
-def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if n == 0:
         return 0.0, 1.0
+    z = 1.959963984540054  # the standard normal's 97.5% quantile
     p = k / n
     denom = 1 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -201,8 +202,11 @@ def jaggedness_curve(model, image, proto: EmbeddingProtocol, sweep, label: int):
     """Correct-class score as the top-row position of the embedding sweeps.
 
     Invalid sweep points are emitted with a NaN score; a sweep with no valid
-    point raises ValueError.
+    point, and a label that is not one of the model's classes, raise
+    ValueError.
     """
+    if not 0 <= label < model.spec.shapes[-1][0]:
+        raise ValueError(f"label {label} out of range for {model.spec.shapes[-1][0]} classes")
     series = [(param, float("nan")) for param in sweep]
     reasons = []
 
@@ -242,14 +246,12 @@ class DepthProfileEntry:
 
 def _pooled_layers(model, layer_indices):
     """Batched features of several layers from one forward pass up to the
-    deepest of them: each layer's output, averaged over space by the gap
-    forward when it is spatial, concatenated along axis 1 in the order of
+    deepest of them: each layer's output, averaged over space (as a gap layer
+    does) when it is spatial, concatenated along axis 1 in the order of
     `layer_indices`."""
-    gap = nn.GapSpec()
-
     def fn(x):
         acts, _ = nn._forward_layers(model, x, upto=max(layer_indices))
-        return np.concatenate([gap.forward(acts[li], {}, {})[0] if acts[li].ndim == 4
+        return np.concatenate([acts[li].mean(axis=(2, 3)) if acts[li].ndim == 4
                                else acts[li] for li in layer_indices], axis=1)
     return fn
 
@@ -305,10 +307,18 @@ def feature_shift_trace(model, layer_index: int, image, proto: EmbeddingProtocol
     """
     resized = transforms.resize_longest_side(image, proto.embed_size)
     top, left = proto.position
-    canvases = ((None, transforms.paste(resized, replace(proto, position=(top + dy, left)))[0])
-                for dy in map(int, shifts))
-    return np.stack([row for _, row in
-                     nn.forward_chunks(_pooled_activations(model, layer_index), canvases)])
+    return nn._stacked(_pooled_activations(model, layer_index),
+                       (transforms.paste(resized, replace(proto, position=(top + dy, left)))[0]
+                        for dy in map(int, shifts)))
+
+
+def spatial_layer_factor(model, layer_index: int) -> int:
+    """The cumulative stride of a layer, which must exist and be spatial."""
+    if not 0 <= layer_index < len(model.spec.layers):
+        raise IndexError(f"layer index {layer_index} out of range")
+    if len(model.spec.shapes[layer_index]) != 3:
+        raise ValueError(f"layer {layer_index} is not spatial")
+    return model.spec.cumulative_factors[layer_index]
 
 
 def feature_shiftability_error(model, layer_index: int, image, basis: sampling.BasisKernel) -> float:
@@ -320,20 +330,16 @@ def feature_shiftability_error(model, layer_index: int, image, basis: sampling.B
     strided network computes. Stride-1 layers are trivially shiftable and
     report 0.
     """
-    s = model.spec.cumulative_factors[layer_index]
+    s = spatial_layer_factor(model, layer_index)
     if s == 1:
         return 0.0
     x = np.asarray(image, dtype=np.float64)
     # input shifted by -t puts the response sampled at grid position j*s + t
-    shifted = ((None, np.roll(x, -t, axis=axis)) for axis in (1, 2) for t in range(s))
-    acts = [act for _, act in nn.forward_chunks(
-        lambda b: nn.layer_activations(model, b, layer_index), shifted)]
-    c, h, w = acts[0].shape
-    dense_h = np.zeros((c, h * s, w))
-    dense_w = np.zeros((c, h, w * s))
-    for t in range(s):
-        dense_h[:, t::s, :] = acts[t]
-        dense_w[:, :, t::s] = acts[s + t]
+    acts = nn._stacked(partial(nn.layer_activations, model, layer_index=layer_index),
+                       (np.roll(x, -t, axis=axis) for axis in (1, 2) for t in range(s)))
+    c, h, w = acts.shape[1:]
+    dense_h = acts[:s].transpose(1, 2, 0, 3).reshape(c, h * s, w)
+    dense_w = acts[s:].transpose(1, 2, 3, 0).reshape(c, h, w * s)
     worst = 0.0
     for ch in range(c):
         col = dense_h[ch, :, w // 2]

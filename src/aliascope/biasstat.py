@@ -7,9 +7,9 @@ height normalized by image height so differently-sized images compare.
 
 Boxes are held as columns (`Annotations`): one float64 array per coordinate
 and each box's category as an integer code. Validity is one boolean mask,
-every valid box's bins come from one array expression, and each category's
-counts from one `np.bincount` per histogram, so no Python object is made per
-box.
+every valid box's bins come from one array expression, and all categories'
+counts from one `np.bincount` per histogram over `code * k + bin`, so no
+Python object is made per box.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ class Annotations:
                    *(np.asarray(col, dtype=np.float64)
                      for col in (box_x, box_y, box_w, box_h, img_w, img_h)))
 
-    def __len__(self) -> int:
-        return len(self.codes)
-
     def valid(self) -> np.ndarray:
         """Mask of the boxes of positive size that lie inside an image of
         positive size."""
@@ -55,16 +52,6 @@ class Annotations:
                 & (self.box_x >= 0) & (self.box_y >= 0)
                 & (self.box_x + self.box_w <= self.img_w)
                 & (self.box_y + self.box_h <= self.img_h))
-
-
-@dataclass(frozen=True)
-class BinnedCounts:
-    description: str
-    observed: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.observed)
 
 
 def _bins(ann: Annotations, position_grid: int, size_bins: int):
@@ -87,38 +74,17 @@ def _bins(ann: Annotations, position_grid: int, size_bins: int):
             bins(bh / ih, size_bins))
 
 
-def _binned_counts(pos, size, position_grid: int, size_bins: int):
-    """BinnedCounts of the position cells and size bins of some boxes."""
-    n_pos = position_grid * position_grid
-    return (BinnedCounts(f"position {position_grid}x{position_grid}",
-                         tuple(np.bincount(pos, minlength=n_pos).tolist())),
-            BinnedCounts(f"size height/img_h {size_bins} bins",
-                         tuple(np.bincount(size, minlength=size_bins).tolist())))
-
-
-def bin_annotations(annotations: Annotations, position_grid: int = 5, size_bins: int = 10):
-    """Histogram box centers (normalized to [0,1]^2) and relative heights.
-
-    Returns (position_counts, size_counts, rejects) where the counts are
-    BinnedCounts and rejects tallies invalid boxes that were skipped.
-    """
-    if not len(annotations):
-        raise ValueError("no annotations to bin")
-    valid, pos, size = _bins(annotations, position_grid, size_bins)
-    return (*_binned_counts(pos, size, position_grid, size_bins),
-            len(annotations) - int(np.count_nonzero(valid)))
-
-
-def chi2_statistic(counts: BinnedCounts) -> tuple[float, int]:
-    """Chi-squared against the uniform expectation E_i = N / k."""
-    k = len(counts.observed)
+def chi2_statistic(observed) -> tuple[float, int]:
+    """Chi-squared of the counts `observed` against the uniform expectation
+    E_i = N / k."""
+    k = len(observed)
     if k < 2:
         raise ValueError("need at least 2 bins")
-    n = counts.total
+    n = sum(observed)
     if n == 0:
         raise ValueError("empty counts")
     e = n / k
-    stat = sum((o - e) ** 2 / e for o in counts.observed)
+    stat = sum((o - e) ** 2 / e for o in observed)
     return stat, k - 1
 
 
@@ -231,25 +197,25 @@ def category_bias_report(annotations: Annotations, position_grid: int = 5,
     either p-value falls below 1e-10.
     """
     valid, pos, size = _bins(annotations, position_grid, size_bins)
-    # the valid boxes grouped by category, then each category's range of them
     codes = annotations.codes[valid]
-    order = np.argsort(codes)
-    pos, size = pos[order], size[order]
-    starts = np.searchsorted(codes[order], np.arange(len(annotations.categories) + 1))
+    n_cat, n_pos = len(annotations.categories), position_grid * position_grid
+
+    def histograms(bins, k):  # (categories, k) counts from one bincount
+        return np.bincount(codes * k + bins, minlength=n_cat * k).reshape(n_cat, k)
+
+    pos_counts, size_counts = histograms(pos, n_pos), histograms(size, size_bins)
     out = []
-    k_max = max(position_grid * position_grid, size_bins)
-    for i, category in enumerate(annotations.categories):
-        lo, hi = int(starts[i]), int(starts[i + 1])
-        if hi - lo < min_per_bin * k_max:
-            out.append(CategoryBias(category, hi - lo, math.nan, math.nan,
+    for category, pos_row, size_row in zip(annotations.categories, pos_counts, size_counts):
+        n = int(size_row.sum())
+        if n < min_per_bin * max(n_pos, size_bins):
+            out.append(CategoryBias(category, n, math.nan, math.nan,
                                     math.nan, math.nan, False, True))
             continue
-        pos_counts, size_counts = _binned_counts(pos[lo:hi], size[lo:hi], position_grid,
-                                                 size_bins)
-        cp, dfp = chi2_statistic(pos_counts)
-        cs, dfs = chi2_statistic(size_counts)
+        # Python sums over Python ints, so the statistics' bits do not depend on numpy
+        cp, dfp = chi2_statistic(pos_row.tolist())
+        cs, dfs = chi2_statistic(size_row.tolist())
         pp, ps = chi2_pvalue(cp, dfp), chi2_pvalue(cs, dfs)
-        out.append(CategoryBias(category, hi - lo, cp, pp, cs, ps,
+        out.append(CategoryBias(category, n, cp, pp, cs, ps,
                                 pp < FLAG_THRESHOLD or ps < FLAG_THRESHOLD, False))
     return out
 

@@ -73,7 +73,7 @@ def write_manifest(args, started: float, artifact: bytes | None) -> None:
 
 def _audit_images(ds, limit=None):
     """(image id, image) and (image id, label) pairs of the first `limit` images."""
-    ids = [f"{int(lbl)}/{i:05d}" for i, lbl in enumerate(ds.labels)][:limit or None]
+    ids = [f"{int(lbl)}/{i:05d}" for i, lbl in enumerate(ds.labels)][:limit]
     return list(zip(ids, ds.images)), [(iid, int(lbl)) for iid, lbl in zip(ids, ds.labels)]
 
 
@@ -87,6 +87,13 @@ def _nonzero_int(text: str) -> int:
     if value == 0:
         raise argparse.ArgumentTypeError("must be nonzero: a zero shift compares an image "
                                          "with itself")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be positive")
     return value
 
 
@@ -141,9 +148,8 @@ def cmd_sweep_embed(args, model, data):
     images, labels = _audit_images(data, args.limit)
     sizes = [int(s) for s in args.sizes.split(",")]
     mode = AuditMode.TRANSLATE if args.mode == "shift" else AuditMode.SCALE
-    kwargs = {"delta": ShiftSpec(1, 0)} if mode is AuditMode.TRANSLATE else {}
     reports = [audit.top1_change_probability(model, images, replace(_proto(args), embed_size=size),
-                                             mode, seed=args.seed, labels=labels, **kwargs)
+                                             mode, seed=args.seed, labels=labels)
                for size in sizes]
     for size, rep in zip(sizes, reports):
         print(f"embed={size} p_hat={rep.p_hat:.4f} n={rep.n}")
@@ -174,7 +180,7 @@ def cmd_shiftability(args, model, image):
     kind = {"tent": sampling.KernelKind.LINEAR_TENT,
             "cubic": sampling.KernelKind.CUBIC_BSPLINE,
             "sinc": sampling.KernelKind.WINDOWED_SINC}[args.kernel]
-    s = model.spec.cumulative_factors[args.layer]
+    s = audit.spatial_layer_factor(model, args.layer)
     basis = sampling.BasisKernel(kind, max(1, s), window_halfwidth=args.window)
     err = audit.feature_shiftability_error(model, args.layer, image, basis)
     print(f"layer={args.layer} stride={s} shiftability_error={err!r}")
@@ -221,9 +227,9 @@ def cmd_verify_theory(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_proto_flags(p, default_canvas=32, default_embed=24):
-    p.add_argument("--canvas", type=int, default=default_canvas)
-    p.add_argument("--embed", type=int, default=default_embed)
+def _add_proto_flags(p):
+    p.add_argument("--canvas", type=int, default=32)
+    p.add_argument("--embed", type=int, default=24)
     p.add_argument("--fill", choices=["black", "inpaint"], default="black")
 
 
@@ -244,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True)
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--limit", type=int, default=None)
+        p.add_argument("--limit", type=_positive_int, default=None)
         return p
 
     p = add("gen-data", cmd_gen_data, help="generate a synthetic translatable dataset")

@@ -146,29 +146,15 @@ def read_ppm(path) -> np.ndarray:
         return _read_payload(fh, 3 * w * h).reshape(h, w, 3).transpose(2, 0, 1)
 
 
-def _check_range(t: np.ndarray):
-    if t.min() < 0 or t.max() > 255:
-        raise ValueError("pixel values must lie in [0, 255]")
-
-
 def write_pgm(t: np.ndarray, path) -> None:
     if t.ndim != 3 or t.shape[0] != 1:
         raise ValueError("write_pgm expects a (1, h, w) tensor")
-    _check_range(t)
+    if t.min() < 0 or t.max() > 255:
+        raise ValueError("pixel values must lie in [0, 255]")
     _, h, w = t.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(np.rint(t[0]).astype(np.uint8).tobytes())
-
-
-def write_ppm(t: np.ndarray, path) -> None:
-    if t.ndim != 3 or t.shape[0] != 3:
-        raise ValueError("write_ppm expects a (3, h, w) tensor")
-    _check_range(t)
-    _, h, w = t.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.rint(t.transpose(1, 2, 0)).astype(np.uint8).tobytes())
 
 
 def read_image(path) -> np.ndarray:

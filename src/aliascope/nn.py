@@ -31,6 +31,8 @@ at once, plus one image's patch matrix. `forward_chunks` is the one chunk
 rule: it stacks inputs into calls of at most `CHUNK_VALUES` input values,
 and the audits, the dataset accuracy, the depth profile's features and
 `theory` all go through it, so only a training batch is ever larger.
+`_stacked(fn, xs)` is the one call for a batched read-out of an iterable of
+inputs; only callers that carry a key per input use `forward_chunks` itself.
 `_forward_layers(..., upto=i)` runs layers 0..i and returns every one of
 their outputs, so one pass serves several probed layers (the depth profile);
 a layer's output does not depend on how far the pass goes.
@@ -645,15 +647,14 @@ def forward_chunks(fn, items):
 
 
 def _stacked(fn, xs) -> np.ndarray:
-    """fn(xs) for an array of inputs, computed by `forward_chunks`."""
-    if len(xs) == 0:
+    """fn's rows for the inputs of the iterable `xs`, computed by
+    `forward_chunks` and stacked in order. The rows are held until they are
+    stacked, so `fn` must return arrays that no later call overwrites (as
+    `forward`, `layer_activations` and the pooled read-outs of `audit` do)."""
+    rows = [row for _, row in forward_chunks(fn, ((None, x) for x in xs))]
+    if not rows:
         raise ValueError("no inputs")
-    out = None
-    for i, row in forward_chunks(fn, enumerate(xs)):
-        if out is None:
-            out = np.empty((len(xs),) + row.shape, row.dtype)
-        out[i] = row
-    return out
+    return np.stack(rows)
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from . import nn, sampling
+from . import audit, nn, sampling
 from .transforms import PiecewiseTransform, Rect, piecewise_shift
 
 
@@ -42,17 +42,18 @@ def _stride1_spec(h: int, w: int) -> nn.NetworkSpec:
                          "gap\ndense 4\nsoftmax\n")
 
 
-def _test_input(rng, shape=(1, 16, 16)) -> np.ndarray:
-    """Random blob with interior support (two pixels clear of every edge)."""
-    x = np.zeros(shape)
-    x[:, 4:-4, 4:-4] = rng.random((shape[0], shape[1] - 8, shape[2] - 8))
+def _test_input(rng) -> np.ndarray:
+    """Random 16x16 blob with interior support (two pixels clear of every edge)."""
+    x = np.zeros((1, 16, 16))
+    x[:, 4:-4, 4:-4] = rng.random((1, 8, 8))
     return x
 
 
-def _strided_spec(h: int, w: int) -> nn.NetworkSpec:
+def _strided_spec() -> nn.NetworkSpec:
     """Two circular convs, each followed by a 2x2 stride-2 max pool, and a gap
-    head: cumulative stride 4, so exactly invariant on that lattice only."""
-    return nn.parse_spec(f"input 1 {h} {w}\n"
+    head on 16x16 inputs: cumulative stride 4, so exactly invariant on that
+    lattice only."""
+    return nn.parse_spec("input 1 16 16\n"
                          "conv 6 3 stride=1 pad=circular act=relu\nmaxpool 2 stride=2\n"
                          "conv 6 3 stride=1 pad=circular act=relu\nmaxpool 2 stride=2\n"
                          "gap\ndense 4\nsoftmax\n")
@@ -64,8 +65,8 @@ def _translation_gaps(model: nn.Model, x: np.ndarray) -> np.ndarray:
     _, h, w = x.shape
     # every translation, batched by the chunker; row 0 is the identity, and
     # the forward pass is batch-invariant, so it is bitwise the unshifted score
-    shifted = ((None, np.roll(x, (dy, dx), axis=(1, 2))) for dy in range(h) for dx in range(w))
-    scores = np.stack([row for _, row in nn.forward_chunks(partial(nn.forward, model), shifted)])
+    scores = nn._stacked(partial(nn.forward, model),
+                         (np.roll(x, (dy, dx), axis=(1, 2)) for dy in range(h) for dx in range(w)))
     return np.max(np.abs(scores - scores[0]), axis=1).reshape(h, w)
 
 
@@ -88,7 +89,7 @@ def lattice_check(seed: int = 0) -> LatticeResult:
     """Logit gaps of a random circular strided gap-head net over every
     integer 2D translation, split by whether both shift components are
     multiples of its cumulative stride."""
-    spec = _strided_spec(16, 16)
+    spec = _strided_spec()
     model = nn.init_model(spec, seed=seed)
     gaps = _translation_gaps(model, _test_input(np.random.default_rng(seed)))
     factor = spec.cumulative_factors[-1]
@@ -108,9 +109,10 @@ class ClaimResult:
     impulse_nyquist: sampling.BandlimitResult      # and of the impulse train
 
 
-def claim_check(s: int = 2, length: int = 512) -> ClaimResult:
+def claim_check() -> ClaimResult:
     """Pooling invariance and the Nyquist check for a shiftable response vs.
-    the center detector."""
+    the center detector, at stride 2 on 512 samples."""
+    s, length = 2, 512
     kernel = sampling.BasisKernel(sampling.KernelKind.WINDOWED_SINC, s,
                                   window_halfwidth=96 * s)
     x = np.arange(length, dtype=np.float64)
@@ -152,11 +154,8 @@ def piecewise_gap(model: nn.Model, x: np.ndarray, t: PiecewiseTransform,
     The caller keeps feature support and receptive fields inside the pieces
     through the margins of t.
     """
-    def pooled(batch):
-        return nn.layer_activations(model, batch, layer_index).sum(axis=(2, 3))
-
-    pair = ((None, x), (None, piecewise_shift(x, t)))
-    before, after = (row for _, row in nn.forward_chunks(pooled, pair))
+    before, after = nn._stacked(audit._pooled_activations(model, layer_index),
+                                (x, piecewise_shift(x, t)))
     return float(np.max(np.abs(after - before)))
 
 

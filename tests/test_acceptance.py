@@ -204,7 +204,7 @@ def test_criterion_8_subsampling_arithmetic(capsys):
 def test_criterion_9_chi_squared_audit(capsys):
     """Concentrated category flagged, uniform one not; exact stat; oracle p."""
     special = pytest.importorskip("scipy.special")
-    stat, df = biasstat.chi2_statistic(biasstat.BinnedCounts("x", (10, 0, 10, 0)))
+    stat, df = biasstat.chi2_statistic((10, 0, 10, 0))
     exact = stat == 20.0 and df == 3
 
     def box(category, cx, cy, rel_h):

@@ -218,6 +218,15 @@ def test_jaggedness_curve_that_scores_nothing_raises():
         jaggedness_curve(model, img, PROTO, range(5, 3), label=0)
 
 
+@pytest.mark.parametrize("label", [-1, 3])
+def test_jaggedness_curve_rejects_a_label_that_is_no_class(monkeypatch, label):
+    model = init_model(parse_spec(STRIDE1), seed=4)
+    img = np.random.default_rng(6).random((1, 6, 6))
+    monkeypatch.setattr(nn, "forward", None)  # scoring anything would raise TypeError
+    with pytest.raises(ValueError, match=f"label {label} out of range for 3 classes"):
+        jaggedness_curve(model, img, PROTO, range(0, 4), label=label)
+
+
 def _tiny_dataset(n_per=6, seed=8):
     rng = np.random.default_rng(seed)
     xs, ys = [], []
@@ -364,6 +373,18 @@ def test_feature_shiftability_error_positive_after_pooling():
     basis = BasisKernel(KernelKind.LINEAR_TENT, 2)
     err = feature_shiftability_error(model, 1, img, basis)
     assert err > 0.0
+
+
+def test_feature_shiftability_error_rejects_a_missing_or_flat_layer():
+    model = init_model(parse_spec(STRIDE1), seed=9)  # stride 1 throughout
+    img = np.random.default_rng(11).random((1, 16, 16))
+    basis = BasisKernel(KernelKind.LINEAR_TENT, 2)
+    for layer in (-1, -4, 4):
+        with pytest.raises(IndexError, match=f"layer index {layer} out of range"):
+            feature_shiftability_error(model, layer, img, basis)
+    for layer in (1, 2):  # gap and dense
+        with pytest.raises(ValueError, match=f"layer {layer} is not spatial"):
+            feature_shiftability_error(model, layer, img, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,7 @@ from hypothesis import given, strategies as st
 from aliascope import biasstat
 from aliascope.biasstat import (
     Annotations,
-    BinnedCounts,
     bias_report_csv,
-    bin_annotations,
     category_bias_report,
     chi2_pvalue,
     chi2_statistic,
@@ -27,6 +25,12 @@ def _ann(category="cat", cx=0.5, cy=0.5, rel_h=0.3, rel_w=0.3, img=100.0):
 
 def _columns(rows):
     return Annotations.of(*zip(*rows)) if rows else Annotations.of(*[()] * 7)
+
+
+def _box_bins(rows, position_grid=5, size_bins=10):
+    """(valid, pos, size) of `_bins` as lists: one flag per box, one bin per valid box."""
+    valid, pos, size = biasstat._bins(_columns(rows), position_grid, size_bins)
+    return valid.tolist(), pos.tolist(), size.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -47,30 +51,26 @@ def test_bin_annotations_center_and_edges():
             _ann(cx=0.95, cy=0.95, rel_h=0.05, rel_w=0.05),  # bottom-right cell
             _ann(cx=0.5, cy=0.5, rel_h=0.999, rel_w=0.05),   # center, last decile
             _ann(cx=0.5, cy=0.5, rel_h=0.55, rel_w=0.05)]    # center, decile 5
-    pos, size, rejects = bin_annotations(_columns(anns))
-    assert rejects == 0
-    assert pos.observed[0] == 1
-    assert pos.observed[24] == 1
-    assert pos.observed[2 * 5 + 2] == 2
-    assert size.observed[0] == 2
-    assert size.observed[9] == 1
-    assert size.observed[5] == 1
-    assert pos.total == size.total == 4
+    valid, pos, size = _box_bins(anns)
+    assert valid == [True] * 4
+    assert pos == [0, 24, 2 * 5 + 2, 2 * 5 + 2]
+    assert size == [0, 0, 9, 5]
 
 
 def test_bin_annotations_boundary_value_goes_left_open_right():
     # center exactly on a bin edge belongs to the right bin; 1.0 to the last
-    pos, size, _ = bin_annotations(_columns([_ann(cx=0.2, cy=0.5, rel_h=1.0, rel_w=0.4)]))
-    assert size.observed[9] == 1
-    assert pos.observed[2 * 5 + 1] == 1  # cx = 0.2 falls in bin 1 of 5
+    _, pos, size = _box_bins([_ann(cx=0.2, cy=0.5, rel_h=1.0, rel_w=0.4)])
+    assert size == [9]
+    assert pos == [2 * 5 + 1]  # cx = 0.2 falls in bin 1 of 5
 
 
 def test_bin_annotations_counts_rejects():
-    anns = [_ann(), ("c", -5, 0, 10, 10, 100, 100)]
-    _, _, rejects = bin_annotations(_columns(anns))
-    assert rejects == 1
-    with pytest.raises(ValueError):
-        bin_annotations(_columns([]))
+    anns = [_ann("c"), ("c", -5, 0, 10, 10, 100, 100)]
+    valid, pos, size = _box_bins(anns)
+    assert valid == [True, False]
+    assert len(pos) == len(size) == 1  # the rejected box gets no bin
+    (r,) = category_bias_report(_columns(anns))
+    assert r.n == 1  # valid boxes only
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +78,19 @@ def test_bin_annotations_counts_rejects():
 # ---------------------------------------------------------------------------
 
 def test_chi2_statistic_hand_computed():
-    stat, df = chi2_statistic(BinnedCounts("x", (10, 0, 10, 0)))
+    stat, df = chi2_statistic((10, 0, 10, 0))
     assert stat == pytest.approx(20.0, abs=1e-12)  # E = 5: 4 * 25 / 5
     assert df == 3
-    stat, df = chi2_statistic(BinnedCounts("x", (7, 7, 7)))
+    stat, df = chi2_statistic([7, 7, 7])
     assert stat == 0.0
     assert df == 2
 
 
 def test_chi2_statistic_rejects_degenerate():
     with pytest.raises(ValueError):
-        chi2_statistic(BinnedCounts("x", (5,)))
+        chi2_statistic((5,))
     with pytest.raises(ValueError):
-        chi2_statistic(BinnedCounts("x", (0, 0)))
+        chi2_statistic((0, 0))
 
 
 def test_upper_gamma_known_values():
@@ -211,10 +211,10 @@ def _balanced_annotations(category, n):
 
 
 def test_balanced_annotations_are_exactly_uniform():
-    pos, size, rejects = bin_annotations(_columns(_balanced_annotations("x", 500)))
-    assert rejects == 0
-    assert set(pos.observed) == {20}
-    assert set(size.observed) == {50}
+    valid, pos, size = _box_bins(_balanced_annotations("x", 500))
+    assert all(valid)
+    assert set(np.bincount(pos, minlength=25).tolist()) == {20}
+    assert set(np.bincount(size, minlength=10).tolist()) == {50}
 
 
 def test_report_flags_concentrated_not_uniform():
@@ -266,7 +266,7 @@ def test_read_annotations_csv(tmp_path):
                     "\n"
                     "cat,320,240,0,0,320,240\n")
     anns = read_annotations_csv(path)
-    assert len(anns) == 2
+    assert len(anns.codes) == 2
     assert anns.categories == ("cat", "dog")
     assert anns.codes.tolist() == [1, 0]
     assert [anns.box_x[0], anns.box_y[0], anns.box_w[0], anns.box_h[0], anns.img_w[0],
@@ -325,27 +325,38 @@ def test_valid_box_with_an_infinite_center_raises(tmp_path):
 
 
 def _bin_row_by_row(rows, grid, size_bins):
-    """The binning oracle: each valid box's bins from Python floats."""
-    pos, size = [0] * grid * grid, [0] * size_bins
-    for _, bx, by, bw, bh, iw, ih in rows:
+    """The binning oracle: each category's position and size counts, with
+    each valid box's bins from Python floats."""
+    counts = {}
+    for category, bx, by, bw, bh, iw, ih in rows:
+        pos, size = counts.setdefault(category, ([0] * grid * grid, [0] * size_bins))
         if bw > 0 and bh > 0 and iw > 0 and ih > 0 and bx >= 0 and by >= 0 and \
                 bx + bw <= iw and by + bh <= ih:
             cx, cy = (bx + bw / 2) / iw, (by + bh / 2) / ih
             pos[min(int(cy * grid), grid - 1) * grid + min(int(cx * grid), grid - 1)] += 1
             size[min(int(bh / ih * size_bins), size_bins - 1)] += 1
-    return tuple(pos), tuple(size)
+    return counts
 
 
 def test_bin_annotations_matches_row_by_row_oracle():
     rng = np.random.default_rng(8)
-    rows = [("c", float(rng.integers(-5, 90)), float(rng.integers(0, 90)),
-             float(rng.integers(0, 40)), float(rng.integers(1, 50)), 100.0, 100.0)
+    rows = [(str(rng.choice(["a", "b", "c"])), float(rng.integers(-5, 90)),
+             float(rng.integers(0, 90)), float(rng.integers(0, 40)),
+             float(rng.integers(1, 50)), 100.0, 100.0)
             for _ in range(2000)]
     rows += [("c", 0.0, 0.0, 20.0, 100.0, 100.0, 100.0), ("c", 40.0, 0.0, 20.0, 50.0, 100.0, 100.0)]
-    for grid, size_bins in ((5, 10), (3, 4), (7, 1)):
-        pos, size, rejects = bin_annotations(_columns(rows), grid, size_bins)
-        assert (pos.observed, size.observed) == _bin_row_by_row(rows, grid, size_bins)
-        assert rejects == len(rows) - pos.total
+    rows += [("void", -1.0, 0.0, 10.0, 10.0, 100.0, 100.0)] * 30  # no valid box
+    for grid, size_bins in ((5, 10), (3, 4), (2, 3), (7, 2)):
+        oracle = _bin_row_by_row(rows, grid, size_bins)
+        report = category_bias_report(_columns(rows), grid, size_bins, min_per_bin=1)
+        assert [r.category for r in report] == ["a", "b", "c", "void"]
+        for r in report:
+            pos, size = oracle[r.category]
+            assert r.n == sum(pos) == sum(size)
+            assert r.insufficient == (r.category == "void")
+            if not r.insufficient:  # bitwise: the oracle's counts give the same statistics
+                assert (r.chi2_pos, r.chi2_size) == (chi2_statistic(pos)[0],
+                                                     chi2_statistic(size)[0])
 
 
 def test_read_annotations_csv_rejects_bad_header(tmp_path):

@@ -164,6 +164,27 @@ def test_audit_that_scores_nothing_exits_1_and_writes_nothing(workspace, tmp_pat
         assert "do not fit" in stderr or "too large" in stderr
 
 
+@pytest.mark.parametrize("limit", ["0", "-10"])
+@pytest.mark.parametrize("command", [["audit-shift"], ["depth-profile", "--layers", "0"]])
+def test_limit_below_1_is_a_usage_error(workspace, tmp_path, capsys, command, limit):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--model", str(workspace / "model.shnn"), "--data",
+                        str(workspace / "ds"), "--out", str(tmp_path / "out.csv"),
+                        "--limit", limit])
+    assert exc.value.code == 2
+    assert "--limit: must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_jaggedness_label_that_is_no_class_exits_1(workspace, tmp_path, capsys):
+    out = tmp_path / "jag.csv"
+    assert main(["jaggedness", "--model", str(workspace / "model.shnn"),
+                 "--image", str(workspace / "ds" / "0" / "00000.pgm"), "--label", "-1",
+                 "--out", str(out), "--canvas", "20", "--embed", "12"]) == 1
+    assert capsys.readouterr().err == "error: label -1 out of range for 4 classes\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_jaggedness_curve_csv(workspace):
     img_path = workspace / "probe.pgm"
     data.write_pgm(np.clip(data.generate_synthetic(
@@ -188,6 +209,21 @@ def test_depth_profile_csv(workspace, capsys):
     assert lines[0] == "layer,depth_fraction,readout_accuracy,flip_rate"
     assert len(lines) == 3
     assert "layer=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("layer, err", [("-1", "layer index -1 out of range"),
+                                        ("-4", "layer index -4 out of range"),
+                                        ("5", "layer index 5 out of range"),
+                                        ("2", "layer 2 is not spatial")])
+def test_shiftability_of_a_missing_or_flat_layer_exits_1(tmp_path, capsys, layer, err):
+    # stride 1 throughout, so no layer's factor alone would fail
+    spec = nn.parse_spec("input 1 16 16\nconv 4 3 pad=circular act=relu\n"
+                         "conv 4 3 pad=circular act=relu\ngap\ndense 3\nsoftmax\n")
+    nn.save_model(nn.init_model(spec, seed=0), tmp_path / "stride1.shnn")
+    data.write_pgm(np.zeros((1, 16, 16)), tmp_path / "x.pgm")
+    assert main(["shiftability", "--model", str(tmp_path / "stride1.shnn"),
+                 "--image", str(tmp_path / "x.pgm"), "--layer", layer]) == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_shiftability_command(workspace, capsys):

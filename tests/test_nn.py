@@ -348,6 +348,24 @@ def test_forward_is_batch_invariant(body, n, seed):
         assert np.array_equal(batched[i], forward(model, x[i:i + 1])[0])
 
 
+def test_stacked_reads_out_a_generator_in_chunks(monkeypatch):
+    model = init_model(small_spec(), seed=0)
+    xs = np.random.default_rng(3).normal(size=(7, 1, 8, 8))
+    calls = []
+
+    def fn(batch):
+        calls.append(len(batch))
+        return forward(model, batch)
+
+    monkeypatch.setattr(nn, "CHUNK_VALUES", 3 * 64)  # three inputs per call
+    got = nn._stacked(fn, (x for x in xs))
+    assert calls == [3, 3, 1]
+    assert np.array_equal(got, forward(model, xs))
+    with pytest.raises(ValueError, match="no inputs"):
+        nn._stacked(fn, iter(()))
+    assert calls == [3, 3, 1]  # nothing is run for no input
+
+
 # ---------------------------------------------------------------------------
 # exact invariance of the stride-1 circular architecture
 # ---------------------------------------------------------------------------
