@@ -348,6 +348,13 @@ def test_bin_annotations_matches_row_by_row_oracle():
     rows += [("void", -1.0, 0.0, 10.0, 10.0, 100.0, 100.0)] * 30  # no valid box
     for grid, size_bins in ((5, 10), (3, 4), (2, 3), (7, 2)):
         oracle = _bin_row_by_row(rows, grid, size_bins)
+        # the bins of all boxes, whose counts the chi2 values below cannot tell apart
+        # from a permutation of them
+        _, pos, size = _box_bins(rows, grid, size_bins)
+        assert np.bincount(pos, minlength=grid * grid).tolist() == np.sum(
+            [p for p, _ in oracle.values()], axis=0).tolist()
+        assert np.bincount(size, minlength=size_bins).tolist() == np.sum(
+            [s for _, s in oracle.values()], axis=0).tolist()
         report = category_bias_report(_columns(rows), grid, size_bins, min_per_bin=1)
         assert [r.category for r in report] == ["a", "b", "c", "void"]
         for r in report:
