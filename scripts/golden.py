@@ -9,7 +9,7 @@ The commands run in-process through `aliascope.cli.main`, all of them in
 one child process per revision whose PYTHONPATH is that revision's `src`:
 the working tree's, and with `--base REV` also REV's committed files,
 exported by `bench_pairs.export` into a temporary directory. The command
-list, the spec file and the annotations CSV come from this script, so both
+list, the spec file and the annotations CSVs come from this script, so both
 revisions get the same inputs. Each command's record holds its exit status,
 its stdout and stderr with the temporary directory spelled `$WORK`, and the
 sha256 of every file it wrote or changed; a manifest is hashed without its
@@ -106,13 +106,18 @@ COMMANDS = [
                                "--canvas", "20", "--embed", "12", "--shifts", "4"]),
     ("bias-audit", ["bias-audit", "--annotations", "$WORK/boxes.csv", "--out", "$WORK/bias.csv",
                     "--pos-grid", "3", "--size-bins", "4"]),
+    ("bias-audit-nothing-scored", ["bias-audit", "--annotations", "$WORK/no_boxes.csv",
+                                   "--out", "$WORK/none_bias.csv"]),
     ("verify-theory", ["verify-theory"]),
 ]
 
 
+ANNOTATION_HEADER = "category,img_w,img_h,box_x,box_y,box_w,box_h"
+
+
 def _annotations() -> str:
     """A fixed annotations CSV: one category of centred boxes, one spread."""
-    rows = ["category,img_w,img_h,box_x,box_y,box_w,box_h"]
+    rows = [ANNOTATION_HEADER]
     for i in range(120):
         rows.append(f"centred,100,100,{45 + i % 3},{44 + i % 5},8,{10 + i % 7}")
         rows.append(f"spread,100,100,{(i * 37) % 90},{(i * 53) % 90},8,{5 + (i * 11) % 40}")
@@ -151,6 +156,7 @@ def collect(work: Path, src: Path) -> dict:
         raise RuntimeError(f"imported aliascope from {aliascope.__file__}, not {src}")
     (work / "net.spec").write_text(SPEC)
     (work / "boxes.csv").write_text(_annotations())
+    (work / "no_boxes.csv").write_text(ANNOTATION_HEADER + "\n")
     record = {"env": {"python": sys.version.split()[0], "numpy": np.__version__},
               "commands": {}}
     for name, argv in COMMANDS:

@@ -1,10 +1,10 @@
 """Measurement harness: top-1 change probabilities under 1-pixel protocols,
 jaggedness curves, depth-wise readout profiles, feature-map shift traces and
-feature shiftability errors, and the CSV text of reports and curves.
+feature shiftability errors, as reports, curves and arrays that `cli` writes.
 
 Per-image protocol randomness (positions) is seeded from (global seed,
 image id) so reports are stable under reordering; records are sorted by
-image id before aggregation and writing.
+image id.
 
 Every audit scores its canvases in batches: canvases are built lazily and
 stacked by `nn.forward_chunks` (keyed pairs and sweep points) or `nn._stacked`
@@ -24,8 +24,6 @@ scores no position, raise ValueError: they measured nothing.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import zlib
 from dataclasses import dataclass, replace
@@ -348,36 +346,3 @@ def feature_shiftability_error(model, layer_index: int, image, basis: sampling.B
             if profile.shape[0] >= 4 * s + 2 * basis.support:
                 worst = max(worst, sampling.shiftability_error(profile, s, basis))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
-# ---------------------------------------------------------------------------
-
-REPORT_HEADER = ["image_id", "protocol", "mode", "param_before", "param_after",
-                 "top1_before", "top1_after", "changed", "score_before", "score_after"]
-
-
-def report_csv(report: AuditReport) -> str:
-    """The report as CSV text: one row per record, then a #summary line."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(REPORT_HEADER)
-    for r in report.records:
-        writer.writerow([r.image_id, r.protocol, r.mode, r.param_before, r.param_after,
-                         r.top1_before, r.top1_after, str(r.changed).lower(),
-                         repr(r.score_before), repr(r.score_after)])
-    lo, hi = report.wilson_interval
-    buf.write(f"#summary,p_hat={report.p_hat!r},ci_low={lo!r},ci_high={hi!r},n={report.n}\n")
-    return buf.getvalue()
-
-
-def curve_csv(series, header=("param", "value")) -> str:
-    """CSV text: the header, then one row per point of `series`, which holds
-    the parameter, the value (written with repr) and any further columns."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for param, value, *rest in series:
-        writer.writerow([param, repr(float(value)), *rest])
-    return buf.getvalue()

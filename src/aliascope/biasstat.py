@@ -2,7 +2,7 @@
 chi-squared-test them against the uniform distribution.
 
 The binning defaults (5x5 position grid, 10 size deciles) are artifact
-choices, configurable and recorded in the report header. Sizes are box
+choices, configurable and recorded in the CSV's `#bins` line. Sizes are box
 height normalized by image height so differently-sized images compare.
 
 Boxes are held as columns (`Annotations`): one float64 array per coordinate
@@ -194,9 +194,14 @@ def category_bias_report(annotations: Annotations, position_grid: int = 5,
 
     Categories with fewer than min_per_bin * max(bins) valid boxes are
     marked insufficient rather than tested. A category is flagged when
-    either p-value falls below 1e-10.
+    either p-value falls below 1e-10. A grid or bin count below 2, and
+    annotations with no valid box, raise ValueError: they test nothing.
     """
+    if position_grid < 2 or size_bins < 2:
+        raise ValueError(f"position grid {position_grid} or size bins {size_bins} below 2")
     valid, pos, size = _bins(annotations, position_grid, size_bins)
+    if not valid.any():
+        raise ValueError(f"no valid box among {len(valid)} annotations")
     codes = annotations.codes[valid]
     n_cat, n_pos = len(annotations.categories), position_grid * position_grid
 
@@ -252,18 +257,3 @@ def read_annotations_csv(path) -> Annotations:
     category = np.loadtxt(io.StringIO(text), usecols=0, dtype=object, ndmin=1, **csv_format)
     _, iw, ih, bx, by, bw, bh = numbers.T
     return Annotations.of(category, bx, by, bw, bh, iw, ih)
-
-
-def bias_report_csv(report, position_grid: int = 5, size_bins: int = 10) -> str:
-    """The report as CSV text, after a #bins line naming the binning."""
-    buf = io.StringIO()
-    buf.write(f"#bins,position={position_grid}x{position_grid},size={size_bins}\n")
-    writer = csv.writer(buf)
-    writer.writerow(["category", "n", "chi2_pos", "p_pos", "chi2_size", "p_size", "flagged"])
-    for r in report:
-        if r.insufficient:
-            writer.writerow([r.category, r.n, "", "", "", "", "insufficient data"])
-        else:
-            writer.writerow([r.category, r.n, repr(r.chi2_pos), repr(r.p_pos),
-                             repr(r.chi2_size), repr(r.p_size), str(r.flagged).lower()])
-    return buf.getvalue()

@@ -3,29 +3,32 @@
 `main` does every subcommand's I/O in one place. It loads the input flags
 through `INPUTS`, in its order, so the first input that fails to load is the
 one reported, and passes the loaded values to the command by flag name. The
-command prints its summary and returns its artifact: CSV text, model bytes,
-or None when it writes no file. `main` writes the artifact to `<out>.tmp` and
-renames that over `<out>`, then writes a JSON run manifest next to it the
-same way, with the sha256 of the bytes written. gen-data alone writes its
-output, a directory, itself.
+command prints its summary and returns its artifact: CSV text from `_csv`,
+model bytes, or None when it writes no file. `main` writes the artifact to
+`<out>.tmp` and renames that over `<out>`, then writes a JSON run manifest
+next to it the same way, with the sha256 of the bytes written. gen-data
+alone writes its output, a directory, itself. The library formats no file.
 
 All randomness flows from --seed (default 0). Exit codes: 0 success, 1
-domain error, 2 usage error. An audit that scores no image, and a jaggedness
-curve that scores no position, are domain errors and write nothing.
+domain error, 2 usage error. An audit that scores no image, a jaggedness
+curve that scores no position, and a bias audit with no valid box are
+domain errors and write nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 from . import __version__, audit, biasstat, data, nn, sampling, theory
-from .audit import AuditMode
+from .audit import AuditMode, AuditRecord
 from .transforms import EmbeddingProtocol, FillMode, ShiftSpec
 
 # Input flags and their loaders, in load order. Each loader looks its module
@@ -71,6 +74,20 @@ def write_manifest(args, started: float, artifact: bytes | None) -> None:
     _write_atomically(final, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
+def _csv(header, rows, before: str = "", after: str = "") -> str:
+    """CSV text: `before`, the header, one line per row, then `after`. Lines
+    end in "\\n", floats are written by repr and booleans as true/false."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return repr(float(value)) if isinstance(value, float) else value
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell(v) for v in row] for row in rows)
+    return before + buf.getvalue() + after
+
+
 def _audit_images(ds, limit=None):
     """(image id, image) and (image id, label) pairs of the first `limit` images."""
     ids = [f"{int(lbl)}/{i:05d}" for i, lbl in enumerate(ds.labels)][:limit]
@@ -90,11 +107,15 @@ def _nonzero_int(text: str) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+def _int_at_least(lo: int):
+    """An argparse type: an int no smaller than `lo`."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError("must be positive" if lo == 1
+                                             else f"must be at least {lo}")
+        return value
+    return integer
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +147,10 @@ def _run_audit(args, model, ds, mode: AuditMode, proto: EmbeddingProtocol, **kwa
     lo, hi = report.wilson_interval
     print(f"p_hat={report.p_hat:.4f} ci=[{lo:.4f},{hi:.4f}] n={report.n} "
           f"skipped={len(report.skipped)}")
-    return audit.report_csv(report)
+    header = [f.name for f in fields(AuditRecord)]  # astuple deep-copies: slow on many rows
+    return _csv(header, ([getattr(r, f) for f in header] for r in report.records),
+                after=f"#summary,p_hat={report.p_hat!r},ci_low={lo!r},ci_high={hi!r},"
+                      f"n={report.n}\n")
 
 
 def cmd_audit_shift(args, model, data):
@@ -153,14 +177,14 @@ def cmd_sweep_embed(args, model, data):
                for size in sizes]
     for size, rep in zip(sizes, reports):
         print(f"embed={size} p_hat={rep.p_hat:.4f} n={rep.n}")
-    return audit.curve_csv([(size, rep.p_hat, rep.n) for size, rep in zip(sizes, reports)],
-                           ("embed_size", "p_hat", "n"))
+    return _csv(("embed_size", "p_hat", "n"),
+                [(size, rep.p_hat, rep.n) for size, rep in zip(sizes, reports)])
 
 
 def cmd_jaggedness(args, model, image):
     sweep = range(args.sweep_start, args.sweep_end + 1)
     series = audit.jaggedness_curve(model, image, _proto(args), sweep, args.label)
-    return audit.curve_csv(series, ("position", "score"))
+    return _csv(("position", "score"), series)
 
 
 def cmd_depth_profile(args, model, data):
@@ -171,9 +195,8 @@ def cmd_depth_profile(args, model, data):
                                              _proto(args), images, seed=args.seed)
     for e in profile:
         print(f"layer={e.layer_index} acc={e.readout_accuracy:.3f} flip={e.flip_rate:.4f}")
-    return "layer,depth_fraction,readout_accuracy,flip_rate\n" + "".join(
-        f"{e.layer_index},{e.depth_fraction!r},{e.readout_accuracy!r},{e.flip_rate!r}\n"
-        for e in profile)
+    return _csv(("layer", "depth_fraction", "readout_accuracy", "flip_rate"),
+                map(astuple, profile))
 
 
 def cmd_shiftability(args, model, image):
@@ -190,9 +213,8 @@ def cmd_feature_trace(args, model, image):
     shifts = list(range(args.shifts + 1))
     trace = audit.feature_shift_trace(model, args.layer, image, _proto(args), shifts)
     print(f"trace variance across shifts: {float(trace.var(axis=0).mean())!r}")
-    return "shift," + ",".join(f"ch{c}" for c in range(trace.shape[1])) + "\n" + "".join(
-        f"{dy}," + ",".join(repr(float(v)) for v in row) + "\n"
-        for dy, row in zip(shifts, trace))
+    return _csv(["shift", *(f"ch{c}" for c in range(trace.shape[1]))],
+                ([dy, *row] for dy, row in zip(shifts, trace)))
 
 
 def cmd_pool_swap(args, model):
@@ -211,7 +233,10 @@ def _parse_pool(text: str) -> nn.PoolSpec:
 def cmd_bias_audit(args, annotations):
     report = biasstat.category_bias_report(annotations, args.pos_grid, args.size_bins)
     print(f"categories={len(report)} flagged={sum(r.flagged for r in report)}")
-    return biasstat.bias_report_csv(report, args.pos_grid, args.size_bins)
+    return _csv(("category", "n", "chi2_pos", "p_pos", "chi2_size", "p_size", "flagged"),
+                ((r.category, r.n, "", "", "", "", "insufficient data") if r.insufficient
+                 else astuple(r)[:-1] for r in report),  # all but `insufficient`
+                before=f"#bins,position={args.pos_grid}x{args.pos_grid},size={args.size_bins}\n")
 
 
 def cmd_verify_theory(args):
@@ -250,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True)
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--limit", type=_positive_int, default=None)
+        p.add_argument("--limit", type=_int_at_least(1), default=None)
         return p
 
     p = add("gen-data", cmd_gen_data, help="generate a synthetic translatable dataset")
@@ -281,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--delta", type=_nonzero_int, default=1)
 
     p = add_audit("audit-crop", cmd_audit_crop, help="top-1 flip rate for 1-pixel-shifted crops")
-    p.add_argument("--crop-size", type=int, default=32)
+    p.add_argument("--crop-size", type=_int_at_least(1), default=32)
     p.add_argument("--noise-scale", type=float, default=0.0)
 
     p = add_audit("sweep-embed", cmd_sweep_embed, help="flip rate vs embedding size")
@@ -311,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True)
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--kernel", choices=["tent", "cubic", "sinc"], default="tent")
-    p.add_argument("--window", type=int, default=0)
+    p.add_argument("--window", type=_int_at_least(0), default=0)
 
     p = add("feature-trace", cmd_feature_trace, help="per-channel spatial sums vs shift")
     p.add_argument("--model", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--shifts", type=int, default=8)
+    p.add_argument("--shifts", type=_int_at_least(0), default=8)
     _add_proto_flags(p)
 
     p = add("pool-swap", cmd_pool_swap, help="replace pooling layers, keeping weights")
@@ -330,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("bias-audit", cmd_bias_audit, help="chi-squared dataset-bias report")
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--pos-grid", type=int, default=5)
-    p.add_argument("--size-bins", type=int, default=10)
+    p.add_argument("--pos-grid", type=_int_at_least(2), default=5)
+    p.add_argument("--size-bins", type=_int_at_least(2), default=10)
 
     add("verify-theory", cmd_verify_theory,
         help="numeric checks of the invariance observation / claim / corollary / "

@@ -590,6 +590,8 @@ def _forward_layers(model: Model, x: np.ndarray, upto: int | None = None):
         x = x[None]
     if x.shape[1] != spec.input_shape[0]:
         raise ValueError(f"input has {x.shape[1]} channels, spec wants {spec.input_shape[0]}")
+    if 0 in x.shape[2:]:
+        raise ValueError(f"input shape {x.shape[1:]} has an empty spatial axis")
     # any spatial size works when every dense layer that runs has a flat
     # input: then no weight shape it uses depends on h or w
     last = len(spec.layers) if upto is None else upto + 1

@@ -38,6 +38,8 @@ class BasisKernel:
     def __post_init__(self):
         if self.factor < 1:
             raise ValueError("factor must be a positive integer")
+        if self.window_halfwidth < 0:
+            raise ValueError(f"window half-width must be >= 0, got {self.window_halfwidth}")
         if self.kind is KernelKind.WINDOWED_SINC and self.window_halfwidth == 0:
             object.__setattr__(self, "window_halfwidth", 8 * self.factor)
 

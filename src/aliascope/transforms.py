@@ -289,6 +289,8 @@ def crop_pair_with_noise(img: np.ndarray, crop_size: int, noise_scale: float,
     whole image before cropping (so the noise is identical in the two crops
     up to the 1-pixel translation) and values are clipped to [0, 1].
     """
+    if crop_size < 1:
+        raise ValueError(f"crop size must be >= 1, got {crop_size}")
     resized = resize_longest_side(img, long_side)
     c, h, w = resized.shape
     if crop_size > h or crop_size + 1 > w:

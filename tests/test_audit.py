@@ -1,6 +1,4 @@
 import ast
-import csv
-import io
 import math
 
 import numpy as np
@@ -10,13 +8,11 @@ from aliascope import nn
 from aliascope.audit import (
     AuditMode,
     DepthProfileEntry,
-    curve_csv,
     depth_invariance_profile,
     feature_shift_trace,
     feature_shiftability_error,
     image_seed,
     jaggedness_curve,
-    report_csv,
     top1_change_probability,
     wilson_interval,
 )
@@ -385,34 +381,3 @@ def test_feature_shiftability_error_rejects_a_missing_or_flat_layer():
     for layer in (1, 2):  # gap and dense
         with pytest.raises(ValueError, match=f"layer {layer} is not spatial"):
             feature_shiftability_error(model, layer, img, basis)
-
-
-# ---------------------------------------------------------------------------
-# CSV output
-# ---------------------------------------------------------------------------
-
-def test_write_report_csv_roundtrip():
-    model = init_model(parse_spec(STRIDED), seed=13)
-    report = top1_change_probability(model, _images(5), PROTO, AuditMode.TRANSLATE)
-    text = report_csv(report)
-    lines = text.splitlines()
-    assert lines[0].split(",")[0] == "image_id"
-    assert lines[-1].startswith("#summary,")
-    rows = [row for row in csv.reader(io.StringIO(text)) if not row[0].startswith("#")]
-    assert len(rows) == 1 + report.n
-    for row, rec in zip(rows[1:], report.records):
-        assert row[0] == rec.image_id
-        assert row[7] == str(rec.changed).lower()
-        assert float(row[8]) == rec.score_before  # repr round-trips exactly
-    summary = dict(kv.split("=") for kv in lines[-1][len("#summary,"):].split(",") )
-    assert float(summary["p_hat"]) == report.p_hat
-    assert int(summary["n"]) == report.n
-
-
-def test_write_curve_csv():
-    lines = curve_csv([(0, 0.5), (1, 0.25)], ("shift", "score")).splitlines()
-    assert lines[0] == "shift,score"
-    assert lines[1] == "0,0.5"
-    assert lines[2] == "1,0.25"
-    assert curve_csv([(12, 0.25, 6)], ("embed_size", "p_hat", "n")).splitlines() == [
-        "embed_size,p_hat,n", "12,0.25,6"]

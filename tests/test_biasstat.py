@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from aliascope import biasstat
 from aliascope.biasstat import (
     Annotations,
-    bias_report_csv,
     category_bias_report,
     chi2_pvalue,
     chi2_statistic,
@@ -255,6 +254,20 @@ def test_report_threshold_boundary():
     assert not r.flagged
 
 
+
+@pytest.mark.parametrize("grid, size_bins", [(1, 10), (0, 10), (-3, 10), (5, 1), (5, 0)])
+def test_report_rejects_grid_or_bins_below_2(grid, size_bins):
+    # the box has no finite bin, so a check made after binning would name that instead
+    anns = Annotations.of(["dog"], [np.inf], [0.0], [1.0], [1.0], [np.inf], [10.0])
+    with pytest.raises(ValueError, match=f"position grid {grid} or size bins {size_bins} below 2"):
+        category_bias_report(anns, grid, size_bins)
+
+
+@pytest.mark.parametrize("rows", [[], [_ann(cx=0.0)] * 3], ids=["no-box", "no-valid-box"])
+def test_report_with_no_valid_box_raises(rows):
+    with pytest.raises(ValueError, match=f"no valid box among {len(rows)} annotations"):
+        category_bias_report(_columns(rows))
+
 # ---------------------------------------------------------------------------
 # CSV I/O
 # ---------------------------------------------------------------------------
@@ -300,8 +313,8 @@ def test_read_annotations_csv_matches_row_by_row_oracle(tmp_path):
     assert [anns.categories[c] for c in anns.codes] == [row[0] for row in oracle]
     for i, name in enumerate(("box_x", "box_y", "box_w", "box_h", "img_w", "img_h")):
         assert getattr(anns, name).tolist() == [row[i + 1] for row in oracle], name
-    got = bias_report_csv(category_bias_report(anns, 2, 3, min_per_bin=1))
-    assert got == bias_report_csv(category_bias_report(_columns(oracle), 2, 3, min_per_bin=1))
+    assert category_bias_report(anns, 2, 3, min_per_bin=1) == category_bias_report(
+        _columns(oracle), 2, 3, min_per_bin=1)
 
 
 @pytest.mark.parametrize("row", ["dog,640,480,10,20,100", "dog,640,480,10,20,100,50,7",
@@ -371,15 +384,3 @@ def test_read_annotations_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
         read_annotations_csv(path)
-
-
-def test_write_bias_report_csv():
-    anns = [_ann("biased", cx=0.5, cy=0.5, rel_h=0.31) for _ in range(200)]
-    anns += [_ann("tiny")]
-    report = category_bias_report(_columns(anns))
-    lines = bias_report_csv(report).splitlines()
-    assert lines[0] == "#bins,position=5x5,size=10"
-    assert lines[1].startswith("category,")
-    rows = {line.split(",")[0]: line for line in lines[2:]}
-    assert "true" in rows["biased"]
-    assert "insufficient data" in rows["tiny"]

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import tempfile
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aliascope import biasstat, data, nn, theory
-from aliascope.cli import _parse_pool, main
+from aliascope import audit, biasstat, data, nn, theory
+from aliascope.cli import _csv, _parse_pool, main
 
 SPEC_TEXT = """\
 input 1 16 16
@@ -75,15 +76,31 @@ def test_eval_prints_accuracy(workspace, capsys):
     assert "accuracy=" in out and "n=24" in out
 
 
-def test_audit_shift_writes_report(workspace, capsys):
+def test_audit_shift_writes_report(workspace, capsys, monkeypatch):
+    reports = []
+    measure = audit.top1_change_probability
+    monkeypatch.setattr(audit, "top1_change_probability",
+                        lambda *a, **k: reports.append(measure(*a, **k)) or reports[-1])
     out_csv = workspace / "shift.csv"
     assert main(["audit-shift", "--model", str(workspace / "model.shnn"),
                  "--data", str(workspace / "ds"), "--out", str(out_csv),
                  "--canvas", "20", "--embed", "16", "--limit", "8",
                  "--seed", "1"]) == 0
-    lines = out_csv.read_text().splitlines()
-    assert lines[0].startswith("image_id,")
+    (report,) = reports
+    text = out_csv.read_text()
+    lines = text.splitlines()
+    assert lines[0] == ("image_id,protocol,mode,param_before,param_after,top1_before,"
+                        "top1_after,changed,score_before,score_after")
     assert lines[-1].startswith("#summary,")
+    rows = [row for row in csv.reader(io.StringIO(text)) if not row[0].startswith("#")]
+    assert len(rows) == 1 + report.n
+    for row, rec in zip(rows[1:], report.records):
+        assert row[0] == rec.image_id
+        assert row[7] == str(rec.changed).lower()
+        assert float(row[8]) == rec.score_before  # repr round-trips exactly
+    summary = dict(kv.split("=") for kv in lines[-1][len("#summary,"):].split(","))
+    assert float(summary["p_hat"]) == report.p_hat
+    assert int(summary["n"]) == report.n
     assert "p_hat=" in capsys.readouterr().out
     assert _manifest(out_csv)["seed"] == 1
     _assert_output_hashed(out_csv)
@@ -174,6 +191,46 @@ def test_limit_below_1_is_a_usage_error(workspace, tmp_path, capsys, command, li
     assert exc.value.code == 2
     assert "--limit: must be positive" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+OUT_OF_RANGE = [
+    (["audit-crop"], "--crop-size", "0", "must be positive"),
+    (["audit-crop"], "--crop-size", "-4", "must be positive"),
+    (["feature-trace", "--layer", "1"], "--shifts", "-1", "must be at least 0"),
+    (["shiftability", "--layer", "1", "--kernel", "sinc"], "--window", "-2",
+     "must be at least 0"),
+    (["bias-audit"], "--pos-grid", "1", "must be at least 2"),
+    (["bias-audit"], "--pos-grid", "-1", "must be at least 2"),
+    (["bias-audit"], "--size-bins", "1", "must be at least 2"),
+    (["bias-audit"], "--size-bins", "0", "must be at least 2"),
+    (["bias-audit"], "--size-bins", "ten", "invalid integer value: 'ten'"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, err", OUT_OF_RANGE,
+                         ids=[f"{flag}={value}" for _, flag, value, _ in OUT_OF_RANGE])
+def test_out_of_range_count_is_a_usage_error(workspace, tmp_path, capsys, command, flag,
+                                             value, err):
+    model = ["--model", str(workspace / "model.shnn")]
+    image = [*model, "--image", str(workspace / "ds" / "0" / "00000.pgm")]
+    inputs = {"audit-crop": [*model, "--data", str(workspace / "ds")],
+              "feature-trace": image, "shiftability": image,
+              "bias-audit": ["--annotations", str(workspace / "ann.csv")]}[command[0]]
+    with pytest.raises(SystemExit) as exc:
+        main(command + inputs
+             + ([] if command[0] == "shiftability" else ["--out", str(tmp_path / "out.csv")])
+             + [flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {err}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_feature_trace_of_no_shift_is_one_row(workspace, tmp_path):
+    out = tmp_path / "trace.csv"
+    assert main(["feature-trace", "--model", str(workspace / "model.shnn"),
+                 "--image", str(workspace / "ds" / "0" / "00000.pgm"), "--layer", "1",
+                 "--out", str(out), "--canvas", "20", "--embed", "16", "--shifts", "0"]) == 0
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_jaggedness_label_that_is_no_class_exits_1(workspace, tmp_path, capsys):
@@ -293,15 +350,31 @@ def test_parse_pool():
 def test_bias_audit_command(workspace, capsys):
     ann_path = workspace / "ann.csv"
     rows = ["category,img_w,img_h,box_x,box_y,box_w,box_h"]
-    rows += ["centered,100,100,45,45,10,10"] * 300
+    rows += ["centered,100,100,45,45,10,10"] * 300 + ["tiny,100,100,45,45,10,10"]
     ann_path.write_text("\n".join(rows) + "\n")
     out_csv = workspace / "bias.csv"
     assert main(["bias-audit", "--annotations", str(ann_path),
                  "--out", str(out_csv)]) == 0
-    text = out_csv.read_text()
-    assert text.startswith("#bins,position=5x5,size=10")
-    assert "true" in text
-    assert "flagged=1" in capsys.readouterr().out
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "#bins,position=5x5,size=10"
+    assert lines[1] == "category,n,chi2_pos,p_pos,chi2_size,p_size,flagged"
+    rows = {line.split(",")[0]: line for line in lines[2:]}
+    assert rows["centered"].endswith(",true")
+    assert rows["tiny"] == "tiny,1,,,,,insufficient data"
+    assert "categories=2 flagged=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rows", [[], ["dog,100,100,95,0,10,10"] * 3],
+                         ids=["header-only", "no-valid-box"])
+def test_bias_audit_with_no_valid_box_exits_1_and_writes_nothing(tmp_path, capsys, rows):
+    ann_path = tmp_path / "ann.csv"
+    ann_path.write_text("\n".join(["category,img_w,img_h,box_x,box_y,box_w,box_h", *rows]) + "\n")
+    out = tmp_path / "out" / "bias.csv"
+    out.parent.mkdir()
+    assert main(["bias-audit", "--annotations", str(ann_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: no valid box among {len(rows)} "
+                                       "annotations\n")
+    assert list(out.parent.iterdir()) == []
 
 
 def test_bias_audit_gamma_cap_is_a_domain_error(workspace, tmp_path, monkeypatch, capsys):
@@ -345,6 +418,48 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["not-a-command"])
+
+
+def test_csv_writer():
+    assert _csv(("shift", "score"), [(0, 0.5), (1, 0.25)]) == "shift,score\n0,0.5\n1,0.25\n"
+    assert _csv(("embed_size", "p_hat", "n"), [(12, 0.25, 6)]).splitlines() == [
+        "embed_size,p_hat,n", "12,0.25,6"]
+    assert _csv(["a", "b", "c"], [[np.float64(0.1), True, "x,y"], [float("nan"), False, ""]],
+                before="#top\n", after="#end\n") == (
+        '#top\na,b,c\n0.1,true,"x,y"\nnan,false,\n#end\n')
+
+
+CSV_COMMANDS = {
+    "audit-shift": ["--data", "$WORK/ds", "--limit", "4", "--canvas", "20", "--embed", "16"],
+    "audit-scale": ["--data", "$WORK/ds", "--limit", "4", "--canvas", "20", "--embed", "14"],
+    "audit-crop": ["--data", "$WORK/ds", "--limit", "4", "--crop-size", "12"],
+    "sweep-embed": ["--data", "$WORK/ds", "--limit", "4", "--canvas", "20", "--sizes", "12,16"],
+    "jaggedness": ["--image", "$WORK/ds/0/00000.pgm", "--label", "0", "--canvas", "20",
+                   "--embed", "12"],
+    "depth-profile": ["--data", "$WORK/ds", "--limit", "4", "--layers", "0,1", "--epochs", "1",
+                      "--canvas", "20", "--embed", "16"],
+    "feature-trace": ["--image", "$WORK/ds/0/00000.pgm", "--layer", "1", "--canvas", "20",
+                      "--embed", "16", "--shifts", "2"],
+}
+
+
+@pytest.mark.parametrize("command", [*CSV_COMMANDS, "bias-audit"])
+def test_every_csv_has_lf_line_ends_and_parses(workspace, tmp_path, command):
+    if command == "bias-audit":
+        ann_path = tmp_path / "ann.csv"
+        ann_path.write_text("category,img_w,img_h,box_x,box_y,box_w,box_h\n"
+                            + "dog,100,100,40,40,20,20\n" * 200 + '"a, b",9,9,0,0,9,9\n')
+        argv = ["--annotations", str(ann_path)]
+    else:
+        argv = ["--model", str(workspace / "model.shnn"),
+                *(a.replace("$WORK", str(workspace)) for a in CSV_COMMANDS[command])]
+    out = tmp_path / "out.csv"
+    assert main([command, *argv, "--out", str(out)]) == 0
+    blob = out.read_bytes()
+    assert b"\r" not in blob and blob.endswith(b"\n")
+    with open(out, newline="") as fh:
+        header, *rows = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
 def _check_artifact(command: str, out: Path) -> None:

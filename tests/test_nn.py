@@ -302,6 +302,12 @@ def test_forward_rejects_bad_input():
     rmodel = init_model(rigid, seed=0)
     with pytest.raises(ValueError, match="agnostic"):
         forward(rmodel, np.zeros((1, 1, 9, 9)))
+    circular = init_model(parse_spec("input 1 8 8\nconv 2 3 pad=circular\ngap\ndense 3\n"
+                                     "softmax\n"), seed=0)
+    for shape in ((1, 1, 0, 8), (1, 1, 8, 0), (2, 1, 0, 0)):
+        for m in (model, circular):
+            with pytest.raises(ValueError, match="empty spatial axis"):
+                forward(m, np.zeros(shape))
 
 
 def test_layer_activations_index_range():

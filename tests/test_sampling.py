@@ -64,6 +64,12 @@ def test_shiftability_constant_response():
     assert shiftability_error(r, 4, BasisKernel(KernelKind.LINEAR_TENT, 4)) < 1e-12
 
 
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_basis_kernel_rejects_negative_window(kind):
+    with pytest.raises(ValueError, match="window half-width must be >= 0"):
+        BasisKernel(kind, 2, window_halfwidth=-2)
+
+
 def test_shiftability_rejects_short_input():
     with pytest.raises(ValueError):
         shiftability_error(np.zeros(8), 2, TENT2)

@@ -388,6 +388,12 @@ def test_crop_pair_rejects_oversized_crop():
         crop_pair_with_noise(img, 20, 0.0, seed=0, long_side=20)
 
 
+@pytest.mark.parametrize("crop_size", [0, -3])
+def test_crop_pair_rejects_empty_crop(crop_size):
+    with pytest.raises(ValueError, match="crop size must be >= 1"):
+        crop_pair_with_noise(np.zeros((1, 20, 20)), crop_size, 0.0, seed=0, long_side=20)
+
+
 # ---------------------------------------------------------------------------
 # piecewise region shifts
 # ---------------------------------------------------------------------------
