@@ -1,10 +1,13 @@
 import ast
+import csv
+import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from aliascope import nn
+from aliascope import cli, nn
 from aliascope.audit import (
     AuditMode,
     DepthProfileEntry,
@@ -381,3 +384,30 @@ def test_feature_shiftability_error_rejects_a_missing_or_flat_layer():
     for layer in (1, 2):  # gap and dense
         with pytest.raises(ValueError, match=f"layer {layer} is not spatial"):
             feature_shiftability_error(model, layer, img, basis)
+
+
+# ---------------------------------------------------------------------------
+# CSV output
+# ---------------------------------------------------------------------------
+
+def test_write_report_csv_roundtrip():
+    model = init_model(parse_spec(STRIDED), seed=13)
+    rng = np.random.default_rng(0)
+    ds = SimpleNamespace(images=[rng.random((1, 6, 6)) for _ in range(5)],
+                         labels=np.array([0, 1, 2, 0, 1]))
+    images, labels = cli._audit_images(ds)
+    report = top1_change_probability(model, images, PROTO, AuditMode.TRANSLATE, labels=labels)
+    text = cli._run_audit(SimpleNamespace(limit=None, seed=0), model, ds,
+                          AuditMode.TRANSLATE, PROTO)
+    lines = text.splitlines()
+    assert lines[0].split(",")[0] == "image_id"
+    assert lines[-1].startswith("#summary,")
+    rows = [row for row in csv.reader(io.StringIO(text)) if not row[0].startswith("#")]
+    assert len(rows) == 1 + report.n
+    for row, rec in zip(rows[1:], report.records):
+        assert row[0] == rec.image_id
+        assert row[7] == str(rec.changed).lower()
+        assert float(row[8]) == rec.score_before  # repr round-trips exactly
+    summary = dict(kv.split("=") for kv in lines[-1][len("#summary,"):].split(","))
+    assert float(summary["p_hat"]) == report.p_hat
+    assert int(summary["n"]) == report.n

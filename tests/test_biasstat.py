@@ -1,11 +1,12 @@
 import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aliascope import biasstat
+from aliascope import biasstat, cli
 from aliascope.biasstat import (
     Annotations,
     category_bias_report,
@@ -384,3 +385,15 @@ def test_read_annotations_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
         read_annotations_csv(path)
+
+
+def test_write_bias_report_csv():
+    anns = [_ann("biased", cx=0.5, cy=0.5, rel_h=0.31) for _ in range(200)]
+    anns += [_ann("tiny")]
+    text = cli.cmd_bias_audit(SimpleNamespace(pos_grid=5, size_bins=10), _columns(anns))
+    lines = text.splitlines()
+    assert lines[0] == "#bins,position=5x5,size=10"
+    assert lines[1].startswith("category,")
+    rows = {line.split(",")[0]: line for line in lines[2:]}
+    assert "true" in rows["biased"]
+    assert "insufficient data" in rows["tiny"]
