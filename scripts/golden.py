@@ -94,6 +94,8 @@ COMMANDS = [
                                        "--out", "$WORK/depth_repeated.csv", "--layers", "3,0,3",
                                        "--epochs", "2", "--canvas", "20", "--embed", "14"]),
     ("shiftability", ["shiftability", "--model", MODEL, "--image", IMAGE, "--layer", "1"]),
+    ("shiftability-nothing-measured", ["shiftability", "--model", MODEL, "--image", IMAGE,
+                                       "--layer", "1", "--kernel", "sinc"]),
     ("shiftability-layer-out-of-range", ["shiftability", "--model", MODEL, "--image", IMAGE,
                                          "--layer", "-1"]),
     ("feature-trace", ["feature-trace", "--model", MODEL, "--image", IMAGE, "--layer", "3",
@@ -106,6 +108,9 @@ COMMANDS = [
                                "--canvas", "20", "--embed", "12", "--shifts", "4"]),
     ("bias-audit", ["bias-audit", "--annotations", "$WORK/boxes.csv", "--out", "$WORK/bias.csv",
                     "--pos-grid", "3", "--size-bins", "4"]),
+    ("bias-audit-two-bins", ["bias-audit", "--annotations", "$WORK/boxes.csv",
+                             "--out", "$WORK/bias_two.csv", "--pos-grid", "2",
+                             "--size-bins", "2"]),
     ("bias-audit-nothing-scored", ["bias-audit", "--annotations", "$WORK/no_boxes.csv",
                                    "--out", "$WORK/none_bias.csv"]),
     ("verify-theory", ["verify-theory"]),

@@ -143,8 +143,7 @@ def _scored_pairs(fn, images, proto: EmbeddingProtocol, mode: AuditMode, seed: i
                 elif mode is AuditMode.SCALE:
                     eh, ew = transforms.embedded_extent(*img.shape[1:], proto.embed_size + 1)
                     pos = _random_position(rng, proto, eh, ew)
-                    p = replace(proto, position=pos)
-                    before, after = transforms.scale_pair(img, p, proto.embed_size)
+                    before, after = transforms.scale_pair(img, replace(proto, position=pos))
                     pb, pa = str(proto.embed_size), str(proto.embed_size + 1)
                 else:
                     before, after = transforms.crop_pair_with_noise(
@@ -326,7 +325,8 @@ def feature_shiftability_error(model, layer_index: int, image, basis: sampling.B
     sample: the input is circularly shifted through every sub-stride phase
     and the layer re-evaluated, which measures exactly what the deployed
     strided network computes. Stride-1 layers are trivially shiftable and
-    report 0.
+    report 0. A strided layer whose longest dense profile is shorter than
+    4 s + 2 support measures nothing and raises ValueError.
     """
     s = spatial_layer_factor(model, layer_index)
     if s == 1:
@@ -338,11 +338,15 @@ def feature_shiftability_error(model, layer_index: int, image, basis: sampling.B
     c, h, w = acts.shape[1:]
     dense_h = acts[:s].transpose(1, 2, 0, 3).reshape(c, h * s, w)
     dense_w = acts[s:].transpose(1, 2, 3, 0).reshape(c, h, w * s)
+    need = 4 * s + 2 * basis.support
+    if max(h, w) * s < need:
+        raise ValueError(f"shiftability needs a dense profile of {need} samples, "
+                         f"the longest is {max(h, w) * s}")
     worst = 0.0
     for ch in range(c):
         col = dense_h[ch, :, w // 2]
         row = dense_w[ch, h // 2, :]
         for profile in (col, row):
-            if profile.shape[0] >= 4 * s + 2 * basis.support:
+            if profile.shape[0] >= need:
                 worst = max(worst, sampling.shiftability_error(profile, s, basis))
     return worst

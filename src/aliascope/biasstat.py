@@ -1,5 +1,6 @@
 """Dataset-bias audit: bin bounding-box positions and sizes per category and
-chi-squared-test them against the uniform distribution.
+chi-squared-test them against the uniform distribution. The p-values are
+the finite sums that the chi-squared survival function is at integer df.
 
 The binning defaults (5x5 position grid, 10 size deciles) are artifact
 choices, configurable and recorded in the CSV's `#bins` line. Sizes are box
@@ -88,92 +89,32 @@ def chi2_statistic(observed) -> tuple[float, int]:
     return stat, k - 1
 
 
-GAMMA_RTOL = 4 * 2.0 ** -52  # 4 ulp: both incomplete-gamma loops stop on this
-
-
-def _gamma_max_terms(a: float) -> int:
-    """Iteration cap of both incomplete-gamma loops. Near x = a their terms
-    shrink like exp(-n^2 / 2a), so reaching GAMMA_RTOL takes about
-    8.5 sqrt(a) of them (measured up to a = 1e7); the continued fraction
-    needs at most about 80 for small a. The cap is twice that or more."""
-    return 200 + 16 * math.ceil(math.sqrt(a))
-
-
-def _gamma_prefactor(a: float, x: float) -> float:
-    return math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series."""
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(_gamma_max_terms(a)):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) <= abs(total) * GAMMA_RTOL:
-            return total * _gamma_prefactor(a, x)
-    raise RuntimeError(f"incomplete gamma series did not converge for a={a!r}, x={x!r}")
-
-
-def _gamma_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by continued fraction.
-
-    Modified Lentz evaluation of the standard continued fraction; converges
-    fast for x > a + 1.
-    """
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _gamma_max_terms(a)):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) <= GAMMA_RTOL:
-            return h * _gamma_prefactor(a, x)
-    raise RuntimeError(f"incomplete gamma continued fraction did not converge for "
-                       f"a={a!r}, x={x!r}")
-
-
-def regularized_upper_gamma(a: float, x: float) -> float:
-    """Q(a, x): series branch for x < a + 1, continued fraction otherwise.
-
-    Error bound: both loops stop once a step moves the result by at most
-    GAMMA_RTOL (4 ulp) relative, and raise RuntimeError if
-    `_gamma_max_terms(a)` steps do not get there. What remains is rounding in
-    the prefactor x^a e^-x / Gamma(a), whose exponent sums terms of size
-    about a*|ln x| + x: a relative error of about (a*|ln x| + x) * 2^-52 (the
-    series branch's Q = 1 - P carries P's absolute error). Measured against
-    scipy on draws around x = a: below 1e-13 relative for a <= 60, 2e-12 for
-    a <= 1e3 and 3e-10 for a <= 1e5.
-    """
-    if a <= 0 or x < 0 or not (math.isfinite(a) and math.isfinite(x)):
-        raise ValueError("requires a > 0 and finite x >= 0")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cf(a, x)
-
-
 def chi2_pvalue(stat: float, df: int) -> float:
-    """Upper-tail p-value Q(df/2, stat/2); monotone decreasing in stat."""
+    """Upper-tail p-value Q(df/2, stat/2) of the chi-squared distribution.
+
+    For integer df, Q is a finite sum (Abramowitz & Stegun 26.4.4-26.4.5):
+    with x = stat/2 and a0 = (df % 2)/2, Q = [erfc(sqrt(x)) if df is odd] +
+    sum_{j < df//2} exp((a0+j) ln x - x - lgamma(a0+j+1)), added by
+    `math.fsum` and clamped at 1: no iteration to cap or fail, and a term
+    taken in log space underflows only when the term itself does.
+
+    Error bound: fsum rounds once, so each term's own rounding dominates,
+    about (x + (a0+j)|ln x|) * 2^-52 relative, from its exponent. Measured
+    against scipy.special.gammaincc: at most 1.7e-13 relative for df < 200
+    and 3.6e-11 for df up to 1e5. Where p >= 1 - 1.2e-14 it can rise by up
+    to 1e-14 relative as stat grows (df 1-199, 400 stats each); below
+    that it decreases monotonically in stat.
+    """
     if not math.isfinite(stat) or stat < 0:
         raise ValueError("chi-squared statistic must be finite and >= 0")
-    if df < 1:
-        raise ValueError("df must be >= 1")
-    return regularized_upper_gamma(df / 2.0, stat / 2.0)
+    if not isinstance(df, int) or df < 1:
+        raise ValueError(f"df must be an int >= 1, got {df!r}")
+    if stat == 0:
+        return 1.0
+    x, a0 = stat / 2.0, (df % 2) / 2.0
+    log_x = math.log(x)
+    terms = [math.exp((a0 + j) * log_x - x - math.lgamma(a0 + j + 1)) for j in range(df // 2)]
+    return min(1.0, math.fsum([math.erfc(math.sqrt(x)) if df % 2 else 0.0, *terms]))
 
 
 @dataclass(frozen=True)

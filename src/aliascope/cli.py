@@ -280,19 +280,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gen-data", cmd_gen_data, help="generate a synthetic translatable dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--per-class", type=int, default=100)
+    p.add_argument("--classes", type=_int_at_least(1), default=8)
+    p.add_argument("--per-class", type=_int_at_least(1), default=100)
     p.add_argument("--canvas", type=int, default=32)
     p.add_argument("--pattern", type=int, default=9)
-    p.add_argument("--jitter", type=int, default=4)
+    p.add_argument("--jitter", type=_int_at_least(0), default=4)
 
     p = add("train", cmd_train, help="train a model from a network spec file")
     p.add_argument("--spec", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--epochs", type=_int_at_least(0), default=20)
     p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--batch", type=_int_at_least(1), default=32)
     p.add_argument("--init-scale", type=float, default=1.0)
 
     p = add("eval", cmd_eval, help="dataset accuracy of a saved model")
@@ -326,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_audit("depth-profile", cmd_depth_profile,
                   help="per-layer readout accuracy and flip rate")
     p.add_argument("--layers", required=True, help="comma-separated layer indices")
-    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--epochs", type=_int_at_least(0), default=10)
     p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--batch", type=_int_at_least(1), default=32)
     _add_proto_flags(p)
 
     p = add("shiftability", cmd_shiftability, help="shiftability error of a strided layer")

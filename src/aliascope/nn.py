@@ -544,7 +544,6 @@ class TrainConfig:
 class Model:
     spec: NetworkSpec
     params: list[dict]  # per layer: {"w": ..., "b": ...} or {}
-    rng_seed: int = 0
     # per layer: the buffers its kernels write into (see the module docstring)
     scratch: list[dict] = field(init=False, repr=False, compare=False)
 
@@ -557,7 +556,7 @@ def init_model(spec: NetworkSpec, seed: int = 0, init_scale: float = 1.0) -> Mod
     rng = np.random.default_rng(seed)
     in_shapes = (spec.input_shape,) + spec.shapes[:-1]
     params = [layer.init_params(s, rng, init_scale) for layer, s in zip(spec.layers, in_shapes)]
-    return Model(spec, params, rng_seed=seed)
+    return Model(spec, params)
 
 
 def replace_pooling(model: Model, old: PoolSpec, new: PoolSpec) -> Model:
@@ -573,7 +572,7 @@ def replace_pooling(model: Model, old: PoolSpec, new: PoolSpec) -> Model:
     stride = new.stride if new.stride > 0 else old.stride
     layers = [PoolSpec(new.op, new.kernel, stride) if layer == old else layer
               for layer in model.spec.layers]
-    swapped = init_model(make_spec(model.spec.input_shape, layers), seed=model.rng_seed)
+    swapped = init_model(make_spec(model.spec.input_shape, layers))
     for li, (p_old, p_new) in enumerate(zip(model.params, swapped.params)):
         for key in p_old:
             if p_old[key].shape != p_new[key].shape:
@@ -784,7 +783,7 @@ def load_model(path) -> Model:
         spec = parse_spec(spec_bytes.decode("utf-8"))
     except (UnicodeDecodeError, SpecError) as exc:
         raise ModelFileError(f"bad network spec in model file: {exc}") from exc
-    model = init_model(spec, seed=0)
+    model = init_model(spec)
     for p in model.params:
         for key in ("w", "b"):
             if key in p:

@@ -273,10 +273,11 @@ def paste(resized: np.ndarray, proto: EmbeddingProtocol) -> tuple[np.ndarray, np
     return canvas, mask
 
 
-def scale_pair(img: np.ndarray, proto: EmbeddingProtocol, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two embeddings at the same top-left with embed sizes w and w + 1."""
-    a, _ = embed(img, replace(proto, embed_size=w))
-    b, _ = embed(img, replace(proto, embed_size=w + 1))
+def scale_pair(img: np.ndarray, proto: EmbeddingProtocol) -> tuple[np.ndarray, np.ndarray]:
+    """Two embeddings at the same top-left with embed sizes w and w + 1,
+    w = proto.embed_size."""
+    a, _ = embed(img, proto)
+    b, _ = embed(img, replace(proto, embed_size=proto.embed_size + 1))
     return a, b
 
 

@@ -235,10 +235,10 @@ def test_criterion_9_chi_squared_audit(capsys):
     rng = np.random.default_rng(0)
     worst_rel = 0.0
     for _ in range(200):
-        a = float(rng.uniform(0.5, 50.0))
-        x = float(rng.uniform(0.0, 100.0))
-        want = float(special.gammaincc(a, x))
-        got = biasstat.regularized_upper_gamma(a, x)
+        dof = int(rng.integers(1, 101))
+        chi2 = float(rng.uniform(0.0, 200.0))
+        want = float(special.gammaincc(dof / 2, chi2 / 2))
+        got = biasstat.chi2_pvalue(chi2, dof)
         if want > 1e-290:
             worst_rel = max(worst_rel, abs(got - want) / want)
     ok = exact and flags and worst_rel < 1e-9

@@ -374,6 +374,19 @@ def test_feature_shiftability_error_positive_after_pooling():
     assert err > 0.0
 
 
+def test_feature_shiftability_error_rejects_profiles_too_short_to_measure():
+    # layer 1 of the strided net is 8x8 at stride 2: dense profiles of 16
+    model = init_model(parse_spec(STRIDED), seed=8)
+    img = np.random.default_rng(10).random((1, 16, 16))
+    for window in (0, 50):  # the sinc's default window is 8 s = 16
+        basis = BasisKernel(KernelKind.WINDOWED_SINC, 2, window)
+        need = 4 * 2 + 2 * basis.support
+        with pytest.raises(ValueError, match=f"profile of {need} samples, the longest is 16"):
+            feature_shiftability_error(model, 1, img, basis)
+    assert feature_shiftability_error(model, 1, img,
+                                      BasisKernel(KernelKind.WINDOWED_SINC, 2, 1)) > 0.0
+
+
 def test_feature_shiftability_error_rejects_a_missing_or_flat_layer():
     model = init_model(parse_spec(STRIDE1), seed=9)  # stride 1 throughout
     img = np.random.default_rng(11).random((1, 16, 16))

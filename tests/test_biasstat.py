@@ -13,7 +13,6 @@ from aliascope.biasstat import (
     chi2_pvalue,
     chi2_statistic,
     read_annotations_csv,
-    regularized_upper_gamma,
 )
 
 
@@ -94,27 +93,25 @@ def test_chi2_statistic_rejects_degenerate():
 
 
 def test_upper_gamma_known_values():
-    # Q(1, x) = exp(-x); Q(1/2, x) = erfc(sqrt(x))
+    # Q(1, x) = exp(-x) at df 2; Q(1/2, x) = erfc(sqrt(x)) at df 1
     for x in (0.1, 1.0, 5.0, 20.0):
-        assert regularized_upper_gamma(1.0, x) == pytest.approx(math.exp(-x), rel=1e-12)
-        assert regularized_upper_gamma(0.5, x) == pytest.approx(math.erfc(math.sqrt(x)), rel=1e-10)
-    assert regularized_upper_gamma(3.0, 0.0) == 1.0
+        assert chi2_pvalue(2 * x, 2) == pytest.approx(math.exp(-x), rel=1e-12)
+        assert chi2_pvalue(2 * x, 1) == pytest.approx(math.erfc(math.sqrt(x)), rel=1e-10)
+    assert chi2_pvalue(0.0, 6) == 1.0
 
 
 def test_upper_gamma_matches_scipy():
     special = pytest.importorskip("scipy.special")
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        a = float(rng.uniform(0.5, 60.0))
-        x = float(rng.uniform(0.0, 120.0))
-        got = regularized_upper_gamma(a, x)
-        want = float(special.gammaincc(a, x))
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
+    for df in range(1, 121):
+        for stat in rng.uniform(0.0, 240.0, size=4).tolist():
+            want = float(special.gammaincc(df / 2, stat / 2))
+            assert chi2_pvalue(stat, df) == pytest.approx(want, rel=1e-9, abs=1e-300)
 
 
 def test_chi2_pvalue_at_large_df():
     # bias-audit --pos-grid reaches df in the tens of thousands, where the
-    # series needs O(sqrt(df)) terms; scipy.special.gammaincc(25000, 24950)
+    # sum has df // 2 terms; scipy.special.gammaincc(25000, 24950)
     assert abs(chi2_pvalue(49900.0, 50000) - 0.623364903241486) < 1e-9
 
 
@@ -122,28 +119,17 @@ def test_upper_gamma_matches_scipy_at_large_a():
     special = pytest.importorskip("scipy.special")
     rng = np.random.default_rng(1)
     for _ in range(200):
-        a = float(np.exp(rng.uniform(np.log(60.0), np.log(1e5))))
+        df = int(np.exp(rng.uniform(np.log(120.0), np.log(2e5))))
+        a = df / 2
         x = max(0.0, a + float(rng.normal()) * 3.0 * math.sqrt(a))
-        got = regularized_upper_gamma(a, x)
         want = float(special.gammaincc(a, x))
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-
-
-@pytest.mark.parametrize("a, x", [(40.0, 39.0), (40.0, 45.0)])
-def test_upper_gamma_raises_when_a_loop_hits_its_cap(monkeypatch, a, x):
-    # (40, 39) takes the series branch, (40, 45) the continued fraction
-    monkeypatch.setattr(biasstat, "_gamma_max_terms", lambda a: 5)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        regularized_upper_gamma(a, x)
+        assert chi2_pvalue(2 * x, df) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_upper_gamma_rejects_bad_args():
-    with pytest.raises(ValueError):
-        regularized_upper_gamma(0.0, 1.0)
-    with pytest.raises(ValueError):
-        regularized_upper_gamma(1.0, -1.0)
-    with pytest.raises(ValueError):
-        regularized_upper_gamma(math.inf, 1.0)
+    for stat, df in ((1.0, 0), (-1.0, 2), (math.inf, 2), (1.0, 2.0), (1.0, 2.5)):
+        with pytest.raises(ValueError):
+            chi2_pvalue(stat, df)
 
 
 def test_chi2_pvalue_known_values():
@@ -169,10 +155,9 @@ def test_chi2_pvalue_rejects_bad_args():
         chi2_pvalue(math.nan, 2)
 
 
-@given(st.floats(0.5, 40.0), st.floats(0.0, 80.0))
-def test_upper_gamma_in_unit_interval(a, x):
-    q = regularized_upper_gamma(a, x)
-    assert 0.0 <= q <= 1.0
+@given(st.floats(0.0, 160.0), st.integers(1, 80))
+def test_upper_gamma_in_unit_interval(stat, df):
+    assert 0.0 <= chi2_pvalue(stat, df) <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aliascope import audit, biasstat, data, nn, theory
+from aliascope import audit, data, nn, theory
 from aliascope.cli import _csv, _parse_pool, main
 
 SPEC_TEXT = """\
@@ -204,6 +204,13 @@ OUT_OF_RANGE = [
     (["bias-audit"], "--size-bins", "1", "must be at least 2"),
     (["bias-audit"], "--size-bins", "0", "must be at least 2"),
     (["bias-audit"], "--size-bins", "ten", "invalid integer value: 'ten'"),
+    (["train"], "--epochs", "-1", "must be at least 0"),
+    (["train"], "--batch", "0", "must be positive"),
+    (["depth-profile", "--layers", "0"], "--epochs", "-2", "must be at least 0"),
+    (["depth-profile", "--layers", "0"], "--batch", "-1", "must be positive"),
+    (["gen-data"], "--classes", "0", "must be positive"),
+    (["gen-data"], "--per-class", "0", "must be positive"),
+    (["gen-data"], "--jitter", "-1", "must be at least 0"),
 ]
 
 
@@ -213,7 +220,9 @@ def test_out_of_range_count_is_a_usage_error(workspace, tmp_path, capsys, comman
                                              value, err):
     model = ["--model", str(workspace / "model.shnn")]
     image = [*model, "--image", str(workspace / "ds" / "0" / "00000.pgm")]
-    inputs = {"audit-crop": [*model, "--data", str(workspace / "ds")],
+    dataset = ["--data", str(workspace / "ds")]
+    inputs = {"audit-crop": [*model, *dataset], "depth-profile": [*model, *dataset],
+              "train": ["--spec", str(workspace / "net.spec"), *dataset], "gen-data": [],
               "feature-trace": image, "shiftability": image,
               "bias-audit": ["--annotations", str(workspace / "ann.csv")]}[command[0]]
     with pytest.raises(SystemExit) as exc:
@@ -281,6 +290,16 @@ def test_shiftability_of_a_missing_or_flat_layer_exits_1(tmp_path, capsys, layer
     assert main(["shiftability", "--model", str(tmp_path / "stride1.shnn"),
                  "--image", str(tmp_path / "x.pgm"), "--layer", layer]) == 1
     assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("window", ["0", "50"])
+def test_shiftability_that_measures_nothing_exits_1(workspace, capsys, window):
+    # layer 1 is 8x8 at stride 2, so its dense profiles have 16 samples
+    assert main(["shiftability", "--model", str(workspace / "model.shnn"),
+                 "--image", str(workspace / "ds" / "0" / "00000.pgm"), "--layer", "1",
+                 "--kernel", "sinc", "--window", window]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "the longest is 16" in err
 
 
 def test_shiftability_command(workspace, capsys):
@@ -375,19 +394,6 @@ def test_bias_audit_with_no_valid_box_exits_1_and_writes_nothing(tmp_path, capsy
     assert capsys.readouterr().err == (f"error: no valid box among {len(rows)} "
                                        "annotations\n")
     assert list(out.parent.iterdir()) == []
-
-
-def test_bias_audit_gamma_cap_is_a_domain_error(workspace, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(biasstat, "_gamma_max_terms", lambda a: 2)
-    ann_path = workspace / "ann_cap.csv"
-    rows = ["category,img_w,img_h,box_x,box_y,box_w,box_h"]
-    rows += [f"spread,100,100,{(7 * i) % 90},{(13 * i) % 90},10,10" for i in range(400)]
-    ann_path.write_text("\n".join(rows) + "\n")
-    out_csv = tmp_path / "bias.csv"
-    assert main(["bias-audit", "--annotations", str(ann_path), "--out", str(out_csv),
-                 "--pos-grid", "8"]) == 1
-    assert "error: incomplete gamma" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_theory_command(capsys):

@@ -9,6 +9,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden.py"
 _SPEC = importlib.util.spec_from_file_location("golden", SCRIPT)
 golden = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(golden)
+REFUSED = ("nothing-scored", "nothing-measured", "out-of-range")  # runs that exit 1
 
 
 def test_golden_run_of_the_working_tree(tmp_path):
@@ -20,7 +21,7 @@ def test_golden_run_of_the_working_tree(tmp_path):
     commands = record["commands"]
     assert list(commands) == sorted(name for name, _ in golden.COMMANDS)
     for name, rec in commands.items():
-        refused = name.endswith(("nothing-scored", "out-of-range"))
+        refused = name.endswith(REFUSED)
         assert rec["status"] == (1 if refused else 0), name
         assert "golden_" not in rec["stdout"] + rec["stderr"], name  # temp dir spelled $WORK
         argv = rec["argv"]
@@ -28,7 +29,7 @@ def test_golden_run_of_the_working_tree(tmp_path):
             artifact = Path(argv[argv.index("--out") + 1]).name
             assert {artifact, artifact + ".manifest.json"} <= set(rec["files"]), name
     for name in commands:
-        if name.endswith(("nothing-scored", "out-of-range")):
+        if name.endswith(REFUSED):
             assert commands[name]["files"] == {}, name
     assert sum(p.endswith(".pgm") for p in commands["gen-data"]["files"]) == 24
     assert commands["verify-theory"]["stdout"] == ("observation: PASS\nclaim: PASS\n"

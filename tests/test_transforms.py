@@ -336,7 +336,7 @@ def test_embed_is_resize_then_paste(fill):
 
 def test_scale_pair_sizes_differ_by_one():
     img = np.full((1, 5, 5), 1.0)
-    a, b = scale_pair(img, PROTO, 6)
+    a, b = scale_pair(img, PROTO)  # embed sizes 6 and 7
     assert (a[0] > 0).sum() == 36
     assert (b[0] > 0).sum() == 49
     # same top-left corner
