@@ -73,6 +73,9 @@ COMMANDS = [
                                       "--epochs", "1", "--canvas", "10", "--embed", "16"]),
     ("audit-scale", ["audit-scale", "--model", MODEL, "--data", DATA,
                      "--out", "$WORK/scale.csv", "--canvas", "20", "--embed", "14"]),
+    ("audit-scale-inpaint", ["audit-scale", "--model", MODEL, "--data", DATA,
+                             "--out", "$WORK/scale_inpaint.csv", "--canvas", "20",
+                             "--embed", "12", "--fill", "inpaint"]),
     ("audit-crop", ["audit-crop", "--model", MODEL, "--data", DATA, "--out", "$WORK/crop.csv",
                     "--crop-size", "12", "--noise-scale", "0.1"]),
     ("sweep-embed", ["sweep-embed", "--model", MODEL, "--data", DATA,
@@ -80,6 +83,11 @@ COMMANDS = [
     ("jaggedness", ["jaggedness", "--model", MODEL, "--image", IMAGE, "--label", "0",
                     "--out", "$WORK/jag.csv", "--canvas", "20", "--embed", "12",
                     "--sweep-end", "9"]),
+    # rows 0..8 of a 12 px embed on a 20 px canvas, flush left: the known
+    # rectangle touches the top edge first and the bottom edge last
+    ("jaggedness-inpaint", ["jaggedness", "--model", MODEL, "--image", IMAGE, "--label", "0",
+                            "--out", "$WORK/jag_inpaint.csv", "--canvas", "20", "--embed", "12",
+                            "--sweep-end", "8", "--fill", "inpaint"]),
     ("jaggedness-nothing-scored", ["jaggedness", "--model", MODEL, "--image", IMAGE,
                                    "--label", "0", "--out", "$WORK/none_jag.csv",
                                    "--canvas", "20", "--embed", "12", "--sweep-start", "30",

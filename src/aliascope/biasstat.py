@@ -109,9 +109,9 @@ def chi2_pvalue(stat: float, df: int) -> float:
         raise ValueError("chi-squared statistic must be finite and >= 0")
     if not isinstance(df, int) or df < 1:
         raise ValueError(f"df must be an int >= 1, got {df!r}")
-    if stat == 0:
-        return 1.0
     x, a0 = stat / 2.0, (df % 2) / 2.0
+    if x == 0:  # stat is 0, or so small that stat / 2 underflows
+        return 1.0
     log_x = math.log(x)
     terms = [math.exp((a0 + j) * log_x - x - math.lgamma(a0 + j + 1)) for j in range(df // 2)]
     return min(1.0, math.fsum([math.erfc(math.sqrt(x)) if df % 2 else 0.0, *terms]))

@@ -282,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--classes", type=_int_at_least(1), default=8)
     p.add_argument("--per-class", type=_int_at_least(1), default=100)
-    p.add_argument("--canvas", type=int, default=32)
-    p.add_argument("--pattern", type=int, default=9)
+    p.add_argument("--canvas", type=_int_at_least(1), default=32)
+    p.add_argument("--pattern", type=_int_at_least(1), default=9)
     p.add_argument("--jitter", type=_int_at_least(0), default=4)
 
     p = add("train", cmd_train, help="train a model from a network spec file")

@@ -3,6 +3,7 @@
 Pixels are in [0, 1] everywhere in the library. Only the netpbm readers and
 writers (`read_pgm`, `write_pgm`, ...) work in the files' 0..255 units;
 `read_image`, `save_dataset` and `load_dataset` convert at that boundary.
+Each file is read once: header and pixels come from one `read()`.
 
 The synthetic generator is the desk-scale stand-in for a natural-image
 training set: each class is a distinct procedural pattern placed at
@@ -12,6 +13,8 @@ audits can probe.
 
 from __future__ import annotations
 
+import fnmatch
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,8 +35,8 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.num_classes > MAX_CLASSES:
             raise ValueError(f"pattern family supports at most {MAX_CLASSES} classes")
-        if self.num_classes < 1 or self.samples_per_class < 1:
-            raise ValueError("need at least one class and one sample")
+        if min(self.num_classes, self.samples_per_class, self.pattern_size) < 1:
+            raise ValueError("need at least one class, one sample and a 1-pixel pattern")
         margin = (self.canvas - self.pattern_size) // 2
         if self.pattern_size > self.canvas or self.jitter > margin or self.jitter < 0:
             raise ValueError("pattern plus jitter must fit inside the canvas")
@@ -108,42 +111,38 @@ class ImageFormatError(ValueError):
     pass
 
 
-def _read_header(fh, magic: bytes):
-    got = fh.read(2)
-    if got != magic:
-        raise ImageFormatError(f"unsupported format: expected {magic.decode()}, got {got!r}")
-    fields = []
+def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
+    """(channels, h, w) pixels in 0..255 of a binary netpbm file, read once: the
+    magic, header lines (each cut at '#') up to maxval, then the payload."""
+    with open(path, "rb", buffering=0) as fh:
+        raw = fh.read()
+    if raw[:2] != magic:
+        raise ImageFormatError(f"unsupported format: expected {magic.decode()}, got {raw[:2]!r}")
+    fields, pos = [], 2
     while len(fields) < 3:
-        line = fh.readline()
-        if not line:
+        if pos >= len(raw):
             raise ImageFormatError("truncated header")
-        line = line.split(b"#", 1)[0]
-        fields.extend(line.split())
+        end = raw.find(b"\n", pos) + 1 or len(raw)
+        fields.extend(raw[pos:end].split(b"#", 1)[0].split())
+        pos = end
     w, h, maxval = (int(f) for f in fields[:3])
     if maxval != 255:
         raise ImageFormatError(f"only maxval 255 supported, got {maxval}")
-    return w, h
-
-
-def _read_payload(fh, count: int) -> np.ndarray:
-    payload = fh.read(count)
-    if len(payload) != count:
+    count = h * w * channels
+    if not 0 <= count <= len(raw) - pos:
         raise ImageFormatError("truncated pixel payload")
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
+    pixels = np.frombuffer(raw, np.uint8, count, pos).astype(np.float64)
+    return pixels.reshape(h, w, channels).transpose(2, 0, 1)
 
 
 def read_pgm(path) -> np.ndarray:
     """Binary P5 -> (1, h, w) float tensor with values in [0, 255]."""
-    with open(path, "rb") as fh:
-        w, h = _read_header(fh, b"P5")
-        return _read_payload(fh, w * h).reshape(1, h, w)
+    return _read_netpbm(path, b"P5", 1)
 
 
 def read_ppm(path) -> np.ndarray:
     """Binary P6 -> (3, h, w) float tensor with values in [0, 255]."""
-    with open(path, "rb") as fh:
-        w, h = _read_header(fh, b"P6")
-        return _read_payload(fh, 3 * w * h).reshape(h, w, 3).transpose(2, 0, 1)
+    return _read_netpbm(path, b"P6", 3)
 
 
 def write_pgm(t: np.ndarray, path) -> None:
@@ -159,9 +158,8 @@ def write_pgm(t: np.ndarray, path) -> None:
 
 def read_image(path) -> np.ndarray:
     """A PGM, or a PPM by its suffix, as a tensor in the library's [0, 1] range."""
-    path = Path(path)
-    img = read_ppm(path) if path.suffix == ".ppm" else read_pgm(path)
-    return img / 255.0
+    ppm = os.path.basename(path)[1:].endswith(".ppm")  # Path(path).suffix, without a Path
+    return (read_ppm(path) if ppm else read_pgm(path)) / 255.0
 
 
 def save_dataset(ds: LabeledDataset, root) -> None:
@@ -176,15 +174,17 @@ def save_dataset(ds: LabeledDataset, root) -> None:
 
 
 def load_dataset(root) -> LabeledDataset:
-    """Read the `<class_id>/<sample_id>.pgm` layout back, in [0, 1]."""
+    """Read the `<class_id>/<sample_id>.pgm` layout back, in [0, 1]: classes
+    in numeric order, the `*.p?m` files of each in name order."""
     root = Path(root)
-    class_dirs = sorted((d for d in root.iterdir() if d.is_dir()), key=lambda d: int(d.name))
+    class_dirs = sorted((e.name for e in os.scandir(root) if e.is_dir()), key=int)
     if not class_dirs:
         raise ValueError(f"no class directories under {root}")
     images, labels = [], []
     for d in class_dirs:
-        for f in sorted(d.glob("*.p?m")):
-            images.append(read_image(f))
-            labels.append(int(d.name))
+        folder = os.path.join(root, d)
+        for name in sorted(fnmatch.filter(os.listdir(folder), "*.p?m")):
+            images.append(read_image(os.path.join(folder, name)))
+            labels.append(int(d))
     return LabeledDataset(np.stack(images), np.asarray(labels, dtype=np.int64),
-                          int(class_dirs[-1].name) + 1)
+                          int(class_dirs[-1]) + 1)

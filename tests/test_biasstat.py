@@ -155,6 +155,12 @@ def test_chi2_pvalue_rejects_bad_args():
         chi2_pvalue(math.nan, 2)
 
 
+@pytest.mark.parametrize("df", [1, 2, 7])
+def test_chi2_pvalue_of_a_statistic_whose_half_underflows_is_1(df):
+    assert chi2_pvalue(5e-324, df) == 1.0
+    assert chi2_pvalue(0.0, df) == 1.0
+
+
 @given(st.floats(0.0, 160.0), st.integers(1, 80))
 def test_upper_gamma_in_unit_interval(stat, df):
     assert 0.0 <= chi2_pvalue(stat, df) <= 1.0

@@ -211,6 +211,9 @@ OUT_OF_RANGE = [
     (["gen-data"], "--classes", "0", "must be positive"),
     (["gen-data"], "--per-class", "0", "must be positive"),
     (["gen-data"], "--jitter", "-1", "must be at least 0"),
+    (["gen-data"], "--pattern", "0", "must be positive"),
+    (["gen-data"], "--pattern", "-3", "must be positive"),
+    (["gen-data"], "--canvas", "0", "must be positive"),
 ]
 
 

@@ -85,6 +85,9 @@ def test_synthetic_config_validation():
         SyntheticConfig(2, 1, canvas=8, pattern_size=9, jitter=0)
     with pytest.raises(ValueError):
         SyntheticConfig(0, 1, 32, 9, 0)
+    for pattern_size in (0, -3):
+        with pytest.raises(ValueError, match="1-pixel pattern"):
+            SyntheticConfig(2, 1, canvas=8, pattern_size=pattern_size, jitter=0)
 
 
 def test_labeled_dataset_validation():
@@ -128,6 +131,14 @@ def test_read_header_with_comment(tmp_path):
     path.write_bytes(b"P5\n# a comment\n2 2 # trailing\n255\n" + bytes([1, 2, 3, 4]))
     img = read_pgm(path)
     assert np.array_equal(img[0], [[1, 2], [3, 4]])
+
+
+def test_read_header_on_one_line(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5 3 2 255\n" + bytes([1, 2, 3, 4, 5, 6]))
+    img = read_pgm(path)
+    assert img.shape == (1, 2, 3)
+    assert np.array_equal(img[0], [[1, 2, 3], [4, 5, 6]])
 
 
 def test_read_rejects_bad_magic(tmp_path):
@@ -189,3 +200,28 @@ def test_load_dataset_empty_root(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(ValueError, match="no class directories"):
         load_dataset(tmp_path / "empty")
+
+
+def test_load_dataset_orders_classes_numerically(tmp_path):
+    for cls in range(11):
+        (tmp_path / str(cls)).mkdir()
+        write_pgm(np.full((1, 2, 2), float(cls)), tmp_path / str(cls) / "00000.pgm")
+    ds = load_dataset(tmp_path)
+    assert ds.num_classes == 11
+    assert ds.labels.tolist() == list(range(11))  # 10 after 9, not after 1
+    assert np.array_equal(ds.images[:, 0, 0, 0] * 255.0, np.arange(11.0))
+
+
+def test_load_dataset_ignores_other_files(tmp_path):
+    cfg = SyntheticConfig(2, 3, canvas=8, pattern_size=4, jitter=1, seed=5)
+    ds = generate_synthetic(cfg)
+    save_dataset(ds, tmp_path)
+    (tmp_path / "dataset.manifest.json").write_text("{}")
+    (tmp_path / "notes.txt").write_text("not an image")
+    for cls in ("0", "1"):
+        (tmp_path / cls / "notes.txt").write_text("not an image")
+        (tmp_path / cls / "0.pgm.tmp").write_bytes(b"P5\n1 1\n255\n\xff")
+        (tmp_path / cls / "dataset.manifest.json").write_text("{}")
+    back = load_dataset(tmp_path)
+    assert np.array_equal(back.labels, ds.labels)
+    assert np.array_equal(back.images, ds.images)

@@ -191,6 +191,35 @@ def test_inpaint_edge_cases():
             inpaint_fill(canvas, rect)
 
 
+
+@pytest.mark.parametrize("rect", [Rect(1, 2, 3, 3), Rect(0, 0, 6, 5)],
+                         ids=["fill", "full coverage"])
+def test_inpaint_returns_a_new_array(rect):
+    canvas = np.random.default_rng(4).random((2, 6, 5))
+    before = canvas.copy()
+    out = inpaint_fill(canvas, rect)
+    out[:] = -1.0
+    assert np.array_equal(canvas, before)
+
+
+@pytest.mark.parametrize("rect", [Rect(0, 2, 7, 3), Rect(0, 0, 7, 1), Rect(2, 0, 3, 6),
+                                  Rect(6, 0, 1, 6)],
+                         ids=["full height", "full height left", "full width",
+                              "full width bottom"])
+def test_inpaint_fills_a_rectangle_spanning_one_axis(monkeypatch, rect):
+    # one side of the rectangle spans the canvas, the other does not: the
+    # fill runs, it is not the full-coverage early return
+    calls = []
+    ring_sides = transforms._ring_sides
+    monkeypatch.setattr(transforms, "_ring_sides",
+                        lambda *args: calls.append(args) or ring_sides(*args))
+    canvas = np.random.default_rng(6).normal(size=(2, 7, 6))
+    got = inpaint_fill(canvas, rect)
+    known = _mask(rect, 7, 6)
+    assert len(calls) == 1
+    assert np.max(np.abs(got - _dense_harmonic_solve(canvas, known))) < 1e-10
+    assert np.array_equal(got[:, known], canvas[:, known])
+
 def _rects(h, w):
     """Known rectangles: any, flush with a chosen canvas edge, a 1-pixel-wide
     strip, or a single pixel."""
