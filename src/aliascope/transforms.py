@@ -205,13 +205,13 @@ def inpaint_fill(canvas: np.ndarray, rect: Rect) -> np.ndarray:
     the load f on the ring. Time: O(h*w*(n_x + n_y)) for pinv(L)[R, R]
     (`_capacitance`), O(r^3) for the solve, O(c*h*w*(h + w)) for the DCTs;
     memory O(c*h*w + h^2 + w^2 + r^2). The rectangle is read and written
-    through slices, with no pixel mask. On a 64x64 canvas with a 28x28
-    rectangle (r = 108; 2-core Xeon VM, one BLAS thread) the capacitance
-    matrix takes 0.17 ms, the solve 0.12 ms, the two DCTs 0.05 ms and the
-    residual check 0.05 ms, of 0.5-0.8 ms per call.
+    through slices, with no pixel mask. Per call on a 64x64 canvas with a
+    28x28 rectangle (r = 108; 2-core Xeon VM, 1 BLAS thread): capacitance
+    0.17 ms, solve 0.12 ms, two DCTs 0.05 ms, residual 0.05 ms; 0.5-0.8 ms in all.
 
-    Checked on every call: the residual |deg*u - sum of neighbours| at each
-    unknown pixel is at most 1e-9 * max(1, max|known value|), else RuntimeError.
+    Error bound, checked on every call: the residual |deg*u - sum of neighbours|
+    at each unknown pixel is at most 1e-9 * max(1, max|known value|), else
+    RuntimeError.
     """
     c, h, w = canvas.shape
     if rect.height < 1 or rect.width < 1:
