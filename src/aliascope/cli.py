@@ -1,5 +1,11 @@
 """Command-line surface: one subcommand per experiment.
 
+`COMMANDS` declares each subcommand once: its help and its flags, each flag
+with its default (or REQUIRED) and one parse type that also checks the
+flag's bound, so a value out of range is a usage error before any work
+starts. A command's input flags are not in the table: `build_parser` reads
+them off the parameters of `cmd_<name>` after `args`.
+
 `main` does every subcommand's I/O in one place. It loads the input flags
 through `INPUTS`, in its order, so the first input that fails to load is the
 one reported, and passes the loaded values to the command by flag name. The
@@ -20,11 +26,15 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
+import math
+import shutil
 import sys
 import time
 from dataclasses import astuple, fields, replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__, audit, biasstat, data, nn, sampling, theory
@@ -99,25 +109,6 @@ def _proto(args) -> EmbeddingProtocol:
                              FillMode(args.fill))
 
 
-def _nonzero_int(text: str) -> int:
-    value = int(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("must be nonzero: a zero shift compares an image "
-                                         "with itself")
-    return value
-
-
-def _int_at_least(lo: int):
-    """An argparse type: an int no smaller than `lo`."""
-    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
-        value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError("must be positive" if lo == 1
-                                             else f"must be at least {lo}")
-        return value
-    return integer
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
@@ -170,15 +161,14 @@ def cmd_audit_crop(args, model, data):
 
 def cmd_sweep_embed(args, model, data):
     images, labels = _audit_images(data, args.limit)
-    sizes = [int(s) for s in args.sizes.split(",")]
     mode = AuditMode.TRANSLATE if args.mode == "shift" else AuditMode.SCALE
     reports = [audit.top1_change_probability(model, images, replace(_proto(args), embed_size=size),
                                              mode, seed=args.seed, labels=labels)
-               for size in sizes]
-    for size, rep in zip(sizes, reports):
+               for size in args.sizes]
+    for size, rep in zip(args.sizes, reports):
         print(f"embed={size} p_hat={rep.p_hat:.4f} n={rep.n}")
     return _csv(("embed_size", "p_hat", "n"),
-                [(size, rep.p_hat, rep.n) for size, rep in zip(sizes, reports)])
+                [(size, rep.p_hat, rep.n) for size, rep in zip(args.sizes, reports)])
 
 
 def cmd_jaggedness(args, model, image):
@@ -189,9 +179,8 @@ def cmd_jaggedness(args, model, image):
 
 def cmd_depth_profile(args, model, data):
     images, _ = _audit_images(data, args.limit)
-    layers = [int(x) for x in args.layers.split(",")]
     cfg = nn.TrainConfig(args.lr, args.epochs, args.batch, args.seed)
-    profile = audit.depth_invariance_profile(model, data.images, data.labels, layers, cfg,
+    profile = audit.depth_invariance_profile(model, data.images, data.labels, args.layers, cfg,
                                              _proto(args), images, seed=args.seed)
     for e in profile:
         print(f"layer={e.layer_index} acc={e.readout_accuracy:.3f} flip={e.flip_rate:.4f}")
@@ -252,115 +241,103 @@ def cmd_verify_theory(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_proto_flags(p):
-    p.add_argument("--canvas", type=int, default=32)
-    p.add_argument("--embed", type=int, default=24)
-    p.add_argument("--fill", choices=["black", "inpaint"], default="black")
+class Num:
+    """A parse type: an int, or with `kind=float` a finite float; at least
+    `lo` (above it when `above`), and not 0 when `nonzero` says why."""
+
+    def __init__(self, kind=int, lo=None, above=False, nonzero=""):
+        self.kind, self.lo, self.above, self.nonzero = kind, lo, above, nonzero
+        self.__name__ = "integer" if kind is int else "float"  # "invalid <__name__> value"
+
+    def __call__(self, text: str):
+        value = self.kind(text)
+        if self.kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError("must be a finite number")
+        if self.nonzero and value == 0:
+            raise argparse.ArgumentTypeError(f"must be nonzero: {self.nonzero}")
+        if self.lo is not None and (value <= self.lo if self.above else value < self.lo):
+            raise argparse.ArgumentTypeError(
+                f"must be above {self.lo}" if self.above else "must be positive"
+                if self.lo == 1 and self.kind is int else f"must be at least {self.lo}")
+        return value
+
+
+class IntList(Num):
+    """A parse type: comma-separated ints, each at least `lo`."""
+
+    def __init__(self, lo=None):
+        super().__init__(int, lo)
+        self.__name__ = "integer list"
+
+    def __call__(self, text: str) -> list[int]:
+        return [Num.__call__(self, item) for item in text.split(",")]
+
+
+REQUIRED = object()  # the default of a flag that must be given
+INT_GE0, INT_GE1, FLOAT_GE0 = Num(lo=0), Num(lo=1), Num(float, 0)
+SEED, OUT, LIMIT = ("--seed", 0, INT_GE0), ("--out", REQUIRED, str), ("--limit", None, INT_GE1)
+PROTO = [("--canvas", 32, INT_GE1), ("--embed", 24, INT_GE1),
+         ("--fill", "black", ("black", "inpaint"))]
+
+# Each subcommand's help and flags. A flag is (name, default or REQUIRED,
+# parse type[, help]); a parse type is a Num, an IntList, int, str, or a tuple
+# of choices. Every subcommand also takes SEED and, before its own flags, one
+# required flag per parameter of `cmd_<name>` after `args`: its inputs.
+COMMANDS = {
+    "gen-data": ("generate a synthetic translatable dataset",
+                 [OUT, ("--classes", 8, INT_GE1), ("--per-class", 100, INT_GE1),
+                  ("--canvas", 32, INT_GE1), ("--pattern", 9, INT_GE1), ("--jitter", 4, INT_GE0)]),
+    "train": ("train a model from a network spec file",
+              [OUT, ("--epochs", 20, INT_GE0), ("--lr", 0.05, FLOAT_GE0), ("--batch", 32, INT_GE1),
+               ("--init-scale", 1.0, Num(float, 0, above=True))]),
+    "eval": ("dataset accuracy of a saved model", []),
+    "audit-shift": ("top-1 flip rate under the shift protocol", [OUT, LIMIT, *PROTO, (
+        "--delta", 1, Num(nonzero="a zero shift compares an image with itself"))]),
+    "audit-scale": ("top-1 flip rate under the scale protocol", [OUT, LIMIT, *PROTO]),
+    "audit-crop": ("top-1 flip rate for 1-pixel-shifted crops",
+                   [OUT, LIMIT, ("--crop-size", 32, INT_GE1), ("--noise-scale", 0.0, FLOAT_GE0)]),
+    "sweep-embed": ("flip rate vs embedding size",
+                    [OUT, LIMIT, ("--sizes", REQUIRED, IntList(1), "comma-separated embed sizes"),
+                     ("--mode", "shift", ("shift", "scale")), *PROTO]),
+    "jaggedness": ("correct-class score vs position sweep", [
+        ("--label", REQUIRED, int), OUT, ("--sweep-start", 0, int), ("--sweep-end", 8, int),
+        *PROTO]),
+    "depth-profile": ("per-layer readout accuracy and flip rate", [
+        OUT, LIMIT, ("--layers", REQUIRED, IntList(), "comma-separated layer indices"),
+        ("--epochs", 10, INT_GE0), ("--lr", 0.1, FLOAT_GE0), ("--batch", 32, INT_GE1), *PROTO]),
+    "shiftability": ("shiftability error of a strided layer", [
+        ("--layer", REQUIRED, int), ("--kernel", "tent", ("tent", "cubic", "sinc")),
+        ("--window", 0, INT_GE0)]),
+    "feature-trace": ("per-channel spatial sums vs shift",
+                      [("--layer", REQUIRED, int), OUT, ("--shifts", 8, INT_GE0), *PROTO]),
+    "pool-swap": ("replace pooling layers, keeping weights", [
+        OUT, ("--old", REQUIRED, str, "'max 2 2' style descriptor"),
+        ("--new", REQUIRED, str, "'avg 6 2' style descriptor (stride 0 keeps old)")]),
+    "bias-audit": ("chi-squared dataset-bias report",
+                   [OUT, ("--pos-grid", 5, Num(lo=2)), ("--size-bins", 10, Num(lo=2))]),
+    "verify-theory": ("numeric checks of the invariance observation / claim / corollary / "
+                      "stride lattice", []),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="aliascope",
+    # argparse makes a formatter per flag, each reading the terminal width (less
+    # 2 columns): read it once
+    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(prog="aliascope", formatter_class=fmt,
                                      description="Sampling-theory CNN invariance audits")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
-        p.add_argument("--seed", type=int, default=0)
+    for name, (help_text, flags) in COMMANDS.items():
+        # looked up at each call, so a wrapper installed on the module is the one run
+        fn = globals()["cmd_" + name.replace("-", "_")]
+        p = sub.add_parser(name, help=help_text, formatter_class=fmt)
         p.set_defaults(fn=fn)
-        return p
-
-    def add_audit(name, fn, help):
-        """A subcommand that audits --model on the images under --data."""
-        p = add(name, fn, help=help)
-        p.add_argument("--model", required=True)
-        p.add_argument("--data", required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("--limit", type=_int_at_least(1), default=None)
-        return p
-
-    p = add("gen-data", cmd_gen_data, help="generate a synthetic translatable dataset")
-    p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=_int_at_least(1), default=8)
-    p.add_argument("--per-class", type=_int_at_least(1), default=100)
-    p.add_argument("--canvas", type=_int_at_least(1), default=32)
-    p.add_argument("--pattern", type=_int_at_least(1), default=9)
-    p.add_argument("--jitter", type=_int_at_least(0), default=4)
-
-    p = add("train", cmd_train, help="train a model from a network spec file")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=_int_at_least(0), default=20)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--batch", type=_int_at_least(1), default=32)
-    p.add_argument("--init-scale", type=float, default=1.0)
-
-    p = add("eval", cmd_eval, help="dataset accuracy of a saved model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-
-    for name, fn in (("audit-shift", cmd_audit_shift), ("audit-scale", cmd_audit_scale)):
-        p = add_audit(name, fn, help=f"top-1 flip rate under the {name.split('-')[1]} protocol")
-        _add_proto_flags(p)
-        if name == "audit-shift":
-            p.add_argument("--delta", type=_nonzero_int, default=1)
-
-    p = add_audit("audit-crop", cmd_audit_crop, help="top-1 flip rate for 1-pixel-shifted crops")
-    p.add_argument("--crop-size", type=_int_at_least(1), default=32)
-    p.add_argument("--noise-scale", type=float, default=0.0)
-
-    p = add_audit("sweep-embed", cmd_sweep_embed, help="flip rate vs embedding size")
-    p.add_argument("--sizes", required=True, help="comma-separated embed sizes")
-    p.add_argument("--mode", choices=["shift", "scale"], default="shift")
-    _add_proto_flags(p)
-
-    p = add("jaggedness", cmd_jaggedness, help="correct-class score vs position sweep")
-    p.add_argument("--model", required=True)
-    p.add_argument("--image", required=True)
-    p.add_argument("--label", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--sweep-start", type=int, default=0)
-    p.add_argument("--sweep-end", type=int, default=8)
-    _add_proto_flags(p)
-
-    p = add_audit("depth-profile", cmd_depth_profile,
-                  help="per-layer readout accuracy and flip rate")
-    p.add_argument("--layers", required=True, help="comma-separated layer indices")
-    p.add_argument("--epochs", type=_int_at_least(0), default=10)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--batch", type=_int_at_least(1), default=32)
-    _add_proto_flags(p)
-
-    p = add("shiftability", cmd_shiftability, help="shiftability error of a strided layer")
-    p.add_argument("--model", required=True)
-    p.add_argument("--image", required=True)
-    p.add_argument("--layer", type=int, required=True)
-    p.add_argument("--kernel", choices=["tent", "cubic", "sinc"], default="tent")
-    p.add_argument("--window", type=_int_at_least(0), default=0)
-
-    p = add("feature-trace", cmd_feature_trace, help="per-channel spatial sums vs shift")
-    p.add_argument("--model", required=True)
-    p.add_argument("--image", required=True)
-    p.add_argument("--layer", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--shifts", type=_int_at_least(0), default=8)
-    _add_proto_flags(p)
-
-    p = add("pool-swap", cmd_pool_swap, help="replace pooling layers, keeping weights")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--old", required=True, help="'max 2 2' style descriptor")
-    p.add_argument("--new", required=True, help="'avg 6 2' style descriptor (stride 0 keeps old)")
-
-    p = add("bias-audit", cmd_bias_audit, help="chi-squared dataset-bias report")
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--pos-grid", type=_int_at_least(2), default=5)
-    p.add_argument("--size-bins", type=_int_at_least(2), default=10)
-
-    add("verify-theory", cmd_verify_theory,
-        help="numeric checks of the invariance observation / claim / corollary / "
-             "stride lattice")
+        code = inspect.unwrap(fn).__code__
+        inputs = [(f"--{arg}", REQUIRED, str) for arg in code.co_varnames[1:code.co_argcount]]
+        for flag, default, kind, *text in (SEED, *inputs, *flags):
+            p.add_argument(flag, required=default is REQUIRED, default=default,
+                           help=text[0] if text else None,
+                           **({"choices": kind} if isinstance(kind, tuple) else {"type": kind}))
     return parser
 
 

@@ -536,8 +536,11 @@ class TrainConfig:
     init_scale: float = 1.0
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.epochs < 0 or self.batch_size < 1 or self.init_scale <= 0:
-            raise ValueError("train config values must be positive")
+        # the chained comparisons are False for NaN
+        if not (0 <= self.learning_rate < math.inf and 0 < self.init_scale < math.inf
+                and self.epochs >= 0 and self.batch_size >= 1):
+            raise ValueError("train config needs epochs >= 0, batch_size >= 1, a finite "
+                             "learning_rate >= 0 and a finite init_scale > 0")
 
 
 @dataclass

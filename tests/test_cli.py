@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -8,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from aliascope import audit, data, nn, theory
+from aliascope import audit, cli, data, nn, theory
 from aliascope.cli import _csv, _parse_pool, main
 
 SPEC_TEXT = """\
@@ -35,6 +37,8 @@ def workspace(tmp_path_factory):
     assert main(["train", "--spec", str(spec_path), "--data", str(root / "ds"),
                  "--out", str(root / "model.shnn"), "--epochs", "2",
                  "--lr", "0.2", "--batch", "8", "--seed", "0"]) == 0
+    (root / "boxes.csv").write_text("category,img_w,img_h,box_x,box_y,box_w,box_h\n"
+                                    + "dog,100,100,40,40,20,20\n" * 60)
     return root
 
 
@@ -214,23 +218,46 @@ OUT_OF_RANGE = [
     (["gen-data"], "--pattern", "0", "must be positive"),
     (["gen-data"], "--pattern", "-3", "must be positive"),
     (["gen-data"], "--canvas", "0", "must be positive"),
+    (["audit-shift"], "--embed", "0", "must be positive"),
+    (["audit-shift"], "--embed", "-3", "must be positive"),
+    (["audit-shift"], "--canvas", "-5", "must be positive"),
+    (["sweep-embed"], "--sizes", "0,8", "must be positive"),
+    (["sweep-embed"], "--sizes", "8,x", "invalid integer list value: '8,x'"),
+    (["depth-profile"], "--layers", "0,,1", "invalid integer list value: '0,,1'"),
+    (["jaggedness", "--label", "0"], "--canvas", "0", "must be positive"),
+    (["feature-trace", "--layer", "1"], "--embed", "0", "must be positive"),
+    (["train"], "--lr", "nan", "must be a finite number"),
+    (["train"], "--init-scale", "inf", "must be a finite number"),
+    (["audit-crop"], "--noise-scale", "-1", "must be at least 0"),
+    (["eval"], "--seed", "-1", "must be at least 0"),
 ]
 
 
-@pytest.mark.parametrize("command, flag, value, err", OUT_OF_RANGE,
-                         ids=[f"{flag}={value}" for _, flag, value, _ in OUT_OF_RANGE])
+def _case_ids(cases):
+    """`--flag=value`, led by the subcommand when an earlier case has that id."""
+    ids = []
+    for command, flag, value, _ in cases:
+        name = f"{flag}={value}"
+        ids.append(f"{command[0]}/{name}" if name in ids else name)
+    return ids
+
+
+@pytest.mark.parametrize("command, flag, value, err", OUT_OF_RANGE, ids=_case_ids(OUT_OF_RANGE))
 def test_out_of_range_count_is_a_usage_error(workspace, tmp_path, capsys, command, flag,
                                              value, err):
     model = ["--model", str(workspace / "model.shnn")]
     image = [*model, "--image", str(workspace / "ds" / "0" / "00000.pgm")]
     dataset = ["--data", str(workspace / "ds")]
     inputs = {"audit-crop": [*model, *dataset], "depth-profile": [*model, *dataset],
+              "audit-shift": [*model, *dataset], "eval": [*model, *dataset],
+              "sweep-embed": [*model, *dataset], "jaggedness": image,
               "train": ["--spec", str(workspace / "net.spec"), *dataset], "gen-data": [],
               "feature-trace": image, "shiftability": image,
-              "bias-audit": ["--annotations", str(workspace / "ann.csv")]}[command[0]]
+              "bias-audit": ["--annotations", str(workspace / "boxes.csv")]}[command[0]]
     with pytest.raises(SystemExit) as exc:
         main(command + inputs
-             + ([] if command[0] == "shiftability" else ["--out", str(tmp_path / "out.csv")])
+             + ([] if command[0] in ("shiftability", "eval")
+                else ["--out", str(tmp_path / "out.csv")])
              + [flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: {err}" in capsys.readouterr().err
@@ -518,3 +545,127 @@ def test_exit_0_leaves_a_valid_hashed_artifact_and_failure_leaves_nothing(
     assert sorted(p.name for p in out_dir.iterdir()) == ["out.csv", "out.csv.manifest.json"]
     _assert_output_hashed(out)
     _check_artifact(command, out)
+
+
+# Required flags of each subcommand that have no bound: fixed valid values.
+UNBOUNDED = {"sweep-embed": ["--sizes", "12,16"], "depth-profile": ["--layers", "1"],
+             "jaggedness": ["--label", "0"], "shiftability": ["--layer", "1"],
+             "feature-trace": ["--layer", "1"],
+             "pool-swap": ["--old", "max 2 2", "--new", "avg 2 0"]}
+
+
+def _bounded_flags(command: str):
+    """(flag, parse type) of each flag of `command` in the CLI's table that
+    has a bound, in the order the parser declares them."""
+    _, flags = cli.COMMANDS[command]
+    return [(flag, kind) for flag, _, kind, *_ in (cli.SEED, *flags)
+            if isinstance(kind, cli.Num) and (kind.lo is not None or kind.nonzero)]
+
+
+def _edges(kind: cli.Num):
+    """(value text, refused) at the bound of `kind`, just below it and just
+    above it, and for a float also nan and +-inf."""
+    if kind.nonzero:
+        return [("-1", False), ("0", True), ("1", False)]
+    if kind.kind is int:
+        return [(str(kind.lo - 1), True), (str(kind.lo), False), (str(kind.lo + 1), False)]
+    return [(repr(math.nextafter(kind.lo, -math.inf)), True), (repr(float(kind.lo)), kind.above),
+            (repr(math.nextafter(kind.lo, math.inf)), False),
+            ("nan", True), ("inf", True), ("-inf", True)]
+
+
+def _assert_valid_artifact(command: str, out: Path) -> None:
+    """`out` loads as what `command` writes and its manifest hashes it."""
+    if command == "gen-data":
+        assert len(data.load_dataset(out).images) > 0
+        assert json.loads((out / "dataset.manifest.json").read_text())["output_hashes"] == {}
+        return
+    _assert_output_hashed(out)
+    if out.suffix == ".shnn":
+        model = nn.load_model(out)
+        assert all(np.isfinite(v).all() for p in model.params for v in p.values())
+        return
+    header, *rows = csv.reader(line for line in out.read_text().splitlines()
+                               if not line.startswith("#"))
+    assert rows and all(len(row) == len(header) for row in rows)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@settings(deadline=None, max_examples=40)
+@given(draw=st.data())
+def test_every_subcommand_at_its_bounds_exits_cleanly(workspace, command, draw):
+    """Each bounded flag at its bound, just below it and just above it (and
+    nan/inf for floats), or left at its default; only one flag, the target,
+    may fall outside its bound. A refused value exits 2 and names its flag, a
+    domain error exits 1 with one `error:` line, and exit 0 leaves a valid
+    artifact whose sha256 the manifest holds. Nothing but exit 0 writes a
+    file."""
+    out_dir = Path(tempfile.mkdtemp(dir=workspace))
+    paths = {"model": workspace / "model.shnn", "data": workspace / "ds",
+             "spec": workspace / "net.spec", "image": workspace / "ds" / "0" / "00000.pgm",
+             "annotations": workspace / "boxes.csv"}
+    params = list(inspect.signature(getattr(cli, "cmd_" + command.replace("-", "_"))).parameters)
+    argv = [command, *UNBOUNDED.get(command, [])]
+    for name in params[1:]:
+        argv += [f"--{name}", str(paths[name])]
+    writes = any(flag == "--out" for flag, *_ in cli.COMMANDS[command][1])
+    out = out_dir / ("ds" if command == "gen-data" else
+                     "model.shnn" if command in ("train", "pool-swap") else "out.csv")
+    if writes:
+        argv += ["--out", str(out)]
+    bounded = _bounded_flags(command)
+    target = draw.draw(st.sampled_from([flag for flag, _ in bounded]), label="target")
+    refused = []
+    for flag, kind in bounded:
+        if flag == target:
+            edge = draw.draw(st.sampled_from(_edges(kind)), label=flag)
+        else:
+            edge = draw.draw(st.none() | st.sampled_from([e for e in _edges(kind) if not e[1]]),
+                             label=flag)
+        if edge is not None:
+            argv.append(f"{flag}={edge[0]}")  # "=": argparse reads "-5e-324" as a flag
+            if edge[1]:
+                refused.append(flag)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    event(f"exit {status}")
+    if refused:
+        assert status == 2 and f"argument {refused[0]}: " in err.getvalue()
+    elif status == 1:
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error: ")
+    else:
+        assert status == 0, err.getvalue()
+    if status != 0 or not writes:
+        assert list(out_dir.iterdir()) == []
+        return
+    assert {p.name for p in out_dir.iterdir()} == (
+        {out.name} if command == "gen-data" else {out.name, out.name + ".manifest.json"})
+    _assert_valid_artifact(command, out)
+
+
+def _refused_when(kind: cli.Num) -> str:
+    if kind.nonzero:
+        return "0"
+    if kind.kind is float:
+        return (f"{kind.lo} or below" if kind.above else f"below {kind.lo}") + ", or not finite"
+    return f"{'an element ' if isinstance(kind, cli.IntList) else ''}below {kind.lo}"
+
+
+def test_readme_lists_every_bounded_flag_with_its_bound():
+    rows = {}
+    for command in cli.COMMANDS:
+        for flag, kind in _bounded_flags(command):
+            rows.setdefault((flag, _refused_when(kind)), []).append(command)
+    table = ["| flag | subcommands | usage error when |", "|---|---|---|"]
+    for (flag, bound), commands in rows.items():
+        names = ("every subcommand" if len(commands) == len(cli.COMMANDS)
+                 else ", ".join(f"`{c}`" for c in commands))
+        table.append(f"| `{flag}` | {names} | {bound} |")
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = "\n".join(table)
+    assert table in readme, "README's usage-error table should read:\n" + table

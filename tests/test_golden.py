@@ -1,9 +1,12 @@
 import copy
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden.py"
 _SPEC = importlib.util.spec_from_file_location("golden", SCRIPT)
@@ -12,12 +15,18 @@ _SPEC.loader.exec_module(golden)
 REFUSED = ("nothing-scored", "nothing-measured", "out-of-range")  # runs that exit 1
 
 
-def test_golden_run_of_the_working_tree(tmp_path):
-    out = tmp_path / "golden.json"
+@pytest.fixture(scope="module")
+def record(tmp_path_factory):
+    """The working tree's golden record, its runs on one BLAS thread."""
+    out = tmp_path_factory.mktemp("golden") / "golden.json"
     proc = subprocess.run([sys.executable, str(SCRIPT), "--out", str(out)],
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    record = json.loads(out.read_text())
+    return json.loads(out.read_text())
+
+
+def test_golden_run_of_the_working_tree(record):
     commands = record["commands"]
     assert list(commands) == sorted(name for name, _ in golden.COMMANDS)
     for name, rec in commands.items():
@@ -39,3 +48,12 @@ def test_golden_run_of_the_working_tree(tmp_path):
     changed["commands"]["train"]["files"]["model.shnn"] = "0" * 64
     changed["commands"]["eval"]["stdout"] = "accuracy=0.0000 n=24\n"
     assert sorted(line.split(":")[0] for line in golden.diff(record, changed)) == ["eval", "train"]
+
+
+def test_golden_record_is_the_same_on_2_blas_threads(record, monkeypatch):
+    """Every golden run prints and writes the same bytes with OpenBLAS on 2
+    threads as on 1. The golden shapes are small, so OpenBLAS may not split
+    their products across threads at all: this pins the program's outputs at
+    these sizes, not the bits of a product that OpenBLAS does split."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert golden.diff(record, golden.run_revision(SCRIPT.parent.parent / "src")) == []

@@ -1,4 +1,5 @@
 import copy
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -574,6 +575,15 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+
+
+@pytest.mark.parametrize("field, value", [("learning_rate", math.nan), ("learning_rate", math.inf),
+                                          ("init_scale", math.nan), ("init_scale", math.inf),
+                                          ("init_scale", 0.0), ("epochs", -1)])
+def test_train_config_refuses_a_non_finite_rate_or_scale(field, value):
+    with pytest.raises(ValueError, match="a finite learning_rate >= 0 and a finite init_scale > 0"):
+        TrainConfig(**{field: value})
+    TrainConfig(learning_rate=0.0, epochs=0)  # zero rate and zero epochs are valid
 
 
 def test_init_model_bounds_and_zero_bias():
