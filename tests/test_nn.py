@@ -580,7 +580,7 @@ def test_train_config_validation():
 @pytest.mark.parametrize("field, value", [("learning_rate", math.nan), ("learning_rate", math.inf),
                                           ("init_scale", math.nan), ("init_scale", math.inf),
                                           ("init_scale", 0.0), ("epochs", -1)])
-def test_train_config_refuses_a_non_finite_rate_or_scale(field, value):
+def test_train_config_refuses_non_finite_values_and_says_what_it_needs(field, value):
     with pytest.raises(ValueError, match="a finite learning_rate >= 0 and a finite init_scale > 0"):
         TrainConfig(**{field: value})
     TrainConfig(learning_rate=0.0, epochs=0)  # zero rate and zero epochs are valid
