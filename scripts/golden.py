@@ -59,6 +59,8 @@ COMMANDS = [
                   "--canvas", "16", "--pattern", "7", "--jitter", "2"]),
     ("train", ["train", "--spec", "$WORK/net.spec", "--data", DATA, "--out", MODEL,
                "--epochs", "20", "--lr", "0.3", "--batch", "4"]),
+    ("train-diverged", ["train", "--spec", "$WORK/net.spec", "--data", DATA,
+                        "--out", "$WORK/diverged.shnn", "--epochs", "2", "--init-scale", "1e300"]),
     ("eval", ["eval", "--model", MODEL, "--data", DATA]),
     ("audit-shift", ["audit-shift", "--model", MODEL, "--data", DATA,
                      "--out", "$WORK/shift.csv", "--canvas", "20", "--embed", "16"]),
@@ -109,6 +111,9 @@ COMMANDS = [
     ("feature-trace", ["feature-trace", "--model", MODEL, "--image", IMAGE, "--layer", "3",
                        "--out", "$WORK/trace_max.csv", "--canvas", "20", "--embed", "12",
                        "--shifts", "4"]),
+    ("feature-trace-embed-out-of-range", ["feature-trace", "--model", MODEL, "--image", IMAGE,
+                                          "--layer", "3", "--out", "$WORK/trace_big.csv",
+                                          "--canvas", "20", "--embed", "40"]),
     ("pool-swap", ["pool-swap", "--model", MODEL, "--out", "$WORK/blurred.shnn",
                    "--old", "max 2 2", "--new", "avg 4 0"]),
     ("feature-trace-blurred", ["feature-trace", "--model", "$WORK/blurred.shnn",

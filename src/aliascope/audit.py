@@ -13,12 +13,12 @@ stacked by `nn.forward_chunks` (keyed pairs and sweep points) or `nn._stacked`
 `nn`), so a canvas gets the same bits whichever chunk it lands in, and
 reports do not depend on image order or chunking. Canvases of skipped images
 or invalid sweep points are never stacked. An image is resized once per
-embed size and pasted at each position it is scored at.
-`top1_change_probability` and the depth profile build their canvas pairs
-with the same code (`_scored_pairs`); the profile runs the base net once per
-canvas and once per training image, up to its deepest probed layer, and
-every probed layer's readout head scores that layer's pooled features from
-the one pass. An audit that scores no image, and a jaggedness curve that
+embed size, once its extent fits, and pasted at each position it is scored
+at. `top1_change_probability` and the depth profile build their canvas pairs
+with the same code (`_scored_pairs`). `nn.pooled_features` is the one pooled
+read-out: the feature trace takes its spatial sums, and the depth profile
+its means, up to its deepest probed layer, from one pass per canvas and per
+training image. An audit that scores no image, and a jaggedness curve that
 scores no position, raise ValueError: they measured nothing.
 """
 
@@ -34,14 +34,6 @@ import numpy as np
 
 from . import nn, sampling, transforms
 from .transforms import EmbeddingProtocol, ShiftSpec
-
-
-def _pooled_activations(model, layer_index: int):
-    """Batched layer features, spatially summed when the layer is spatial."""
-    def fn(x):
-        act = nn.layer_activations(model, x, layer_index)
-        return act.sum(axis=(2, 3)) if act.ndim == 4 else act
-    return fn
 
 
 class AuditMode(Enum):
@@ -205,25 +197,20 @@ def jaggedness_curve(model, image, proto: EmbeddingProtocol, sweep, label: int):
     if not 0 <= label < model.spec.shapes[-1][0]:
         raise ValueError(f"label {label} out of range for {model.spec.shapes[-1][0]} classes")
     series = [(param, float("nan")) for param in sweep]
-    reasons = []
-
-    def canvases():
+    extent = transforms.embedded_extent(*image.shape[1:], proto.embed_size)
+    fits, reasons = [], []
+    for i, (param, _) in enumerate(series):
+        placed = replace(proto, position=(int(param), proto.position[1]))
         try:
-            resized = transforms.resize_longest_side(image, proto.embed_size)
-        except ValueError as exc:  # then no point of the sweep is valid
-            reasons.append(str(exc))
-            return
-        for i, (param, _) in enumerate(series):
-            try:
-                canvas, _ = transforms.paste(
-                    resized, replace(proto, position=(int(param), proto.position[1])))
-            except ValueError as exc:
-                reasons.append(f"position {param}: {exc}")
-                continue
-            yield i, canvas
-
+            transforms.check_fits(*extent, placed)
+            fits.append((i, placed))
+        except ValueError as exc:
+            reasons.append(f"position {param}: {exc}")
+    # resized only when some position fits, and once
+    resized = transforms.resize_longest_side(image, proto.embed_size) if fits else None
     scored = 0
-    for i, scores in nn.forward_chunks(partial(nn.forward, model), canvases()):
+    for i, scores in nn.forward_chunks(partial(nn.forward, model),
+                                       ((i, transforms.paste(resized, p)[0]) for i, p in fits)):
         series[i] = (series[i][0], float(scores[label]))
         scored += 1
     if not scored:
@@ -239,18 +226,6 @@ class DepthProfileEntry:
     depth_fraction: float
     readout_accuracy: float
     flip_rate: float
-
-
-def _pooled_layers(model, layer_indices):
-    """Batched features of several layers from one forward pass up to the
-    deepest of them: each layer's output, averaged over space (as a gap layer
-    does) when it is spatial, concatenated along axis 1 in the order of
-    `layer_indices`."""
-    def fn(x):
-        acts, _ = nn._forward_layers(model, x, upto=max(layer_indices))
-        return np.concatenate([acts[li].mean(axis=(2, 3)) if acts[li].ndim == 4
-                               else acts[li] for li in layer_indices], axis=1)
-    return fn
 
 
 def depth_invariance_profile(model, xs, ys, layer_indices, cfg, proto: EmbeddingProtocol,
@@ -270,12 +245,8 @@ def depth_invariance_profile(model, xs, ys, layer_indices, cfg, proto: Embedding
     `layer_indices` and report absolute layer indices plus a normalized
     depth fraction.
     """
-    n_layers = len(model.spec.layers)
     layers = list(dict.fromkeys(layer_indices))
-    for li in layers:
-        if not 0 <= li < n_layers:
-            raise IndexError(f"layer index {li} out of range")
-    features = _pooled_layers(model, layers)
+    features = partial(nn.pooled_features, model, layers=layers, reduce=np.mean)
     _, before, after, _ = _scored_pairs(features, audit_images, proto, AuditMode.TRANSLATE,
                                         seed, delta)
     train_feats = nn._stacked(features, xs)
@@ -291,7 +262,7 @@ def depth_invariance_profile(model, xs, ys, layer_indices, cfg, proto: Embedding
             nn.forward(head, f_after), axis=1)
         measured[li] = (nn._accuracy(head, f_train, ys), int(np.sum(flips)) / len(flips))
         lo = hi
-    return [DepthProfileEntry(li, li / max(1, n_layers - 1), *measured[li])
+    return [DepthProfileEntry(li, li / max(1, len(model.spec.layers) - 1), *measured[li])
             for li in layer_indices]
 
 
@@ -302,18 +273,18 @@ def feature_shift_trace(model, layer_index: int, image, proto: EmbeddingProtocol
     Returns an array of shape (len(shifts), channels); shifts are vertical
     pixel displacements.
     """
-    resized = transforms.resize_longest_side(image, proto.embed_size)
     top, left = proto.position
-    return nn._stacked(_pooled_activations(model, layer_index),
-                       (transforms.paste(resized, replace(proto, position=(top + dy, left)))[0]
-                        for dy in map(int, shifts)))
+    placed = [replace(proto, position=(top + dy, left)) for dy in map(int, shifts)]
+    for p in placed:  # before the resize, whose cost grows as the embed size squared
+        transforms.check_fits(*transforms.embedded_extent(*image.shape[1:], p.embed_size), p)
+    resized = transforms.resize_longest_side(image, proto.embed_size)
+    return nn._stacked(partial(nn.pooled_features, model, layers=[layer_index], reduce=np.sum),
+                       (transforms.paste(resized, p)[0] for p in placed))
 
 
 def spatial_layer_factor(model, layer_index: int) -> int:
     """The cumulative stride of a layer, which must exist and be spatial."""
-    if not 0 <= layer_index < len(model.spec.layers):
-        raise IndexError(f"layer index {layer_index} out of range")
-    if len(model.spec.shapes[layer_index]) != 3:
+    if len(model.spec.shapes[nn._check_layer(model, layer_index)]) != 3:
         raise ValueError(f"layer {layer_index} is not spatial")
     return model.spec.cumulative_factors[layer_index]
 

@@ -207,16 +207,9 @@ def cmd_feature_trace(args, model, image):
 
 
 def cmd_pool_swap(args, model):
-    swapped = nn.replace_pooling(model, _parse_pool(args.old), _parse_pool(args.new))
-    print(f"replaced {args.old} -> {args.new}")
+    swapped = nn.replace_pooling(model, args.old, args.new)
+    print("replaced {} {} {} -> {} {} {}".format(*astuple(args.old), *astuple(args.new)))
     return nn.model_bytes(swapped)
-
-
-def _parse_pool(text: str) -> nn.PoolSpec:
-    parts = text.split()
-    if len(parts) != 3 or parts[0] not in ("max", "avg"):
-        raise ValueError(f"pool descriptor must be '<max|avg> <k> <stride>', got '{text}'")
-    return nn.PoolSpec(parts[0], int(parts[1]), int(parts[2]))
 
 
 def cmd_bias_audit(args, annotations):
@@ -273,6 +266,14 @@ class IntList(Num):
         return [Num.__call__(self, item) for item in text.split(",")]
 
 
+def pool_descriptor(text: str) -> nn.PoolSpec:
+    """A parse type: '<max|avg> <k> <stride>', k at least 1 and stride at least 0."""
+    op, kernel, stride = text.split()  # a ValueError reads "invalid pool_descriptor value"
+    if op not in ("max", "avg") or int(kernel) < 1 or int(stride) < 0:
+        raise ValueError(text)
+    return nn.PoolSpec(op, int(kernel), int(stride))
+
+
 REQUIRED = object()  # the default of a flag that must be given
 INT_GE0, INT_GE1, FLOAT_GE0 = Num(lo=0), Num(lo=1), Num(float, 0)
 SEED, OUT, LIMIT = ("--seed", 0, INT_GE0), ("--out", REQUIRED, str), ("--limit", None, INT_GE1)
@@ -280,9 +281,9 @@ PROTO = [("--canvas", 32, INT_GE1), ("--embed", 24, INT_GE1),
          ("--fill", "black", ("black", "inpaint"))]
 
 # Each subcommand's help and flags. A flag is (name, default or REQUIRED,
-# parse type[, help]); a parse type is a Num, an IntList, int, str, or a tuple
-# of choices. Every subcommand also takes SEED and, before its own flags, one
-# required flag per parameter of `cmd_<name>` after `args`: its inputs.
+# parse type[, help]); a parse type is a Num, an IntList, `pool_descriptor`, int,
+# str, or a tuple of choices. Every subcommand also takes SEED and, before its
+# own flags, one required flag per parameter of `cmd_<name>` after `args`: its inputs.
 COMMANDS = {
     "gen-data": ("generate a synthetic translatable dataset",
                  [OUT, ("--classes", 8, INT_GE1), ("--per-class", 100, INT_GE1),
@@ -311,8 +312,8 @@ COMMANDS = {
     "feature-trace": ("per-channel spatial sums vs shift",
                       [("--layer", REQUIRED, int), OUT, ("--shifts", 8, INT_GE0), *PROTO]),
     "pool-swap": ("replace pooling layers, keeping weights", [
-        OUT, ("--old", REQUIRED, str, "'max 2 2' style descriptor"),
-        ("--new", REQUIRED, str, "'avg 6 2' style descriptor (stride 0 keeps old)")]),
+        OUT, ("--old", REQUIRED, pool_descriptor, "'max 2 2' style descriptor"),
+        ("--new", REQUIRED, pool_descriptor, "'avg 6 2' style descriptor (stride 0 keeps old)")]),
     "bias-audit": ("chi-squared dataset-bias report",
                    [OUT, ("--pos-grid", 5, Num(lo=2)), ("--size-bins", 10, Num(lo=2))]),
     "verify-theory": ("numeric checks of the invariance observation / claim / corollary / "

@@ -33,9 +33,9 @@ and the audits, the dataset accuracy, the depth profile's features and
 `theory` all go through it, so only a training batch is ever larger.
 `_stacked(fn, xs)` is the one call for a batched read-out of an iterable of
 inputs; only callers that carry a key per input use `forward_chunks` itself.
-`_forward_layers(..., upto=i)` runs layers 0..i and returns every one of
-their outputs, so one pass serves several probed layers (the depth profile);
-a layer's output does not depend on how far the pass goes.
+`pooled_features` is the one pooled read-out (the depth profile, the feature
+trace, `theory`'s corollary): one pass up to the deepest of its layers serves
+them all, since a layer's output does not depend on how far the pass goes.
 
 `backward_sgd_step` also returns how many of its batch's images the forward
 pass before the step got right, so `train` prints each epoch's running
@@ -57,7 +57,7 @@ op's order, so the bits are those of fresh arrays. Two consequences: a
 `Model` is not reentrant (two calls on one model must not interleave, e.g.
 from threads), and nothing returned aliases a buffer: `forward`'s class
 scores come from gap, dense or softmax, which allocate their small outputs,
-and `layer_activations` returns a copy.
+`pooled_features` reduces into a fresh array and `layer_activations` copies.
 
 Conv backward is two more GEMMs per image on im2col matrices built by the
 same helper as the forward's (Chellapilla et al. 2006). The weight gradient
@@ -619,12 +619,26 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
     return acts[-1]
 
 
-def layer_activations(model: Model, x: np.ndarray, layer_index: int) -> np.ndarray:
-    """Forward truncated after layer_index; a copy, not the layer's buffer."""
+def _check_layer(model: Model, layer_index: int) -> int:
+    """`layer_index`, when the model has that layer; IndexError otherwise."""
     if not 0 <= layer_index < len(model.spec.layers):
         raise IndexError(f"layer index {layer_index} out of range")
-    acts, _ = _forward_layers(model, x, upto=layer_index)
+    return layer_index
+
+
+def layer_activations(model: Model, x: np.ndarray, layer_index: int) -> np.ndarray:
+    """Forward truncated after layer_index; a copy, not the layer's buffer."""
+    acts, _ = _forward_layers(model, x, upto=_check_layer(model, layer_index))
     return acts[layer_index].copy()
+
+
+def pooled_features(model: Model, x: np.ndarray, layers, reduce) -> np.ndarray:
+    """One pass up to the deepest of `layers`: their outputs, each spatial one
+    reduced over space by `reduce` (np.mean, as gap does, or np.sum), joined
+    along axis 1 in the order of `layers` into a fresh array."""
+    acts, _ = _forward_layers(model, x, upto=max(_check_layer(model, li) for li in layers))
+    return np.concatenate([reduce(acts[li], axis=(2, 3)) if acts[li].ndim == 4 else acts[li]
+                           for li in layers], axis=1)
 
 
 CHUNK_VALUES = 16384  # input values per batched forward call: 10 canvases at 40x40
@@ -635,7 +649,7 @@ def forward_chunks(fn, items):
 
     Inputs are stacked into calls of at most CHUNK_VALUES input values (a
     larger input goes alone); a change of input shape also closes a chunk.
-    `fn` is a batched forward such as `forward` or `layer_activations`, whose
+    `fn` is a batched forward such as `forward` or `pooled_features`, whose
     result for an input does not depend on the other inputs of its call.
     """
     keys, batch, size = [], [], 0
@@ -654,7 +668,7 @@ def _stacked(fn, xs) -> np.ndarray:
     """fn's rows for the inputs of the iterable `xs`, computed by
     `forward_chunks` and stacked in order. The rows are held until they are
     stacked, so `fn` must return arrays that no later call overwrites (as
-    `forward`, `layer_activations` and the pooled read-outs of `audit` do)."""
+    `forward`, `layer_activations` and `pooled_features` do)."""
     rows = [row for _, row in forward_chunks(fn, ((None, x) for x in xs))]
     if not rows:
         raise ValueError("no inputs")
@@ -709,6 +723,7 @@ def train(spec: NetworkSpec, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig,
     With `verbose`, each epoch prints its mean loss and running accuracy:
     both come from the forward pass of each SGD step, so they describe the
     weights as they moved through the epoch, not the weights at its end.
+    Training stops with a ValueError naming the epoch when the loss diverges.
     """
     if len(xs) == 0:
         raise ValueError("empty dataset")
@@ -719,11 +734,17 @@ def train(spec: NetworkSpec, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(xs))
         total, correct = 0.0, 0
-        for i in range(0, len(order), cfg.batch_size):
-            sel = order[i:i + cfg.batch_size]
-            loss, right = backward_sgd_step(model, xs[sel], ys[sel], cfg.learning_rate)
-            total += loss * len(sel)
-            correct += right
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for i in range(0, len(order), cfg.batch_size):
+                    sel = order[i:i + cfg.batch_size]
+                    loss, right = backward_sgd_step(model, xs[sel], ys[sel], cfg.learning_rate)
+                    total += loss * len(sel)
+                    correct += right
+        except FloatingPointError as exc:
+            raise ValueError(f"training diverged in epoch {epoch + 1}: {exc}") from None
+        if not math.isfinite(total):  # NaN inputs make no floating-point error
+            raise ValueError(f"training diverged in epoch {epoch + 1}: the loss is {total}")
         if verbose:
             print(f"epoch {epoch + 1}: loss={total / len(xs):.4f} "
                   f"running_acc={correct / len(xs):.3f}")

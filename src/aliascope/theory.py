@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from . import audit, nn, sampling
+from . import nn, sampling
 from .transforms import PiecewiseTransform, Rect, piecewise_shift
 
 
@@ -154,8 +154,8 @@ def piecewise_gap(model: nn.Model, x: np.ndarray, t: PiecewiseTransform,
     The caller keeps feature support and receptive fields inside the pieces
     through the margins of t.
     """
-    before, after = nn._stacked(audit._pooled_activations(model, layer_index),
-                                (x, piecewise_shift(x, t)))
+    before, after = nn._stacked(partial(nn.pooled_features, model, layers=[layer_index],
+                                        reduce=np.sum), (x, piecewise_shift(x, t)))
     return float(np.max(np.abs(after - before)))
 
 

@@ -255,15 +255,21 @@ def embed(img: np.ndarray, proto: EmbeddingProtocol) -> tuple[np.ndarray, np.nda
     return paste(resize_longest_side(img, proto.embed_size), proto)
 
 
+def check_fits(eh: int, ew: int, proto: EmbeddingProtocol) -> None:
+    """Raise ValueError unless an eh x ew image at proto.position fits the canvas."""
+    r, col = proto.position
+    if r < 0 or col < 0 or r + eh > proto.canvas_h or col + ew > proto.canvas_w:
+        raise ValueError(f"embedded image {eh}x{ew} at {proto.position} overflows "
+                         f"{proto.canvas_h}x{proto.canvas_w} canvas")
+
+
 def paste(resized: np.ndarray, proto: EmbeddingProtocol) -> tuple[np.ndarray, np.ndarray]:
     """The second half of `embed`: paste an image already resized to the
     protocol's embed size at proto.position and fill the background. Callers
     that place one image at several positions resize it once."""
     c, eh, ew = resized.shape
+    check_fits(eh, ew, proto)
     r, col = proto.position
-    if r < 0 or col < 0 or r + eh > proto.canvas_h or col + ew > proto.canvas_w:
-        raise ValueError(f"embedded image {eh}x{ew} at {proto.position} overflows "
-                         f"{proto.canvas_h}x{proto.canvas_w} canvas")
     canvas = np.zeros((c, proto.canvas_h, proto.canvas_w))
     canvas[:, r:r + eh, col:col + ew] = resized
     mask = np.zeros((proto.canvas_h, proto.canvas_w), dtype=bool)

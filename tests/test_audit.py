@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from aliascope import cli, nn
+from aliascope import cli, nn, transforms
 from aliascope.audit import (
     AuditMode,
     DepthProfileEntry,
@@ -207,9 +207,16 @@ def test_jaggedness_curve_nan_for_invalid_points():
     assert math.isnan(series[1][1])
 
 
-def test_jaggedness_curve_that_scores_nothing_raises():
+def _unresizable(monkeypatch):
+    def resize(*args):
+        raise AssertionError("resized an image that fits nowhere")
+    monkeypatch.setattr(transforms, "resize_longest_side", resize)
+
+
+def test_jaggedness_curve_that_scores_nothing_raises(monkeypatch):
     model = init_model(parse_spec(STRIDE1), seed=4)
     img = np.random.default_rng(6).random((1, 6, 6))
+    _unresizable(monkeypatch)  # no position fits, so the image is never resized
     with pytest.raises(ValueError, match=r"scored no position \(2 in the sweep; first: "
                                          r"position 50: "):
         jaggedness_curve(model, img, PROTO, [50, 60], label=0)
@@ -346,6 +353,16 @@ def test_feature_shift_trace_constant_for_stride1():
     trace = feature_shift_trace(model, 0, img, proto, range(4))
     assert trace.shape == (4, 4)
     assert np.max(np.std(trace, axis=0)) < 1e-9
+
+
+def test_feature_shift_trace_checks_the_fit_before_resizing(monkeypatch):
+    model = init_model(parse_spec(STRIDE1), seed=7)
+    img = np.random.default_rng(9).random((1, 6, 6))
+    _unresizable(monkeypatch)
+    with pytest.raises(ValueError, match=r"^embedded image 8x8 at \(9, 2\) overflows 16x16"):
+        feature_shift_trace(model, 0, img, EmbeddingProtocol(16, 16, 8, (2, 2)), range(9))
+    with pytest.raises(ValueError, match=r"^embedded image 40x40 at \(0, 0\) overflows"):
+        feature_shift_trace(model, 0, img, EmbeddingProtocol(20, 20, 40, (0, 0)), [0])
 
 
 def test_feature_shift_trace_varies_after_subsampling():

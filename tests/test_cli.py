@@ -13,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from aliascope import audit, cli, data, nn, theory
-from aliascope.cli import _csv, _parse_pool, main
+from aliascope.cli import _csv, main, pool_descriptor
 
 SPEC_TEXT = """\
 input 1 16 16
@@ -71,6 +71,16 @@ def test_train_writes_model_and_manifest(workspace):
     (digest,) = manifest["input_hashes"].values()
     assert len(digest) == 64
     _assert_output_hashed(workspace / "model.shnn")
+
+
+def test_train_that_diverges_exits_1_and_writes_nothing(workspace, tmp_path, capsys):
+    # finite and in range, but the dense product overflows: every weight would end NaN
+    assert main(["train", "--spec", str(workspace / "net.spec"), "--data", str(workspace / "ds"),
+                 "--out", str(tmp_path / "nan.shnn"), "--epochs", "2",
+                 "--init-scale", "1e300"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: training diverged in epoch 1: overflow encountered in matmul\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_prints_accuracy(workspace, capsys):
@@ -371,29 +381,42 @@ def test_pool_swap_preserves_weights(workspace):
             assert np.array_equal(p1[key], p2[key])
 
 
-def test_pool_swap_bad_descriptor(workspace, capsys):
-    assert main(["pool-swap", "--model", str(workspace / "model.shnn"),
-                 "--out", str(workspace / "x.shnn"), "--old", "max2", "--new", "avg 2 2"]) == 1
-    assert "error:" in capsys.readouterr().err
+def test_pool_swap_bad_descriptor(workspace, tmp_path, capsys):
+    # a usage error: refused while parsing, before the model is read
+    with pytest.raises(SystemExit) as exc:
+        main(["pool-swap", "--model", str(tmp_path / "missing.shnn"),
+              "--out", str(tmp_path / "x.shnn"), "--old", "max2", "--new", "avg 2 2"])
+    assert exc.value.code == 2
+    assert "argument --old: invalid pool_descriptor value: 'max2'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("new", ["avg 4 0", "avg 0 0"])
-def test_pool_swap_refuses_model_that_would_not_load(tmp_path, capsys, new):
-    # dense straight after the pool: a new pool size changes the dense weight shape
+@pytest.mark.parametrize("new, status", [("avg 4 0", 1), ("avg 0 0", 2)],
+                         ids=["avg 4 0", "avg 0 0"])
+def test_pool_swap_refuses_model_that_would_not_load(tmp_path, capsys, new, status):
+    # dense straight after the pool: a new pool size changes the dense weight
+    # shape (exit 1); a kernel of 0 is refused while parsing (exit 2)
     spec = nn.parse_spec("input 1 16 16\nconv 4 3 pad=circular act=relu\n"
                          "maxpool 2 stride=2\ndense 4\nsoftmax\n")
     nn.save_model(nn.init_model(spec, seed=0), tmp_path / "flat.shnn")
     out_model = tmp_path / "swapped.shnn"
-    assert main(["pool-swap", "--model", str(tmp_path / "flat.shnn"), "--out", str(out_model),
-                 "--old", "max 2 2", "--new", new]) == 1
+    try:
+        code = main(["pool-swap", "--model", str(tmp_path / "flat.shnn"), "--out", str(out_model),
+                     "--old", "max 2 2", "--new", new])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == status
     assert "error:" in capsys.readouterr().err
     assert not out_model.exists()
 
 
 def test_parse_pool():
-    assert _parse_pool("avg 6 2") == nn.PoolSpec("avg", 6, 2)
-    with pytest.raises(ValueError):
-        _parse_pool("median 2 2")
+    assert pool_descriptor("avg 6 2") == nn.PoolSpec("avg", 6, 2)
+    assert pool_descriptor(" max  2 0 ") == nn.PoolSpec("max", 2, 0)  # stride 0 keeps the old
+    for text in ("median 2 2", "max2", "max 2", "max 2 2 2", "avg 0 2", "avg 2 -1", "avg x 2",
+                 ""):
+        with pytest.raises(ValueError):  # which argparse reports as an invalid value
+            pool_descriptor(text)
 
 
 def test_bias_audit_command(workspace, capsys):

@@ -12,7 +12,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden.py"
 _SPEC = importlib.util.spec_from_file_location("golden", SCRIPT)
 golden = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(golden)
-REFUSED = ("nothing-scored", "nothing-measured", "out-of-range")  # runs that exit 1
+REFUSED = ("nothing-scored", "nothing-measured", "out-of-range", "diverged")  # runs that exit 1
 
 
 @pytest.fixture(scope="module")

@@ -315,6 +315,9 @@ def test_layer_activations_index_range():
     model = init_model(small_spec(), seed=0)
     with pytest.raises(IndexError):
         layer_activations(model, np.zeros((1, 1, 8, 8)), 5)
+    for layers, bad in (([-1], -1), ([5], 5), ([0, 5], 5), ([-1, 2], -1)):
+        with pytest.raises(IndexError, match=f"layer index {bad} out of range"):
+            nn.pooled_features(model, np.zeros((1, 1, 8, 8)), layers, np.sum)
 
 
 def test_predict_top1_tie_break():
@@ -557,6 +560,21 @@ def test_train_prints_the_running_accuracy_of_each_epoch(capsys):
         want.append(f"{right / len(xs):.3f}")
     assert printed == want
     assert nn.model_bytes(model) == nn.model_bytes(oracle)
+
+
+def test_train_stops_at_the_epoch_whose_loss_is_not_finite():
+    xs, ys = _two_blob_dataset(n_per=8)
+    spec = parse_spec("input 1 8 8\nconv 2 3 act=relu\ngap\ndense 2\nsoftmax\n")
+    # the weights overflow the dense product: every weight would end NaN
+    with pytest.raises(ValueError, match="diverged in epoch 1: overflow encountered in matmul"):
+        train(spec, xs, ys, TrainConfig(0.1, 2, 8, seed=0, init_scale=1e300))
+    # a NaN pixel sets no floating-point flag, but the loss is NaN
+    xs[3, 0, 2, 2] = np.nan
+    with pytest.raises(ValueError, match="diverged in epoch 1: the loss is nan"):
+        train(spec, xs, ys, TrainConfig(0.1, 2, 8, seed=0))
+    # and so does a depth profile's readout head, on that pixel's features
+    with pytest.raises(ValueError, match="diverged in epoch 1: the loss is nan"):
+        _profile(init_model(spec, seed=0), 0, xs, ys, TrainConfig(0.1, 2, 8, seed=0))
 
 
 def test_train_is_seed_deterministic():
@@ -894,6 +912,15 @@ def test_readout_on_pooled_features_is_the_gap_head_bitwise(layer_index, monkeyp
     xs, ys = rng.random((40, 1, 32, 32)), rng.integers(0, 16, 40)
     cfg = TrainConfig(0.5, 2, 8, seed=3)
     oracle = _readout_head_on_full_features(model, layer_index, xs, ys, cfg)
+    # the pooled read-out is the reduction of each layer's copied activations
+    layers = range(len(model.spec.layers))
+    for reduce in (np.sum, np.mean):
+        singles = [nn.pooled_features(model, xs, [li], reduce) for li in layers]
+        for li, got in zip(layers, singles):
+            act = layer_activations(model, xs, li)
+            assert np.array_equal(got, reduce(act, axis=(2, 3)) if act.ndim == 4 else act)
+        assert np.array_equal(nn.pooled_features(model, xs, [3, 0, 5, 3], reduce),
+                              np.concatenate([singles[i] for i in (3, 0, 5, 3)], axis=1))
     heads = []
 
     def recording_train(*args, **kwargs):
