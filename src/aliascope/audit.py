@@ -203,9 +203,10 @@ def jaggedness_curve(model, image, proto: EmbeddingProtocol, sweep, label: int):
         placed = replace(proto, position=(int(param), proto.position[1]))
         try:
             transforms.check_fits(*extent, placed)
-            fits.append((i, placed))
         except ValueError as exc:
             reasons.append(f"position {param}: {exc}")
+        else:
+            fits.append((i, placed))
     # resized only when some position fits, and once
     resized = transforms.resize_longest_side(image, proto.embed_size) if fits else None
     scored = 0
