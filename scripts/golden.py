@@ -64,6 +64,10 @@ COMMANDS = [
     ("eval", ["eval", "--model", MODEL, "--data", DATA]),
     ("audit-shift", ["audit-shift", "--model", MODEL, "--data", DATA,
                      "--out", "$WORK/shift.csv", "--canvas", "20", "--embed", "16"]),
+    # the first 5 of the 24 images: the audit reads only those
+    ("audit-shift-limit", ["audit-shift", "--model", MODEL, "--data", DATA,
+                           "--out", "$WORK/shift_limit.csv", "--limit", "5", "--canvas", "20",
+                           "--embed", "16"]),
     ("audit-shift-inpaint", ["audit-shift", "--model", MODEL, "--data", DATA,
                              "--out", "$WORK/shift_inpaint.csv", "--canvas", "20",
                              "--embed", "12", "--delta", "-1", "--fill", "inpaint"]),
@@ -82,6 +86,10 @@ COMMANDS = [
                     "--crop-size", "12", "--noise-scale", "0.1"]),
     ("sweep-embed", ["sweep-embed", "--model", MODEL, "--data", DATA,
                      "--out", "$WORK/sweep.csv", "--canvas", "20", "--sizes", "10,14"]),
+    # each embed size resizes a stack at two sizes, the size and one more
+    ("sweep-embed-scale", ["sweep-embed", "--model", MODEL, "--data", DATA,
+                           "--out", "$WORK/sweep_scale.csv", "--canvas", "20", "--sizes", "10,14",
+                           "--mode", "scale"]),
     ("jaggedness", ["jaggedness", "--model", MODEL, "--image", IMAGE, "--label", "0",
                     "--out", "$WORK/jag.csv", "--canvas", "20", "--embed", "12",
                     "--sweep-end", "9"]),

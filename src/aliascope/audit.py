@@ -6,16 +6,16 @@ Per-image protocol randomness (positions) is seeded from (global seed,
 image id) so reports are stable under reordering; records are sorted by
 image id.
 
-Every audit scores its canvases in batches: canvases are built lazily and
-stacked by `nn.forward_chunks` (keyed pairs and sweep points) or `nn._stacked`
-(traces and shifted copies) into one forward call per chunk of at most
-`nn.CHUNK_VALUES` input values. The forward kernels are batch-invariant (see
-`nn`), so a canvas gets the same bits whichever chunk it lands in, and
+Every audit scores its canvases in batches: one forward call per chunk of
+`nn.chunked`, at most `nn.CHUNK_VALUES` input values. `_scored_pairs`, which
+builds the canvas pairs of `top1_change_probability` and the depth profile,
+plans every image's positions and skips first, then builds each chunk of
+pairs as one array: one resize per embed size of the chunk's images,
+stacked, and a paste by slice of each canvas into its row. Sweep points and
+traces are stacked by `nn._stacked`. The forward kernels are batch-invariant
+(see `nn`), so a canvas gets the same bits whichever chunk it lands in, and
 reports do not depend on image order or chunking. Canvases of skipped images
-or invalid sweep points are never stacked. An image is resized once per
-embed size, once its extent fits, and pasted at each position it is scored
-at. `top1_change_probability` and the depth profile build their canvas pairs
-with the same code (`_scored_pairs`). `nn.pooled_features` is the one pooled
+or invalid sweep points are never built. `nn.pooled_features` is the one pooled
 read-out: the feature trace takes its spatial sums, and the depth profile
 its means, up to its deepest probed layer, from one pass per canvas and per
 training image. An audit that scores no image, and a jaggedness curve that
@@ -108,53 +108,65 @@ def _random_position(rng, proto: EmbeddingProtocol, eh: int, ew: int,
 def _scored_pairs(fn, images, proto: EmbeddingProtocol, mode: AuditMode, seed: int = 0,
                   delta: ShiftSpec = ShiftSpec(1, 0), crop_size: int = 0,
                   noise_scale: float = 0.0):
-    """Build each image's before/after canvases under a 1-step protocol and
-    score them with the batched `fn`, through `nn.forward_chunks`.
+    """Plan each image's before/after canvases under a 1-step protocol,
+    then build each chunk of pairs as one (2g, c, h, w) array, the before
+    canvas of pair j in row 2j and its after canvas in row 2j + 1, and score
+    it with one call of the batched `fn`.
 
     Positions are drawn per image from the derived seed. Returns (keys,
     before, after, skipped): keys holds (image_id, param_before, param_after)
-    for each scored image in input order, before and after stack fn's rows
+    for each scored image in input order, before and after hold fn's rows
     for its two canvases, and skipped holds the sorted (image_id, reason) of
     the images whose canvases do not fit. Raises ValueError when no image is
     scored.
     """
-    skipped = []
-
-    def canvases():
-        for image_id, img in images:
-            rng = np.random.default_rng(image_seed(seed, image_id))
-            try:
-                if mode is AuditMode.TRANSLATE:
-                    eh, ew = transforms.embedded_extent(*img.shape[1:], proto.embed_size)
-                    pos = _random_position(rng, proto, eh, ew, delta)
-                    resized = transforms.resize_longest_side(img, proto.embed_size)
-                    moved = (pos[0] + delta.dy, pos[1] + delta.dx)
-                    before, _ = transforms.paste(resized, replace(proto, position=pos))
-                    after, _ = transforms.paste(resized, replace(proto, position=moved))
-                    pb, pa = f"{pos}", f"{moved}"
-                elif mode is AuditMode.SCALE:
-                    eh, ew = transforms.embedded_extent(*img.shape[1:], proto.embed_size + 1)
-                    pos = _random_position(rng, proto, eh, ew)
-                    before, after = transforms.scale_pair(img, replace(proto, position=pos))
-                    pb, pa = str(proto.embed_size), str(proto.embed_size + 1)
-                else:
-                    before, after = transforms.crop_pair_with_noise(
-                        img, crop_size, noise_scale, image_seed(seed, image_id))
-                    pb, pa = "crop", "crop+1px"
-            except ValueError as exc:
-                skipped.append((image_id, str(exc)))
-                continue
-            yield (image_id, pb, pa), before
-            yield None, after
-
-    scored = nn.forward_chunks(fn, canvases())
-    pairs = [(key, row_b, row_a) for (key, row_b), (_, row_a) in zip(scored, scored)]
+    plans, skipped = [], []  # plans: (key, image, (embed size, position) of each canvas)
+    size = proto.embed_size
+    for image_id, img in images:
+        rng = np.random.default_rng(image_seed(seed, image_id))
+        try:
+            if mode is AuditMode.TRANSLATE:
+                extent = transforms.embedded_extent(*img.shape[1:], size)
+                pos = _random_position(rng, proto, *extent, delta)
+                moved = (pos[0] + delta.dy, pos[1] + delta.dx)
+                plans.append(((image_id, f"{pos}", f"{moved}"), img, ((size, pos), (size, moved))))
+            elif mode is AuditMode.SCALE:
+                extent = transforms.embedded_extent(*img.shape[1:], size + 1)
+                pos = _random_position(rng, proto, *extent)
+                plans.append(((image_id, str(size), str(size + 1)), img,
+                              ((size, pos), (size + 1, pos))))
+            else:
+                transforms.check_crop(img.shape, crop_size)
+                plans.append(((image_id, "crop", "crop+1px"), img, ()))
+        except ValueError as exc:
+            skipped.append((image_id, str(exc)))
     skipped.sort()
-    if not pairs:
+    if not plans:
         first = f"; first: {skipped[0][0]}: {skipped[0][1]}" if skipped else ""
         raise ValueError(f"audit scored no image ({len(skipped)} skipped{first})")
-    keys, before, after = zip(*pairs)
-    return keys, np.stack(before), np.stack(after), tuple(skipped)
+    hw = ((crop_size, crop_size) if mode is AuditMode.CROP_NOISE
+          else (proto.canvas_h, proto.canvas_w))
+
+    def build(chunk):
+        canvases = np.zeros((2 * len(chunk), chunk[0][1].shape[0], *hw))
+        resized = {}
+        for s in {s for s, _ in chunk[0][2]}:  # the embed sizes; crops have none
+            for shape in {img.shape for _, img, _ in chunk}:  # each resized as one stack
+                js = [j for j, (_, img, _) in enumerate(chunk) if img.shape == shape]
+                stack = np.stack([chunk[j][1] for j in js])
+                resized.update(zip([(j, s) for j in js], transforms.resize_longest_side(stack, s)))
+        for j, ((image_id, _, _), img, places) in enumerate(chunk):
+            for k, (s, pos) in enumerate(places):
+                transforms.paste(resized[j, s], replace(proto, position=pos),
+                                 out=canvases[2 * j + k])
+            if mode is AuditMode.CROP_NOISE:
+                canvases[2 * j:2 * j + 2] = transforms.crop_pair_with_noise(
+                    img, crop_size, noise_scale, image_seed(seed, image_id))
+        return canvases
+
+    rows = np.concatenate([fn(build(chunk)) for chunk in nn.chunked(
+        plans, lambda plan: (2, plan[1].shape[0], *hw))])
+    return tuple(key for key, _, _ in plans), rows[0::2], rows[1::2], tuple(skipped)
 
 
 def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: AuditMode,
@@ -207,17 +219,15 @@ def jaggedness_curve(model, image, proto: EmbeddingProtocol, sweep, label: int):
             reasons.append(f"position {param}: {exc}")
         else:
             fits.append((i, placed))
-    # resized only when some position fits, and once
-    resized = transforms.resize_longest_side(image, proto.embed_size) if fits else None
-    scored = 0
-    for i, scores in nn.forward_chunks(partial(nn.forward, model),
-                                       ((i, transforms.paste(resized, p)[0]) for i, p in fits)):
-        series[i] = (series[i][0], float(scores[label]))
-        scored += 1
-    if not scored:
+    if not fits:
         first = f"; first: {reasons[0]}" if reasons else ""
         raise ValueError(f"jaggedness curve scored no position ({len(series)} in the "
                          f"sweep{first})")
+    resized = transforms.resize_longest_side(image, proto.embed_size)  # once for every position
+    scores = nn._stacked(partial(nn.forward, model),
+                         (transforms.paste(resized, p)[0] for _, p in fits))
+    for (i, _), row in zip(fits, scores):
+        series[i] = (series[i][0], float(row[label]))
     return series
 
 

@@ -41,14 +41,16 @@ from . import __version__, audit, biasstat, data, nn, sampling, theory
 from .audit import AuditMode, AuditRecord
 from .transforms import EmbeddingProtocol, FillMode, ShiftSpec
 
-# Input flags and their loaders, in load order. Each loader looks its module
-# function up when called, so a wrapper installed on the module sees the call.
+# Input flags and their loaders of the parsed arguments, in load order. Each loader
+# looks its module function up when called, so a wrapper on the module sees the call.
 INPUTS = {
-    "spec": lambda path: nn.parse_spec(Path(path).read_text()),
-    "model": lambda path: nn.load_model(path),
-    "image": lambda path: data.read_image(path),
-    "data": lambda path: data.load_dataset(path),
-    "annotations": lambda path: biasstat.read_annotations_csv(path),
+    "spec": lambda args: nn.parse_spec(Path(args.spec).read_text()),
+    "model": lambda args: nn.load_model(args.model),
+    "image": lambda args: data.read_image(args.image),
+    # an audit reads only the --limit images it scores; depth-profile trains on all
+    "data": lambda args: data.load_dataset(
+        args.data, None if args.cmd == "depth-profile" else getattr(args, "limit", None)),
+    "annotations": lambda args: biasstat.read_annotations_csv(args.annotations),
 }
 
 
@@ -348,8 +350,7 @@ def main(argv=None) -> int:
     args.invocation = list(sys.argv[1:] if argv is None else argv)
     started = time.time()
     try:
-        inputs = {flag: load(getattr(args, flag)) for flag, load in INPUTS.items()
-                  if hasattr(args, flag)}
+        inputs = {flag: load(args) for flag, load in INPUTS.items() if hasattr(args, flag)}
         artifact = args.fn(args, **inputs)
         if isinstance(artifact, str):
             artifact = artifact.encode()

@@ -14,6 +14,7 @@ audits can probe.
 from __future__ import annotations
 
 import fnmatch
+import itertools
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -173,18 +174,19 @@ def save_dataset(ds: LabeledDataset, root) -> None:
         counters[int(label)] += 1
 
 
-def load_dataset(root) -> LabeledDataset:
+def load_dataset(root, limit: int | None = None) -> LabeledDataset:
     """Read the `<class_id>/<sample_id>.pgm` layout back, in [0, 1]: classes
-    in numeric order, the `*.p?m` files of each in name order."""
+    in numeric order, the `*.p?m` files of each in name order, the first
+    `limit` files of those. Every class directory counts as a class."""
     root = Path(root)
     class_dirs = sorted((e.name for e in os.scandir(root) if e.is_dir()), key=int)
     if not class_dirs:
         raise ValueError(f"no class directories under {root}")
+    files = ((int(d), os.path.join(root, d, name)) for d in class_dirs
+             for name in sorted(fnmatch.filter(os.listdir(os.path.join(root, d)), "*.p?m")))
     images, labels = [], []
-    for d in class_dirs:
-        folder = os.path.join(root, d)
-        for name in sorted(fnmatch.filter(os.listdir(folder), "*.p?m")):
-            images.append(read_image(os.path.join(folder, name)))
-            labels.append(int(d))
+    for label, path in itertools.islice(files, limit):
+        images.append(read_image(path))
+        labels.append(label)
     return LabeledDataset(np.stack(images), np.asarray(labels, dtype=np.int64),
                           int(class_dirs[-1]) + 1)

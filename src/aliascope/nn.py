@@ -8,8 +8,10 @@ the invariance checks assert tolerances down to 1e-9, which float32 would
 blur.
 
 Circular padding is a first-class option because it makes gap-head networks
-with stride 1 *exactly* translation invariant at desk scale, with no edge
-caveats.
+with stride 1 translation invariant at desk scale, with no edge caveats, to
+within `theory.EXACT_TOL`. Not bitwise: OpenBLAS runs a GEMM's last
+`ho*wo mod 8` columns through another kernel, so a rolled input's conv map
+is the rolled map at 40x40 but not at 33x33 (1.7e-16 off), and gap rounds.
 
 Each layer kind is one frozen dataclass (`ConvSpec`, `PoolSpec`, `GapSpec`,
 `DenseSpec`, `SoftmaxSpec`) that owns everything about the kind: its line of
@@ -27,12 +29,11 @@ that image's im2col matrix, dense is a per-image vector-matrix product, and
 pooling, gap and softmax are elementwise or per-row. So callers may stack
 inputs in any grouping and get the same bits as one at a time. The cost of a
 batch is its memory: every layer's activations for the whole batch are held
-at once, plus one image's patch matrix. `forward_chunks` is the one chunk
-rule: it stacks inputs into calls of at most `CHUNK_VALUES` input values,
-and the audits, the dataset accuracy, the depth profile's features and
-`theory` all go through it, so only a training batch is ever larger.
-`_stacked(fn, xs)` is the one call for a batched read-out of an iterable of
-inputs; only callers that carry a key per input use `forward_chunks` itself.
+at once, plus one image's patch matrix. `chunked` is the one chunk rule:
+at most `CHUNK_VALUES` input values per call. The audits' canvas pairs, the
+dataset accuracy, the depth profile's features and `theory` all follow it,
+so only a training batch is ever larger. `_stacked(fn, xs)` is the one call
+for a batched read-out of an iterable of inputs.
 `pooled_features` is the one pooled read-out (the depth profile, the feature
 trace, `theory`'s corollary): one pass up to the deepest of its layers serves
 them all, since a layer's output does not depend on how far the pass goes.
@@ -80,7 +81,7 @@ from enum import Enum
 from functools import partial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class PadMode(Enum):
@@ -139,13 +140,14 @@ def _im2col(xp, k: int, s: int, buf):
     """Yield each padded image's patch matrix (c*k*k, ho*wo), rows in (c, i, j)
     order: one image's k x k windows at stride s, copied into the buffer
     "cols", which each step of the iteration overwrites."""
-    c = xp.shape[1]
-    windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]  # n,c,ho,wo,k,k
-    ho, wo = windows.shape[2:4]
+    n, c, hp, wp = xp.shape
+    ho, wo = (hp - k) // s + 1, (wp - k) // s + 1
+    windows = as_strided(xp, (n, c, k, k, ho, wo),  # offset (i, j) of each window, strided
+                         xp.strides + (xp.strides[2] * s, xp.strides[3] * s), writeable=False)
     cols = _buffer(buf, "cols", (c * k * k, ho * wo))
     patches = cols.reshape(c, k, k, ho, wo)
     for image in windows:
-        np.copyto(patches, image.transpose(0, 3, 4, 1, 2))
+        np.copyto(patches, image)
         yield cols
 
 
@@ -644,35 +646,36 @@ def pooled_features(model: Model, x: np.ndarray, layers, reduce) -> np.ndarray:
 CHUNK_VALUES = 16384  # input values per batched forward call: 10 canvases at 40x40
 
 
-def forward_chunks(fn, items):
-    """Yield (key, fn(stack)[row]) for each (key, input) of `items`, in order.
-
-    Inputs are stacked into calls of at most CHUNK_VALUES input values (a
-    larger input goes alone); a change of input shape also closes a chunk.
-    `fn` is a batched forward such as `forward` or `pooled_features`, whose
-    result for an input does not depend on the other inputs of its call.
-    """
-    keys, batch, size = [], [], 0
-    for key, x in items:
-        if batch and (size + x.size > CHUNK_VALUES or x.shape != batch[0].shape):
-            yield from zip(keys, fn(np.stack(batch)))
-            keys, batch, size = [], [], 0
-        keys.append(key)
-        batch.append(x)
-        size += x.size
-    if batch:
-        yield from zip(keys, fn(np.stack(batch)))
+def chunked(items, shape):
+    """Split `items` into lists, in order, one per batched forward call: at
+    most CHUNK_VALUES input values, or one item when it alone is larger.
+    `shape(item)` is the shape of the inputs an item adds (a pair of canvases
+    adds (2, c, h, w)); an item of another shape than the chunk's first
+    closes the chunk."""
+    chunk, size = [], 0
+    for item in items:
+        item_shape = shape(item)
+        if chunk and (size + math.prod(item_shape) > CHUNK_VALUES
+                      or item_shape != shape(chunk[0])):
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(item)
+        size += math.prod(item_shape)
+    if chunk:
+        yield chunk
 
 
 def _stacked(fn, xs) -> np.ndarray:
-    """fn's rows for the inputs of the iterable `xs`, computed by
-    `forward_chunks` and stacked in order. The rows are held until they are
-    stacked, so `fn` must return arrays that no later call overwrites (as
+    """fn's rows for the inputs of the iterable `xs`, in order: one call per
+    chunk of `chunked`, on the chunk's stacked inputs. `fn` is a batched
+    forward such as `forward`, whose result for an input does not depend on
+    the other inputs of its call. Its outputs are held until they are
+    joined, so it must return arrays that no later call overwrites (as
     `forward`, `layer_activations` and `pooled_features` do)."""
-    rows = [row for _, row in forward_chunks(fn, ((None, x) for x in xs))]
-    if not rows:
+    out = [fn(np.stack(chunk)) for chunk in chunked(xs, np.shape)]
+    if not out:
         raise ValueError("no inputs")
-    return np.stack(rows)
+    return np.concatenate(out)
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:

@@ -15,7 +15,7 @@ The resize convention (half-pixel centers, clamped) is pinned explicitly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -57,30 +57,34 @@ class PiecewiseTransform:
     pieces: tuple[tuple[Rect, tuple[int, int]], ...]
 
 
-def bilinear_resize(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
-    """Resize (c, h, w) to (c, new_h, new_w).
+@lru_cache(maxsize=32)
+def _resize_taps(n_dst: int, n_src: int) -> tuple[np.ndarray, ...]:
+    """(lo, hi, 1 - f, f): the two source pixels of each destination pixel x
+    and their weights, for the source coordinate lo + f = (x + 0.5) * src /
+    dst - 0.5, clamped. Read-only arrays: every caller shares them."""
+    x = np.clip((np.arange(n_dst) + 0.5) * n_src / n_dst - 0.5, 0.0, n_src - 1.0)
+    lo = np.floor(x).astype(int)
+    hi = np.minimum(lo + 1, n_src - 1)
+    taps = (lo, hi, 1 - (x - lo), x - lo)
+    for a in taps:
+        a.setflags(write=False)
+    return taps
 
-    Source coordinate of destination pixel x: (x + 0.5) * src / dst - 0.5,
-    clamped to the valid range; bilinear weights.
-    """
+
+def bilinear_resize(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
+    """Resize (..., h, w) to (..., new_h, new_w) with bilinear weights
+    (`_resize_taps`). Each image of a stack is resized alone, so it gets the
+    bits it gets on its own."""
     if new_h < 1 or new_w < 1:
         raise ValueError("new size must be >= 1")
-    c, h, w = img.shape
+    h, w = img.shape[-2:]
     if new_w == w and new_h == h:
         return img.copy()
-
-    def src_coords(n_dst, n_src):
-        x = (np.arange(n_dst) + 0.5) * n_src / n_dst - 0.5
-        x = np.clip(x, 0.0, n_src - 1.0)
-        lo = np.floor(x).astype(int)
-        hi = np.minimum(lo + 1, n_src - 1)
-        return lo, hi, x - lo
-
-    ry0, ry1, fy = src_coords(new_h, h)
-    cx0, cx1, fx = src_coords(new_w, w)
-    top = img[:, ry0][:, :, cx0] * (1 - fx) + img[:, ry0][:, :, cx1] * fx
-    bot = img[:, ry1][:, :, cx0] * (1 - fx) + img[:, ry1][:, :, cx1] * fx
-    return top * (1 - fy[None, :, None]) + bot * fy[None, :, None]
+    ry0, ry1, gy, fy = _resize_taps(new_h, h)
+    cx0, cx1, gx, fx = _resize_taps(new_w, w)
+    # each row's column pass is the same whichever destination row reads it
+    cols = img[..., cx0] * gx + img[..., cx1] * fx
+    return cols[..., ry0, :] * gy[:, None] + cols[..., ry1, :] * fy[:, None]
 
 
 def embedded_extent(h: int, w: int, size: int) -> tuple[int, int]:
@@ -92,9 +96,9 @@ def embedded_extent(h: int, w: int, size: int) -> tuple[int, int]:
 
 
 def resize_longest_side(img: np.ndarray, size: int) -> np.ndarray:
-    """Resize so the longest side is `size`: to exactly `embedded_extent`,
-    the extent the audits draw positions for."""
-    return bilinear_resize(img, *embedded_extent(img.shape[1], img.shape[2], size))
+    """Resize (..., h, w) so the longest side is `size`: to exactly
+    `embedded_extent`, the extent the audits draw positions for."""
+    return bilinear_resize(img, *embedded_extent(*img.shape[-2:], size))
 
 
 @lru_cache(maxsize=8)
@@ -263,28 +267,31 @@ def check_fits(eh: int, ew: int, proto: EmbeddingProtocol) -> None:
                          f"{proto.canvas_h}x{proto.canvas_w} canvas")
 
 
-def paste(resized: np.ndarray, proto: EmbeddingProtocol) -> tuple[np.ndarray, np.ndarray]:
+def paste(resized: np.ndarray, proto: EmbeddingProtocol,
+          out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The second half of `embed`: paste an image already resized to the
     protocol's embed size at proto.position and fill the background. Callers
-    that place one image at several positions resize it once."""
+    that place one image at several positions resize it once. The canvas is
+    `out`, a zeroed (c, canvas_h, canvas_w) array, when one is given."""
     c, eh, ew = resized.shape
     check_fits(eh, ew, proto)
     r, col = proto.position
-    canvas = np.zeros((c, proto.canvas_h, proto.canvas_w))
+    canvas = np.zeros((c, proto.canvas_h, proto.canvas_w)) if out is None else out
     canvas[:, r:r + eh, col:col + ew] = resized
     mask = np.zeros((proto.canvas_h, proto.canvas_w), dtype=bool)
     mask[r:r + eh, col:col + ew] = True
     if proto.fill is FillMode.INPAINT:
-        canvas = inpaint_fill(canvas, Rect(r, col, eh, ew))
+        canvas[...] = inpaint_fill(canvas, Rect(r, col, eh, ew))
     return canvas, mask
 
 
-def scale_pair(img: np.ndarray, proto: EmbeddingProtocol) -> tuple[np.ndarray, np.ndarray]:
-    """Two embeddings at the same top-left with embed sizes w and w + 1,
-    w = proto.embed_size."""
-    a, _ = embed(img, proto)
-    b, _ = embed(img, replace(proto, embed_size=proto.embed_size + 1))
-    return a, b
+def check_crop(shape, crop_size: int, long_side: int = 400) -> None:
+    """Raise ValueError unless `crop_pair_with_noise` can cut crops from a (c, h, w) image."""
+    if crop_size < 1:
+        raise ValueError(f"crop size must be >= 1, got {crop_size}")
+    h, w = embedded_extent(*shape[-2:], long_side)
+    if crop_size > h or crop_size + 1 > w:
+        raise ValueError(f"crop {crop_size} too large for resized image {h}x{w}")
 
 
 def crop_pair_with_noise(img: np.ndarray, crop_size: int, noise_scale: float,
@@ -296,12 +303,9 @@ def crop_pair_with_noise(img: np.ndarray, crop_size: int, noise_scale: float,
     whole image before cropping (so the noise is identical in the two crops
     up to the 1-pixel translation) and values are clipped to [0, 1].
     """
-    if crop_size < 1:
-        raise ValueError(f"crop size must be >= 1, got {crop_size}")
+    check_crop(img.shape, crop_size, long_side)
     resized = resize_longest_side(img, long_side)
     c, h, w = resized.shape
-    if crop_size > h or crop_size + 1 > w:
-        raise ValueError(f"crop {crop_size} too large for resized image {h}x{w}")
     rng = np.random.default_rng(seed)
     noisy = resized
     if noise_scale != 0:

@@ -2,12 +2,13 @@ import ast
 import csv
 import io
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from aliascope import cli, nn, transforms
+from aliascope import audit, cli, nn, transforms
 from aliascope.audit import (
     AuditMode,
     DepthProfileEntry,
@@ -108,15 +109,91 @@ def test_translate_report_is_order_independent():
 @pytest.mark.parametrize("mode", [AuditMode.TRANSLATE, AuditMode.SCALE])
 def test_report_is_independent_of_chunking_and_order(monkeypatch, mode):
     model = init_model(parse_spec(STRIDED), seed=1)
-    images = _images(40)  # 80 canvases of 16x16: two default chunks
+    images = _images(40)  # 40 pairs of 16x16 canvases: default chunks of 32 and 8 pairs
     whole = top1_change_probability(model, images, PROTO, mode, seed=3)
     rotated = images[7:] + images[:7]  # moves images across the chunk boundary
     assert top1_change_probability(model, rotated, PROTO, mode, seed=3) == whole
-    # 3 canvases per chunk: before and after of a pair land in different calls
-    monkeypatch.setattr(nn, "CHUNK_VALUES", 3 * 16 * 16)
     assert top1_change_probability(model, images[::-1], PROTO, mode, seed=3) == whole
-    monkeypatch.setattr(nn, "CHUNK_VALUES", 1)  # one canvas per forward call
-    assert top1_change_probability(model, images, PROTO, mode, seed=3) == whole
+    ds = SimpleNamespace(images=[img for _, img in images], labels=np.arange(40) % 3)
+    args = SimpleNamespace(limit=None, seed=3)
+    calls = []
+    forward = nn.forward
+    monkeypatch.setattr(nn, "forward", lambda m, x: calls.append(len(x)) or forward(m, x))
+    report = cli._run_audit(args, model, ds, mode, PROTO)
+    assert calls == [64, 16]
+    # below one pair, one pair, three pairs: a pair is never split
+    for values, sizes in ((1, [2] * 40), (2 * 256, [2] * 40), (6 * 256, [6] * 13 + [2])):
+        monkeypatch.setattr(nn, "CHUNK_VALUES", values)
+        calls.clear()
+        assert cli._run_audit(args, model, ds, mode, PROTO) == report
+        assert calls == sizes
+
+
+def _canvas_pairs(images, proto, mode, **kwargs):
+    """The audit's keys, before and after canvases and skips, with the
+    canvases as they are scored, and the shape of each chunk."""
+    chunks = []
+
+    def fn(x):
+        chunks.append(x.copy())
+        return np.zeros((len(x), 1))
+
+    keys, _, _, skipped = audit._scored_pairs(fn, images, proto, mode, **kwargs)
+    canvases = [canvas for chunk in chunks for canvas in chunk]
+    return keys, canvases[0::2], canvases[1::2], skipped, [chunk.shape for chunk in chunks]
+
+
+@pytest.mark.parametrize("fill", FillMode)
+@pytest.mark.parametrize("mode", [AuditMode.TRANSLATE, AuditMode.SCALE])
+def test_each_canvas_of_a_chunk_is_the_embed_of_its_image_alone(mode, fill):
+    proto = EmbeddingProtocol(12, 20, 12, (0, 0), fill)
+    rng = np.random.default_rng(9)
+    # wide images leave a row to move down and room for embed size 13; the
+    # square one, in the middle of the first chunk, has neither
+    shapes = [(1, 5, 7), (1, 4, 8), (1, 6, 6), (1, 5, 7), (3, 5, 7), (3, 4, 8), (1, 4, 8)]
+    images = [(f"img/{i}", rng.random(shape)) for i, shape in enumerate(shapes)]
+    keys, before, after, skipped, chunks = _canvas_pairs(images, proto, mode, seed=5)
+    assert [key[0] for key in keys] == [f"img/{i}" for i in (0, 1, 3, 4, 5, 6)]
+    assert [image_id for image_id, _ in skipped] == ["img/2"]
+    assert chunks == [(6, 1, 12, 20), (4, 3, 12, 20), (2, 1, 12, 20)]  # a new c closes a chunk
+    expected = []
+    for image_id, img in images[:2] + images[3:]:
+        size = proto.embed_size
+        if mode is AuditMode.TRANSLATE:
+            pos = audit._random_position(np.random.default_rng(image_seed(5, image_id)), proto,
+                                         *transforms.embedded_extent(*img.shape[1:], size),
+                                         ShiftSpec(1, 0))
+            places = ((size, pos), (size, (pos[0] + 1, pos[1])))
+        else:
+            pos = audit._random_position(np.random.default_rng(image_seed(5, image_id)), proto,
+                                         *transforms.embedded_extent(*img.shape[1:], size + 1))
+            places = ((size, pos), (size + 1, pos))
+        expected.append([transforms.embed(img, replace(proto, embed_size=s, position=p))[0]
+                         for s, p in places])
+    for b, a, (want_b, want_a) in zip(before, after, expected, strict=True):
+        assert np.array_equal(b, want_b) and np.array_equal(a, want_a)
+
+
+def test_crop_pairs_are_cut_into_their_rows():
+    images = _images(5, size=20)
+    keys, before, after, _, chunks = _canvas_pairs(images, PROTO, AuditMode.CROP_NOISE,
+                                                   seed=4, crop_size=12, noise_scale=0.2)
+    assert chunks == [(10, 1, 12, 12)]
+    for (image_id, img), b, a in zip(images, before, after, strict=True):
+        want_b, want_a = transforms.crop_pair_with_noise(img, 12, 0.2, image_seed(4, image_id))
+        assert np.array_equal(b, want_b) and np.array_equal(a, want_a)
+
+
+def test_scale_pair_sizes_differ_by_one():
+    proto = EmbeddingProtocol(12, 12, 6, (0, 0))
+    keys, before, after, _, _ = _canvas_pairs([("one", np.full((1, 5, 5), 1.0))], proto,
+                                              AuditMode.SCALE)
+    assert keys == (("one", "6", "7"),)
+    a, b = before[0][0], after[0][0]  # embed sizes 6 and 7
+    assert (a > 0).sum() == 36 and (b > 0).sum() == 49
+    top, left = np.argwhere(a > 0).min(axis=0)
+    assert np.array_equal(np.argwhere(b > 0).min(axis=0), (top, left))  # same top-left corner
+    assert a[top:top + 6, left:left + 6].all() and b[top:top + 7, left:left + 7].all()
 
 
 def test_translate_skips_images_with_no_room_to_shift():

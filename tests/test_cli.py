@@ -150,6 +150,22 @@ def test_sweep_embed_curve(workspace, capsys):
     assert "embed=12" in printed and "embed=16" in printed
 
 
+@pytest.mark.parametrize("command, reads", [("audit-shift", 4), ("audit-scale", 4),
+                                             ("audit-crop", 4), ("sweep-embed", 4),
+                                             ("depth-profile", 24)])
+def test_an_audit_reads_only_the_images_it_scores(workspace, tmp_path, monkeypatch,
+                                                 command, reads):
+    """Each command runs with --limit 4 of the 24 images. The depth profile
+    scores 4 too, but trains its heads on all of them."""
+    calls = []
+    read_image = data.read_image
+    monkeypatch.setattr(data, "read_image", lambda path: calls.append(path) or read_image(path))
+    argv = [a.replace("$WORK", str(workspace)) for a in CSV_COMMANDS[command]]
+    assert main([command, "--model", str(workspace / "model.shnn"), *argv,
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == reads
+
+
 def test_audit_shift_delta_zero_is_a_usage_error(workspace, tmp_path, capsys):
     argv = ["audit-shift", "--model", str(workspace / "model.shnn"),
             "--data", str(workspace / "ds"), "--canvas", "20", "--embed", "16",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aliascope import data
 from aliascope.data import (
     ImageFormatError,
     LabeledDataset,
@@ -225,3 +226,17 @@ def test_load_dataset_ignores_other_files(tmp_path):
     back = load_dataset(tmp_path)
     assert np.array_equal(back.labels, ds.labels)
     assert np.array_equal(back.images, ds.images)
+
+
+def test_load_dataset_reads_only_the_first_limit_files(tmp_path, monkeypatch):
+    ds = generate_synthetic(SyntheticConfig(3, 4, canvas=8, pattern_size=4, jitter=1, seed=2))
+    save_dataset(ds, tmp_path)
+    reads = []
+    monkeypatch.setattr(data, "read_image", lambda path: reads.append(path) or read_image(path))
+    for limit in (1, 5, 12, 50):
+        reads.clear()
+        part = load_dataset(tmp_path, limit)
+        assert len(reads) == min(limit, 12)
+        assert np.array_equal(part.labels, ds.labels[:limit])
+        assert np.array_equal(part.images, ds.images[:limit])
+        assert part.num_classes == 3  # from every class directory, read or not

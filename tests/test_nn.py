@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aliascope import audit, nn
+from aliascope import audit, nn, theory
 from aliascope.nn import (
     ConvSpec,
     DenseSpec,
@@ -376,6 +376,15 @@ def test_stacked_reads_out_a_generator_in_chunks(monkeypatch):
     assert calls == [3, 3, 1]  # nothing is run for no input
 
 
+def test_chunked_closes_a_chunk_on_its_value_bound_and_on_a_new_shape(monkeypatch):
+    monkeypatch.setattr(nn, "CHUNK_VALUES", 10)
+    shapes = [(2, 2), (2, 2), (2, 2), (3, 4), (1, 4), (1, 4), (2, 2)]
+    got = list(nn.chunked(range(len(shapes)), lambda i: shapes[i]))
+    # 4+4 values, then 4; a 12-value item alone; 4+4; a new shape closes the last
+    assert got == [[0, 1], [2], [3], [4, 5], [6]]
+    assert list(nn.chunked([], lambda i: shapes[i])) == []
+
+
 # ---------------------------------------------------------------------------
 # exact invariance of the stride-1 circular architecture
 # ---------------------------------------------------------------------------
@@ -390,6 +399,21 @@ def test_stride1_circular_gap_net_is_exactly_shift_invariant():
         for dx in range(10):
             shifted = np.roll(np.roll(x, dy, axis=1), dx, axis=2)
             assert np.max(np.abs(forward(model, shifted[None]) - base)) < 1e-9
+
+
+def test_stride1_circular_gap_net_is_invariant_within_exact_tol_at_33x33():
+    """At 33x33 a conv GEMM has 1089 columns, so its last 1089 mod 8 go
+    through another OpenBLAS kernel: a rolled input's maps may differ from
+    the rolled maps in the last bits, and gap's sum rounds on top. The
+    scores still agree to within theory.EXACT_TOL."""
+    text = ("input 1 33 33\nconv 4 3 pad=circular act=relu\n"
+            "conv 4 3 pad=circular act=relu\ngap\ndense 3\nsoftmax\n")
+    model = init_model(parse_spec(text), seed=6)
+    x = np.random.default_rng(16).random((1, 33, 33))
+    shifts = [(1, 0), (0, 1), (5, 7), (32, 32), (16, 3)]
+    base = forward(model, x[None])
+    rolled = forward(model, np.stack([np.roll(x, s, axis=(1, 2)) for s in shifts]))
+    assert np.max(np.abs(rolled - base)) < theory.EXACT_TOL
 
 
 def test_strided_net_is_invariant_only_to_full_factor_shifts():

@@ -20,7 +20,6 @@ from aliascope.transforms import (
     paste,
     piecewise_shift,
     resize_longest_side,
-    scale_pair,
 )
 
 
@@ -69,6 +68,37 @@ def test_resize_matches_scipy_zoom_on_linear_ramp():
     xs = np.clip((np.arange(16) + 0.5) * w / 16 - 0.5, 0, w - 1)
     expected = ys[:, None] * 2.0 + xs[None, :] * 3.0
     assert np.allclose(out, expected, atol=1e-12)
+
+
+def _resize_one_image(img, new_h, new_w):
+    """The resize of one (c, h, w) image as it was before stacks: coordinate
+    tables built on each call."""
+    c, h, w = img.shape
+
+    def src_coords(n_dst, n_src):
+        x = (np.arange(n_dst) + 0.5) * n_src / n_dst - 0.5
+        x = np.clip(x, 0.0, n_src - 1.0)
+        lo = np.floor(x).astype(int)
+        hi = np.minimum(lo + 1, n_src - 1)
+        return lo, hi, x - lo
+
+    ry0, ry1, fy = src_coords(new_h, h)
+    cx0, cx1, fx = src_coords(new_w, w)
+    top = img[:, ry0][:, :, cx0] * (1 - fx) + img[:, ry0][:, :, cx1] * fx
+    bot = img[:, ry1][:, :, cx0] * (1 - fx) + img[:, ry1][:, :, cx1] * fx
+    return top * (1 - fy[None, :, None]) + bot * fy[None, :, None]
+
+
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("new_hw", [(4, 5), (13, 9)], ids=["shrink", "grow"])
+def test_resizing_a_stack_resizes_each_image_alone(c, new_hw):
+    stack = np.random.default_rng(c).random((4, c, 7, 6))
+    out = bilinear_resize(stack, *new_hw)
+    assert out.shape == (4, c, *new_hw)
+    for img, got in zip(stack, out):
+        assert np.array_equal(got, _resize_one_image(img, *new_hw))
+        assert np.array_equal(bilinear_resize(img, *new_hw), got)
+    assert np.array_equal(resize_longest_side(stack, 9), bilinear_resize(stack, 9, 8))
 
 
 def test_resize_rejects_bad_width():
@@ -361,16 +391,6 @@ def test_embed_is_resize_then_paste(fill):
     canvas, mask = embed(img, proto)
     pasted, pasted_mask = paste(resize_longest_side(img, 9), proto)
     assert np.array_equal(canvas, pasted) and np.array_equal(mask, pasted_mask)
-
-
-def test_scale_pair_sizes_differ_by_one():
-    img = np.full((1, 5, 5), 1.0)
-    a, b = scale_pair(img, PROTO)  # embed sizes 6 and 7
-    assert (a[0] > 0).sum() == 36
-    assert (b[0] > 0).sum() == 49
-    # same top-left corner
-    assert a[0, 2, 3] > 0 and b[0, 2, 3] > 0
-    assert np.all(a[0, :2] == 0) and np.all(b[0, :2] == 0)
 
 
 # ---------------------------------------------------------------------------
