@@ -11,7 +11,7 @@ Circular padding is a first-class option because it makes gap-head networks
 with stride 1 translation invariant at desk scale, with no edge caveats, to
 within `theory.EXACT_TOL`. Not bitwise: OpenBLAS runs a GEMM's last
 `ho*wo mod 8` columns through another kernel, so a rolled input's conv map
-is the rolled map at 40x40 but not at 33x33 (1.7e-16 off), and gap rounds.
+is the rolled map at 40x40 but not, in its last bits, at 33x33; gap rounds.
 
 Each layer kind is one frozen dataclass (`ConvSpec`, `PoolSpec`, `GapSpec`,
 `DenseSpec`, `SoftmaxSpec`) that owns everything about the kind: its line of
