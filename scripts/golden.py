@@ -52,6 +52,10 @@ softmax
 """
 
 DATA, MODEL, IMAGE = "$WORK/ds", "$WORK/model.shnn", "$WORK/ds/0/00000.pgm"
+# a 16x16 P5 image with no black border (gen-data's images have one, around
+# which the harmonic fill is 0): its fill differs from a black background
+RAMP = b"P5\n16 16\n255\n" + bytes((40 + 9 * y + 5 * x + 60 * ((x * y) % 3)) % 256
+                                     for y in range(16) for x in range(16))
 
 # (name, argv); "$WORK" stands for the run's directory
 COMMANDS = [
@@ -98,6 +102,10 @@ COMMANDS = [
     ("jaggedness-inpaint", ["jaggedness", "--model", MODEL, "--image", IMAGE, "--label", "0",
                             "--out", "$WORK/jag_inpaint.csv", "--canvas", "20", "--embed", "12",
                             "--sweep-end", "8", "--fill", "inpaint"]),
+    # rows 4..8 fit and are scored, rows 9..12 are written as nan
+    ("jaggedness-partial", ["jaggedness", "--model", MODEL, "--image", IMAGE, "--label", "0",
+                            "--out", "$WORK/jag_partial.csv", "--canvas", "20", "--embed", "12",
+                            "--sweep-start", "4", "--sweep-end", "12"]),
     ("jaggedness-nothing-scored", ["jaggedness", "--model", MODEL, "--image", IMAGE,
                                    "--label", "0", "--out", "$WORK/none_jag.csv",
                                    "--canvas", "20", "--embed", "12", "--sweep-start", "30",
@@ -119,6 +127,10 @@ COMMANDS = [
     ("feature-trace", ["feature-trace", "--model", MODEL, "--image", IMAGE, "--layer", "3",
                        "--out", "$WORK/trace_max.csv", "--canvas", "20", "--embed", "12",
                        "--shifts", "4"]),
+    ("feature-trace-inpaint", ["feature-trace", "--model", MODEL, "--image", "$WORK/ramp.pgm",
+                               "--layer", "3", "--out", "$WORK/trace_inpaint.csv",
+                               "--canvas", "20", "--embed", "12", "--shifts", "4",
+                               "--fill", "inpaint"]),
     ("feature-trace-embed-out-of-range", ["feature-trace", "--model", MODEL, "--image", IMAGE,
                                           "--layer", "3", "--out", "$WORK/trace_big.csv",
                                           "--canvas", "20", "--embed", "40"]),
@@ -183,6 +195,7 @@ def collect(work: Path, src: Path) -> dict:
     (work / "net.spec").write_text(SPEC)
     (work / "boxes.csv").write_text(_annotations())
     (work / "no_boxes.csv").write_text(ANNOTATION_HEADER + "\n")
+    (work / "ramp.pgm").write_bytes(RAMP)
     record = {"env": {"python": sys.version.split()[0], "numpy": np.__version__},
               "commands": {}}
     for name, argv in COMMANDS:

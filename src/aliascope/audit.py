@@ -6,20 +6,15 @@ Per-image protocol randomness (positions) is seeded from (global seed,
 image id) so reports are stable under reordering; records are sorted by
 image id.
 
-Every audit scores its canvases in batches: one forward call per chunk of
-`nn.chunked`, at most `nn.CHUNK_VALUES` input values. `_scored_pairs`, which
-builds the canvas pairs of `top1_change_probability` and the depth profile,
-plans every image's positions and skips first, then builds each chunk of
-pairs as one array: one resize per embed size of the chunk's images,
-stacked, and a paste by slice of each canvas into its row. Sweep points and
-traces are stacked by `nn._stacked`. The forward kernels are batch-invariant
-(see `nn`), so a canvas gets the same bits whichever chunk it lands in, and
-reports do not depend on image order or chunking. Canvases of skipped images
-or invalid sweep points are never built. `nn.pooled_features` is the one pooled
-read-out: the feature trace takes its spatial sums, and the depth profile
-its means, up to its deepest probed layer, from one pass per canvas and per
-training image. An audit that scores no image, and a jaggedness curve that
-scores no position, raise ValueError: they measured nothing.
+Every audit, sweep and trace canvas is built by `_canvas_rows` and scored
+in batches, one call per chunk of `nn.chunked`. Canvases that do not fit
+(skipped images, sweep points off the canvas) are never built. The forward
+kernels are batch-invariant (see `nn`), so a canvas gets the same bits
+whichever chunk it lands in, and results do not depend on image order or
+chunking. `nn.pooled_features` is the one pooled read-out: the feature trace
+takes its spatial sums, the depth profile its means. An audit that scores
+no image, and a jaggedness curve that scores no position, raise ValueError:
+they measured nothing.
 """
 
 from __future__ import annotations
@@ -105,21 +100,49 @@ def _random_position(rng, proto: EmbeddingProtocol, eh: int, ew: int,
     return top + int(rng.integers(0, room_h + 1)), left + int(rng.integers(0, room_w + 1))
 
 
+def _canvas_rows(fn, plans, proto: EmbeddingProtocol) -> np.ndarray:
+    """fn's rows for the canvases of `plans`, in plan order, one call of the
+    batched `fn` per chunk of `nn.chunked`. A plan is (image, places). Each
+    place, an (embed size, position) that fits, makes one canvas: the image
+    resized to that size and pasted there with proto's fill. Places of None
+    mean the image is already the plan's (k, c, h, w) canvases. A chunk is
+    built as one array and resizes each of its images (by identity) once per
+    embed size, the images of one shape as one stack."""
+    canvas = (proto.canvas_h, proto.canvas_w)
+
+    def shape(plan):
+        img, places = plan
+        return img.shape if places is None else (len(places), img.shape[0], *canvas)
+
+    def build(chunk):
+        k, *dims = shape(chunk[0])
+        canvases, groups, resized = np.zeros((k * len(chunk), *dims)), {}, {}
+        for img, places in chunk:  # groups: (embed size, image shape) -> {id: image}
+            for s, _ in places or ():
+                groups.setdefault((s, img.shape), {})[id(img)] = img
+        for (s, _), group in groups.items():
+            stack = transforms.resize_longest_side(np.stack(list(group.values())), s)
+            resized.update(zip([(i, s) for i in group], stack))
+        for rows, (img, places) in zip(canvases.reshape(len(chunk), k, *dims), chunk):
+            if places is None:
+                rows[...] = img
+            for row, (s, pos) in zip(rows, places or ()):
+                transforms.paste(resized[id(img), s], replace(proto, position=pos), row)
+        return canvases
+
+    return np.concatenate([fn(build(chunk)) for chunk in nn.chunked(plans, shape)])
+
+
 def _scored_pairs(fn, images, proto: EmbeddingProtocol, mode: AuditMode, seed: int = 0,
                   delta: ShiftSpec = ShiftSpec(1, 0), crop_size: int = 0,
                   noise_scale: float = 0.0):
-    """Plan each image's before/after canvases under a 1-step protocol,
-    then build each chunk of pairs as one (2g, c, h, w) array, the before
-    canvas of pair j in row 2j and its after canvas in row 2j + 1, and score
-    it with one call of the batched `fn`.
-
-    Positions are drawn per image from the derived seed. Returns (keys,
-    before, after, skipped): keys holds (image_id, param_before, param_after)
-    for each scored image in input order, before and after hold fn's rows
-    for its two canvases, and skipped holds the sorted (image_id, reason) of
-    the images whose canvases do not fit. Raises ValueError when no image is
-    scored.
-    """
+    """Plan each image's before/after canvases under a 1-step protocol, with
+    positions drawn from the image's derived seed, and score them by
+    `_canvas_rows`. Returns (keys, before, after, skipped): keys holds
+    (image_id, param_before, param_after) for each scored image in input
+    order, before and after hold fn's rows for its two canvases, and skipped
+    holds the sorted (image_id, reason) of the images whose canvases do not
+    fit. Raises ValueError when no image is scored."""
     plans, skipped = [], []  # plans: (key, image, (embed size, position) of each canvas)
     size = proto.embed_size
     for image_id, img in images:
@@ -137,35 +160,17 @@ def _scored_pairs(fn, images, proto: EmbeddingProtocol, mode: AuditMode, seed: i
                               ((size, pos), (size + 1, pos))))
             else:
                 transforms.check_crop(img.shape, crop_size)
-                plans.append(((image_id, "crop", "crop+1px"), img, ()))
+                plans.append(((image_id, "crop", "crop+1px"), img, None))
         except ValueError as exc:
             skipped.append((image_id, str(exc)))
     skipped.sort()
     if not plans:
         first = f"; first: {skipped[0][0]}: {skipped[0][1]}" if skipped else ""
         raise ValueError(f"audit scored no image ({len(skipped)} skipped{first})")
-    hw = ((crop_size, crop_size) if mode is AuditMode.CROP_NOISE
-          else (proto.canvas_h, proto.canvas_w))
-
-    def build(chunk):
-        canvases = np.zeros((2 * len(chunk), chunk[0][1].shape[0], *hw))
-        resized = {}
-        for s in {s for s, _ in chunk[0][2]}:  # the embed sizes; crops have none
-            for shape in {img.shape for _, img, _ in chunk}:  # each resized as one stack
-                js = [j for j, (_, img, _) in enumerate(chunk) if img.shape == shape]
-                stack = np.stack([chunk[j][1] for j in js])
-                resized.update(zip([(j, s) for j in js], transforms.resize_longest_side(stack, s)))
-        for j, ((image_id, _, _), img, places) in enumerate(chunk):
-            for k, (s, pos) in enumerate(places):
-                transforms.paste(resized[j, s], replace(proto, position=pos),
-                                 out=canvases[2 * j + k])
-            if mode is AuditMode.CROP_NOISE:
-                canvases[2 * j:2 * j + 2] = transforms.crop_pair_with_noise(
-                    img, crop_size, noise_scale, image_seed(seed, image_id))
-        return canvases
-
-    rows = np.concatenate([fn(build(chunk)) for chunk in nn.chunked(
-        plans, lambda plan: (2, plan[1].shape[0], *hw))])
+    rows = _canvas_rows(fn, (  # a crop pair is cut when its chunk is built
+        (img, places) if places else (transforms.crop_pair_with_noise(
+            img, crop_size, noise_scale, image_seed(seed, image_id)), None)
+        for (image_id, _, _), img, places in plans), proto)
     return tuple(key for key, _, _ in plans), rows[0::2], rows[1::2], tuple(skipped)
 
 
@@ -202,33 +207,29 @@ def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: Audit
 def jaggedness_curve(model, image, proto: EmbeddingProtocol, sweep, label: int):
     """Correct-class score as the top-row position of the embedding sweeps.
 
-    Invalid sweep points are emitted with a NaN score; a sweep with no valid
-    point, and a label that is not one of the model's classes, raise
-    ValueError.
+    Sweep points that do not fit, found arithmetically, are emitted with a
+    NaN score; a sweep with no point that fits, and a label that is not one
+    of the model's classes, raise ValueError.
     """
     if not 0 <= label < model.spec.shapes[-1][0]:
         raise ValueError(f"label {label} out of range for {model.spec.shapes[-1][0]} classes")
-    series = [(param, float("nan")) for param in sweep]
-    extent = transforms.embedded_extent(*image.shape[1:], proto.embed_size)
-    fits, reasons = [], []
-    for i, (param, _) in enumerate(series):
-        placed = replace(proto, position=(int(param), proto.position[1]))
-        try:
-            transforms.check_fits(*extent, placed)
-        except ValueError as exc:
-            reasons.append(f"position {param}: {exc}")
-        else:
-            fits.append((i, placed))
+    sweep, (size, col) = list(sweep), (proto.embed_size, proto.position[1])
+    eh, ew = transforms.embedded_extent(*image.shape[1:], size)
+    fits = [i for i, p in enumerate(sweep)
+            if 0 <= int(p) <= proto.canvas_h - eh and 0 <= col <= proto.canvas_w - ew]
     if not fits:
-        first = f"; first: {reasons[0]}" if reasons else ""
-        raise ValueError(f"jaggedness curve scored no position ({len(series)} in the "
+        first = ""
+        for p in sweep[:1]:  # nothing fits, so the first point is the first misfit
+            try:
+                transforms.check_fits(eh, ew, replace(proto, position=(int(p), col)))
+            except ValueError as exc:
+                first = f"; first: position {p}: {exc}"
+        raise ValueError(f"jaggedness curve scored no position ({len(sweep)} in the "
                          f"sweep{first})")
-    resized = transforms.resize_longest_side(image, proto.embed_size)  # once for every position
-    scores = nn._stacked(partial(nn.forward, model),
-                         (transforms.paste(resized, p)[0] for _, p in fits))
-    for (i, _), row in zip(fits, scores):
-        series[i] = (series[i][0], float(row[label]))
-    return series
+    rows = _canvas_rows(partial(nn.forward, model),
+                        [(image, ((size, (int(sweep[i]), col)),)) for i in fits], proto)
+    scores = dict(zip(fits, rows[:, label].tolist()))
+    return [(p, scores.get(i, math.nan)) for i, p in enumerate(sweep)]
 
 
 @dataclass(frozen=True)
@@ -282,15 +283,15 @@ def feature_shift_trace(model, layer_index: int, image, proto: EmbeddingProtocol
     """Per-channel spatial sums of one layer as the embedding shifts.
 
     Returns an array of shape (len(shifts), channels); shifts are vertical
-    pixel displacements.
+    pixel displacements. A shift that does not fit raises ValueError.
     """
-    top, left = proto.position
-    placed = [replace(proto, position=(top + dy, left)) for dy in map(int, shifts)]
-    for p in placed:  # before the resize, whose cost grows as the embed size squared
-        transforms.check_fits(*transforms.embedded_extent(*image.shape[1:], p.embed_size), p)
-    resized = transforms.resize_longest_side(image, proto.embed_size)
-    return nn._stacked(partial(nn.pooled_features, model, layers=[layer_index], reduce=np.sum),
-                       (transforms.paste(resized, p)[0] for p in placed))
+    (top, left), size = proto.position, proto.embed_size
+    extent, plans = transforms.embedded_extent(*image.shape[1:], size), []
+    for dy in map(int, shifts):  # checked before the resize, whose cost grows as size squared
+        transforms.check_fits(*extent, replace(proto, position=(top + dy, left)))
+        plans.append((image, ((size, (top + dy, left)),)))
+    return _canvas_rows(partial(nn.pooled_features, model, layers=[layer_index], reduce=np.sum),
+                        plans, proto)
 
 
 def spatial_layer_factor(model, layer_index: int) -> int:

@@ -17,8 +17,8 @@ alone writes its output, a directory, itself. The library formats no file.
 
 All randomness flows from --seed (default 0). Exit codes: 0 success, 1
 domain error, 2 usage error. An audit that scores no image, a jaggedness
-curve that scores no position, and a bias audit with no valid box are
-domain errors and write nothing.
+curve that scores no position, a bias audit with no valid box and a run out
+of memory (MemoryError) are domain errors and write nothing.
 """
 
 from __future__ import annotations
@@ -359,7 +359,7 @@ def main(argv=None) -> int:
         if hasattr(args, "out"):
             write_manifest(args, started, artifact)
         return 0
-    except (ValueError, OSError, IndexError, RuntimeError) as exc:
+    except (ValueError, OSError, IndexError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

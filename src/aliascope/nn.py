@@ -30,10 +30,10 @@ pooling, gap and softmax are elementwise or per-row. So callers may stack
 inputs in any grouping and get the same bits as one at a time. The cost of a
 batch is its memory: every layer's activations for the whole batch are held
 at once, plus one image's patch matrix. `chunked` is the one chunk rule:
-at most `CHUNK_VALUES` input values per call. The audits' canvas pairs, the
-dataset accuracy, the depth profile's features and `theory` all follow it,
-so only a training batch is ever larger. `_stacked(fn, xs)` is the one call
-for a batched read-out of an iterable of inputs.
+at most `CHUNK_VALUES` input values per call. Every audit canvas, the dataset
+accuracy, the depth profile's features and `theory` follow it, so only a
+training batch is ever larger. `_stacked(fn, xs)` reads out an iterable of
+ready inputs; `audit._canvas_rows` builds and reads out the audits' canvases.
 `pooled_features` is the one pooled read-out (the depth profile, the feature
 trace, `theory`'s corollary): one pass up to the deepest of its layers serves
 them all, since a layer's output does not depend on how far the pass goes.

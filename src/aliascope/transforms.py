@@ -251,12 +251,15 @@ def inpaint_fill(canvas: np.ndarray, rect: Rect) -> np.ndarray:
 
 
 def embed(img: np.ndarray, proto: EmbeddingProtocol) -> tuple[np.ndarray, np.ndarray]:
-    """Resize to the protocol's embed size and paste into the canvas.
-
-    Returns (canvas, mask) where mask flags embedded pixels. Background is
-    black or harmonically inpainted per proto.fill.
-    """
-    return paste(resize_longest_side(img, proto.embed_size), proto)
+    """(canvas, mask): the image resized to proto's embed size and pasted on
+    a new canvas with proto's fill (`paste`), and the mask of its pixels."""
+    resized = resize_longest_side(img, proto.embed_size)
+    canvas = np.zeros((img.shape[0], proto.canvas_h, proto.canvas_w))
+    paste(resized, proto, canvas)
+    (r, col), (eh, ew) = proto.position, resized.shape[1:]
+    mask = np.zeros((proto.canvas_h, proto.canvas_w), dtype=bool)
+    mask[r:r + eh, col:col + ew] = True
+    return canvas, mask
 
 
 def check_fits(eh: int, ew: int, proto: EmbeddingProtocol) -> None:
@@ -267,22 +270,16 @@ def check_fits(eh: int, ew: int, proto: EmbeddingProtocol) -> None:
                          f"{proto.canvas_h}x{proto.canvas_w} canvas")
 
 
-def paste(resized: np.ndarray, proto: EmbeddingProtocol,
-          out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The second half of `embed`: paste an image already resized to the
-    protocol's embed size at proto.position and fill the background. Callers
-    that place one image at several positions resize it once. The canvas is
-    `out`, a zeroed (c, canvas_h, canvas_w) array, when one is given."""
+def paste(resized: np.ndarray, proto: EmbeddingProtocol, out: np.ndarray) -> None:
+    """The second half of `embed`: write an image already resized to the
+    protocol's embed size into `out`, a zeroed (c, canvas_h, canvas_w)
+    canvas, at proto.position, and fill the background."""
     c, eh, ew = resized.shape
     check_fits(eh, ew, proto)
     r, col = proto.position
-    canvas = np.zeros((c, proto.canvas_h, proto.canvas_w)) if out is None else out
-    canvas[:, r:r + eh, col:col + ew] = resized
-    mask = np.zeros((proto.canvas_h, proto.canvas_w), dtype=bool)
-    mask[r:r + eh, col:col + ew] = True
+    out[:, r:r + eh, col:col + ew] = resized
     if proto.fill is FillMode.INPAINT:
-        canvas[...] = inpaint_fill(canvas, Rect(r, col, eh, ew))
-    return canvas, mask
+        out[...] = inpaint_fill(out, Rect(r, col, eh, ew))
 
 
 def check_crop(shape, crop_size: int, long_side: int = 400) -> None:
@@ -295,8 +292,9 @@ def check_crop(shape, crop_size: int, long_side: int = 400) -> None:
 
 
 def crop_pair_with_noise(img: np.ndarray, crop_size: int, noise_scale: float,
-                         seed: int, long_side: int = 400) -> tuple[np.ndarray, np.ndarray]:
-    """Two crops one horizontal pixel apart, sharing one pre-crop noise field.
+                         seed: int, long_side: int = 400) -> np.ndarray:
+    """Two crops one horizontal pixel apart, sharing one pre-crop noise field,
+    as one (2, c, crop_size, crop_size) array.
 
     The image ([0, 1] pixels) is first resized so its long side is
     `long_side` pixels; one Uniform[0,1]*noise_scale field is added to the
@@ -313,9 +311,8 @@ def crop_pair_with_noise(img: np.ndarray, crop_size: int, noise_scale: float,
     noisy = np.clip(noisy, 0.0, 1.0)
     top = int(rng.integers(0, h - crop_size + 1))
     left = int(rng.integers(0, w - crop_size))  # leave room for the +1 shift
-    a = noisy[:, top:top + crop_size, left:left + crop_size].copy()
-    b = noisy[:, top:top + crop_size, left + 1:left + 1 + crop_size].copy()
-    return a, b
+    return np.stack([noisy[:, top:top + crop_size, left + dx:left + dx + crop_size]
+                     for dx in (0, 1)])
 
 
 def piecewise_shift(canvas: np.ndarray, t: PiecewiseTransform) -> np.ndarray:

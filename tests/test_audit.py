@@ -129,6 +129,63 @@ def test_report_is_independent_of_chunking_and_order(monkeypatch, mode):
         assert calls == sizes
 
 
+@pytest.mark.parametrize("fill", FillMode)
+def test_sweep_and_trace_are_independent_of_chunking(monkeypatch, fill):
+    """The jaggedness series and the feature trace are the same bytes with
+    chunks of one canvas, three canvases and the default, and a chunk
+    resizes the swept image once."""
+    model = init_model(parse_spec(STRIDED), seed=1)
+    img = np.random.default_rng(2).random((1, 6, 6))
+    proto = EmbeddingProtocol(16, 16, 8, (0, 3), fill)
+    calls, resizes = [], []
+    forward, features, resize = nn.forward, nn.pooled_features, transforms.resize_longest_side
+    monkeypatch.setattr(nn, "forward", lambda m, x: calls.append(len(x)) or forward(m, x))
+    monkeypatch.setattr(nn, "pooled_features",
+                        lambda m, x, **kw: calls.append(len(x)) or features(m, x, **kw))
+    monkeypatch.setattr(transforms, "resize_longest_side",
+                        lambda x, s: resizes.append(len(x)) or resize(x, s))
+
+    def run():
+        calls.clear()
+        resizes.clear()
+        series = jaggedness_curve(model, img, proto, range(-2, 12), label=1)  # rows 0..8 fit
+        trace = feature_shift_trace(model, 1, img, proto, range(7))
+        return repr(series), trace.tobytes(), list(calls), list(resizes)
+
+    whole = run()
+    assert whole[2:] == ([9, 7], [1, 1])  # one chunk each, one resize of the one image
+    assert whole[0].count("nan") == 5
+    for values, sizes in ((1, [1] * 16), (3 * 256, [3, 3, 3, 3, 3, 1])):
+        monkeypatch.setattr(nn, "CHUNK_VALUES", values)
+        series, trace, got, resized = run()
+        assert (series, trace) == whole[:2]
+        assert got == sizes
+        assert resized == [1] * len(sizes)  # once per chunk, not once per canvas
+
+
+def test_jaggedness_fit_checks_do_not_grow_with_the_sweep(monkeypatch):
+    model = init_model(parse_spec(STRIDE1), seed=4)
+    img = np.random.default_rng(6).random((1, 6, 6))
+    checks = []
+    check_fits = transforms.check_fits
+    monkeypatch.setattr(transforms, "check_fits",
+                        lambda *args: checks.append(args) or check_fits(*args))
+
+    def count(sweep):
+        checks.clear()
+        try:
+            series = jaggedness_curve(model, img, PROTO, sweep, label=0)
+        except ValueError:
+            series = None
+        return len(checks), series
+
+    short, long = count(range(0, 12)), count(range(0, 10**5))  # rows 0..8 fit
+    assert short[0] == long[0]
+    assert long[1][:9] == short[1][:9] and len(long[1]) == 10**5
+    assert all(math.isnan(v) for _, v in long[1][9:])
+    assert count(range(30, 40))[0] == count(range(30, 30 + 10**5))[0] == 1  # nothing fits
+
+
 def _canvas_pairs(images, proto, mode, **kwargs):
     """The audit's keys, before and after canvases and skips, with the
     canvases as they are scored, and the shape of each chunk."""

@@ -465,6 +465,21 @@ def test_bias_audit_with_no_valid_box_exits_1_and_writes_nothing(tmp_path, capsy
     assert list(out.parent.iterdir()) == []
 
 
+def test_running_out_of_memory_is_a_domain_error(tmp_path, capsys):
+    # 2 categories x (10^7)^2 position bins: numpy refuses the 1.42 PiB
+    # histogram before it allocates anything
+    ann_path = tmp_path / "ann.csv"
+    ann_path.write_text("category,img_w,img_h,box_x,box_y,box_w,box_h\n"
+                        "cat,100,100,10,10,10,10\ndog,100,100,50,50,10,10\n")
+    out = tmp_path / "out" / "bias.csv"
+    out.parent.mkdir()
+    assert main(["bias-audit", "--annotations", str(ann_path), "--out", str(out),
+                 "--pos-grid", "10000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert list(out.parent.iterdir()) == []
+
+
 def test_verify_theory_command(capsys):
     assert main(["verify-theory", "--seed", "0"]) == 0
     out = capsys.readouterr().out

@@ -378,9 +378,11 @@ def test_paste_at_a_moved_position_translates_content():
     img = np.full((1, 3, 3), 1.0)
     base, _ = embed(img, PROTO)
     resized = resize_longest_side(img, PROTO.embed_size)
-    shifted, _ = paste(resized, replace(PROTO, position=(3, 3)))
+    shifted = np.zeros_like(base)
+    assert paste(resized, replace(PROTO, position=(3, 3)), shifted) is None  # writes in place
     assert np.array_equal(shifted, np.roll(base, 1, axis=1))
-    shifted, _ = paste(resized, replace(PROTO, position=(2, 2)))
+    shifted = np.zeros_like(base)
+    paste(resized, replace(PROTO, position=(2, 2)), shifted)
     assert np.array_equal(shifted, np.roll(base, -1, axis=2))
 
 
@@ -389,8 +391,10 @@ def test_embed_is_resize_then_paste(fill):
     img = np.random.default_rng(3).random((2, 5, 7))
     proto = EmbeddingProtocol(12, 14, 9, (1, 4), fill)
     canvas, mask = embed(img, proto)
-    pasted, pasted_mask = paste(resize_longest_side(img, 9), proto)
-    assert np.array_equal(canvas, pasted) and np.array_equal(mask, pasted_mask)
+    pasted = np.zeros((2, 12, 14))
+    paste(resize_longest_side(img, 9), proto, pasted)
+    assert np.array_equal(canvas, pasted)
+    assert np.array_equal(np.argwhere(mask), [(r, c) for r in range(1, 7) for c in range(4, 13)])
 
 
 # ---------------------------------------------------------------------------
