@@ -52,6 +52,9 @@ softmax
 """
 
 DATA, MODEL, IMAGE = "$WORK/ds", "$WORK/model.shnn", "$WORK/ds/0/00000.pgm"
+# 12x12 patterns on 12x12 images: stripes and a checker that reach the image
+# border, so an inpaint run of this set measures the harmonic fill's bytes
+FULL = "$WORK/ds_full"
 # a 16x16 P5 image with no black border (gen-data's images have one, around
 # which the harmonic fill is 0): its fill differs from a black background
 RAMP = b"P5\n16 16\n255\n" + bytes((40 + 9 * y + 5 * x + 60 * ((x * y) % 3)) % 256
@@ -61,6 +64,8 @@ RAMP = b"P5\n16 16\n255\n" + bytes((40 + 9 * y + 5 * x + 60 * ((x * y) % 3)) % 2
 COMMANDS = [
     ("gen-data", ["gen-data", "--out", DATA, "--classes", "3", "--per-class", "8",
                   "--canvas", "16", "--pattern", "7", "--jitter", "2"]),
+    ("gen-data-full", ["gen-data", "--out", FULL, "--classes", "3", "--per-class", "4",
+                       "--canvas", "12", "--pattern", "12", "--jitter", "0"]),
     ("train", ["train", "--spec", "$WORK/net.spec", "--data", DATA, "--out", MODEL,
                "--epochs", "20", "--lr", "0.3", "--batch", "4"]),
     ("train-diverged", ["train", "--spec", "$WORK/net.spec", "--data", DATA,
@@ -75,6 +80,9 @@ COMMANDS = [
     ("audit-shift-inpaint", ["audit-shift", "--model", MODEL, "--data", DATA,
                              "--out", "$WORK/shift_inpaint.csv", "--canvas", "20",
                              "--embed", "12", "--delta", "-1", "--fill", "inpaint"]),
+    ("audit-shift-inpaint-full", ["audit-shift", "--model", MODEL, "--data", FULL,
+                                  "--out", "$WORK/shift_inpaint_full.csv", "--canvas", "20",
+                                  "--embed", "12", "--fill", "inpaint"]),
     ("audit-shift-nothing-scored", ["audit-shift", "--model", MODEL, "--data", DATA,
                                     "--out", "$WORK/none.csv", "--canvas", "10",
                                     "--embed", "16"]),
@@ -86,6 +94,9 @@ COMMANDS = [
     ("audit-scale-inpaint", ["audit-scale", "--model", MODEL, "--data", DATA,
                              "--out", "$WORK/scale_inpaint.csv", "--canvas", "20",
                              "--embed", "12", "--fill", "inpaint"]),
+    ("audit-scale-inpaint-full", ["audit-scale", "--model", MODEL, "--data", FULL,
+                                  "--out", "$WORK/scale_inpaint_full.csv", "--canvas", "20",
+                                  "--embed", "12", "--fill", "inpaint"]),
     ("audit-crop", ["audit-crop", "--model", MODEL, "--data", DATA, "--out", "$WORK/crop.csv",
                     "--crop-size", "12", "--noise-scale", "0.1"]),
     ("sweep-embed", ["sweep-embed", "--model", MODEL, "--data", DATA,

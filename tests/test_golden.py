@@ -34,7 +34,7 @@ def test_golden_run_of_the_working_tree(record):
         assert rec["status"] == (1 if refused else 0), name
         assert "golden_" not in rec["stdout"] + rec["stderr"], name  # temp dir spelled $WORK
         argv = rec["argv"]
-        if rec["status"] == 0 and "--out" in argv and name != "gen-data":
+        if rec["status"] == 0 and "--out" in argv and argv[0] != "gen-data":
             artifact = Path(argv[argv.index("--out") + 1]).name
             assert {artifact, artifact + ".manifest.json"} <= set(rec["files"]), name
     for name in commands:
