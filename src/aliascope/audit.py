@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from . import nn, sampling, transforms
-from .transforms import EmbeddingProtocol, ShiftSpec
+from .transforms import EmbeddingProtocol, FillMode, Rect, ShiftSpec
 
 
 class AuditMode(Enum):
@@ -107,7 +107,9 @@ def _canvas_rows(fn, plans, proto: EmbeddingProtocol) -> np.ndarray:
     resized to that size and pasted there with proto's fill. Places of None
     mean the image is already the plan's (k, c, h, w) canvases. A chunk is
     built as one array and resizes each of its images (by identity) once per
-    embed size, the images of one shape as one stack."""
+    embed size, the images of one shape as one stack. With an inpaint fill,
+    every canvas of the chunk is pasted first, then the canvases of each
+    ring layout are filled as one stack (`transforms.inpaint_fill`)."""
     canvas = (proto.canvas_h, proto.canvas_w)
 
     def shape(plan):
@@ -123,11 +125,19 @@ def _canvas_rows(fn, plans, proto: EmbeddingProtocol) -> np.ndarray:
         for (s, _), group in groups.items():
             stack = transforms.resize_longest_side(np.stack(list(group.values())), s)
             resized.update(zip([(i, s) for i in group], stack))
-        for rows, (img, places) in zip(canvases.reshape(len(chunk), k, *dims), chunk):
+        fills = {}  # ring layout -> (row of each canvas, its known rectangle)
+        for j, (img, places) in enumerate(chunk):
             if places is None:
-                rows[...] = img
-            for row, (s, pos) in zip(rows, places or ()):
-                transforms.paste(resized[id(img), s], replace(proto, position=pos), row)
+                canvases[j * k:(j + 1) * k] = img
+            for row, (s, pos) in enumerate(places or (), j * k):
+                image = resized[id(img), s]
+                transforms.paste(image, replace(proto, position=pos), canvases[row])
+                if proto.fill is FillMode.INPAINT:
+                    rect = Rect(*pos, *image.shape[1:])
+                    fills.setdefault(transforms.ring_layout(rect, *canvas), []).append((row, rect))
+        for members in fills.values():
+            rows, rects = map(list, zip(*members))
+            canvases[rows] = transforms.inpaint_fill(canvases[rows], rects)
         return canvases
 
     return np.concatenate([fn(build(chunk)) for chunk in nn.chunked(plans, shape)])

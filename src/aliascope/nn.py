@@ -68,8 +68,8 @@ gradient is the stride-1 "full" correlation of dy, dilated by the stride,
 with the flipped, channel-transposed kernel; padding's adjoint then crops
 (zero) or adds the margins back around the image (circular). Nothing reads
 the input gradient of layer 0, so `backward_sgd_step` asks every layer but
-the first for it (`need_dx`), and the first layer, a conv in every net here,
-costs only its weight GEMM.
+the first for it (`need_dx`): a first conv costs only its weight GEMM, and a
+first pool or gap costs nothing.
 """
 
 from __future__ import annotations
@@ -364,6 +364,8 @@ class PoolSpec(_Window):
         return out, (x, out)
 
     def backward(self, dy, p, cache, buf, need_dx=True):
+        if not need_dx:
+            return None, {}
         x, out = cache
         hw = dy.shape[2:]
         dx = _buffer(buf, "dx", x.shape)
@@ -395,6 +397,8 @@ class GapSpec(_Layer):
         return x.mean(axis=(2, 3)), x.shape
 
     def backward(self, dy, p, shape, buf, need_dx=True):
+        if not need_dx:
+            return None, {}
         dx = _buffer(buf, "dx", shape)
         np.copyto(dx, dy[:, :, None, None] / (shape[2] * shape[3]))
         return dx, {}

@@ -1,4 +1,5 @@
 import ast
+import collections
 import csv
 import io
 import math
@@ -206,29 +207,53 @@ def test_each_canvas_of_a_chunk_is_the_embed_of_its_image_alone(mode, fill):
     proto = EmbeddingProtocol(12, 20, 12, (0, 0), fill)
     rng = np.random.default_rng(9)
     # wide images leave a row to move down and room for embed size 13; the
-    # square one, in the middle of the first chunk, has neither
-    shapes = [(1, 5, 7), (1, 4, 8), (1, 6, 6), (1, 5, 7), (3, 5, 7), (3, 4, 8), (1, 4, 8)]
+    # square one, in the middle of the first chunk, has neither; the 10x12
+    # one has a single row to spare
+    shapes = [(1, 5, 7), (1, 4, 8), (1, 6, 6), (1, 10, 12), (1, 5, 7), (3, 5, 7), (3, 4, 8),
+              (1, 4, 8)]
     images = [(f"img/{i}", rng.random(shape)) for i, shape in enumerate(shapes)]
-    keys, before, after, skipped, chunks = _canvas_pairs(images, proto, mode, seed=5)
-    assert [key[0] for key in keys] == [f"img/{i}" for i in (0, 1, 3, 4, 5, 6)]
+    keys, before, after, skipped, chunks = _canvas_pairs(images, proto, mode, seed=16)
+    assert [key[0] for key in keys] == [f"img/{i}" for i in (0, 1, 3, 4, 5, 6, 7)]
     assert [image_id for image_id, _ in skipped] == ["img/2"]
-    assert chunks == [(6, 1, 12, 20), (4, 3, 12, 20), (2, 1, 12, 20)]  # a new c closes a chunk
-    expected = []
+    assert chunks == [(8, 1, 12, 20), (4, 3, 12, 20), (2, 1, 12, 20)]  # a new c closes a chunk
+    expected, rects = [], []
     for image_id, img in images[:2] + images[3:]:
         size = proto.embed_size
         if mode is AuditMode.TRANSLATE:
-            pos = audit._random_position(np.random.default_rng(image_seed(5, image_id)), proto,
+            pos = audit._random_position(np.random.default_rng(image_seed(16, image_id)), proto,
                                          *transforms.embedded_extent(*img.shape[1:], size),
                                          ShiftSpec(1, 0))
             places = ((size, pos), (size, (pos[0] + 1, pos[1])))
         else:
-            pos = audit._random_position(np.random.default_rng(image_seed(5, image_id)), proto,
+            pos = audit._random_position(np.random.default_rng(image_seed(16, image_id)), proto,
                                          *transforms.embedded_extent(*img.shape[1:], size + 1))
             places = ((size, pos), (size + 1, pos))
         expected.append([transforms.embed(img, replace(proto, embed_size=s, position=p))[0]
                          for s, p in places])
+        rects += [transforms.Rect(*p, *transforms.embedded_extent(*img.shape[1:], s))
+                  for s, p in places]
+    # the known rectangles touch every canvas edge, and the first chunk's
+    # ring layouts are several, one of them held by a single canvas
+    assert {r.top == 0 for r in rects} == {r.left == 0 for r in rects} == {True, False}
+    assert any(r.top + r.height == 12 for r in rects) and any(r.left + r.width == 20 for r in rects)
+    layouts = collections.Counter(transforms.ring_layout(r, 12, 20) for r in rects[:8])
+    assert len(layouts) > 1 and 1 in layouts.values()
     for b, a, (want_b, want_a) in zip(before, after, expected, strict=True):
         assert np.array_equal(b, want_b) and np.array_equal(a, want_a)
+
+
+def test_a_chunk_is_filled_once_per_ring_layout(monkeypatch):
+    calls = []
+    fill = transforms.inpaint_fill
+    monkeypatch.setattr(transforms, "inpaint_fill",
+                        lambda canvases, rects: calls.append(rects) or fill(canvases, rects))
+    proto = EmbeddingProtocol(16, 16, 8, (0, 0), FillMode.INPAINT)
+    _, _, _, _, chunks = _canvas_pairs(_images(12), proto, AuditMode.TRANSLATE, seed=3)
+    assert chunks == [(24, 1, 16, 16)]
+    layouts = [{transforms.ring_layout(r, 16, 16) for r in rects} for rects in calls]
+    assert all(len(layout) == 1 for layout in layouts)  # each call holds one layout
+    assert len(set().union(*layouts)) == len(calls) > 1  # and no layout takes two calls
+    assert sum(len(rects) for rects in calls) == 24
 
 
 def test_crop_pairs_are_cut_into_their_rows():

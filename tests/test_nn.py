@@ -537,6 +537,25 @@ def test_maxpool_backward_routes_to_first_max():
     assert dx.sum() == 10.0
 
 
+@pytest.mark.parametrize("first", ["maxpool 2 stride=2", "avgpool 3 stride=1", "gap"])
+def test_a_first_pool_or_gap_returns_no_input_gradient(first, monkeypatch):
+    spec = parse_spec(f"input 2 6 6\n{first}\ndense 3\nsoftmax\n")
+    layer, rng = spec.layers[0], np.random.default_rng(11)
+    x, y = rng.normal(size=(4, 2, 6, 6)), np.array([0, 1, 2, 1])
+    out, cache = layer.forward(x, {}, {})
+    assert layer.backward(rng.normal(size=out.shape), {}, cache, {}, need_dx=False) == (None, {})
+    model = init_model(spec, seed=0)
+    twin = copy.deepcopy(model)
+    backward_sgd_step(model, x, y, lr=0.5)
+    # the same step with layer 0's input gradient computed, as nothing reads it
+    backward = type(layer).backward
+    monkeypatch.setattr(type(layer), "backward",
+                        lambda self, *args, need_dx: backward(self, *args, need_dx=True))
+    backward_sgd_step(twin, x, y, lr=0.5)
+    for p, q in zip(model.params, twin.params, strict=True):
+        assert p.keys() == q.keys() and all(np.array_equal(p[k], q[k]) for k in p)
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------

@@ -159,6 +159,11 @@ def _mask(rect, h, w):
     return known
 
 
+def _fill_alone(canvas, rect):
+    """`inpaint_fill` of one (c, h, w) canvas, as a stack of one."""
+    return inpaint_fill(canvas[None], [rect])[0]
+
+
 def _general_gram_fill(canvas, known):
     """Oracle: the capacitance-matrix fill for any known mask, with the ring's
     block of pinv(L) formed as the Gram S^T S, S = sqrt(pinv(Lambda)) C[:, R]."""
@@ -185,7 +190,7 @@ def test_inpaint_constant_boundary():
     rect = Rect(2, 1, 4, 3)
     known = _mask(rect, 9, 7)
     canvas[0, known] = 3.0
-    out = inpaint_fill(canvas, rect)
+    out = _fill_alone(canvas, rect)
     assert np.allclose(out, 3.0, atol=1e-12)
     assert np.array_equal(out[0, known], canvas[0, known])
 
@@ -194,7 +199,7 @@ def test_inpaint_matches_dense_solve():
     rng = np.random.default_rng(1)
     canvas = rng.random((1, 8, 8))
     rect = Rect(3, 2, 3, 4)
-    got = inpaint_fill(canvas, rect)
+    got = _fill_alone(canvas, rect)
     want = _dense_harmonic_solve(canvas, _mask(rect, 8, 8))
     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -204,7 +209,7 @@ def test_inpaint_respects_maximum_principle():
     canvas = rng.random((1, 10, 10))
     rect = Rect(4, 3, 4, 5)
     known = _mask(rect, 10, 10)
-    out = inpaint_fill(canvas, rect)
+    out = _fill_alone(canvas, rect)
     lo, hi = canvas[0, known].min(), canvas[0, known].max()
     assert np.all(out >= lo - 1e-12)
     assert np.all(out <= hi + 1e-12)
@@ -212,13 +217,18 @@ def test_inpaint_respects_maximum_principle():
 
 def test_inpaint_edge_cases():
     canvas = np.random.default_rng(3).random((1, 4, 4))
-    assert np.array_equal(inpaint_fill(canvas, Rect(0, 0, 4, 4)), canvas)
+    assert np.array_equal(_fill_alone(canvas, Rect(0, 0, 4, 4)), canvas)
     for rect in (Rect(0, 0, 0, 4), Rect(1, 1, 4, 0)):
         with pytest.raises(ValueError, match="known pixel"):
-            inpaint_fill(canvas, rect)
+            _fill_alone(canvas, rect)
     for rect in (Rect(-1, 0, 2, 2), Rect(3, 0, 2, 2), Rect(0, 2, 1, 3)):
         with pytest.raises(ValueError, match="outside"):
-            inpaint_fill(canvas, rect)
+            _fill_alone(canvas, rect)
+    stack = np.stack([canvas, canvas])
+    with pytest.raises(ValueError, match="ring layout"):  # 2 and 4 ring sides
+        inpaint_fill(stack, [Rect(0, 0, 2, 2), Rect(1, 1, 2, 2)])
+    with pytest.raises(ValueError, match="1 rectangles for 2 canvases"):
+        inpaint_fill(stack, [Rect(0, 0, 2, 2)])
 
 
 
@@ -227,7 +237,7 @@ def test_inpaint_edge_cases():
 def test_inpaint_returns_a_new_array(rect):
     canvas = np.random.default_rng(4).random((2, 6, 5))
     before = canvas.copy()
-    out = inpaint_fill(canvas, rect)
+    out = _fill_alone(canvas, rect)
     out[:] = -1.0
     assert np.array_equal(canvas, before)
 
@@ -244,7 +254,7 @@ def test_inpaint_fills_a_rectangle_spanning_one_axis(monkeypatch, rect):
     monkeypatch.setattr(transforms, "_ring_sides",
                         lambda *args: calls.append(args) or ring_sides(*args))
     canvas = np.random.default_rng(6).normal(size=(2, 7, 6))
-    got = inpaint_fill(canvas, rect)
+    got = _fill_alone(canvas, rect)
     known = _mask(rect, 7, 6)
     assert len(calls) == 1
     assert np.max(np.abs(got - _dense_harmonic_solve(canvas, known))) < 1e-10
@@ -283,10 +293,22 @@ def test_inpaint_is_the_exact_harmonic_fill(h, w, channels, seed, data):
     rect = data.draw(_rects(h, w))
     known = _mask(rect, h, w)
     assume(not known.all())
-    canvas = np.random.default_rng(seed).normal(size=(channels, h, w))
-    got = inpaint_fill(canvas, rect)
+    rng = np.random.default_rng(seed)
+    canvas = rng.normal(size=(channels, h, w))
+    got = _fill_alone(canvas, rect)
     assert np.max(np.abs(got - _dense_harmonic_solve(canvas, known))) < 1e-10
     assert np.array_equal(got[:, known], canvas[:, known])
+    # up to 5 rectangles of the same size and ring layout, filled as one
+    # stack: each canvas gets the bits it gets alone
+    moved = [Rect(top, left, rect.height, rect.width)
+             for top in range(h - rect.height + 1) for left in range(w - rect.width + 1)]
+    layout = transforms.ring_layout(rect, h, w)
+    same = [m for m in moved if transforms.ring_layout(m, h, w) == layout]
+    same = same[::(len(same) + 4) // 5]
+    stack = rng.normal(size=(len(same), channels, h, w))
+    filled = inpaint_fill(stack, same)
+    for one, moved, canvas_alone in zip(filled, same, stack, strict=True):
+        assert np.array_equal(one, _fill_alone(canvas_alone, moved)), moved
 
 
 def test_ring_sides_are_the_known_pixels_next_to_unknown_ones():
@@ -313,7 +335,7 @@ def test_inpaint_matches_the_general_gram_at_96():
     rng = np.random.default_rng(8)
     rect = Rect(17, 29, 60, 45)
     canvas = rng.random((2, 96, 96))
-    got = inpaint_fill(canvas, rect)
+    got = _fill_alone(canvas, rect)
     known = _mask(rect, 96, 96)
     assert np.max(np.abs(got - _general_gram_fill(canvas, known))) < 1e-10
     assert np.array_equal(got[:, known], canvas[:, known])
@@ -334,12 +356,12 @@ def test_inpaint_refuses_a_fill_outside_its_error_bound(monkeypatch):
     rect = Rect(2, 3, 3, 3)
     known = _mask(rect, 8, 8)
     with pytest.raises(RuntimeError, match="residual"):
-        inpaint_fill(np.where(known, np.nan, canvas), rect)
+        _fill_alone(np.where(known, np.nan, canvas), rect)
     cy, cx, lam_pinv, deg = transforms._grid_operator(8, 8)
     wrong = lam_pinv * np.linspace(1.0, 1.2, 8)[:, None]  # not the grid's spectrum
     monkeypatch.setattr(transforms, "_grid_operator", lambda h, w: (cy, cx, wrong, deg))
     with pytest.raises(RuntimeError, match="residual"):
-        inpaint_fill(canvas, rect)
+        _fill_alone(canvas, rect)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +415,8 @@ def test_embed_is_resize_then_paste(fill):
     canvas, mask = embed(img, proto)
     pasted = np.zeros((2, 12, 14))
     paste(resize_longest_side(img, 9), proto, pasted)
+    if fill is FillMode.INPAINT:  # paste leaves the background to its caller
+        pasted = _fill_alone(pasted, Rect(1, 4, 6, 9))
     assert np.array_equal(canvas, pasted)
     assert np.array_equal(np.argwhere(mask), [(r, c) for r in range(1, 7) for c in range(4, 13)])
 
