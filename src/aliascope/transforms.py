@@ -234,12 +234,12 @@ def inpaint_fill(canvases: np.ndarray, rects) -> np.ndarray:
     the shape of every product, so the whole stack takes one capacitance
     pass, one stacked solve, one DCT pair and one residual pass, and each
     product is one BLAS call per canvas (per channel for the DCTs): a canvas
-    gets the bits it gets alone, as a stack of one. The rectangles are read and written through
-    slices, with no pixel mask. On a 64x64 canvas with a 28x28 rectangle
-    (r = 108; 2-core Xeon VM, 1 BLAS thread, best of 500 interleaved runs) a
-    stack of one takes 0.50 ms, of two 0.95 ms and of four 1.81 ms (0.45 ms
-    a canvas): the stack pays numpy's per-call cost once, not once per
-    canvas.
+    gets the bits it gets alone, as a stack of one. The rectangles are read
+    and written through slices, with no pixel mask. On a 64x64 canvas with a
+    28x28 rectangle (r = 108; 2-core Xeon VM, 1 BLAS thread, best of 500
+    interleaved runs) a stack of one takes 0.50 ms, of two 0.95 ms and of
+    four 1.81 ms (0.45 ms a canvas): the stack pays numpy's per-call cost
+    once, not once per canvas.
 
     Error bound, checked for every canvas: the residual |deg*u - sum of
     neighbours| at each unknown pixel is at most 1e-9 * max(1, max|known
