@@ -99,6 +99,10 @@ COMMANDS = [
                                   "--embed", "12", "--fill", "inpaint"]),
     ("audit-crop", ["audit-crop", "--model", MODEL, "--data", DATA, "--out", "$WORK/crop.csv",
                     "--crop-size", "12", "--noise-scale", "0.1"]),
+    # 64 px crops of the 400 px resize: a chunk holds 2 of the 24 crop pairs
+    ("audit-crop-chunked", ["audit-crop", "--model", MODEL, "--data", DATA,
+                            "--out", "$WORK/crop_chunked.csv", "--crop-size", "64",
+                            "--noise-scale", "0.1"]),
     ("sweep-embed", ["sweep-embed", "--model", MODEL, "--data", DATA,
                      "--out", "$WORK/sweep.csv", "--canvas", "20", "--sizes", "10,14"]),
     # each embed size resizes a stack at two sizes, the size and one more
@@ -130,6 +134,11 @@ COMMANDS = [
     ("depth-profile-repeated-layers", ["depth-profile", "--model", MODEL, "--data", DATA,
                                        "--out", "$WORK/depth_repeated.csv", "--layers", "3,0,3",
                                        "--epochs", "2", "--canvas", "20", "--embed", "14"]),
+    # canvas pairs of images that reach their border, so the fill is not 0
+    ("depth-profile-inpaint", ["depth-profile", "--model", MODEL, "--data", FULL,
+                               "--out", "$WORK/depth_inpaint.csv", "--layers", "0,1,3",
+                               "--epochs", "2", "--canvas", "20", "--embed", "12",
+                               "--fill", "inpaint"]),
     ("shiftability", ["shiftability", "--model", MODEL, "--image", IMAGE, "--layer", "1"]),
     ("shiftability-nothing-measured", ["shiftability", "--model", MODEL, "--image", IMAGE,
                                        "--layer", "1", "--kernel", "sinc"]),
