@@ -6,12 +6,13 @@ Per-image protocol randomness (positions) is seeded from (global seed,
 image id) so reports are stable under reordering; records are sorted by
 image id.
 
-Every audit, sweep and trace canvas is built by `_canvas_rows` and scored
-in batches, one call per chunk of `nn.chunked`. Canvases that do not fit
-(skipped images, sweep points off the canvas) are never built. The forward
-kernels are batch-invariant (see `nn`), so a canvas gets the same bits
-whichever chunk it lands in, and results do not depend on image order or
-chunking. `nn.pooled_features` is the one pooled read-out: the feature trace
+Every audit, sweep and trace canvas is scored in batches by `nn._stacked`,
+the one read-out loop, one call per chunk; `_canvases` builds a chunk of
+placed canvases, and a crop pair is its own two canvases. Canvases that do
+not fit (skipped images, sweep points off the canvas) are never built. The
+forward kernels are batch-invariant (see `nn`), so a canvas gets the same
+bits whichever chunk it lands in, and results do not depend on image order
+or chunking. `nn.pooled_features` is the one pooled read-out: the feature trace
 takes its spatial sums, the depth profile its means. An audit that scores
 no image, and a jaggedness curve that scores no position, raise ValueError:
 they measured nothing.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
@@ -100,47 +101,35 @@ def _random_position(rng, proto: EmbeddingProtocol, eh: int, ew: int,
     return top + int(rng.integers(0, room_h + 1)), left + int(rng.integers(0, room_w + 1))
 
 
-def _canvas_rows(fn, plans, proto: EmbeddingProtocol) -> np.ndarray:
-    """fn's rows for the canvases of `plans`, in plan order, one call of the
-    batched `fn` per chunk of `nn.chunked`. A plan is (image, places). Each
-    place, an (embed size, position) that fits, makes one canvas: the image
-    resized to that size and pasted there with proto's fill. Places of None
-    mean the image is already the plan's (k, c, h, w) canvases. A chunk is
-    built as one array and resizes each of its images (by identity) once per
-    embed size, the images of one shape as one stack. With an inpaint fill,
-    every canvas of the chunk is pasted first, then the canvases of each
-    ring layout are filled as one stack (`transforms.inpaint_fill`)."""
-    canvas = (proto.canvas_h, proto.canvas_w)
-
-    def shape(plan):
-        img, places = plan
-        return img.shape if places is None else (len(places), img.shape[0], *canvas)
-
-    def build(chunk):
-        k, *dims = shape(chunk[0])
-        canvases, groups, resized = np.zeros((k * len(chunk), *dims)), {}, {}
-        for img, places in chunk:  # groups: (embed size, image shape) -> {id: image}
-            for s, _ in places or ():
-                groups.setdefault((s, img.shape), {})[id(img)] = img
-        for (s, _), group in groups.items():
-            stack = transforms.resize_longest_side(np.stack(list(group.values())), s)
-            resized.update(zip([(i, s) for i in group], stack))
-        fills = {}  # ring layout -> (row of each canvas, its known rectangle)
-        for j, (img, places) in enumerate(chunk):
-            if places is None:
-                canvases[j * k:(j + 1) * k] = img
-            for row, (s, pos) in enumerate(places or (), j * k):
-                image = resized[id(img), s]
-                transforms.paste(image, replace(proto, position=pos), canvases[row])
-                if proto.fill is FillMode.INPAINT:
-                    rect = Rect(*pos, *image.shape[1:])
-                    fills.setdefault(transforms.ring_layout(rect, *canvas), []).append((row, rect))
-        for members in fills.values():
-            rows, rects = map(list, zip(*members))
-            canvases[rows] = transforms.inpaint_fill(canvases[rows], rects)
+def _canvases(proto: EmbeddingProtocol, chunk) -> np.ndarray:
+    """The canvases of a chunk of plans as one array, in plan order. A plan
+    is (image, places); each place, an (embed size, position) that fits,
+    makes one canvas: the image resized to that size and pasted there with
+    proto's fill. Each image of the chunk (by identity) is resized once per
+    embed size, the images of one shape as one stack, and an inpaint fill is
+    one `transforms.inpaint_fill` call on the whole chunk."""
+    placed = [(img, size, pos) for img, places in chunk for size, pos in places]
+    groups, resized = {}, {}  # groups: (embed size, image shape) -> {id: image}
+    for img, size, _ in placed:
+        groups.setdefault((size, img.shape), {})[id(img)] = img
+    for (size, _), group in groups.items():
+        stack = transforms.resize_longest_side(np.stack(list(group.values())), size)
+        resized.update(zip([(i, size) for i in group], stack))
+    canvases = np.zeros((len(placed), chunk[0][0].shape[0], proto.canvas_h, proto.canvas_w))
+    for canvas, (img, size, pos) in zip(canvases, placed):
+        transforms.paste(resized[id(img), size], pos, canvas)
+    if proto.fill is FillMode.BLACK:
         return canvases
+    return transforms.inpaint_fill(canvases, [Rect(*pos, *resized[id(img), size].shape[1:])
+                                              for img, size, pos in placed])
 
-    return np.concatenate([fn(build(chunk)) for chunk in nn.chunked(plans, shape)])
+
+def _canvas_rows(fn, plans, proto: EmbeddingProtocol) -> np.ndarray:
+    """fn's rows for the canvases of `plans` (see `_canvases`), in plan
+    order, read out by `nn._stacked`: a plan adds one canvas per place."""
+    canvas = (proto.canvas_h, proto.canvas_w)
+    return nn._stacked(fn, plans, lambda plan: (len(plan[1]), plan[0].shape[0], *canvas),
+                       partial(_canvases, proto))
 
 
 def _scored_pairs(fn, images, proto: EmbeddingProtocol, mode: AuditMode, seed: int = 0,
@@ -148,7 +137,7 @@ def _scored_pairs(fn, images, proto: EmbeddingProtocol, mode: AuditMode, seed: i
                   noise_scale: float = 0.0):
     """Plan each image's before/after canvases under a 1-step protocol, with
     positions drawn from the image's derived seed, and score them by
-    `_canvas_rows`. Returns (keys, before, after, skipped): keys holds
+    `_canvas_rows`, or a crop pair as its two canvases. Returns (keys, before, after, skipped): keys holds
     (image_id, param_before, param_after) for each scored image in input
     order, before and after hold fn's rows for its two canvases, and skipped
     holds the sorted (image_id, reason) of the images whose canvases do not
@@ -177,10 +166,12 @@ def _scored_pairs(fn, images, proto: EmbeddingProtocol, mode: AuditMode, seed: i
     if not plans:
         first = f"; first: {skipped[0][0]}: {skipped[0][1]}" if skipped else ""
         raise ValueError(f"audit scored no image ({len(skipped)} skipped{first})")
-    rows = _canvas_rows(fn, (  # a crop pair is cut when its chunk is built
-        (img, places) if places else (transforms.crop_pair_with_noise(
-            img, crop_size, noise_scale, image_seed(seed, image_id)), None)
-        for (image_id, _, _), img, places in plans), proto)
+    if mode is AuditMode.CROP_NOISE:  # a crop pair is cut as its chunk is gathered
+        rows = nn._stacked(fn, (transforms.crop_pair_with_noise(
+            img, crop_size, noise_scale, image_seed(seed, key[0])) for key, img, _ in plans),
+            build=np.concatenate)
+    else:
+        rows = _canvas_rows(fn, [(img, places) for _, img, places in plans], proto)
     return tuple(key for key, _, _ in plans), rows[0::2], rows[1::2], tuple(skipped)
 
 
@@ -231,7 +222,7 @@ def jaggedness_curve(model, image, proto: EmbeddingProtocol, sweep, label: int):
         first = ""
         for p in sweep[:1]:  # nothing fits, so the first point is the first misfit
             try:
-                transforms.check_fits(eh, ew, replace(proto, position=(int(p), col)))
+                transforms.check_fits(eh, ew, (int(p), col), proto.canvas_h, proto.canvas_w)
             except ValueError as exc:
                 first = f"; first: position {p}: {exc}"
         raise ValueError(f"jaggedness curve scored no position ({len(sweep)} in the "
@@ -298,7 +289,7 @@ def feature_shift_trace(model, layer_index: int, image, proto: EmbeddingProtocol
     (top, left), size = proto.position, proto.embed_size
     extent, plans = transforms.embedded_extent(*image.shape[1:], size), []
     for dy in map(int, shifts):  # checked before the resize, whose cost grows as size squared
-        transforms.check_fits(*extent, replace(proto, position=(top + dy, left)))
+        transforms.check_fits(*extent, (top + dy, left), proto.canvas_h, proto.canvas_w)
         plans.append((image, ((size, (top + dy, left)),)))
     return _canvas_rows(partial(nn.pooled_features, model, layers=[layer_index], reduce=np.sum),
                         plans, proto)

@@ -29,11 +29,11 @@ that image's im2col matrix, dense is a per-image vector-matrix product, and
 pooling, gap and softmax are elementwise or per-row. So callers may stack
 inputs in any grouping and get the same bits as one at a time. The cost of a
 batch is its memory: every layer's activations for the whole batch are held
-at once, plus one image's patch matrix. `chunked` is the one chunk rule:
-at most `CHUNK_VALUES` input values per call. Every audit canvas, the dataset
-accuracy, the depth profile's features and `theory` follow it, so only a
-training batch is ever larger. `_stacked(fn, xs)` reads out an iterable of
-ready inputs; `audit._canvas_rows` builds and reads out the audits' canvases.
+at once, plus one image's patch matrix. `chunked` is the one chunk rule (at
+most `CHUNK_VALUES` input values a call) and `_stacked` the one loop over its
+chunks: the dataset accuracy, `theory`, the shiftability error, the depth
+profile, the crop pairs and the audits' placed canvases are all read out by
+it, so only a training batch is ever larger.
 `pooled_features` is the one pooled read-out (the depth profile, the feature
 trace, `theory`'s corollary): one pass up to the deepest of its layers serves
 them all, since a layer's output does not depend on how far the pass goes.
@@ -68,8 +68,8 @@ gradient is the stride-1 "full" correlation of dy, dilated by the stride,
 with the flipped, channel-transposed kernel; padding's adjoint then crops
 (zero) or adds the margins back around the image (circular). Nothing reads
 the input gradient of layer 0, so `backward_sgd_step` asks every layer but
-the first for it (`need_dx`): a first conv costs only its weight GEMM, and a
-first pool or gap costs nothing.
+the first for it (`need_dx`): a first conv or dense costs only its weight
+product, and a first pool or gap costs nothing.
 """
 
 from __future__ import annotations
@@ -436,7 +436,8 @@ class DenseSpec(_Layer):
 
     def backward(self, dy, p, cache, buf, need_dx=True):
         in_shape, flat = cache
-        return (dy @ p["w"]).reshape(in_shape), {"w": dy.T @ flat, "b": dy.sum(axis=0)}
+        dx = (dy @ p["w"]).reshape(in_shape) if need_dx else None
+        return dx, {"w": dy.T @ flat, "b": dy.sum(axis=0)}
 
 
 @dataclass(frozen=True)
@@ -669,14 +670,15 @@ def chunked(items, shape):
         yield chunk
 
 
-def _stacked(fn, xs) -> np.ndarray:
-    """fn's rows for the inputs of the iterable `xs`, in order: one call per
-    chunk of `chunked`, on the chunk's stacked inputs. `fn` is a batched
-    forward such as `forward`, whose result for an input does not depend on
-    the other inputs of its call. Its outputs are held until they are
-    joined, so it must return arrays that no later call overwrites (as
-    `forward`, `layer_activations` and `pooled_features` do)."""
-    out = [fn(np.stack(chunk)) for chunk in chunked(xs, np.shape)]
+def _stacked(fn, items, shape=np.shape, build=np.stack) -> np.ndarray:
+    """fn's rows for the iterable `items`, in order: one call per chunk of
+    `chunked` (by `shape`), on `build` of the chunk: by default the stack of
+    its inputs; a pair of canvases is one item, built by np.concatenate.
+    `fn` is a batched forward such as `forward`, whose result for an input
+    does not depend on the other inputs of its call. Its outputs are held
+    until they are joined, so it must return arrays that no later call
+    overwrites (as `forward`, `layer_activations` and `pooled_features` do)."""
+    out = [fn(build(chunk)) for chunk in chunked(items, shape)]
     if not out:
         raise ValueError("no inputs")
     return np.concatenate(out)

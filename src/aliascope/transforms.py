@@ -8,10 +8,8 @@ DCT-diagonalised grid Laplacian, built side by side from the rectangle's
 ring in O(h*w*(n_x + n_y)) for sides of n_x and n_y pixels, see
 `inpaint_fill`) and checked against a stated residual bound for every
 canvas, so it does not depend on where in the canvas the image sits.
-`inpaint_fill` fills a stack of canvases whose rectangles share a ring
-layout in one pass, each canvas getting the bits it gets alone; on a 64x64
-canvas with a 28x28 rectangle a stack of four takes 1.81 ms against 0.50 ms
-for a stack of one (2-core Xeon VM, 1 BLAS thread, best of 500 runs).
+`inpaint_fill` fills a stack of canvases in one pass per ring layout, each
+canvas getting the bits it gets alone.
 
 The resize convention (half-pixel centers, clamped) is pinned explicitly:
 1-pixel-rescaling audits are exquisitely sensitive to it.
@@ -159,13 +157,6 @@ def _ring_sides(rect: Rect, h: int, w: int) -> tuple[list[int], range, list[int]
     return rows, range(rect.left, right + 1), cols, ys
 
 
-def ring_layout(rect: Rect, h: int, w: int) -> tuple[int, int, int, int]:
-    """The ring layout of a known rectangle in an h x w canvas: the number
-    of row sides, their length, the number of column sides and their length
-    (`_ring_sides`). Rectangles of one layout are filled as one stack."""
-    return tuple(len(side) for side in _ring_sides(rect, h, w))
-
-
 def _capacitance(rows, xs, cols, ys, cy, cx, lam_pinv) -> np.ndarray:
     """pinv(L)[R, R] for each canvas's ring R = rows x X, then cols x Y,
     side by side: a (g, r, r) stack for (g, n) arrays of each canvas's ring
@@ -213,8 +204,8 @@ def _capacitance(rows, xs, cols, ys, cy, cx, lam_pinv) -> np.ndarray:
 
 def inpaint_fill(canvases: np.ndarray, rects) -> np.ndarray:
     """Fill the pixels of each (c, h, w) canvas of a (g, c, h, w) stack
-    outside its rectangle with the discrete harmonic (Laplace) solution; the
-    g rectangles share one `ring_layout`. Returns a new stack.
+    outside its rectangle with the discrete harmonic (Laplace) solution.
+    Returns a new stack.
 
     Each unknown pixel equals the mean of its in-grid 4-neighbours (a pixel
     on the image border averages only the neighbours it has); the pixels of
@@ -230,9 +221,11 @@ def inpaint_fill(canvases: np.ndarray, rects) -> np.ndarray:
     [[pinv(L)[R, R], 1], [1^T, 0]] for all channels, then u by two DCTs of
     the load f on the ring. Time per canvas: O(h*w*(n_x + n_y)) for
     pinv(L)[R, R] (`_capacitance`), O(r^3) for the solve, O(c*h*w*(h + w))
-    for the DCTs; memory O(g*(c*h*w + r^2) + h^2 + w^2). A layout fixes r and
-    the shape of every product, so the whole stack takes one capacitance
-    pass, one stacked solve, one DCT pair and one residual pass, and each
+    for the DCTs; memory O(g*(c*h*w + r^2) + h^2 + w^2). The rectangles may
+    have any ring layouts: the number and length of their row and column
+    sides (`_ring_sides`). A layout fixes r and the shape of every product,
+    so the canvases of each layout take one capacitance pass, one stacked
+    solve, one DCT pair and one residual pass (`_fill_layout`), and each
     product is one BLAS call per canvas (per channel for the DCTs): a canvas
     gets the bits it gets alone, as a stack of one. The rectangles are read
     and written through slices, with no pixel mask. On a 64x64 canvas with a
@@ -255,10 +248,23 @@ def inpaint_fill(canvases: np.ndarray, rects) -> np.ndarray:
                 or rect.left + rect.width > w):
             raise ValueError(f"known rectangle {rect} outside the {h}x{w} canvas")
     sides = [_ring_sides(rect, h, w) for rect in rects]
-    layouts = {tuple(len(side) for side in ring) for ring in sides}
-    if len(layouts) > 1:
-        raise ValueError("the rectangles do not share one ring layout")
-    (n_rows, n_x, n_cols, n_y), = layouts
+    layouts = {}  # ring layout -> the canvases whose rectangle has it
+    for i, ring in enumerate(sides):
+        layouts.setdefault(tuple(map(len, ring)), []).append(i)
+    if len(layouts) == 1:
+        return _fill_layout(canvases, rects, sides)
+    out = np.empty_like(canvases)
+    for each in layouts.values():
+        out[each] = _fill_layout(canvases[each], [rects[i] for i in each],
+                                 [sides[i] for i in each])
+    return out
+
+
+def _fill_layout(canvases: np.ndarray, rects, sides) -> np.ndarray:
+    """`inpaint_fill` of a (g, c, h, w) stack whose rectangles, with rings
+    `sides` (`_ring_sides`), share one ring layout."""
+    g, c, h, w = canvases.shape
+    n_rows, n_x, n_cols, n_y = map(len, sides[0])
     if n_rows == n_cols == 0:  # only full coverage has no ring
         return canvases.copy()
     cy, cx, lam_pinv, deg = _grid_operator(h, w)
@@ -303,7 +309,7 @@ def embed(img: np.ndarray, proto: EmbeddingProtocol) -> tuple[np.ndarray, np.nda
     of one (`inpaint_fill`); and the mask of its pixels."""
     resized = resize_longest_side(img, proto.embed_size)
     canvas = np.zeros((img.shape[0], proto.canvas_h, proto.canvas_w))
-    paste(resized, proto, canvas)
+    paste(resized, proto.position, canvas)
     (r, col), (eh, ew) = proto.position, resized.shape[1:]
     if proto.fill is FillMode.INPAINT:
         canvas = inpaint_fill(canvas[None], [Rect(r, col, eh, ew)])[0]
@@ -312,22 +318,22 @@ def embed(img: np.ndarray, proto: EmbeddingProtocol) -> tuple[np.ndarray, np.nda
     return canvas, mask
 
 
-def check_fits(eh: int, ew: int, proto: EmbeddingProtocol) -> None:
-    """Raise ValueError unless an eh x ew image at proto.position fits the canvas."""
-    r, col = proto.position
-    if r < 0 or col < 0 or r + eh > proto.canvas_h or col + ew > proto.canvas_w:
-        raise ValueError(f"embedded image {eh}x{ew} at {proto.position} overflows "
-                         f"{proto.canvas_h}x{proto.canvas_w} canvas")
+def check_fits(eh: int, ew: int, position: tuple[int, int], h: int, w: int) -> None:
+    """Raise ValueError unless an eh x ew image with its top-left corner at
+    `position` fits an h x w canvas."""
+    r, col = position
+    if r < 0 or col < 0 or r + eh > h or col + ew > w:
+        raise ValueError(f"embedded image {eh}x{ew} at {position} overflows {h}x{w} canvas")
 
 
-def paste(resized: np.ndarray, proto: EmbeddingProtocol, out: np.ndarray) -> None:
-    """Write an image already resized to the protocol's embed size into
-    `out`, a zeroed (c, canvas_h, canvas_w) canvas, at proto.position. The
-    background is left as it is: the caller fills it (`embed` alone, the
-    audits' canvas builder a chunk at a time, by `inpaint_fill`)."""
+def paste(resized: np.ndarray, position: tuple[int, int], out: np.ndarray) -> None:
+    """Write a resized (c, eh, ew) image into `out`, a zeroed (c, h, w)
+    canvas, with its top-left corner at `position`. The background is left
+    as it is: the caller fills it (`embed` alone, the audits' canvas builder
+    a chunk at a time, by `inpaint_fill`)."""
     c, eh, ew = resized.shape
-    check_fits(eh, ew, proto)
-    r, col = proto.position
+    check_fits(eh, ew, position, *out.shape[1:])
+    r, col = position
     out[:, r:r + eh, col:col + ew] = resized
 
 

@@ -236,24 +236,22 @@ def test_each_canvas_of_a_chunk_is_the_embed_of_its_image_alone(mode, fill):
     # several ring layouts, one of them on a single canvas
     assert any(r.top == 0 for r in rects) and any(r.top + r.height == 12 for r in rects)
     assert any(r.left == 0 for r in rects) and any(r.left + r.width == 20 for r in rects)
-    layouts = collections.Counter(transforms.ring_layout(r, 12, 20) for r in rects[:8])
+    layouts = collections.Counter(tuple(map(len, transforms._ring_sides(r, 12, 20)))
+                                  for r in rects[:8])
     assert len(layouts) > 1 and 1 in layouts.values()
     for b, a, (want_b, want_a) in zip(before, after, expected, strict=True):
         assert np.array_equal(b, want_b) and np.array_equal(a, want_a)
 
 
-def test_a_chunk_is_filled_once_per_ring_layout(monkeypatch):
+def test_a_chunk_is_filled_by_one_call(monkeypatch):
     calls = []
     fill = transforms.inpaint_fill
     monkeypatch.setattr(transforms, "inpaint_fill",
-                        lambda canvases, rects: calls.append(rects) or fill(canvases, rects))
+                        lambda canvases, rects: calls.append(len(rects)) or fill(canvases, rects))
+    monkeypatch.setattr(nn, "CHUNK_VALUES", 10 * 256)  # five pairs of 16x16 canvases
     proto = EmbeddingProtocol(16, 16, 8, (0, 0), FillMode.INPAINT)
     _, _, _, _, chunks = _canvas_pairs(_images(12), proto, AuditMode.TRANSLATE, seed=3)
-    assert chunks == [(24, 1, 16, 16)]
-    layouts = [{transforms.ring_layout(r, 16, 16) for r in rects} for rects in calls]
-    assert all(len(layout) == 1 for layout in layouts)  # each call holds one layout
-    assert len(set().union(*layouts)) == len(calls) > 1  # and no layout takes two calls
-    assert sum(len(rects) for rects in calls) == 24
+    assert [chunk[0] for chunk in chunks] == calls == [10, 10, 4]
 
 
 def test_crop_pairs_are_cut_into_their_rows():

@@ -376,6 +376,21 @@ def test_stacked_reads_out_a_generator_in_chunks(monkeypatch):
     assert calls == [3, 3, 1]  # nothing is run for no input
 
 
+def test_stacked_never_splits_a_pair_built_by_concatenate(monkeypatch):
+    model = init_model(small_spec(), seed=0)
+    pairs = np.random.default_rng(4).normal(size=(5, 2, 1, 8, 8))
+    calls = []
+
+    def fn(batch):
+        calls.append(len(batch))
+        return forward(model, batch)
+
+    monkeypatch.setattr(nn, "CHUNK_VALUES", 5 * 64)  # two and a half pairs of 8x8 inputs
+    got = nn._stacked(fn, iter(pairs), build=np.concatenate)
+    assert calls == [4, 4, 2]  # whole pairs only
+    assert np.array_equal(got, forward(model, pairs.reshape(10, 1, 8, 8)))
+
+
 def test_chunked_closes_a_chunk_on_its_value_bound_and_on_a_new_shape(monkeypatch):
     monkeypatch.setattr(nn, "CHUNK_VALUES", 10)
     shapes = [(2, 2), (2, 2), (2, 2), (3, 4), (1, 4), (1, 4), (2, 2)]
@@ -537,14 +552,19 @@ def test_maxpool_backward_routes_to_first_max():
     assert dx.sum() == 10.0
 
 
-@pytest.mark.parametrize("first", ["maxpool 2 stride=2", "avgpool 3 stride=1", "gap"])
+@pytest.mark.parametrize("first", ["maxpool 2 stride=2", "avgpool 3 stride=1", "gap", "dense 3"])
 def test_a_first_pool_or_gap_returns_no_input_gradient(first, monkeypatch):
     spec = parse_spec(f"input 2 6 6\n{first}\ndense 3\nsoftmax\n")
     layer, rng = spec.layers[0], np.random.default_rng(11)
     x, y = rng.normal(size=(4, 2, 6, 6)), np.array([0, 1, 2, 1])
-    out, cache = layer.forward(x, {}, {})
-    assert layer.backward(rng.normal(size=out.shape), {}, cache, {}, need_dx=False) == (None, {})
     model = init_model(spec, seed=0)
+    p = model.params[0]  # a dense layer's weights; pool and gap have none
+    out, cache = layer.forward(x, p, {})
+    dy = rng.normal(size=out.shape)
+    dx, grads = layer.backward(dy, p, cache, {}, need_dx=False)
+    want = layer.backward(dy, p, cache, {}, need_dx=True)[1]
+    assert dx is None and grads.keys() == want.keys() == p.keys()
+    assert all(np.array_equal(grads[k], want[k]) for k in grads)
     twin = copy.deepcopy(model)
     backward_sgd_step(model, x, y, lr=0.5)
     # the same step with layer 0's input gradient computed, as nothing reads it

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,11 +223,41 @@ def test_inpaint_edge_cases():
     for rect in (Rect(-1, 0, 2, 2), Rect(3, 0, 2, 2), Rect(0, 2, 1, 3)):
         with pytest.raises(ValueError, match="outside"):
             _fill_alone(canvas, rect)
-    stack = np.stack([canvas, canvas])
-    with pytest.raises(ValueError, match="ring layout"):  # 2 and 4 ring sides
-        inpaint_fill(stack, [Rect(0, 0, 2, 2), Rect(1, 1, 2, 2)])
     with pytest.raises(ValueError, match="1 rectangles for 2 canvases"):
-        inpaint_fill(stack, [Rect(0, 0, 2, 2)])
+        inpaint_fill(np.stack([canvas, canvas]), [Rect(0, 0, 2, 2)])
+
+
+def _layout(rect, h, w):
+    """The ring layout of a rectangle: the length of each `_ring_sides` entry."""
+    return tuple(map(len, transforms._ring_sides(rect, h, w)))
+
+
+# edge-touching and interior rectangles of four layouts on 9x10 canvases,
+# the interior layout on a single canvas
+MIXED = [Rect(0, 0, 4, 5), Rect(3, 2, 4, 5), Rect(0, 3, 4, 5), Rect(2, 0, 4, 5),
+         Rect(5, 5, 4, 5), Rect(5, 3, 4, 5), Rect(3, 5, 4, 5)]
+
+
+def test_a_stack_of_mixed_ring_layouts_is_filled_as_each_canvas_alone():
+    layouts = [_layout(rect, 9, 10) for rect in MIXED]
+    assert len(set(layouts)) == 4 and layouts.count(_layout(Rect(3, 2, 4, 5), 9, 10)) == 1
+    stack = np.random.default_rng(12).normal(size=(len(MIXED), 2, 9, 10))
+    filled = inpaint_fill(stack, MIXED)
+    for one, canvas, rect in zip(filled, stack, MIXED, strict=True):
+        assert np.array_equal(one, _fill_alone(canvas, rect)), rect
+
+
+def test_a_stack_is_solved_once_per_ring_layout(monkeypatch):
+    calls = []
+    fill = transforms._fill_layout
+    monkeypatch.setattr(transforms, "_fill_layout",
+                        lambda canvases, rects, sides: calls.append(rects)
+                        or fill(canvases, rects, sides))
+    inpaint_fill(np.random.default_rng(13).random((len(MIXED), 1, 9, 10)), MIXED)
+    layouts = [{_layout(r, 9, 10) for r in rects} for rects in calls]
+    assert all(len(layout) == 1 for layout in layouts)  # each solve holds one layout
+    assert len(set().union(*layouts)) == len(calls) == 4  # and no layout takes two
+    assert sorted(map(len, calls)) == [1, 2, 2, 2]
 
 
 
@@ -298,13 +327,11 @@ def test_inpaint_is_the_exact_harmonic_fill(h, w, channels, seed, data):
     got = _fill_alone(canvas, rect)
     assert np.max(np.abs(got - _dense_harmonic_solve(canvas, known))) < 1e-10
     assert np.array_equal(got[:, known], canvas[:, known])
-    # up to 5 rectangles of the same size and ring layout, filled as one
-    # stack: each canvas gets the bits it gets alone
+    # up to 5 rectangles of the same size, of any ring layouts, filled as
+    # one stack: each canvas gets the bits it gets alone
     moved = [Rect(top, left, rect.height, rect.width)
              for top in range(h - rect.height + 1) for left in range(w - rect.width + 1)]
-    layout = transforms.ring_layout(rect, h, w)
-    same = [m for m in moved if transforms.ring_layout(m, h, w) == layout]
-    same = same[::(len(same) + 4) // 5]
+    same = moved[::(len(moved) + 4) // 5]
     stack = rng.normal(size=(len(same), channels, h, w))
     filled = inpaint_fill(stack, same)
     for one, moved, canvas_alone in zip(filled, same, stack, strict=True):
@@ -401,10 +428,10 @@ def test_paste_at_a_moved_position_translates_content():
     base, _ = embed(img, PROTO)
     resized = resize_longest_side(img, PROTO.embed_size)
     shifted = np.zeros_like(base)
-    assert paste(resized, replace(PROTO, position=(3, 3)), shifted) is None  # writes in place
+    assert paste(resized, (3, 3), shifted) is None  # writes in place
     assert np.array_equal(shifted, np.roll(base, 1, axis=1))
     shifted = np.zeros_like(base)
-    paste(resized, replace(PROTO, position=(2, 2)), shifted)
+    paste(resized, (2, 2), shifted)
     assert np.array_equal(shifted, np.roll(base, -1, axis=2))
 
 
@@ -414,7 +441,7 @@ def test_embed_is_resize_then_paste(fill):
     proto = EmbeddingProtocol(12, 14, 9, (1, 4), fill)
     canvas, mask = embed(img, proto)
     pasted = np.zeros((2, 12, 14))
-    paste(resize_longest_side(img, 9), proto, pasted)
+    paste(resize_longest_side(img, 9), proto.position, pasted)
     if fill is FillMode.INPAINT:  # paste leaves the background to its caller
         pasted = _fill_alone(pasted, Rect(1, 4, 6, 9))
     assert np.array_equal(canvas, pasted)
