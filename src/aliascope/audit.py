@@ -6,16 +6,15 @@ Per-image protocol randomness (positions) is seeded from (global seed,
 image id) so reports are stable under reordering; records are sorted by
 image id.
 
-Every audit, sweep and trace canvas is scored in batches by `nn._stacked`,
-the one read-out loop, one call per chunk; `_canvases` builds a chunk of
-placed canvases, and a crop pair is its own two canvases. Canvases that do
-not fit (skipped images, sweep points off the canvas) are never built. The
-forward kernels are batch-invariant (see `nn`), so a canvas gets the same
-bits whichever chunk it lands in, and results do not depend on image order
-or chunking. `nn.pooled_features` is the one pooled read-out: the feature trace
-takes its spatial sums, the depth profile its means. An audit that scores
-no image, and a jaggedness curve that scores no position, raise ValueError:
-they measured nothing.
+Every audit, sweep and trace canvas is scored by `nn._stacked`, one call
+per chunk; `_canvases` builds a chunk of placed canvases, and a crop pair is
+its own two canvases. Canvases that do not fit (skipped images, sweep points
+off the canvas) are never built. The forward kernels are batch-invariant
+(see `nn`), so a canvas gets the same bits whichever chunk it lands in, and
+results do not depend on image order or chunking. `nn.pooled_features` is
+the one pooled read-out: the feature trace takes its spatial sums, the depth
+profile its means. An audit that scores no image, and a jaggedness curve
+that scores no position, raise ValueError: they measured nothing.
 """
 
 from __future__ import annotations
@@ -137,11 +136,12 @@ def _scored_pairs(fn, images, proto: EmbeddingProtocol, mode: AuditMode, seed: i
                   noise_scale: float = 0.0):
     """Plan each image's before/after canvases under a 1-step protocol, with
     positions drawn from the image's derived seed, and score them by
-    `_canvas_rows`, or a crop pair as its two canvases. Returns (keys, before, after, skipped): keys holds
-    (image_id, param_before, param_after) for each scored image in input
-    order, before and after hold fn's rows for its two canvases, and skipped
-    holds the sorted (image_id, reason) of the images whose canvases do not
-    fit. Raises ValueError when no image is scored."""
+    `_canvas_rows` (a crop pair by `nn._stacked`, as its two canvases).
+    Returns (keys, before, after, skipped): keys holds (image_id,
+    param_before, param_after) for each scored image in input order, before
+    and after hold fn's rows for its two canvases, and skipped holds the
+    sorted (image_id, reason) of the images whose canvases do not fit.
+    Raises ValueError when no image is scored."""
     plans, skipped = [], []  # plans: (key, image, (embed size, position) of each canvas)
     size = proto.embed_size
     for image_id, img in images:

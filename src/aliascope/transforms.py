@@ -319,8 +319,7 @@ def embed(img: np.ndarray, proto: EmbeddingProtocol) -> tuple[np.ndarray, np.nda
 
 
 def check_fits(eh: int, ew: int, position: tuple[int, int], h: int, w: int) -> None:
-    """Raise ValueError unless an eh x ew image with its top-left corner at
-    `position` fits an h x w canvas."""
+    """Raise ValueError unless an eh x ew image at `position` fits an h x w canvas."""
     r, col = position
     if r < 0 or col < 0 or r + eh > h or col + ew > w:
         raise ValueError(f"embedded image {eh}x{ew} at {position} overflows {h}x{w} canvas")
