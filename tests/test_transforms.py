@@ -331,10 +331,10 @@ def test_inpaint_is_the_exact_harmonic_fill(h, w, channels, seed, data):
     # one stack: each canvas gets the bits it gets alone
     moved = [Rect(top, left, rect.height, rect.width)
              for top in range(h - rect.height + 1) for left in range(w - rect.width + 1)]
-    same = moved[::(len(moved) + 4) // 5]
-    stack = rng.normal(size=(len(same), channels, h, w))
-    filled = inpaint_fill(stack, same)
-    for one, moved, canvas_alone in zip(filled, same, stack, strict=True):
+    spread = moved[::(len(moved) + 4) // 5]
+    stack = rng.normal(size=(len(spread), channels, h, w))
+    filled = inpaint_fill(stack, spread)
+    for one, moved, canvas_alone in zip(filled, spread, stack, strict=True):
         assert np.array_equal(one, _fill_alone(canvas_alone, moved)), moved
 
 
