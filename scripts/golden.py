@@ -9,7 +9,7 @@ The commands run in-process through `aliascope.cli.main`, all of them in
 one child process per revision whose PYTHONPATH is that revision's `src`:
 the working tree's, and with `--base REV` also REV's committed files,
 exported by `bench_pairs.export` into a temporary directory. The command
-list, the spec file and the annotations CSVs come from this script, so both
+list, the spec files and the annotations CSVs come from this script, so both
 revisions get the same inputs. Each command's record holds its exit status,
 its stdout and stderr with the temporary directory spelled `$WORK`, and the
 sha256 of every file it wrote or changed; a manifest is hashed without its
@@ -50,6 +50,15 @@ gap
 dense 3
 softmax
 """
+# a conv with no relu under gap: its backward reads gap's gradient unmasked
+LINEAR_SPEC = """\
+input 1 16 16
+conv 4 3 stride=2 pad=zero act=relu
+conv 4 3 stride=1 pad=circular act=none
+gap
+dense 3
+softmax
+"""
 
 DATA, MODEL, IMAGE = "$WORK/ds", "$WORK/model.shnn", "$WORK/ds/0/00000.pgm"
 # 12x12 patterns on 12x12 images: stripes and a checker that reach the image
@@ -68,6 +77,9 @@ COMMANDS = [
                        "--canvas", "12", "--pattern", "12", "--jitter", "0"]),
     ("train", ["train", "--spec", "$WORK/net.spec", "--data", DATA, "--out", MODEL,
                "--epochs", "20", "--lr", "0.3", "--batch", "4"]),
+    ("train-linear-gap", ["train", "--spec", "$WORK/linear.spec", "--data", DATA,
+                          "--out", "$WORK/linear.shnn", "--epochs", "10", "--lr", "0.3",
+                          "--batch", "5"]),
     ("train-diverged", ["train", "--spec", "$WORK/net.spec", "--data", DATA,
                         "--out", "$WORK/diverged.shnn", "--epochs", "2", "--init-scale", "1e300"]),
     ("eval", ["eval", "--model", MODEL, "--data", DATA]),
@@ -213,6 +225,7 @@ def collect(work: Path, src: Path) -> dict:
     if Path(aliascope.__file__).resolve().parent != src.resolve() / "aliascope":
         raise RuntimeError(f"imported aliascope from {aliascope.__file__}, not {src}")
     (work / "net.spec").write_text(SPEC)
+    (work / "linear.spec").write_text(LINEAR_SPEC)
     (work / "boxes.csv").write_text(_annotations())
     (work / "no_boxes.csv").write_text(ANNOTATION_HEADER + "\n")
     (work / "ramp.pgm").write_bytes(RAMP)
