@@ -43,33 +43,42 @@ pass before the step got right, so `train` prints each epoch's running
 accuracy without a second pass over the data.
 
 Each `Model` owns its layers' large arrays. `Model.scratch` holds one dict
-of buffers per layer (not compared, not saved, not settable), and the conv,
-pool and gap kernels write their padded frames, patch matrices, outputs and
-gradients into views of them. A buffer is replaced by a larger one only when
-a call needs more room than any before it, so it only grows, to the largest
-call the model has run. The reason is allocation churn: when every layer
-call allocates its temporaries afresh, glibc hands arrays above its mmap
-threshold new mappings and returns heap memory above its trim threshold on
-free, so each call faults in new pages. A warmed SGD step of the stride-1
+of buffers per layer (not compared, not saved, not settable), and the conv
+and pool kernels write their padded frames, patch matrices, outputs, masks
+and gradients into views of them. A buffer is replaced by a larger one only
+when a call needs more room than any before it, so it only grows, to the
+largest call the model has run. The reason is allocation churn: when every
+layer call allocates its temporaries afresh, glibc hands arrays above its
+mmap threshold new mappings and returns heap memory above its trim threshold
+on free, so each call faults in new pages. A warmed SGD step of the stride-1
 reference net allocated 22.8 MB that way, and a 1-epoch `train` of it took
-about 310k minor page faults and a third of its run time in the kernel.
-The kernels keep every GEMM's shapes and operands and every elementwise
-op's order, so the bits are those of fresh arrays. Two consequences: a
-`Model` is not reentrant (two calls on one model must not interleave, e.g.
-from threads), and nothing returned aliases a buffer: `forward`'s class
-scores come from gap, dense or softmax, which allocate their small outputs,
-`pooled_features` reduces into a fresh array and `layer_activations` copies.
+about 310k minor page faults and a third of its run time in the kernel. A
+backward step consumes its forward's cache: conv's backward writes the
+relu-masked dy and then its input gradient over the forward's `out`, and
+dy's frame over its padded input `xp`, each once the step has read what it
+held, and gap's backward returns a read-only broadcast view. After a
+batch-16 step the stride-1 reference net's buffers hold 8.77 MiB and the
+strided net's 5.38 MiB (18.53 and 6.98 MiB when each gradient had a buffer
+of its own). The kernels keep every GEMM's operands (the weight gradient's
+transposed, see below) and every elementwise op's order, so the bits are
+those of fresh arrays. Two consequences: a `Model` is not reentrant (two
+calls on one model must not interleave, e.g. from threads), and nothing
+returned aliases a buffer: `forward`'s class scores come from gap, dense or
+softmax, which allocate their small outputs, `pooled_features` reduces into
+a fresh array and `layer_activations` copies.
 
 Conv backward is two more GEMMs per image on im2col matrices built by the
 same helper as the forward's (Chellapilla et al. 2006). The weight gradient
-is dy_i (o, ho*wo) @ cols_i^T, summed over images, with cols_i the forward's
-patch matrix, rebuilt rather than kept for the whole batch. The input
-gradient is the stride-1 "full" correlation of dy, dilated by the stride,
-with the flipped, channel-transposed kernel; padding's adjoint then crops
-(zero) or adds the margins back around the image (circular). Nothing reads
-the input gradient of layer 0, so `backward_sgd_step` asks every layer but
-the first for it (`need_dx`): a first conv or dense costs only its weight
-product, and a first pool or gap costs nothing.
+is the sum over images of cols_i @ dy_i^T (c*k*k, o), transposed once, with
+cols_i the forward's patch matrix, rebuilt rather than kept for the whole
+batch; each product is bitwise the transpose of dy_i @ cols_i^T, which a
+test checks on the reference nets' shapes. The input gradient is the
+stride-1 "full" correlation of dy, dilated by the stride, with the flipped,
+channel-transposed kernel; padding's adjoint then crops (zero) or adds the
+margins back around the image (circular). Nothing reads the input gradient
+of layer 0, so `backward_sgd_step` asks every layer but the first for it
+(`need_dx`): a first conv or dense costs only its weight product, and a
+first pool or gap costs nothing.
 """
 
 from __future__ import annotations
@@ -107,13 +116,13 @@ def _parse_kv(tokens):
     return kv
 
 
-def _buffer(buf: dict, name: str, shape) -> np.ndarray:
-    """An uninitialised float64 array of `shape`: a view on the buffer `name`
-    of a layer's scratch dict, which is replaced by a larger one only when a
-    call needs more room than any call before it."""
+def _buffer(buf: dict, name: str, shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialised array of `shape`: a view on the buffer `name` of a
+    layer's scratch dict, which is replaced by a larger one only when a call
+    needs more room than any call before it. A name keeps one dtype."""
     size = math.prod(shape)
     if name not in buf or buf[name].size < size:
-        buf[name] = np.empty(size)
+        buf[name] = np.empty(size, dtype)
     return buf[name][:size].reshape(shape)
 
 
@@ -284,28 +293,31 @@ class ConvSpec(_Window):
 
     def backward(self, dy, p, cache, buf, need_dx=True):
         """dw and, when asked for, dx: two im2col GEMMs per image (see the
-        module docstring)."""
+        module docstring). Consumes the cache: the relu-masked dy and then dx
+        are written over the forward's `out`, and dy's frame over its `xp`."""
         x_shape, xp, out = cache
         k, s = self.kernel, self.stride
         o, c = p["w"].shape[:2]
         n, ho, wo = dy.shape[0], dy.shape[2], dy.shape[3]
         if self.activation == "relu":  # out > 0 exactly where the pre-activation is
-            dy = np.multiply(dy, out > 0, out=_buffer(buf, "dy", dy.shape))
+            mask = np.greater(out, 0.0, out=_buffer(buf, "mask", out.shape, bool))
+            dy = np.multiply(dy, mask, out=out)
         dy_rows = dy.reshape(n, o, ho * wo)
-        dw = np.zeros((o, c * k * k))
+        # dw^T, summed in image order: cols_i @ dy_i^T has the bits of (dy_i @ cols_i^T)^T
+        dw, term = np.zeros((c * k * k, o)), np.empty((c * k * k, o))
         for i, cols in enumerate(_im2col(xp, k, s, buf)):
-            dw += dy_rows[i] @ cols.T
-        grads = {"w": dw.reshape(p["w"].shape), "b": dy.sum(axis=(0, 2, 3))}
+            dw += np.matmul(cols, dy_rows[i].T, out=term)
+        grads = {"w": dw.T.reshape(p["w"].shape), "b": dy_rows.sum(axis=(0, 2))}
         if not need_dx:
             return None, grads
         # dy dilated by s and placed k-1 in from the top-left of a frame one
         # kernel larger than xp: its valid k x k correlation has xp's shape
         hp, wp = xp.shape[2], xp.shape[3]
-        framed = _buffer(buf, "framed", (n, o, hp + k - 1, wp + k - 1))
+        framed = _buffer(buf, "xp", (n, o, hp + k - 1, wp + k - 1))
         framed.fill(0.0)
         framed[:, :, k - 1:k - 1 + s * ho:s, k - 1:k - 1 + s * wo:s] = dy
         w_flip = p["w"][:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
-        dxp = _buffer(buf, "dxp", (n, c, hp * wp))
+        dxp = _buffer(buf, "out", (n, c, hp * wp))
         for i, cols in enumerate(_im2col(framed, k, 1, buf)):
             np.matmul(w_flip, cols, out=dxp[i])
         dxp = dxp.reshape(n, c, hp, wp)
@@ -372,11 +384,16 @@ class PoolSpec(_Window):
         dx.fill(0.0)
         if self.op == "max":
             # route each window's gradient to its first maximum in row-major order
-            routed = np.zeros(dy.shape, dtype=bool)
+            routed = _buffer(buf, "routed", dy.shape, bool)
+            routed.fill(False)
+            hit = _buffer(buf, "hit", dy.shape, bool)
+            masked = _buffer(buf, "masked", dy.shape)
             for x_view, dx_view in zip(self._windows(x, hw), self._windows(dx, hw)):
-                hit = (x_view == out) & ~routed
+                np.greater(np.equal(x_view, out, out=hit), routed, out=hit)  # and not routed
                 routed |= hit
-                dx_view += np.where(hit, dy, 0.0)
+                # a miss adds dy * 0 = +-0.0, and dx, zeroed, holds no -0.0: for a
+                # finite dy, the sums have the bits of adding the hits alone
+                dx_view += np.multiply(dy, hit, out=masked)
         else:
             g = dy / (self.kernel * self.kernel)
             for dx_view in self._windows(dx, hw):
@@ -399,9 +416,7 @@ class GapSpec(_Layer):
     def backward(self, dy, p, shape, buf, need_dx=True):
         if not need_dx:
             return None, {}
-        dx = _buffer(buf, "dx", shape)
-        np.copyto(dx, dy[:, :, None, None] / (shape[2] * shape[3]))
-        return dx, {}
+        return np.broadcast_to((dy / (shape[2] * shape[3]))[:, :, None, None], shape), {}
 
 
 @dataclass(frozen=True)

@@ -576,6 +576,26 @@ def test_a_first_pool_or_gap_returns_no_input_gradient(first, monkeypatch):
         assert p.keys() == q.keys() and all(np.array_equal(p[k], q[k]) for k in p)
 
 
+def test_a_linear_conv_under_gap_steps_as_on_a_contiguous_gradient(monkeypatch):
+    """gap's input gradient is a read-only broadcast view, and a conv with no
+    relu reads it as it is, for its weight and bias sums and its frame."""
+    spec = parse_spec("input 2 9 9\nconv 3 3 stride=1 pad=zero act=relu\n"
+                      "conv 4 3 stride=2 pad=circular act=none\ngap\ndense 3\nsoftmax\n")
+    rng = np.random.default_rng(12)
+    batches = [(rng.normal(size=(n, 2, 9, 9)), rng.integers(0, 3, n)) for n in (5, 3, 5)]
+    model = init_model(spec, seed=4)
+    twin = copy.deepcopy(model)
+    for x, y in batches:
+        backward_sgd_step(model, x, y, lr=0.5)
+    backward = GapSpec.backward
+    monkeypatch.setattr(GapSpec, "backward", lambda *args, **kwargs: (
+        np.ascontiguousarray(backward(*args, **kwargs)[0]), {}))
+    for x, y in batches:
+        backward_sgd_step(twin, x, y, lr=0.5)
+    for p, q in zip(model.params, twin.params, strict=True):
+        assert p.keys() == q.keys() and all(np.array_equal(p[k], q[k]) for k in p)
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -929,6 +949,44 @@ REFERENCE_STRIDED = ("input 1 32 32\nconv 8 3 stride=1 pad=circular act=relu\n"
                      "maxpool 2 stride=2\ngap\ndense 16\nsoftmax\n")
 
 
+def _reference_convs():
+    """(net, layer index, layer, input shape) of every conv of the reference nets."""
+    for name, text in (("stride1", REFERENCE_STRIDE1), ("strided", REFERENCE_STRIDED)):
+        spec = parse_spec(text)
+        in_shapes = (spec.input_shape,) + spec.shapes[:-1]
+        for li, (layer, shape) in enumerate(zip(spec.layers, in_shapes)):
+            if isinstance(layer, ConvSpec):
+                yield pytest.param(spec, li, layer, shape, id=f"{name}-layer{li}")
+
+
+@pytest.mark.parametrize("n", [1, 7, 16])
+@pytest.mark.parametrize("spec, li, layer, in_shape", _reference_convs())
+def test_conv_weight_gradient_is_the_sum_of_dy_cols_products_bitwise(spec, li, layer, in_shape,
+                                                                    n):
+    """ConvSpec.backward sums cols_i @ dy_i^T and transposes the sum; that must
+    give the bits of the sum of dy_i @ cols_i^T over the images, in order,
+    with cols_i each padded image's contiguous (c*k*k, ho*wo) patch matrix.
+    The bias gradient is the sum of the masked dy over images and space."""
+    rng = np.random.default_rng(li * 100 + n)
+    p = init_model(spec, seed=n).params[li]
+    x = rng.normal(size=(n,) + in_shape)
+    out, cache = layer.forward(x, p, {})
+    raw = rng.normal(size=out.shape)
+    dy = raw * (out > 0)  # relu-masked, before backward writes over out
+    k, s = layer.kernel, layer.stride
+    mode = "wrap" if layer.pad is PadMode.CIRCULAR else "constant"
+    xp = np.pad(x, ((0, 0), (0, 0), ((k - 1) // 2, k // 2), ((k - 1) // 2, k // 2)), mode=mode)
+    want = np.zeros((p["w"].shape[0], p["w"][0].size))
+    for i in range(n):
+        windows = np.lib.stride_tricks.sliding_window_view(xp[i], (k, k), axis=(1, 2))
+        cols = np.ascontiguousarray(windows[:, ::s, ::s].transpose(0, 3, 4, 1, 2)
+                                    .reshape(want.shape[1], -1))
+        want += dy[i].reshape(len(want), -1) @ cols.T
+    _, grads = layer.backward(raw, p, cache, {})
+    assert np.array_equal(grads["w"], want.reshape(p["w"].shape))
+    assert np.array_equal(grads["b"], dy.sum(axis=(0, 2, 3)))
+
+
 def _warm_peak_mb(call) -> float:
     """Peak of the memory `call` allocates through Python, once warmed up."""
     call()
@@ -950,6 +1008,18 @@ def test_warm_sgd_step_allocates_no_large_arrays():
     x, y = rng.random((16, 1, 32, 32)), rng.integers(0, 16, 16)
     # every step re-allocated its activations and gradients: 22.8 MB
     assert _warm_peak_mb(lambda: backward_sgd_step(model, x, y, 0.1)) < 2.0
+
+
+@pytest.mark.parametrize("text, bound_mib", [(REFERENCE_STRIDE1, 9.0), (REFERENCE_STRIDED, 5.5)],
+                         ids=["stride1", "strided"])
+def test_sgd_step_scratch_stays_within_its_bound(text, bound_mib):
+    """A backward writes into buffers its forward has finished with. When the
+    relu-masked dy, the framed dy, the padded dx and gap's dx had buffers of
+    their own, a batch-16 step left 18.53 and 6.98 MiB of scratch."""
+    model = init_model(parse_spec(text), seed=0)
+    rng = np.random.default_rng(2)
+    backward_sgd_step(model, rng.random((16, 1, 32, 32)), rng.integers(0, 16, 16), 0.1)
+    assert sum(b.nbytes for buffers in model.scratch for b in buffers.values()) < bound_mib * 2**20
 
 
 @pytest.mark.parametrize("text", [REFERENCE_STRIDE1, REFERENCE_STRIDED])
