@@ -52,7 +52,7 @@ class LabeledDataset:
     def __post_init__(self):
         if len(self.images) != len(self.labels):
             raise ValueError("images and labels length mismatch")
-        if len(self.labels) and int(self.labels.max()) >= self.num_classes:
+        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("label out of class range")
 
 
@@ -177,9 +177,15 @@ def save_dataset(ds: LabeledDataset, root) -> None:
 def load_dataset(root, limit: int | None = None) -> LabeledDataset:
     """Read the `<class_id>/<sample_id>.pgm` layout back, in [0, 1]: classes
     in numeric order, the `*.p?m` files of each in name order, the first
-    `limit` files of those. Every class directory counts as a class."""
+    `limit` files of those. Every directory under `root` is a class, and its
+    name must be a non-negative integer."""
     root = Path(root)
-    class_dirs = sorted((e.name for e in os.scandir(root) if e.is_dir()), key=int)
+    class_dirs = [e.name for e in os.scandir(root) if e.is_dir()]
+    for name in class_dirs:
+        if not (name.isascii() and name.isdigit()):
+            raise ValueError(f"class directory {os.path.join(root, name)} is not named by "
+                             "a non-negative integer")
+    class_dirs.sort(key=int)
     if not class_dirs:
         raise ValueError(f"no class directories under {root}")
     files = ((int(d), os.path.join(root, d, name)) for d in class_dirs

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -81,6 +82,26 @@ def test_train_that_diverges_exits_1_and_writes_nothing(workspace, tmp_path, cap
     assert capsys.readouterr() == (
         "", "error: training diverged in epoch 1: overflow encountered in matmul\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("rename", [True, False])
+def test_a_class_directory_that_is_no_class_id_exits_1(workspace, tmp_path, capsys, rename):
+    """A class directory named -1 would label its images -1, which indexes
+    the last class; a stray directory is no class either."""
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace / "ds", ds)
+    bad = ds / ("-1" if rename else "notes")
+    if rename:
+        (ds / "0").rename(bad)
+    else:
+        bad.mkdir()
+    message = f"error: class directory {bad} is not named by a non-negative integer\n"
+    assert main(["train", "--spec", str(workspace / "net.spec"), "--data", str(ds),
+                 "--out", str(tmp_path / "model.shnn"), "--epochs", "1"]) == 1
+    assert capsys.readouterr() == ("", message)
+    assert main(["eval", "--model", str(workspace / "model.shnn"), "--data", str(ds)]) == 1
+    assert capsys.readouterr() == ("", message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
 
 
 def test_eval_prints_accuracy(workspace, capsys):

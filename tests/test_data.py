@@ -96,6 +96,8 @@ def test_labeled_dataset_validation():
         LabeledDataset(np.zeros((2, 1, 4, 4)), np.zeros(3, dtype=int), 2)
     with pytest.raises(ValueError, match="range"):
         LabeledDataset(np.zeros((2, 1, 4, 4)), np.array([0, 5]), 2)
+    with pytest.raises(ValueError, match="range"):  # as an index it would read the last class
+        LabeledDataset(np.zeros((2, 1, 4, 4)), np.array([-1, 1]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +213,17 @@ def test_load_dataset_orders_classes_numerically(tmp_path):
     assert ds.num_classes == 11
     assert ds.labels.tolist() == list(range(11))  # 10 after 9, not after 1
     assert np.array_equal(ds.images[:, 0, 0, 0] * 255.0, np.arange(11.0))
+
+
+@pytest.mark.parametrize("name", ["-1", "notes", "+1", "\u0663"])  # the last is Arabic-Indic 3
+def test_load_dataset_names_a_directory_that_is_no_class_id(tmp_path, name):
+    save_dataset(generate_synthetic(SyntheticConfig(2, 2, canvas=8, pattern_size=4, jitter=0)),
+                 tmp_path)
+    (tmp_path / name).mkdir()
+    with pytest.raises(ValueError) as err:
+        load_dataset(tmp_path)
+    assert str(err.value) == (f"class directory {tmp_path / name} is not named by a "
+                              "non-negative integer")
 
 
 def test_load_dataset_ignores_other_files(tmp_path):
