@@ -16,6 +16,7 @@ from __future__ import annotations
 import fnmatch
 import itertools
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -177,14 +178,15 @@ def save_dataset(ds: LabeledDataset, root) -> None:
 def load_dataset(root, limit: int | None = None) -> LabeledDataset:
     """Read the `<class_id>/<sample_id>.pgm` layout back, in [0, 1]: classes
     in numeric order, the `*.p?m` files of each in name order, the first
-    `limit` files of those. Every directory under `root` is a class, and its
-    name must be a non-negative integer."""
+    `limit` files of those. Every directory under `root` is a class, named
+    by its id as `save_dataset` writes it: a non-negative integer in ASCII
+    digits with no leading zero, so no two directories share an id."""
     root = Path(root)
     class_dirs = [e.name for e in os.scandir(root) if e.is_dir()]
     for name in class_dirs:
-        if not (name.isascii() and name.isdigit()):
+        if not re.fullmatch("0|[1-9][0-9]*", name):
             raise ValueError(f"class directory {os.path.join(root, name)} is not named by "
-                             "a non-negative integer")
+                             "a non-negative integer without leading zeros")
     class_dirs.sort(key=int)
     if not class_dirs:
         raise ValueError(f"no class directories under {root}")

@@ -95,7 +95,8 @@ def test_a_class_directory_that_is_no_class_id_exits_1(workspace, tmp_path, caps
         (ds / "0").rename(bad)
     else:
         bad.mkdir()
-    message = f"error: class directory {bad} is not named by a non-negative integer\n"
+    message = (f"error: class directory {bad} is not named by a non-negative integer without "
+               "leading zeros\n")
     assert main(["train", "--spec", str(workspace / "net.spec"), "--data", str(ds),
                  "--out", str(tmp_path / "model.shnn"), "--epochs", "1"]) == 1
     assert capsys.readouterr() == ("", message)

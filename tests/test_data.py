@@ -215,7 +215,8 @@ def test_load_dataset_orders_classes_numerically(tmp_path):
     assert np.array_equal(ds.images[:, 0, 0, 0] * 255.0, np.arange(11.0))
 
 
-@pytest.mark.parametrize("name", ["-1", "notes", "+1", "\u0663"])  # the last is Arabic-Indic 3
+# "01" would share class 1 with the directory "1"; the last is an Arabic-Indic 3
+@pytest.mark.parametrize("name", ["-1", "notes", "+1", "01", "00", "\u0663"])
 def test_load_dataset_names_a_directory_that_is_no_class_id(tmp_path, name):
     save_dataset(generate_synthetic(SyntheticConfig(2, 2, canvas=8, pattern_size=4, jitter=0)),
                  tmp_path)
@@ -223,7 +224,7 @@ def test_load_dataset_names_a_directory_that_is_no_class_id(tmp_path, name):
     with pytest.raises(ValueError) as err:
         load_dataset(tmp_path)
     assert str(err.value) == (f"class directory {tmp_path / name} is not named by a "
-                              "non-negative integer")
+                              "non-negative integer without leading zeros")
 
 
 def test_load_dataset_ignores_other_files(tmp_path):
