@@ -68,6 +68,12 @@ FULL = "$WORK/ds_full"
 # which the harmonic fill is 0): its fill differs from a black background
 RAMP = b"P5\n16 16\n255\n" + bytes((40 + 9 * y + 5 * x + 60 * ((x * y) % 3)) % 256
                                      for y in range(16) for x in range(16))
+# the ramp in P6, its three channels offset: a 1-channel model refuses it
+RAMP_RGB = b"P6\n16 16\n255\n" + bytes((40 + 9 * y + 5 * x + 60 * ((x * y) % 3) + 50 * c) % 256
+                                         for y in range(16) for x in range(16) for c in range(3))
+# a ramp of 16 rows and 10 columns: taller than wide, its embed is 12 x 8
+TALL = b"P5\n10 16\n255\n" + bytes((40 + 9 * y + 5 * x + 60 * ((x * y) % 3)) % 256
+                                     for y in range(16) for x in range(10))
 
 # (name, argv); "$WORK" stands for the run's directory
 COMMANDS = [
@@ -163,6 +169,19 @@ COMMANDS = [
                                "--layer", "3", "--out", "$WORK/trace_inpaint.csv",
                                "--canvas", "20", "--embed", "12", "--shifts", "4",
                                "--fill", "inpaint"]),
+    ("feature-trace-tall-inpaint", ["feature-trace", "--model", MODEL,
+                                    "--image", "$WORK/tall.pgm", "--layer", "3",
+                                    "--out", "$WORK/trace_tall.csv", "--canvas", "20",
+                                    "--embed", "12", "--shifts", "4", "--fill", "inpaint"]),
+    # P6 read by its magic number, whatever the case of the suffix
+    ("feature-trace-ppm-wrong-channels", ["feature-trace", "--model", MODEL,
+                                          "--image", "$WORK/ramp.ppm", "--layer", "3",
+                                          "--out", "$WORK/trace_ppm.csv", "--canvas", "20",
+                                          "--embed", "12"]),
+    ("feature-trace-PPM-wrong-channels", ["feature-trace", "--model", MODEL,
+                                          "--image", "$WORK/ramp.PPM", "--layer", "3",
+                                          "--out", "$WORK/trace_PPM.csv", "--canvas", "20",
+                                          "--embed", "12"]),
     ("feature-trace-embed-out-of-range", ["feature-trace", "--model", MODEL, "--image", IMAGE,
                                           "--layer", "3", "--out", "$WORK/trace_big.csv",
                                           "--canvas", "20", "--embed", "40"]),
@@ -229,6 +248,9 @@ def collect(work: Path, src: Path) -> dict:
     (work / "boxes.csv").write_text(_annotations())
     (work / "no_boxes.csv").write_text(ANNOTATION_HEADER + "\n")
     (work / "ramp.pgm").write_bytes(RAMP)
+    (work / "ramp.ppm").write_bytes(RAMP_RGB)
+    (work / "ramp.PPM").write_bytes(RAMP_RGB)
+    (work / "tall.pgm").write_bytes(TALL)
     record = {"env": {"python": sys.version.split()[0], "numpy": np.__version__},
               "commands": {}}
     for name, argv in COMMANDS:
