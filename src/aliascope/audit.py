@@ -24,6 +24,7 @@ import zlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,7 @@ class AuditMode(Enum):
     CROP_NOISE = "crop+noise"
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     image_id: str
     protocol: str
     mode: str
@@ -233,8 +233,7 @@ def jaggedness_curve(model, image, proto: EmbeddingProtocol, sweep, label: int):
     return [(p, scores.get(i, math.nan)) for i, p in enumerate(sweep)]
 
 
-@dataclass(frozen=True)
-class DepthProfileEntry:
+class DepthProfileEntry(NamedTuple):
     layer_index: int
     depth_fraction: float
     readout_accuracy: float

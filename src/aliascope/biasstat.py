@@ -19,6 +19,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,8 +118,7 @@ def chi2_pvalue(stat: float, df: int) -> float:
     return min(1.0, math.fsum([math.erfc(math.sqrt(x)) if df % 2 else 0.0, *terms]))
 
 
-@dataclass(frozen=True)
-class CategoryBias:
+class CategoryBias(NamedTuple):
     category: str
     n: int
     chi2_pos: float

@@ -1,9 +1,11 @@
 """Synthetic translatable datasets and binary PGM/PPM image I/O.
 
-Pixels are in [0, 1] everywhere in the library. Only the netpbm readers and
-writers (`read_pgm`, `write_pgm`, ...) work in the files' 0..255 units;
-`read_image`, `save_dataset` and `load_dataset` convert at that boundary.
-Each file is read once: header and pixels come from one `read()`.
+Pixels are in [0, 1] everywhere in the library. Only `write_pgm` works in
+the files' 0..255 units; `read_image` and `save_dataset` convert at that
+boundary. Each fact about an image file is decided in one place: its format
+by its magic number, when `read_image` reads it in one `read()`; its name by
+`image_ids`, which `save_dataset` writes it under; its class directory once
+per class, by `save_dataset`.
 
 The synthetic generator is the desk-scale stand-in for a natural-image
 training set: each class is a distinct procedural pattern placed at
@@ -13,6 +15,7 @@ audits can probe.
 
 from __future__ import annotations
 
+import collections
 import fnmatch
 import itertools
 import os
@@ -113,13 +116,16 @@ class ImageFormatError(ValueError):
     pass
 
 
-def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
-    """(channels, h, w) pixels in 0..255 of a binary netpbm file, read once: the
-    magic, header lines (each cut at '#') up to maxval, then the payload."""
+def read_image(path) -> np.ndarray:
+    """A binary netpbm file as a (channels, h, w) tensor in [0, 1], read
+    once: the magic number, which alone sets the channels (P5: 1, P6: 3)
+    whatever the file's suffix, the header lines (each cut at '#') up to
+    maxval 255, then the payload."""
     with open(path, "rb", buffering=0) as fh:
         raw = fh.read()
-    if raw[:2] != magic:
-        raise ImageFormatError(f"unsupported format: expected {magic.decode()}, got {raw[:2]!r}")
+    channels = {b"P5": 1, b"P6": 3}.get(raw[:2])
+    if channels is None:
+        raise ImageFormatError(f"unsupported format: expected P5 or P6, got {raw[:2]!r}")
     fields, pos = [], 2
     while len(fields) < 3:
         if pos >= len(raw):
@@ -133,18 +139,8 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
     count = h * w * channels
     if not 0 <= count <= len(raw) - pos:
         raise ImageFormatError("truncated pixel payload")
-    pixels = np.frombuffer(raw, np.uint8, count, pos).astype(np.float64)
+    pixels = np.frombuffer(raw, np.uint8, count, pos) / 255.0
     return pixels.reshape(h, w, channels).transpose(2, 0, 1)
-
-
-def read_pgm(path) -> np.ndarray:
-    """Binary P5 -> (1, h, w) float tensor with values in [0, 255]."""
-    return _read_netpbm(path, b"P5", 1)
-
-
-def read_ppm(path) -> np.ndarray:
-    """Binary P6 -> (3, h, w) float tensor with values in [0, 255]."""
-    return _read_netpbm(path, b"P6", 3)
 
 
 def write_pgm(t: np.ndarray, path) -> None:
@@ -158,29 +154,31 @@ def write_pgm(t: np.ndarray, path) -> None:
         fh.write(np.rint(t[0]).astype(np.uint8).tobytes())
 
 
-def read_image(path) -> np.ndarray:
-    """A PGM, or a PPM by its suffix, as a tensor in the library's [0, 1] range."""
-    ppm = os.path.basename(path)[1:].endswith(".ppm")  # Path(path).suffix, without a Path
-    return (read_ppm(path) if ppm else read_pgm(path)) / 255.0
+def image_ids(labels) -> list[str]:
+    """The id of each image of a dataset with these labels, in order:
+    `<class>/<rank of the image within its class, 5 digits>`, the path under
+    the dataset's root, less the suffix, that `save_dataset` writes it to."""
+    ranks = collections.defaultdict(itertools.count)
+    return [f"{label}/{next(ranks[label]):05d}" for label in map(int, labels)]
 
 
 def save_dataset(ds: LabeledDataset, root) -> None:
-    """Write `<class_id>/<sample_id>.pgm`; [0, 1] values map to 0..255."""
-    root = Path(root)
-    counters = [0] * ds.num_classes
-    for img, label in zip(ds.images, ds.labels):
-        cls_dir = root / str(int(label))
-        cls_dir.mkdir(parents=True, exist_ok=True)
-        write_pgm(np.clip(img * 255.0, 0, 255), cls_dir / f"{counters[int(label)]:05d}.pgm")
-        counters[int(label)] += 1
+    """Write each image to `<root>/<image id>.pgm`, making each class
+    directory once; [0, 1] values map to 0..255."""
+    for label in np.unique(ds.labels):
+        Path(root, str(label)).mkdir(parents=True, exist_ok=True)
+    for img, image_id in zip(ds.images, image_ids(ds.labels)):
+        write_pgm(np.clip(img * 255.0, 0, 255), os.path.join(root, f"{image_id}.pgm"))
 
 
 def load_dataset(root, limit: int | None = None) -> LabeledDataset:
-    """Read the `<class_id>/<sample_id>.pgm` layout back, in [0, 1]: classes
-    in numeric order, the `*.p?m` files of each in name order, the first
+    """Read the layout `save_dataset` writes back, in [0, 1]: classes in
+    numeric order, the `*.p?m` files of each in name order, the first
     `limit` files of those. Every directory under `root` is a class, named
     by its id as `save_dataset` writes it: a non-negative integer in ASCII
-    digits with no leading zero, so no two directories share an id."""
+    digits with no leading zero, so no two directories share an id. A root
+    with no image, and an image whose shape is not the first image's, raise
+    ValueError."""
     root = Path(root)
     class_dirs = [e.name for e in os.scandir(root) if e.is_dir()]
     for name in class_dirs:
@@ -196,5 +194,10 @@ def load_dataset(root, limit: int | None = None) -> LabeledDataset:
     for label, path in itertools.islice(files, limit):
         images.append(read_image(path))
         labels.append(label)
+        if images[-1].shape != images[0].shape:
+            raise ValueError(f"image {path} has shape {images[-1].shape}, unlike the "
+                             f"{images[0].shape} of the images before it")
+    if not images:
+        raise ValueError(f"no *.p?m image in the class directories under {root}")
     return LabeledDataset(np.stack(images), np.asarray(labels, dtype=np.int64),
                           int(class_dirs[-1]) + 1)

@@ -3,10 +3,12 @@ import csv
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import math
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +105,48 @@ def test_a_class_directory_that_is_no_class_id_exits_1(workspace, tmp_path, caps
     assert main(["eval", "--model", str(workspace / "model.shnn"), "--data", str(ds)]) == 1
     assert capsys.readouterr() == ("", message)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_dataset_with_no_image_exits_1_and_writes_nothing(workspace, tmp_path, capsys,
+                                                            command):
+    ds = tmp_path / "ds"
+    (ds / "0").mkdir(parents=True)
+    (ds / "0" / "notes.txt").write_text("not an image")
+    argv = (["train", "--spec", str(workspace / "net.spec"), "--out", str(tmp_path / "m.shnn")]
+            if command == "train" else ["eval", "--model", str(workspace / "model.shnn")])
+    assert main([*argv, "--data", str(ds)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: no *.p?m image in the class directories under {ds}\n")
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "ds", "ds/0", "ds/0/notes.txt"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_dataset_of_two_image_shapes_exits_1_and_writes_nothing(workspace, tmp_path, capsys,
+                                                                  command):
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace / "ds", ds)
+    odd = ds / "1" / "00002.pgm"
+    data.write_pgm(np.zeros((1, 8, 8)), odd)
+    argv = (["train", "--spec", str(workspace / "net.spec"), "--out", str(tmp_path / "m.shnn")]
+            if command == "train" else ["eval", "--model", str(workspace / "model.shnn")])
+    assert main([*argv, "--data", str(ds)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: image {odd} has shape (1, 8, 8), unlike the (1, 16, 16) of the images "
+            "before it\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+def test_manifest_wall_time_does_not_follow_a_clock_step(workspace, tmp_path, monkeypatch):
+    """The system clock steps back an hour (an NTP correction) while a
+    command runs: the manifest's wall time is still the time the run took."""
+    readings = itertools.chain([time.time()], itertools.repeat(time.time() - 3600.0))
+    monkeypatch.setattr(time, "time", lambda: next(readings))
+    out = tmp_path / "model.shnn"
+    assert main(["train", "--spec", str(workspace / "net.spec"), "--data", str(workspace / "ds"),
+                 "--out", str(out), "--epochs", "1"]) == 0
+    assert 0 <= _manifest(out)["wall_time_s"] < 600
 
 
 def test_eval_prints_accuracy(workspace, capsys):

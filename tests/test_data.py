@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,9 @@ from aliascope.data import (
     SyntheticConfig,
     class_pattern,
     generate_synthetic,
+    image_ids,
     load_dataset,
     read_image,
-    read_pgm,
-    read_ppm,
     save_dataset,
     write_pgm,
 )
@@ -109,8 +110,8 @@ def test_pgm_roundtrip(tmp_path):
     img = np.rint(rng.uniform(0, 255, (1, 7, 5)))
     path = tmp_path / "img.pgm"
     write_pgm(img, path)
-    back = read_pgm(path)
-    assert np.array_equal(back, img)
+    back = read_image(path)
+    assert np.array_equal(back, img / 255.0)
     assert back.dtype == np.float64
 
 
@@ -120,7 +121,7 @@ def test_ppm_roundtrip(tmp_path):
     path = tmp_path / "img.ppm"
     # P6 stores each pixel's red, green and blue bytes in turn, row by row
     path.write_bytes(b"P6\n6 4\n255\n" + img.transpose(1, 2, 0).astype(np.uint8).tobytes())
-    assert np.array_equal(read_ppm(path), img)
+    assert np.array_equal(read_image(path), img / 255.0)
 
 
 def test_pgm_header_bytes(tmp_path):
@@ -132,40 +133,45 @@ def test_pgm_header_bytes(tmp_path):
 def test_read_header_with_comment(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n# a comment\n2 2 # trailing\n255\n" + bytes([1, 2, 3, 4]))
-    img = read_pgm(path)
-    assert np.array_equal(img[0], [[1, 2], [3, 4]])
+    img = read_image(path)
+    assert np.array_equal(img[0], np.array([[1, 2], [3, 4]]) / 255.0)
 
 
 def test_read_header_on_one_line(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5 3 2 255\n" + bytes([1, 2, 3, 4, 5, 6]))
-    img = read_pgm(path)
+    img = read_image(path)
     assert img.shape == (1, 2, 3)
-    assert np.array_equal(img[0], [[1, 2, 3], [4, 5, 6]])
+    assert np.array_equal(img[0], np.array([[1, 2, 3], [4, 5, 6]]) / 255.0)
 
 
 def test_read_rejects_bad_magic(tmp_path):
     path = tmp_path / "img.pgm"
-    path.write_bytes(b"P2\n2 2\n255\n1 2 3 4\n")
-    with pytest.raises(ImageFormatError, match="expected P5"):
-        read_pgm(path)
+    for magic in (b"P2", b"P3", b"P4", b"P7", b"\x89P"):
+        path.write_bytes(magic + b"\n2 2\n255\n1 2 3 4\n")
+        with pytest.raises(ImageFormatError) as err:
+            read_image(path)
+        assert str(err.value) == f"unsupported format: expected P5 or P6, got {magic!r}"
 
 
 def test_read_rejects_bad_maxval(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
     with pytest.raises(ImageFormatError, match="maxval"):
-        read_pgm(path)
+        read_image(path)
 
 
 def test_read_rejects_truncated(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(5))
     with pytest.raises(ImageFormatError, match="truncated"):
-        read_pgm(path)
+        read_image(path)
+    path.write_bytes(b"P6\n2 2\n255\n" + bytes(11))  # 4 bytes would be a whole P5 payload
+    with pytest.raises(ImageFormatError, match="truncated"):
+        read_image(path)
     path.write_bytes(b"P5\n4 4\n")
     with pytest.raises(ImageFormatError, match="truncated"):
-        read_pgm(path)
+        read_image(path)
 
 
 def test_write_rejects_bad_shape_and_range(tmp_path):
@@ -175,11 +181,14 @@ def test_write_rejects_bad_shape_and_range(tmp_path):
         write_pgm(np.full((1, 2, 2), 300.0), tmp_path / "x.pgm")
 
 
-def test_read_image_dispatches_on_suffix(tmp_path):
-    write_pgm(np.zeros((1, 2, 2)), tmp_path / "a.pgm")
-    (tmp_path / "b.ppm").write_bytes(b"P6\n2 2\n255\n" + bytes(12))
-    assert read_image(tmp_path / "a.pgm").shape == (1, 2, 2)
-    assert read_image(tmp_path / "b.ppm").shape == (3, 2, 2)
+def test_read_image_takes_the_channels_from_the_magic_number(tmp_path):
+    for name, magic, channels in (("a.pgm", b"P5", 1), ("b.ppm", b"P6", 3), ("c.PPM", b"P6", 3),
+                                  ("d.pgm", b"P6", 3), ("e.ppm", b"P5", 1), ("f", b"P6", 3)):
+        pixels = np.arange(2 * 3 * channels, dtype=np.uint8)
+        (tmp_path / name).write_bytes(magic + b"\n3 2\n255\n" + pixels.tobytes())
+        img = read_image(tmp_path / name)
+        assert img.shape == (channels, 2, 3), name
+        assert np.array_equal(img, pixels.reshape(2, 3, channels).transpose(2, 0, 1) / 255.0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +208,56 @@ def test_save_load_dataset_roundtrip(tmp_path):
     assert files == ["00000.pgm", "00001.pgm", "00002.pgm", "00003.pgm"]
 
 
+def test_image_ids_rank_each_image_within_its_class():
+    labels = np.array([0, 0, 1, 2, 1, 0, 11])
+    assert image_ids(labels) == ["0/00000", "0/00001", "1/00000", "2/00000", "1/00001",
+                                 "0/00002", "11/00000"]
+    assert image_ids(labels.tolist()) == image_ids(labels)
+    assert image_ids([]) == []
+
+
+def test_save_dataset_writes_each_image_under_its_id(tmp_path):
+    ds = generate_synthetic(SyntheticConfig(3, 4, canvas=8, pattern_size=4, jitter=1, seed=4))
+    save_dataset(ds, tmp_path)
+    for image_id, img in zip(image_ids(ds.labels), ds.images):
+        assert np.array_equal(read_image(tmp_path / f"{image_id}.pgm"), img)
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.pgm")) == sorted(
+        f"{image_id}.pgm" for image_id in image_ids(ds.labels))
+
+
+def test_save_dataset_makes_each_class_directory_once(tmp_path, monkeypatch):
+    ds = generate_synthetic(SyntheticConfig(3, 5, canvas=8, pattern_size=4, jitter=1, seed=4))
+    tried, mkdir = [], os.mkdir  # every attempt, those that find the directory made too
+    monkeypatch.setattr(os, "mkdir", lambda path, *a: tried.append(str(path)) or mkdir(path, *a))
+    save_dataset(ds, tmp_path)
+    assert sorted(tried) == [str(tmp_path / c) for c in "012"]
+
+
 def test_load_dataset_empty_root(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(ValueError, match="no class directories"):
         load_dataset(tmp_path / "empty")
+
+
+def test_load_dataset_names_a_root_with_no_image(tmp_path):
+    for cls in "01":
+        (tmp_path / cls).mkdir()
+    (tmp_path / "0" / "notes.txt").write_text("not an image")
+    with pytest.raises(ValueError) as err:
+        load_dataset(tmp_path)
+    assert str(err.value) == f"no *.p?m image in the class directories under {tmp_path}"
+
+
+def test_load_dataset_names_the_first_image_of_another_shape(tmp_path):
+    for cls, size in (("0", 4), ("1", 4), ("1", 3), ("2", 5)):
+        (tmp_path / cls).mkdir(exist_ok=True)
+        n = len(list((tmp_path / cls).iterdir()))
+        write_pgm(np.zeros((1, size, size)), tmp_path / cls / f"{n:05d}.pgm")
+    with pytest.raises(ValueError) as err:
+        load_dataset(tmp_path)
+    assert str(err.value) == (f"image {tmp_path / '1' / '00001.pgm'} has shape (1, 3, 3), "
+                              "unlike the (1, 4, 4) of the images before it")
+    assert load_dataset(tmp_path, limit=2).images.shape == (2, 1, 4, 4)
 
 
 def test_load_dataset_orders_classes_numerically(tmp_path):
