@@ -102,8 +102,9 @@ def _csv(header, rows, before: str = "", after: str = "") -> str:
 
 
 def _audit_images(ds, limit=None):
-    """(image id, image) and (image id, label) pairs of the first `limit` images."""
-    ids = [f"{int(lbl)}/{i:05d}" for i, lbl in enumerate(ds.labels)][:limit]
+    """(image id, image) and (image id, label) pairs of the first `limit`
+    images, each id the name `data.image_ids` gives the image's file."""
+    ids = data.image_ids(ds.labels[:limit])
     return list(zip(ids, ds.images)), [(iid, int(lbl)) for iid, lbl in zip(ids, ds.labels)]
 
 

@@ -4,8 +4,8 @@ Pixels are in [0, 1] everywhere in the library. Only `write_pgm` works in
 the files' 0..255 units; `read_image` and `save_dataset` convert at that
 boundary. Each fact about an image file is decided in one place: its format
 by its magic number, when `read_image` reads it in one `read()`; its name by
-`image_ids`, which `save_dataset` writes it under; its class directory once
-per class, by `save_dataset`.
+`image_ids`, which `save_dataset` writes it under and the audits report it
+by; its class directory once per class, by `save_dataset`.
 
 The synthetic generator is the desk-scale stand-in for a natural-image
 training set: each class is a distinct procedural pattern placed at

@@ -186,6 +186,31 @@ def test_audit_shift_writes_report(workspace, capsys, monkeypatch):
     _assert_output_hashed(out_csv)
 
 
+@pytest.mark.parametrize("command", ["audit-shift", "audit-scale", "audit-crop"])
+def test_each_audited_image_id_names_the_file_audited(tmp_path, monkeypatch, command):
+    """A row's image_id is the image's path under the dataset root, less its
+    suffix, as gen-data writes it: classes 1 and 2 number their files from 0."""
+    ds = tmp_path / "ds"
+    assert main(["gen-data", "--out", str(ds), "--classes", "3", "--per-class", "4",
+                 "--canvas", "16", "--pattern", "7", "--jitter", "2"]) == 0
+    model = nn.init_model(nn.parse_spec(SPEC_TEXT.replace("dense 4", "dense 3")), seed=0)
+    (tmp_path / "model.shnn").write_bytes(nn.model_bytes(model))
+    audited = {}
+    measure = audit.top1_change_probability
+    monkeypatch.setattr(audit, "top1_change_probability", lambda model, images, *a, **k: (
+        audited.update(images) or measure(model, images, *a, **k)))
+    out = tmp_path / "audit.csv"
+    assert main([command, "--model", str(tmp_path / "model.shnn"), "--data", str(ds),
+                 "--out", str(out), *(["--crop-size", "12"] if command == "audit-crop" else
+                                      ["--canvas", "20", "--embed", "16"])]) == 0
+    ids = [row[0] for row in csv.reader(io.StringIO(out.read_text()))
+           if not row[0].startswith("#")][1:]
+    assert sorted(ids) == sorted(audited) == sorted(
+        p.relative_to(ds).with_suffix("").as_posix() for p in ds.rglob("*.pgm"))
+    for image_id in ids:
+        assert np.array_equal(data.read_image(ds / f"{image_id}.pgm"), audited[image_id])
+
+
 def test_audit_scale_runs(workspace, capsys):
     out_csv = workspace / "scale.csv"
     assert main(["audit-scale", "--model", str(workspace / "model.shnn"),
