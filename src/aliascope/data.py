@@ -3,9 +3,11 @@
 Pixels are in [0, 1] everywhere in the library. Only `write_pgm` works in
 the files' 0..255 units; `read_image` and `save_dataset` convert at that
 boundary. Each fact about an image file is decided in one place: its format
-by its magic number, when `read_image` reads it in one `read()`; its name by
-`image_ids`, which `save_dataset` writes it under and the audits report it
-by; its class directory once per class, by `save_dataset`.
+by its magic number, when `read_image` reads it in one `read()`; that a
+file of a class directory is an image, by its suffix, in `load_dataset`;
+its name by `image_ids`, which `save_dataset` writes it under and the
+audits report it by; its class directory once per class, by `save_dataset`.
+Every error about a file names it.
 
 The synthetic generator is the desk-scale stand-in for a natural-image
 training set: each class is a distinct procedural pattern placed at
@@ -16,7 +18,6 @@ audits can probe.
 from __future__ import annotations
 
 import collections
-import fnmatch
 import itertools
 import os
 import re
@@ -120,25 +121,29 @@ def read_image(path) -> np.ndarray:
     """A binary netpbm file as a (channels, h, w) tensor in [0, 1], read
     once: the magic number, which alone sets the channels (P5: 1, P6: 3)
     whatever the file's suffix, the header lines (each cut at '#') up to
-    maxval 255, then the payload."""
+    maxval 255, then the payload. A file that is no such image raises
+    ImageFormatError, whose message starts with the path."""
     with open(path, "rb", buffering=0) as fh:
         raw = fh.read()
-    channels = {b"P5": 1, b"P6": 3}.get(raw[:2])
-    if channels is None:
-        raise ImageFormatError(f"unsupported format: expected P5 or P6, got {raw[:2]!r}")
-    fields, pos = [], 2
-    while len(fields) < 3:
-        if pos >= len(raw):
-            raise ImageFormatError("truncated header")
-        end = raw.find(b"\n", pos) + 1 or len(raw)
-        fields.extend(raw[pos:end].split(b"#", 1)[0].split())
-        pos = end
-    w, h, maxval = (int(f) for f in fields[:3])
-    if maxval != 255:
-        raise ImageFormatError(f"only maxval 255 supported, got {maxval}")
-    count = h * w * channels
-    if not 0 <= count <= len(raw) - pos:
-        raise ImageFormatError("truncated pixel payload")
+    try:
+        channels = {b"P5": 1, b"P6": 3}.get(raw[:2])
+        if channels is None:
+            raise ImageFormatError(f"unsupported format: expected P5 or P6, got {raw[:2]!r}")
+        fields, pos = [], 2
+        while len(fields) < 3:
+            if pos >= len(raw):
+                raise ImageFormatError("truncated header")
+            end = raw.find(b"\n", pos) + 1 or len(raw)
+            fields.extend(raw[pos:end].split(b"#", 1)[0].split())
+            pos = end
+        w, h, maxval = (int(f) for f in fields[:3])
+        if maxval != 255:
+            raise ImageFormatError(f"only maxval 255 supported, got {maxval}")
+        count = h * w * channels
+        if not 0 <= count <= len(raw) - pos:
+            raise ImageFormatError("truncated pixel payload")
+    except ValueError as exc:  # ImageFormatError, or int() of a header field
+        raise ImageFormatError(f"{path}: {exc}") from None
     pixels = np.frombuffer(raw, np.uint8, count, pos) / 255.0
     return pixels.reshape(h, w, channels).transpose(2, 0, 1)
 
@@ -173,12 +178,13 @@ def save_dataset(ds: LabeledDataset, root) -> None:
 
 def load_dataset(root, limit: int | None = None) -> LabeledDataset:
     """Read the layout `save_dataset` writes back, in [0, 1]: classes in
-    numeric order, the `*.p?m` files of each in name order, the first
-    `limit` files of those. Every directory under `root` is a class, named
-    by its id as `save_dataset` writes it: a non-negative integer in ASCII
-    digits with no leading zero, so no two directories share an id. A root
-    with no image, and an image whose shape is not the first image's, raise
-    ValueError."""
+    numeric order, the files of each in name order, the first `limit` files
+    of those. Every directory under `root` is a class, named by its id as
+    `save_dataset` writes it: a non-negative integer in ASCII digits with no
+    leading zero, so no two directories share an id. Every file in a class
+    directory is an image whose name ends in .pgm or .ppm, in any case. Any
+    other entry there, a root with no image, and an image whose shape is not
+    the first image's raise ValueError."""
     root = Path(root)
     class_dirs = [e.name for e in os.scandir(root) if e.is_dir()]
     for name in class_dirs:
@@ -188,16 +194,20 @@ def load_dataset(root, limit: int | None = None) -> LabeledDataset:
     class_dirs.sort(key=int)
     if not class_dirs:
         raise ValueError(f"no class directories under {root}")
-    files = ((int(d), os.path.join(root, d, name)) for d in class_dirs
-             for name in sorted(fnmatch.filter(os.listdir(os.path.join(root, d)), "*.p?m")))
+    files = [(int(d), os.path.join(root, d, name)) for d in class_dirs
+             for name in sorted(os.listdir(os.path.join(root, d)))]
+    for _, path in files:
+        if not path.lower().endswith((".pgm", ".ppm")):
+            raise ValueError(f"{path} is not a .pgm or .ppm file; a class directory holds "
+                             "nothing else")
     images, labels = [], []
-    for label, path in itertools.islice(files, limit):
+    for label, path in files[:limit]:
         images.append(read_image(path))
         labels.append(label)
         if images[-1].shape != images[0].shape:
             raise ValueError(f"image {path} has shape {images[-1].shape}, unlike the "
                              f"{images[0].shape} of the images before it")
     if not images:
-        raise ValueError(f"no *.p?m image in the class directories under {root}")
+        raise ValueError(f"no .pgm or .ppm image in the class directories under {root}")
     return LabeledDataset(np.stack(images), np.asarray(labels, dtype=np.int64),
                           int(class_dirs[-1]) + 1)

@@ -54,31 +54,38 @@ on free, so each call faults in new pages. A warmed SGD step of the stride-1
 reference net allocated 22.8 MB that way, and a 1-epoch `train` of it took
 about 310k minor page faults and a third of its run time in the kernel. A
 backward step consumes its forward's cache: conv's backward writes the
-relu-masked dy and then its input gradient over the forward's `out`, and
-dy's frame over its padded input `xp`, each once the step has read what it
-held, and gap's backward returns a read-only broadcast view. After a
-batch-16 step the stride-1 reference net's buffers hold 8.77 MiB and the
-strided net's 5.38 MiB (18.53 and 6.98 MiB when each gradient had a buffer
-of its own). The kernels keep every GEMM's operands (the weight gradient's
-transposed, see below) and every elementwise op's order, so the bits are
-those of fresh arrays. Two consequences: a `Model` is not reentrant (two
+relu-masked dy over the forward's `out` and its input gradient over its
+padded input `xp`, each once the step has read what it held, and gap's
+backward returns a read-only broadcast view. After a batch-16 step the
+stride-1 reference net's buffers hold 7.74 MiB and the strided net's
+4.73 MiB (18.53 and 6.98 MiB when each gradient had a buffer of its own).
+The kernels keep every GEMM's operands (the weight gradient's transposed,
+see below) and every elementwise op's order, so the bits are those of
+fresh arrays. Two consequences: a `Model` is not reentrant (two
 calls on one model must not interleave, e.g. from threads), and nothing
 returned aliases a buffer: `forward`'s class scores come from gap, dense or
 softmax, which allocate their small outputs, `pooled_features` reduces into
 a fresh array and `layer_activations` copies.
 
-Conv backward is two more GEMMs per image on im2col matrices built by the
-same helper as the forward's (Chellapilla et al. 2006). The weight gradient
-is the sum over images of cols_i @ dy_i^T (c*k*k, o), transposed once, with
-cols_i the forward's patch matrix, rebuilt rather than kept for the whole
-batch; each product is bitwise the transpose of dy_i @ cols_i^T, which a
-test checks on the reference nets' shapes. The input gradient is the
-stride-1 "full" correlation of dy, dilated by the stride, with the flipped,
-channel-transposed kernel; padding's adjoint then crops (zero) or adds the
-margins back around the image (circular). Nothing reads the input gradient
-of layer 0, so `backward_sgd_step` asks every layer but the first for it
-(`need_dx`): a first conv or dense costs only its weight product, and a
-first pool or gap costs nothing.
+Conv's forward and its input gradient run one loop, `_gemm_each`: for each
+image, fill the patch buffer "cols", then one GEMM into that image's rows
+of the output (im2col, Chellapilla et al. 2006). The weight gradient is the
+sum over images of cols_i @ dy_i^T (c*k*k, o), transposed once, with cols_i
+the forward's patch matrix from the same generator, `_im2col`, rebuilt
+rather than kept for the whole batch; each product is bitwise the transpose
+of dy_i @ cols_i^T, which a test checks on the reference nets' shapes. The
+input gradient is the stride-1 "full" correlation of dy, dilated by the
+stride, with the flipped, channel-transposed kernel; padding's adjoint then
+crops (zero) or adds the margins back around the image (circular). Its
+patch matrix is the im2col of dy set in a zero frame, but no frame is
+built: `_dy_cols` zeroes "cols" once per call and writes each image's dy
+straight to the matrix's non-zero entries through one strided view, so
+each GEMM has the framed correlation's operands and dx its bits, which a
+test checks. At stride s > 1 that GEMM still multiplies the zero columns
+of the dilated dy. Nothing reads the input gradient of layer 0, so
+`backward_sgd_step` asks every layer but the first for it (`need_dx`): a
+first conv or dense costs only its weight product, and a first pool or gap
+costs nothing.
 """
 
 from __future__ import annotations
@@ -146,18 +153,54 @@ def _pad_spatial(x, left, right, mode: PadMode, buf: dict):
 
 
 def _im2col(xp, k: int, s: int, buf):
-    """Yield each padded image's patch matrix (c*k*k, ho*wo), rows in (c, i, j)
-    order: one image's k x k windows at stride s, copied into the buffer
-    "cols", which each step of the iteration overwrites."""
+    """The patch matrices of a padded batch, one per image: (c*k*k, ho*wo),
+    rows in (c, i, j) order, the image's k x k windows at stride s copied
+    into the buffer "cols", which each step of the iteration overwrites.
+    The forward's GEMM loop and the weight gradient read this one generator;
+    the input gradient's GEMM loop reads `_dy_cols`."""
     n, c, hp, wp = xp.shape
     ho, wo = (hp - k) // s + 1, (wp - k) // s + 1
     windows = as_strided(xp, (n, c, k, k, ho, wo),  # offset (i, j) of each window, strided
                          xp.strides + (xp.strides[2] * s, xp.strides[3] * s), writeable=False)
     cols = _buffer(buf, "cols", (c * k * k, ho * wo))
-    patches = cols.reshape(c, k, k, ho, wo)
-    for image in windows:
-        np.copyto(patches, image)
+    return _patches(windows, cols, cols.reshape(c, k, k, ho, wo))
+
+
+def _dy_cols(dy, k: int, s: int, hp: int, wp: int, buf):
+    """The input gradient's patch matrices, one per image: (o*k*k, hp*wp),
+    rows in (o, i, j) order, the k x k windows at stride 1 of dy dilated by
+    s and set k-1 in from the top-left of a zero frame one kernel larger
+    than the (hp, wp) padded input. Only dy's own entries are non-zero, so
+    "cols" is zeroed once per call and each image writes them alone:
+    dy[o, y, x] goes to row (o*k + i)*k + j, column (k-1-i + s*y)*wp +
+    (k-1-j + s*x), for every (i, j), all distinct entries inside the
+    matrix. That is one strided view of "cols" from column (k-1)*wp + k-1;
+    as_strided checks no bounds, so a test holds its strides to the framed
+    correlation."""
+    o, ho, wo = dy.shape[1:]
+    cols = _buffer(buf, "cols", (o * k * k, hp * wp))
+    cols.fill(0.0)
+    e = cols.itemsize
+    frame = as_strided(cols.reshape(-1)[(k - 1) * wp + k - 1:], (o, k, k, ho, wo),
+                       (e * k * k * hp * wp, e * (k * hp - 1) * wp, e * (hp * wp - 1),
+                        e * s * wp, e * s))
+    return _patches(dy[:, :, None, None], cols, frame)
+
+
+def _patches(images, cols, view):
+    """Yield `cols` once per image, after copying the image into `view`, a
+    view of `cols` that the image's broadcast shape fills."""
+    for image in images:
+        np.copyto(view, image)
         yield cols
+
+
+def _gemm_each(w2d, patches, out):
+    """out[i] = w2d @ the i-th patch matrix: one GEMM per image, whose shapes
+    do not depend on the batch."""
+    for i, cols in enumerate(patches):
+        np.matmul(w2d, cols, out=out[i])
+    return out
 
 
 def _periods(left: int, size: int, length: int):
@@ -282,9 +325,8 @@ class ConvSpec(_Window):
         xp = _pad_spatial(x, (k - 1) // 2, k // 2, self.pad, buf)
         w = p["w"].reshape(p["w"].shape[0], -1)
         ho, wo = -(-x.shape[2] // s), -(-x.shape[3] // s)
-        out = _buffer(buf, "out", (x.shape[0], w.shape[0], ho * wo))
-        for i, cols in enumerate(_im2col(xp, k, s, buf)):
-            np.matmul(w, cols, out=out[i])
+        out = _gemm_each(w, _im2col(xp, k, s, buf),
+                         _buffer(buf, "out", (x.shape[0], w.shape[0], ho * wo)))
         out = out.reshape(x.shape[0], w.shape[0], ho, wo)
         out += p["b"][None, :, None, None]
         if self.activation == "relu":
@@ -293,15 +335,14 @@ class ConvSpec(_Window):
 
     def backward(self, dy, p, cache, buf, need_dx=True):
         """dw and, when asked for, dx: two im2col GEMMs per image (see the
-        module docstring). Consumes the cache: the relu-masked dy and then dx
-        are written over the forward's `out`, and dy's frame over its `xp`."""
+        module docstring). Consumes the cache: the relu-masked dy is written
+        over the forward's `out`, and dx over its padded input `xp`."""
         x_shape, xp, out = cache
         k, s = self.kernel, self.stride
         o, c = p["w"].shape[:2]
         n, ho, wo = dy.shape[0], dy.shape[2], dy.shape[3]
         if self.activation == "relu":  # out > 0 exactly where the pre-activation is
-            mask = np.greater(out, 0.0, out=_buffer(buf, "mask", out.shape, bool))
-            dy = np.multiply(dy, mask, out=out)
+            dy = np.multiply(dy, np.greater(out, 0.0, out=out), out=out)  # dy * 1.0 or 0.0
         dy_rows = dy.reshape(n, o, ho * wo)
         # dw^T, summed in image order: cols_i @ dy_i^T has the bits of (dy_i @ cols_i^T)^T
         dw, term = np.zeros((c * k * k, o)), np.empty((c * k * k, o))
@@ -310,17 +351,10 @@ class ConvSpec(_Window):
         grads = {"w": dw.T.reshape(p["w"].shape), "b": dy_rows.sum(axis=(0, 2))}
         if not need_dx:
             return None, grads
-        # dy dilated by s and placed k-1 in from the top-left of a frame one
-        # kernel larger than xp: its valid k x k correlation has xp's shape
         hp, wp = xp.shape[2], xp.shape[3]
-        framed = _buffer(buf, "xp", (n, o, hp + k - 1, wp + k - 1))
-        framed.fill(0.0)
-        framed[:, :, k - 1:k - 1 + s * ho:s, k - 1:k - 1 + s * wo:s] = dy
         w_flip = p["w"][:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
-        dxp = _buffer(buf, "out", (n, c, hp * wp))
-        for i, cols in enumerate(_im2col(framed, k, 1, buf)):
-            np.matmul(w_flip, cols, out=dxp[i])
-        dxp = dxp.reshape(n, c, hp, wp)
+        dxp = _gemm_each(w_flip, _dy_cols(dy, k, s, hp, wp, buf),
+                         _buffer(buf, "xp", (n, c, hp * wp))).reshape(n, c, hp, wp)
         left = (k - 1) // 2
         h, wdt = x_shape[2:]
         if self.pad is PadMode.ZERO:

@@ -114,8 +114,8 @@ def test_a_dataset_with_no_image_or_two_shapes_exits_1_and_writes_nothing(
     ds = tmp_path / "ds"
     if empty:
         (ds / "0").mkdir(parents=True)
-        (ds / "0" / "notes.txt").write_text("not an image")
-        message = f"no *.p?m image in the class directories under {ds}"
+        (ds / "notes.txt").write_text("not an image")
+        message = f"no .pgm or .ppm image in the class directories under {ds}"
     else:
         shutil.copytree(workspace / "ds", ds)
         odd = ds / "1" / "00002.pgm"

@@ -151,7 +151,18 @@ def test_read_rejects_bad_magic(tmp_path):
         path.write_bytes(magic + b"\n2 2\n255\n1 2 3 4\n")
         with pytest.raises(ImageFormatError) as err:
             read_image(path)
-        assert str(err.value) == f"unsupported format: expected P5 or P6, got {magic!r}"
+        assert str(err.value) == f"{path}: unsupported format: expected P5 or P6, got {magic!r}"
+
+
+@pytest.mark.parametrize("blob", [b"P5\n2 2\n65535\n" + bytes(8), b"P5\n4 4\n255\n" + bytes(5),
+                                  b"P5\n4 4\n", b"P5\nab 2\n255\n" + bytes(4)],
+                         ids=["maxval", "payload", "header", "not-a-number"])
+def test_every_read_error_names_the_file(tmp_path, blob):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(ImageFormatError) as err:
+        read_image(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_read_rejects_bad_maxval(tmp_path):
@@ -242,10 +253,10 @@ def test_load_dataset_empty_root(tmp_path):
 def test_load_dataset_names_a_root_with_no_image(tmp_path):
     for cls in "01":
         (tmp_path / cls).mkdir()
-    (tmp_path / "0" / "notes.txt").write_text("not an image")
+    (tmp_path / "notes.txt").write_text("not an image")
     with pytest.raises(ValueError) as err:
         load_dataset(tmp_path)
-    assert str(err.value) == f"no *.p?m image in the class directories under {tmp_path}"
+    assert str(err.value) == f"no .pgm or .ppm image in the class directories under {tmp_path}"
 
 
 def test_load_dataset_names_the_first_image_of_another_shape(tmp_path):
@@ -283,18 +294,59 @@ def test_load_dataset_names_a_directory_that_is_no_class_id(tmp_path, name):
 
 
 def test_load_dataset_ignores_other_files(tmp_path):
+    """Only the class directories' entries are the dataset's: a file beside
+    them, in the root, is not read."""
     cfg = SyntheticConfig(2, 3, canvas=8, pattern_size=4, jitter=1, seed=5)
     ds = generate_synthetic(cfg)
     save_dataset(ds, tmp_path)
     (tmp_path / "dataset.manifest.json").write_text("{}")
     (tmp_path / "notes.txt").write_text("not an image")
-    for cls in ("0", "1"):
-        (tmp_path / cls / "notes.txt").write_text("not an image")
-        (tmp_path / cls / "0.pgm.tmp").write_bytes(b"P5\n1 1\n255\n\xff")
-        (tmp_path / cls / "dataset.manifest.json").write_text("{}")
+    (tmp_path / "0.pgm").write_bytes(b"P5\n1 1\n255\n\xff")
     back = load_dataset(tmp_path)
     assert np.array_equal(back.labels, ds.labels)
     assert np.array_equal(back.images, ds.images)
+
+
+def test_load_dataset_reads_pgm_and_ppm_files_in_any_case(tmp_path):
+    save_dataset(generate_synthetic(SyntheticConfig(2, 2, canvas=8, pattern_size=4, jitter=0)),
+                 tmp_path)
+    for name in ("EXTRA.PGM", "x.Ppm"):
+        write_pgm(np.full((1, 8, 8), 255.0), tmp_path / "1" / name)
+    back = load_dataset(tmp_path)
+    assert back.labels.tolist() == [0, 0, 1, 1, 1, 1]
+    # in name order: 00000.pgm, 00001.pgm, EXTRA.PGM, x.Ppm; only the last two are all white
+    assert [img.min() for img in back.images[2:]] == [0.0, 0.0, 1.0, 1.0]
+
+
+# a mask.pbm holds a P4 bitmap; the last is a directory
+@pytest.mark.parametrize("name", ["mask.pbm", "x.pnm", "notes.txt", "0.pgm.tmp",
+                                  "dataset.manifest.json", ".hidden", "sub"])
+def test_load_dataset_refuses_any_other_file_of_a_class_directory_by_name(tmp_path, name,
+                                                                         monkeypatch):
+    save_dataset(generate_synthetic(SyntheticConfig(2, 2, canvas=8, pattern_size=4, jitter=0)),
+                 tmp_path)
+    if name == "sub":
+        (tmp_path / "1" / name).mkdir()
+    else:
+        (tmp_path / "1" / name).write_bytes(b"P4\n8 8\n" + bytes(8))
+    reads = []
+    monkeypatch.setattr(data, "read_image", lambda path: reads.append(path) or read_image(path))
+    for limit in (None, 1):
+        with pytest.raises(ValueError) as err:
+            load_dataset(tmp_path, limit)
+        assert str(err.value) == (f"{tmp_path / '1' / name} is not a .pgm or .ppm file; a class "
+                                  "directory holds nothing else")
+    assert reads == []  # refused before any image is read
+
+
+def test_load_dataset_names_an_image_it_cannot_read(tmp_path):
+    save_dataset(generate_synthetic(SyntheticConfig(2, 2, canvas=8, pattern_size=4, jitter=0)),
+                 tmp_path)
+    bad = tmp_path / "1" / "mask.pgm"
+    bad.write_bytes(b"P4\n8 8\n" + bytes(8))
+    with pytest.raises(ImageFormatError) as err:
+        load_dataset(tmp_path)
+    assert str(err.value) == f"{bad}: unsupported format: expected P5 or P6, got b'P4'"
 
 
 def test_load_dataset_reads_only_the_first_limit_files(tmp_path, monkeypatch):
