@@ -176,15 +176,27 @@ def save_dataset(ds: LabeledDataset, root) -> None:
         write_pgm(np.clip(img * 255.0, 0, 255), os.path.join(root, f"{image_id}.pgm"))
 
 
+def _class_images(root, name: str) -> list[str]:
+    """The paths of the class directory `name`'s files, in name order. An
+    entry whose name does not end in .pgm or .ppm, in any case, raises
+    ValueError naming it."""
+    names = sorted(os.listdir(os.path.join(root, name)))
+    for n in names:
+        if not n.lower().endswith((".pgm", ".ppm")):
+            raise ValueError(f"{os.path.join(root, name, n)} is not a .pgm or .ppm file; a "
+                             "class directory holds nothing else")
+    return [os.path.join(root, name, n) for n in names]
+
+
 def load_dataset(root, limit: int | None = None) -> LabeledDataset:
     """Read the layout `save_dataset` writes back, in [0, 1]: classes in
     numeric order, the files of each in name order, the first `limit` files
     of those. Every directory under `root` is a class, named by its id as
     `save_dataset` writes it: a non-negative integer in ASCII digits with no
-    leading zero, so no two directories share an id. Every file in a class
-    directory is an image whose name ends in .pgm or .ppm, in any case. Any
-    other entry there, a root with no image, and an image whose shape is not
-    the first image's raise ValueError."""
+    leading zero, so no two directories share an id. A class directory holds
+    images alone (`_class_images`); those past the one that holds the
+    `limit`-th file are not listed. A root with no image, and an image whose
+    shape is not the first image's, raise ValueError."""
     root = Path(root)
     class_dirs = [e.name for e in os.scandir(root) if e.is_dir()]
     for name in class_dirs:
@@ -194,14 +206,9 @@ def load_dataset(root, limit: int | None = None) -> LabeledDataset:
     class_dirs.sort(key=int)
     if not class_dirs:
         raise ValueError(f"no class directories under {root}")
-    files = [(int(d), os.path.join(root, d, name)) for d in class_dirs
-             for name in sorted(os.listdir(os.path.join(root, d)))]
-    for _, path in files:
-        if not path.lower().endswith((".pgm", ".ppm")):
-            raise ValueError(f"{path} is not a .pgm or .ppm file; a class directory holds "
-                             "nothing else")
+    files = ((int(d), path) for d in class_dirs for path in _class_images(root, d))
     images, labels = [], []
-    for label, path in files[:limit]:
+    for label, path in itertools.islice(files, limit):
         images.append(read_image(path))
         labels.append(label)
         if images[-1].shape != images[0].shape:
