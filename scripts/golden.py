@@ -74,6 +74,11 @@ RAMP_RGB = b"P6\n16 16\n255\n" + bytes((40 + 9 * y + 5 * x + 60 * ((x * y) % 3) 
 # a ramp of 16 rows and 10 columns: taller than wide, its embed is 12 x 8
 TALL = b"P5\n10 16\n255\n" + bytes((40 + 9 * y + 5 * x + 60 * ((x * y) % 3)) % 256
                                      for y in range(16) for x in range(10))
+# a dataset whose files are not named as gen-data names them: the ramp, its
+# payload reversed and its payload inverted. Its ids are 0/a, 0/b and 1/z.
+NAMED = "$WORK/ds_named"
+NAMED_FILES = {"0/b.pgm": RAMP, "0/a.PGM": RAMP[:13] + RAMP[:12:-1],
+               "1/z.pgm": RAMP[:13] + bytes(255 - b for b in RAMP[13:])}
 
 # (name, argv); "$WORK" stands for the run's directory
 COMMANDS = [
@@ -101,6 +106,9 @@ COMMANDS = [
     ("audit-shift-inpaint-full", ["audit-shift", "--model", MODEL, "--data", FULL,
                                   "--out", "$WORK/shift_inpaint_full.csv", "--canvas", "20",
                                   "--embed", "12", "--fill", "inpaint"]),
+    # each row names the file it measured
+    ("audit-shift-named", ["audit-shift", "--model", MODEL, "--data", NAMED,
+                           "--out", "$WORK/shift_named.csv", "--canvas", "20", "--embed", "16"]),
     ("audit-shift-nothing-scored", ["audit-shift", "--model", MODEL, "--data", DATA,
                                     "--out", "$WORK/none.csv", "--canvas", "10",
                                     "--embed", "16"]),
@@ -251,6 +259,10 @@ def collect(work: Path, src: Path) -> dict:
     (work / "ramp.ppm").write_bytes(RAMP_RGB)
     (work / "ramp.PPM").write_bytes(RAMP_RGB)
     (work / "tall.pgm").write_bytes(TALL)
+    for name, blob in NAMED_FILES.items():
+        path = Path(NAMED.replace("$WORK", str(work)), name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(blob)
     record = {"env": {"python": sys.version.split()[0], "numpy": np.__version__},
               "commands": {}}
     for name, argv in COMMANDS:

@@ -1,12 +1,19 @@
 """Synthetic translatable datasets and binary PGM/PPM image I/O.
 
-Pixels are in [0, 1] everywhere in the library. Only `write_pgm` works in
-the files' 0..255 units; `read_image` and `save_dataset` convert at that
-boundary. Each fact about an image file is decided in one place: its format
-by its magic number, when `read_image` reads it in one `read()`; that a
-file of a class directory is an image, by its suffix, in `load_dataset`;
-its name by `image_ids`, which `save_dataset` writes it under and the
-audits report it by; its class directory once per class, by `save_dataset`.
+Pixels are in [0, 1] everywhere in the library, `write_pgm`'s input too;
+only `read_image` and `write_pgm` see the files' 0..255 units. Each fact
+about an image is decided in one place:
+
+- its format, by its magic number, when `read_image` reads it in one
+  `read()`;
+- that a file of a class directory is an image, by its suffix, in
+  `load_dataset`;
+- its id, which the dataset carries in `LabeledDataset.ids` and the audits
+  report it by: `generate_synthetic` names each image
+  `<class>/<rank within its class, 5 digits>`, `load_dataset` by the file's
+  path under the root less its suffix, and `save_dataset` writes it to
+  `<root>/<id>.pgm`, making each id's directory once.
+
 Every error about a file names it.
 
 The synthetic generator is the desk-scale stand-in for a natural-image
@@ -17,7 +24,6 @@ audits can probe.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import os
 import re
@@ -53,10 +59,13 @@ class LabeledDataset:
     images: np.ndarray  # (n, c, h, w)
     labels: np.ndarray  # (n,)
     num_classes: int
+    ids: tuple[str, ...]  # each image's name, e.g. "0/b" for <root>/0/b.pgm
 
     def __post_init__(self):
-        if len(self.images) != len(self.labels):
-            raise ValueError("images and labels length mismatch")
+        if not len(self.images) == len(self.labels) == len(self.ids):
+            raise ValueError("images, labels and ids length mismatch")
+        if len(set(self.ids)) != len(self.ids):
+            raise ValueError("two images share an id")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("label out of class range")
 
@@ -90,23 +99,22 @@ def class_pattern(class_idx: int, size: int) -> np.ndarray:
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
-    """Each sample is its class pattern at a seeded-random jittered position."""
+    """Each sample is its class pattern at a seeded-random jittered position,
+    named `<class>/<rank of the sample within its class, 5 digits>`."""
     rng = np.random.default_rng(cfg.seed)
-    n = cfg.num_classes * cfg.samples_per_class
-    images = np.zeros((n, 1, cfg.canvas, cfg.canvas))
-    labels = np.zeros(n, dtype=np.int64)
+    images = np.zeros((cfg.num_classes * cfg.samples_per_class, 1, cfg.canvas, cfg.canvas))
     base = (cfg.canvas - cfg.pattern_size) // 2
-    i = 0
+    ids = []
     for cls in range(cfg.num_classes):
         pattern = class_pattern(cls, cfg.pattern_size)
-        for _ in range(cfg.samples_per_class):
+        for rank in range(cfg.samples_per_class):
             dy = int(rng.integers(-cfg.jitter, cfg.jitter + 1)) if cfg.jitter else 0
             dx = int(rng.integers(-cfg.jitter, cfg.jitter + 1)) if cfg.jitter else 0
             top, left = base + dy, base + dx
-            images[i, 0, top:top + cfg.pattern_size, left:left + cfg.pattern_size] = pattern
-            labels[i] = cls
-            i += 1
-    return LabeledDataset(images, labels, cfg.num_classes)
+            images[len(ids), 0, top:top + cfg.pattern_size, left:left + cfg.pattern_size] = pattern
+            ids.append(f"{cls}/{rank:05d}")
+    labels = np.repeat(np.arange(cfg.num_classes, dtype=np.int64), cfg.samples_per_class)
+    return LabeledDataset(images, labels, cfg.num_classes, tuple(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +129,9 @@ def read_image(path) -> np.ndarray:
     """A binary netpbm file as a (channels, h, w) tensor in [0, 1], read
     once: the magic number, which alone sets the channels (P5: 1, P6: 3)
     whatever the file's suffix, the header lines (each cut at '#') up to
-    maxval 255, then the payload. A file that is no such image raises
-    ImageFormatError, whose message starts with the path."""
+    maxval 255, then the payload. A file that is no such image, or one
+    with no pixel, raises ImageFormatError, whose message starts with the
+    path."""
     with open(path, "rb", buffering=0) as fh:
         raw = fh.read()
     try:
@@ -139,8 +148,10 @@ def read_image(path) -> np.ndarray:
         w, h, maxval = (int(f) for f in fields[:3])
         if maxval != 255:
             raise ImageFormatError(f"only maxval 255 supported, got {maxval}")
+        if min(w, h) < 1:
+            raise ImageFormatError(f"width and height must be at least 1, got {w} x {h}")
         count = h * w * channels
-        if not 0 <= count <= len(raw) - pos:
+        if count > len(raw) - pos:
             raise ImageFormatError("truncated pixel payload")
     except ValueError as exc:  # ImageFormatError, or int() of a header field
         raise ImageFormatError(f"{path}: {exc}") from None
@@ -149,52 +160,52 @@ def read_image(path) -> np.ndarray:
 
 
 def write_pgm(t: np.ndarray, path) -> None:
+    """Write a (1, h, w) tensor in [0, 1] as a binary P5 file, each pixel
+    the byte rint(255 * value)."""
     if t.ndim != 3 or t.shape[0] != 1:
         raise ValueError("write_pgm expects a (1, h, w) tensor")
-    if t.min() < 0 or t.max() > 255:
-        raise ValueError("pixel values must lie in [0, 255]")
+    if not (t.min() >= 0 and t.max() <= 1):  # a nan fails both
+        raise ValueError("pixel values must lie in [0, 1]")
     _, h, w = t.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.rint(t[0]).astype(np.uint8).tobytes())
-
-
-def image_ids(labels) -> list[str]:
-    """The id of each image of a dataset with these labels, in order:
-    `<class>/<rank of the image within its class, 5 digits>`, the path under
-    the dataset's root, less the suffix, that `save_dataset` writes it to."""
-    ranks = collections.defaultdict(itertools.count)
-    return [f"{label}/{next(ranks[label]):05d}" for label in map(int, labels)]
+        fh.write(np.rint(t[0] * 255.0).astype(np.uint8).tobytes())
 
 
 def save_dataset(ds: LabeledDataset, root) -> None:
-    """Write each image to `<root>/<image id>.pgm`, making each class
-    directory once; [0, 1] values map to 0..255."""
-    for label in np.unique(ds.labels):
-        Path(root, str(label)).mkdir(parents=True, exist_ok=True)
-    for img, image_id in zip(ds.images, image_ids(ds.labels)):
-        write_pgm(np.clip(img * 255.0, 0, 255), os.path.join(root, f"{image_id}.pgm"))
+    """Write each image to `<root>/<id>.pgm`, making each id's directory
+    once."""
+    for folder in dict.fromkeys(os.path.dirname(image_id) for image_id in ds.ids):
+        Path(root, folder).mkdir(parents=True, exist_ok=True)
+    for img, image_id in zip(ds.images, ds.ids):
+        write_pgm(img, os.path.join(root, f"{image_id}.pgm"))
 
 
-def _class_images(root, name: str) -> list[str]:
-    """The paths of the class directory `name`'s files, in name order. An
-    entry whose name does not end in .pgm or .ppm, in any case, raises
-    ValueError naming it."""
-    names = sorted(os.listdir(os.path.join(root, name)))
-    for n in names:
+def _class_images(root, name: str) -> list[tuple[str, str]]:
+    """(id, path) of each file of the class directory `name`, in id order;
+    a file's id is `<name>/<file name less its suffix>`. An entry whose name
+    does not end in .pgm or .ppm, in any case, and a second file with one
+    id, raise ValueError naming them."""
+    found = {}
+    for n in sorted(os.listdir(os.path.join(root, name))):
+        path, image_id = os.path.join(root, name, n), f"{name}/{n[:-4]}"
         if not n.lower().endswith((".pgm", ".ppm")):
-            raise ValueError(f"{os.path.join(root, name, n)} is not a .pgm or .ppm file; a "
-                             "class directory holds nothing else")
-    return [os.path.join(root, name, n) for n in names]
+            raise ValueError(f"{path} is not a .pgm or .ppm file; a class directory holds "
+                             "nothing else")
+        if image_id in found:
+            raise ValueError(f"{found[image_id]} and {path} are both image {image_id}")
+        found[image_id] = path
+    return sorted(found.items())
 
 
 def load_dataset(root, limit: int | None = None) -> LabeledDataset:
     """Read the layout `save_dataset` writes back, in [0, 1]: classes in
-    numeric order, the files of each in name order, the first `limit` files
-    of those. Every directory under `root` is a class, named by its id as
-    `save_dataset` writes it: a non-negative integer in ASCII digits with no
-    leading zero, so no two directories share an id. A class directory holds
-    images alone (`_class_images`); those past the one that holds the
+    numeric order, the files of each in id order, the first `limit` files of
+    those, each with its id, the file's path under `root` less its suffix.
+    Every directory under `root` is a class, named by its label: a
+    non-negative integer in ASCII digits with no leading zero, so no two
+    directories share a label. A class directory holds images alone, no two
+    of one id (`_class_images`); those past the one that holds the
     `limit`-th file are not listed. A root with no image, and an image whose
     shape is not the first image's, raise ValueError."""
     root = Path(root)
@@ -206,15 +217,16 @@ def load_dataset(root, limit: int | None = None) -> LabeledDataset:
     class_dirs.sort(key=int)
     if not class_dirs:
         raise ValueError(f"no class directories under {root}")
-    files = ((int(d), path) for d in class_dirs for path in _class_images(root, d))
-    images, labels = [], []
-    for label, path in itertools.islice(files, limit):
+    files = ((int(d), item) for d in class_dirs for item in _class_images(root, d))
+    images, labels, ids = [], [], []
+    for label, (image_id, path) in itertools.islice(files, limit):
         images.append(read_image(path))
         labels.append(label)
+        ids.append(image_id)
         if images[-1].shape != images[0].shape:
             raise ValueError(f"image {path} has shape {images[-1].shape}, unlike the "
                              f"{images[0].shape} of the images before it")
     if not images:
         raise ValueError(f"no .pgm or .ppm image in the class directories under {root}")
     return LabeledDataset(np.stack(images), np.asarray(labels, dtype=np.int64),
-                          int(class_dirs[-1]) + 1)
+                          int(class_dirs[-1]) + 1, tuple(ids))

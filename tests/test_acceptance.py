@@ -23,26 +23,7 @@ from aliascope import audit, biasstat, data, nn, sampling, theory
 from aliascope.audit import AuditMode
 from aliascope.nn import PoolSpec, TrainConfig
 from aliascope.transforms import EmbeddingProtocol, FillMode, ShiftSpec
-
-STRIDED_SPEC = """\
-input 1 32 32
-conv 8 3 stride=1 pad=circular act=relu
-maxpool 2 stride=2
-conv 16 3 stride=1 pad=circular act=relu
-maxpool 2 stride=2
-gap
-dense 16
-softmax
-"""
-
-STRIDE1_SPEC = """\
-input 1 32 32
-conv 16 3 stride=1 pad=circular act=relu
-conv 16 3 stride=1 pad=circular act=relu
-gap
-dense 16
-softmax
-"""
+from reference_nets import STRIDE1_SPEC, STRIDED_SPEC
 
 TRAIN_CFG = TrainConfig(learning_rate=0.5, epochs=30, batch_size=16, seed=0)
 READOUT_CFG = lambda seed: TrainConfig(0.5, 5, 32, seed)  # noqa: E731

@@ -115,7 +115,8 @@ def test_report_is_independent_of_chunking_and_order(monkeypatch, mode):
     rotated = images[7:] + images[:7]  # moves images across the chunk boundary
     assert top1_change_probability(model, rotated, PROTO, mode, seed=3) == whole
     assert top1_change_probability(model, images[::-1], PROTO, mode, seed=3) == whole
-    ds = SimpleNamespace(images=[img for _, img in images], labels=np.arange(40) % 3)
+    ds = SimpleNamespace(images=[img for _, img in images], labels=np.arange(40) % 3,
+                         ids=tuple(image_id for image_id, _ in images))
     args = SimpleNamespace(limit=None, seed=3)
     calls = []
     forward = nn.forward
@@ -581,7 +582,7 @@ def test_write_report_csv_roundtrip():
     model = init_model(parse_spec(STRIDED), seed=13)
     rng = np.random.default_rng(0)
     ds = SimpleNamespace(images=[rng.random((1, 6, 6)) for _ in range(5)],
-                         labels=np.array([0, 1, 2, 0, 1]))
+                         labels=np.array([0, 1, 2, 0, 1]), ids=("a", "b", "c", "d", "e"))
     images, labels = cli._audit_images(ds)
     report = top1_change_probability(model, images, PROTO, AuditMode.TRANSLATE, labels=labels)
     text = cli._run_audit(SimpleNamespace(limit=None, seed=0), model, ds,

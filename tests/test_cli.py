@@ -202,6 +202,33 @@ def test_each_audited_image_id_names_the_file_audited(tmp_path, monkeypatch, com
         assert np.array_equal(data.read_image(ds / f"{image_id}.pgm"), audited[image_id])
 
 
+def test_an_audit_row_names_a_renamed_file_and_measures_it(tmp_path):
+    """With gen-data's `0/00001.pgm` renamed `0/b.pgm`, the rows name the
+    files that are there, and row `0/b` scores as it does in an audit in
+    which `b.pgm` is the only image of class 0."""
+    ds, solo = tmp_path / "ds", tmp_path / "solo"
+    assert main(["gen-data", "--out", str(ds), "--classes", "2", "--per-class", "3",
+                 "--canvas", "16", "--pattern", "7", "--jitter", "2"]) == 0
+    (ds / "0" / "00001.pgm").rename(ds / "0" / "b.pgm")
+    (solo / "0").mkdir(parents=True)
+    shutil.copy(ds / "0" / "b.pgm", solo / "0" / "b.pgm")
+    ids = ("0/00000", "0/00002", "0/b", "1/00000", "1/00001", "1/00002")
+    assert data.load_dataset(ds).ids == ids
+    model = tmp_path / "model.shnn"
+    model.write_bytes(nn.model_bytes(nn.init_model(
+        nn.parse_spec(SPEC_TEXT.replace("dense 4", "dense 2")), seed=0)))
+    rows = {}
+    for root in (ds, solo):
+        out = tmp_path / f"{root.name}.csv"
+        assert main(["audit-shift", "--model", str(model), "--data", str(root), "--out", str(out),
+                     "--canvas", "20", "--embed", "16"]) == 0
+        rows[root.name] = [row for row in csv.reader(io.StringIO(out.read_text()))
+                           if not row[0].startswith("#")][1:]
+    assert [row[0] for row in rows["ds"]] == list(ids)
+    assert all((ds / f"{image_id}.pgm").is_file() for image_id in ids)
+    assert rows["solo"] == [row for row in rows["ds"] if row[0] == "0/b"]
+
+
 def test_audit_scale_runs(workspace, capsys):
     out_csv = workspace / "scale.csv"
     assert main(["audit-scale", "--model", str(workspace / "model.shnn"),
@@ -391,8 +418,8 @@ def test_jaggedness_label_that_is_no_class_exits_1(workspace, tmp_path, capsys):
 
 def test_jaggedness_curve_csv(workspace):
     img_path = workspace / "probe.pgm"
-    data.write_pgm(np.clip(data.generate_synthetic(
-        data.SyntheticConfig(1, 1, 16, 9, 0, seed=3)).images[0] * 255, 0, 255), img_path)
+    data.write_pgm(data.generate_synthetic(
+        data.SyntheticConfig(1, 1, 16, 9, 0, seed=3)).images[0], img_path)
     out_csv = workspace / "jag.csv"
     assert main(["jaggedness", "--model", str(workspace / "model.shnn"),
                  "--image", str(img_path), "--label", "0", "--out", str(out_csv),
@@ -442,8 +469,8 @@ def test_shiftability_that_measures_nothing_exits_1(workspace, capsys, window):
 
 def test_shiftability_command(workspace, capsys):
     img_path = workspace / "probe2.pgm"
-    data.write_pgm(np.clip(data.generate_synthetic(
-        data.SyntheticConfig(1, 1, 16, 9, 0, seed=4)).images[0] * 255, 0, 255), img_path)
+    data.write_pgm(data.generate_synthetic(
+        data.SyntheticConfig(1, 1, 16, 9, 0, seed=4)).images[0], img_path)
     assert main(["shiftability", "--model", str(workspace / "model.shnn"),
                  "--image", str(img_path), "--layer", "1"]) == 0
     out = capsys.readouterr().out
@@ -452,8 +479,8 @@ def test_shiftability_command(workspace, capsys):
 
 def test_feature_trace_csv(workspace, capsys):
     img_path = workspace / "probe3.pgm"
-    data.write_pgm(np.clip(data.generate_synthetic(
-        data.SyntheticConfig(1, 1, 16, 9, 0, seed=5)).images[0] * 255, 0, 255), img_path)
+    data.write_pgm(data.generate_synthetic(
+        data.SyntheticConfig(1, 1, 16, 9, 0, seed=5)).images[0], img_path)
     out_csv = workspace / "trace.csv"
     assert main(["feature-trace", "--model", str(workspace / "model.shnn"),
                  "--image", str(img_path), "--layer", "1", "--out", str(out_csv),

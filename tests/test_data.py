@@ -11,7 +11,6 @@ from aliascope.data import (
     SyntheticConfig,
     class_pattern,
     generate_synthetic,
-    image_ids,
     load_dataset,
     read_image,
     save_dataset,
@@ -94,11 +93,26 @@ def test_synthetic_config_validation():
 
 def test_labeled_dataset_validation():
     with pytest.raises(ValueError, match="mismatch"):
-        LabeledDataset(np.zeros((2, 1, 4, 4)), np.zeros(3, dtype=int), 2)
+        LabeledDataset(np.zeros((2, 1, 4, 4)), np.zeros(3, dtype=int), 2, ("0/a", "0/b"))
     with pytest.raises(ValueError, match="range"):
-        LabeledDataset(np.zeros((2, 1, 4, 4)), np.array([0, 5]), 2)
+        LabeledDataset(np.zeros((2, 1, 4, 4)), np.array([0, 5]), 2, ("0/a", "0/b"))
     with pytest.raises(ValueError, match="range"):  # as an index it would read the last class
-        LabeledDataset(np.zeros((2, 1, 4, 4)), np.array([-1, 1]), 2)
+        LabeledDataset(np.zeros((2, 1, 4, 4)), np.array([-1, 1]), 2, ("0/a", "0/b"))
+
+
+@pytest.mark.parametrize("ids, message", [(("0/a",), "images, labels and ids length mismatch"),
+                                          (("0/a", "0/a"), "two images share an id")])
+def test_labeled_dataset_refuses_ids_that_do_not_name_each_image_once(ids, message):
+    with pytest.raises(ValueError) as err:
+        LabeledDataset(np.zeros((2, 1, 4, 4)), np.array([0, 0]), 1, ids)
+    assert str(err.value) == message
+
+
+def test_generate_synthetic_names_each_image_by_its_class_and_rank():
+    ds = generate_synthetic(SyntheticConfig(3, 2, canvas=8, pattern_size=4, jitter=1))
+    assert ds.ids == ("0/00000", "0/00001", "1/00000", "1/00001", "2/00000", "2/00001")
+    assert generate_synthetic(SyntheticConfig(12, 1, canvas=8, pattern_size=4,
+                                              jitter=0)).ids[10:] == ("10/00000", "11/00000")
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +123,7 @@ def test_pgm_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     img = np.rint(rng.uniform(0, 255, (1, 7, 5)))
     path = tmp_path / "img.pgm"
-    write_pgm(img, path)
+    write_pgm(img / 255.0, path)
     back = read_image(path)
     assert np.array_equal(back, img / 255.0)
     assert back.dtype == np.float64
@@ -188,8 +202,28 @@ def test_read_rejects_truncated(tmp_path):
 def test_write_rejects_bad_shape_and_range(tmp_path):
     with pytest.raises(ValueError, match="expects"):
         write_pgm(np.zeros((3, 4, 4)), tmp_path / "x.pgm")
-    with pytest.raises(ValueError, match="range|\\[0, 255\\]"):
-        write_pgm(np.full((1, 2, 2), 300.0), tmp_path / "x.pgm")
+    for value in (300.0, 1.0 + 1e-9, -1e-9, np.nan):  # [0, 1], the range read_image returns
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            write_pgm(np.full((1, 2, 2), value), tmp_path / "x.pgm")
+    assert not (tmp_path / "x.pgm").exists()
+
+
+def test_write_pgm_writes_rint_of_255_times_each_value(tmp_path):
+    path = tmp_path / "x.pgm"
+    write_pgm(np.array([[[0.0, 0.5 / 255, 0.51 / 255, 0.5, 254.6 / 255, 1.0]]]), path)
+    assert path.read_bytes() == b"P5\n6 1\n255\n" + bytes([0, 0, 1, 128, 255, 255])
+
+
+@pytest.mark.parametrize("header", [b"P5\n0 16\n255\n", b"P5\n16 0\n255\n", b"P6\n0 0\n255\n",
+                                    b"P5\n-2 -2\n255\n" + bytes(4)])
+def test_read_refuses_an_image_with_no_pixel(tmp_path, header):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(header)
+    with pytest.raises(ImageFormatError) as err:
+        read_image(path)
+    w, h = header.split()[1:3]
+    assert str(err.value) == (f"{path}: width and height must be at least 1, "
+                              f"got {int(w)} x {int(h)}")
 
 
 def test_read_image_takes_the_channels_from_the_magic_number(tmp_path):
@@ -215,25 +249,23 @@ def test_save_load_dataset_roundtrip(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
     # binary patterns survive the 8-bit quantization exactly
     assert np.array_equal(back.images, ds.images)
+    assert back.ids == ds.ids
     files = sorted(p.name for p in (tmp_path / "ds" / "0").iterdir())
     assert files == ["00000.pgm", "00001.pgm", "00002.pgm", "00003.pgm"]
 
 
-def test_image_ids_rank_each_image_within_its_class():
-    labels = np.array([0, 0, 1, 2, 1, 0, 11])
-    assert image_ids(labels) == ["0/00000", "0/00001", "1/00000", "2/00000", "1/00001",
-                                 "0/00002", "11/00000"]
-    assert image_ids(labels.tolist()) == image_ids(labels)
-    assert image_ids([]) == []
-
-
 def test_save_dataset_writes_each_image_under_its_id(tmp_path):
-    ds = generate_synthetic(SyntheticConfig(3, 4, canvas=8, pattern_size=4, jitter=1, seed=4))
+    synthetic = generate_synthetic(SyntheticConfig(3, 4, canvas=8, pattern_size=4, jitter=1,
+                                                   seed=4))
+    # ids in any order, none of gen-data's form but two
+    ds = LabeledDataset(synthetic.images, synthetic.labels, 3,
+                        ("0/b", "0/a", "0/c.d", "0/00000", "1/z", "1/00000", "1/y", "1/x",
+                         "2/0", "2/1", "2/2", "2/3"))
     save_dataset(ds, tmp_path)
-    for image_id, img in zip(image_ids(ds.labels), ds.images):
+    for image_id, img in zip(ds.ids, ds.images):
         assert np.array_equal(read_image(tmp_path / f"{image_id}.pgm"), img)
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.pgm")) == sorted(
-        f"{image_id}.pgm" for image_id in image_ids(ds.labels))
+        f"{image_id}.pgm" for image_id in ds.ids)
 
 
 def test_save_dataset_makes_each_class_directory_once(tmp_path, monkeypatch):
@@ -274,7 +306,7 @@ def test_load_dataset_names_the_first_image_of_another_shape(tmp_path):
 def test_load_dataset_orders_classes_numerically(tmp_path):
     for cls in range(11):
         (tmp_path / str(cls)).mkdir()
-        write_pgm(np.full((1, 2, 2), float(cls)), tmp_path / str(cls) / "00000.pgm")
+        write_pgm(np.full((1, 2, 2), cls / 255.0), tmp_path / str(cls) / "00000.pgm")
     ds = load_dataset(tmp_path)
     assert ds.num_classes == 11
     assert ds.labels.tolist() == list(range(11))  # 10 after 9, not after 1
@@ -311,9 +343,10 @@ def test_load_dataset_reads_pgm_and_ppm_files_in_any_case(tmp_path):
     save_dataset(generate_synthetic(SyntheticConfig(2, 2, canvas=8, pattern_size=4, jitter=0)),
                  tmp_path)
     for name in ("EXTRA.PGM", "x.Ppm"):
-        write_pgm(np.full((1, 8, 8), 255.0), tmp_path / "1" / name)
+        write_pgm(np.full((1, 8, 8), 1.0), tmp_path / "1" / name)
     back = load_dataset(tmp_path)
     assert back.labels.tolist() == [0, 0, 1, 1, 1, 1]
+    assert back.ids == ("0/00000", "0/00001", "1/00000", "1/00001", "1/EXTRA", "1/x")
     # in name order: 00000.pgm, 00001.pgm, EXTRA.PGM, x.Ppm; only the last two are all white
     assert [img.min() for img in back.images[2:]] == [0.0, 0.0, 1.0, 1.0]
 
@@ -360,4 +393,59 @@ def test_load_dataset_reads_only_the_first_limit_files(tmp_path, monkeypatch):
         assert len(reads) == min(limit, 12)
         assert np.array_equal(part.labels, ds.labels[:limit])
         assert np.array_equal(part.images, ds.images[:limit])
+        assert part.ids == ds.ids[:limit]
         assert part.num_classes == 3  # from every class directory, read or not
+
+
+def _hand_named(root):
+    """A P5 dataset whose files are not named as gen-data names them; its
+    images, by load order."""
+    rng = np.random.default_rng(6)
+    names = ["0/b.pgm", "0/a.PGM", "0/a-1.pgm", "0/a.b.pgm", "1/z.pgm", "1/Y.ppm", "3/00007.pgm"]
+    images = {}
+    for name in names:
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        images[name] = np.rint(rng.uniform(0, 255, (1, 4, 4))) / 255.0
+        write_pgm(images[name], root / name)
+    order = ["0/a.PGM", "0/a-1.pgm", "0/a.b.pgm", "0/b.pgm", "1/Y.ppm", "1/z.pgm", "3/00007.pgm"]
+    return order, np.stack([images[name] for name in order])
+
+
+def test_load_dataset_names_each_image_by_its_path_less_its_suffix(tmp_path):
+    """Ids in id order, which is not always name order: "a-1.pgm" sorts
+    before "a.PGM", but its id "0/a-1" after "0/a"."""
+    order, images = _hand_named(tmp_path)
+    ds = load_dataset(tmp_path)
+    assert ds.ids == ("0/a", "0/a-1", "0/a.b", "0/b", "1/Y", "1/z", "3/00007")
+    assert ds.labels.tolist() == [0, 0, 0, 0, 1, 1, 3]
+    assert np.array_equal(ds.images, images)
+    assert load_dataset(tmp_path, limit=3).ids == ds.ids[:3]
+
+
+def test_save_and_load_keep_every_id_and_its_order(tmp_path):
+    _hand_named(tmp_path / "ds")
+    ds = load_dataset(tmp_path / "ds")
+    save_dataset(ds, tmp_path / "other")
+    back = load_dataset(tmp_path / "other")
+    assert back.ids == ds.ids
+    assert np.array_equal(back.labels, ds.labels)
+    assert np.array_equal(back.images, ds.images)
+    assert sorted(p.relative_to(tmp_path / "other").as_posix()
+                  for p in (tmp_path / "other").rglob("*")) == [
+        "0", "0/a-1.pgm", "0/a.b.pgm", "0/a.pgm", "0/b.pgm", "1", "1/Y.pgm", "1/z.pgm", "3",
+        "3/00007.pgm"]
+
+
+@pytest.mark.parametrize("first, second", [("a.PGM", "a.pgm"), ("a.pgm", "a.ppm"),
+                                           ("a.PPM", "a.pgm")])
+def test_load_dataset_refuses_two_files_with_one_id(tmp_path, first, second):
+    save_dataset(generate_synthetic(SyntheticConfig(2, 2, canvas=8, pattern_size=4, jitter=0)),
+                 tmp_path)
+    for name in (second, first):
+        write_pgm(np.zeros((1, 8, 8)), tmp_path / "1" / name)
+    for limit in (None, 3):  # the 3rd file is class 1's first: all of class 1 is listed
+        with pytest.raises(ValueError) as err:
+            load_dataset(tmp_path, limit)
+        assert str(err.value) == (f"{tmp_path / '1' / first} and {tmp_path / '1' / second} "
+                                  "are both image 1/a")
+    assert load_dataset(tmp_path, limit=2).ids == ("0/00000", "0/00001")

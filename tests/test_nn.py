@@ -36,6 +36,7 @@ from aliascope.nn import (
     train,
 )
 from aliascope.transforms import EmbeddingProtocol
+from reference_nets import STRIDE1_SPEC, STRIDED_SPEC
 
 SMALL_TEXT = """\
 # toy classifier
@@ -942,16 +943,9 @@ def test_returned_arrays_survive_later_calls():
     assert np.array_equal(scores, kept[1])
 
 
-REFERENCE_STRIDE1 = ("input 1 32 32\nconv 16 3 stride=1 pad=circular act=relu\n"
-                     "conv 16 3 stride=1 pad=circular act=relu\ngap\ndense 16\nsoftmax\n")
-REFERENCE_STRIDED = ("input 1 32 32\nconv 8 3 stride=1 pad=circular act=relu\n"
-                     "maxpool 2 stride=2\nconv 16 3 stride=1 pad=circular act=relu\n"
-                     "maxpool 2 stride=2\ngap\ndense 16\nsoftmax\n")
-
-
 def _reference_convs():
     """(net, layer index, layer, input shape) of every conv of the reference nets."""
-    for name, text in (("stride1", REFERENCE_STRIDE1), ("strided", REFERENCE_STRIDED)):
+    for name, text in (("stride1", STRIDE1_SPEC), ("strided", STRIDED_SPEC)):
         spec = parse_spec(text)
         in_shapes = (spec.input_shape,) + spec.shapes[:-1]
         for li, (layer, shape) in enumerate(zip(spec.layers, in_shapes)):
@@ -1081,14 +1075,14 @@ def _warm_peak_mb(call) -> float:
 
 
 def test_warm_sgd_step_allocates_no_large_arrays():
-    model = init_model(parse_spec(REFERENCE_STRIDE1), seed=0)
+    model = init_model(parse_spec(STRIDE1_SPEC), seed=0)
     rng = np.random.default_rng(2)
     x, y = rng.random((16, 1, 32, 32)), rng.integers(0, 16, 16)
     # every step re-allocated its activations and gradients: 22.8 MB
     assert _warm_peak_mb(lambda: backward_sgd_step(model, x, y, 0.1)) < 2.0
 
 
-@pytest.mark.parametrize("text, bound_mib", [(REFERENCE_STRIDE1, 8.0), (REFERENCE_STRIDED, 5.0)],
+@pytest.mark.parametrize("text, bound_mib", [(STRIDE1_SPEC, 8.0), (STRIDED_SPEC, 5.0)],
                          ids=["stride1", "strided"])
 def test_sgd_step_scratch_stays_within_its_bound(text, bound_mib):
     """A backward writes into buffers its forward has finished with. When the
@@ -1100,7 +1094,7 @@ def test_sgd_step_scratch_stays_within_its_bound(text, bound_mib):
     assert sum(b.nbytes for buffers in model.scratch for b in buffers.values()) < bound_mib * 2**20
 
 
-@pytest.mark.parametrize("text", [REFERENCE_STRIDE1, REFERENCE_STRIDED])
+@pytest.mark.parametrize("text", [STRIDE1_SPEC, STRIDED_SPEC])
 def test_warm_forward_allocates_no_large_arrays(text):
     model = init_model(parse_spec(text), seed=0)
     x = np.random.default_rng(3).random((10, 1, 40, 40))  # one audit chunk
@@ -1118,7 +1112,7 @@ def _readout_head_on_full_features(model, layer_index, xs, ys, cfg):
 
 @pytest.mark.parametrize("layer_index", [0, 1, 3])
 def test_readout_on_pooled_features_is_the_gap_head_bitwise(layer_index, monkeypatch):
-    model = init_model(parse_spec(REFERENCE_STRIDED), seed=0)
+    model = init_model(parse_spec(STRIDED_SPEC), seed=0)
     rng = np.random.default_rng(4)
     xs, ys = rng.random((40, 1, 32, 32)), rng.integers(0, 16, 40)
     cfg = TrainConfig(0.5, 2, 8, seed=3)
@@ -1151,7 +1145,7 @@ def test_readout_on_pooled_features_is_the_gap_head_bitwise(layer_index, monkeyp
 
 
 def test_layer0_readout_keeps_no_full_resolution_features():
-    model = init_model(parse_spec(REFERENCE_STRIDED), seed=0)
+    model = init_model(parse_spec(STRIDED_SPEC), seed=0)
     rng = np.random.default_rng(5)
     xs, ys = rng.random((800, 1, 32, 32)), rng.integers(0, 16, 800)  # acceptance-size data
     cfg = TrainConfig(0.5, 1, 32, seed=0)
