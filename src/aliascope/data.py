@@ -175,7 +175,7 @@ def write_pgm(t: np.ndarray, path) -> None:
 def save_dataset(ds: LabeledDataset, root) -> None:
     """Write each image to `<root>/<id>.pgm`, making each id's directory
     once."""
-    for folder in dict.fromkeys(os.path.dirname(image_id) for image_id in ds.ids):
+    for folder in {os.path.dirname(image_id) for image_id in ds.ids}:
         Path(root, folder).mkdir(parents=True, exist_ok=True)
     for img, image_id in zip(ds.images, ds.ids):
         write_pgm(img, os.path.join(root, f"{image_id}.pgm"))
