@@ -176,9 +176,10 @@ ANNOTATION_HEADER = ["category", "img_w", "img_h", "box_x", "box_y", "box_w", "b
 def read_annotations_csv(path) -> Annotations:
     """The annotations of a CSV file whose first line is ANNOTATION_HEADER.
 
-    The rows are parsed by `np.loadtxt` with CSV quoting. Blank lines are
-    skipped; a row with another number of fields, or a number that does not
-    parse, raises ValueError.
+    The rows are parsed by one `np.loadtxt` with CSV quoting, into a record
+    of a string category and six floats. Blank lines are skipped; a row
+    with another number of fields, or a number that does not parse, raises
+    ValueError.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), None)
@@ -187,14 +188,9 @@ def read_annotations_csv(path) -> Annotations:
         raise ValueError(f"expected header {','.join(ANNOTATION_HEADER)}")
     if not text.strip("\r\n"):
         return Annotations.of(*[()] * len(ANNOTATION_HEADER))
-    csv_format = {"delimiter": ",", "quotechar": '"', "comments": None}
-    # the category column is read as 0.0 here so that loadtxt checks that
-    # every row has as many fields as the first
-    numbers = np.loadtxt(io.StringIO(text), converters={0: lambda field: 0.0}, ndmin=2,
-                         **csv_format)
-    if numbers.shape[1] != len(ANNOTATION_HEADER):
-        raise ValueError(f"expected {len(ANNOTATION_HEADER)} fields per row, "
-                         f"got {numbers.shape[1]}")
-    category = np.loadtxt(io.StringIO(text), usecols=0, dtype=object, ndmin=1, **csv_format)
-    _, iw, ih, bx, by, bw, bh = numbers.T
+    fields = [(ANNOTATION_HEADER[0], object)] + [(name, np.float64)
+                                                 for name in ANNOTATION_HEADER[1:]]
+    rows = np.loadtxt(io.StringIO(text), dtype=fields, ndmin=1, delimiter=",", quotechar='"',
+                      comments=None)
+    category, iw, ih, bx, by, bw, bh = (rows[name] for name in ANNOTATION_HEADER)
     return Annotations.of(category, bx, by, bw, bh, iw, ih)

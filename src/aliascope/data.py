@@ -14,7 +14,9 @@ about an image is decided in one place:
   path under the root less its suffix, and `save_dataset` writes it to
   `<root>/<id>.pgm`, making each id's directory once.
 
-Every error about a file names it.
+Every error about a file names it. A load holds one copy of its images:
+`load_dataset` lists the files first, then reads each straight into its row
+of the array it returns.
 
 The synthetic generator is the desk-scale stand-in for a natural-image
 training set: each class is a distinct procedural pattern placed at
@@ -159,26 +161,45 @@ def read_image(path) -> np.ndarray:
     return pixels.reshape(h, w, channels).transpose(2, 0, 1)
 
 
-def write_pgm(t: np.ndarray, path) -> None:
-    """Write a (1, h, w) tensor in [0, 1] as a binary P5 file, each pixel
-    the byte rint(255 * value)."""
+def _check_pgm(t: np.ndarray) -> None:
+    """Raise ValueError unless `t` is a (1, h, w) tensor in [0, 1]."""
     if t.ndim != 3 or t.shape[0] != 1:
-        raise ValueError("write_pgm expects a (1, h, w) tensor")
+        raise ValueError(f"write_pgm expects a (1, h, w) tensor, got shape {t.shape}")
     if not (t.min() >= 0 and t.max() <= 1):  # a nan fails both
         raise ValueError("pixel values must lie in [0, 1]")
+
+
+def _write_p5(t: np.ndarray, path) -> None:
     _, h, w = t.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(np.rint(t[0] * 255.0).astype(np.uint8).tobytes())
 
 
+def write_pgm(t: np.ndarray, path) -> None:
+    """Write a (1, h, w) tensor in [0, 1] as a binary P5 file, each pixel
+    the byte rint(255 * value)."""
+    _check_pgm(t)
+    _write_p5(t, path)
+
+
 def save_dataset(ds: LabeledDataset, root) -> None:
     """Write each image to `<root>/<id>.pgm`, making each id's directory
-    once."""
+    once. Every image is checked before anything is written, so that
+    `load_dataset` reads the dataset back whole: one that `write_pgm`
+    refuses, such as a 3-channel image, and an id whose directory is not its
+    label's decimal name, raise ValueError naming the id."""
+    for img, label, image_id in zip(ds.images, ds.labels, ds.ids):
+        if os.path.dirname(image_id) != str(label):
+            raise ValueError(f"image {image_id} is not in the directory {label} of its label")
+        try:
+            _check_pgm(img)
+        except ValueError as exc:
+            raise ValueError(f"image {image_id}: {exc}") from None
     for folder in {os.path.dirname(image_id) for image_id in ds.ids}:
         Path(root, folder).mkdir(parents=True, exist_ok=True)
     for img, image_id in zip(ds.images, ds.ids):
-        write_pgm(img, os.path.join(root, f"{image_id}.pgm"))
+        _write_p5(img, os.path.join(root, f"{image_id}.pgm"))
 
 
 def _class_images(root, name: str) -> list[tuple[str, str]]:
@@ -206,8 +227,10 @@ def load_dataset(root, limit: int | None = None) -> LabeledDataset:
     non-negative integer in ASCII digits with no leading zero, so no two
     directories share a label. A class directory holds images alone, no two
     of one id (`_class_images`); those past the one that holds the
-    `limit`-th file are not listed. A root with no image, and an image whose
-    shape is not the first image's, raise ValueError."""
+    `limit`-th file are not listed. The files are listed first; each is then
+    read into its row of one preallocated array, after its shape is checked
+    against the first image's. A root with no image, and an image of another
+    shape, raise ValueError."""
     root = Path(root)
     class_dirs = [e.name for e in os.scandir(root) if e.is_dir()]
     for name in class_dirs:
@@ -217,16 +240,19 @@ def load_dataset(root, limit: int | None = None) -> LabeledDataset:
     class_dirs.sort(key=int)
     if not class_dirs:
         raise ValueError(f"no class directories under {root}")
-    files = ((int(d), item) for d in class_dirs for item in _class_images(root, d))
-    images, labels, ids = [], [], []
-    for label, (image_id, path) in itertools.islice(files, limit):
-        images.append(read_image(path))
-        labels.append(label)
-        ids.append(image_id)
-        if images[-1].shape != images[0].shape:
-            raise ValueError(f"image {path} has shape {images[-1].shape}, unlike the "
-                             f"{images[0].shape} of the images before it")
-    if not images:
+    files = list(itertools.islice(
+        ((int(d), item) for d in class_dirs for item in _class_images(root, d)), limit))
+    if not files:
         raise ValueError(f"no .pgm or .ppm image in the class directories under {root}")
-    return LabeledDataset(np.stack(images), np.asarray(labels, dtype=np.int64),
-                          int(class_dirs[-1]) + 1, tuple(ids))
+    images = None
+    for row, (_, (_, path)) in enumerate(files):
+        image = read_image(path)
+        if images is None:
+            images = np.empty((len(files), *image.shape))
+        elif image.shape != images.shape[1:]:  # or numpy would broadcast a 1x1 image
+            raise ValueError(f"image {path} has shape {image.shape}, unlike the "
+                             f"{images.shape[1:]} of the images before it")
+        images[row] = image
+    labels = np.array([label for label, _ in files], dtype=np.int64)
+    ids = tuple(image_id for _, (image_id, _) in files)
+    return LabeledDataset(images, labels, int(class_dirs[-1]) + 1, ids)

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,30 @@ def test_save_dataset_makes_each_class_directory_once(tmp_path, monkeypatch):
     assert sorted(tried) == [str(tmp_path / c) for c in "012"]
 
 
+def test_save_dataset_refuses_a_color_image_before_it_writes(tmp_path):
+    (tmp_path / "ds" / "0").mkdir(parents=True)
+    (tmp_path / "ds" / "0" / "a.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(48))
+    (tmp_path / "out").mkdir()
+    with pytest.raises(ValueError) as err:
+        save_dataset(load_dataset(tmp_path / "ds"), tmp_path / "out")
+    assert str(err.value) == ("image 0/a: write_pgm expects a (1, h, w) tensor, "
+                              "got shape (3, 4, 4)")
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("ids, bad", [(("x", "1/a"), "x"), (("0/a", "1/a"), "1/a"),
+                                      (("0/a", "0/b/c"), "0/b/c")])
+def test_save_dataset_refuses_an_id_outside_its_label_directory_before_it_writes(tmp_path, ids,
+                                                                                 bad):
+    """`load_dataset` would not read such an image back: it skips a file in
+    the root, relabels one under another class, and refuses a subdirectory."""
+    ds = LabeledDataset(np.zeros((2, 1, 4, 4)), np.array([0, 0]), 1, ids)
+    with pytest.raises(ValueError) as err:
+        save_dataset(ds, tmp_path)
+    assert str(err.value) == f"image {bad} is not in the directory 0 of its label"
+    assert not any(tmp_path.iterdir())
+
+
 def test_load_dataset_empty_root(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(ValueError, match="no class directories"):
@@ -292,15 +317,29 @@ def test_load_dataset_names_a_root_with_no_image(tmp_path):
 
 
 def test_load_dataset_names_the_first_image_of_another_shape(tmp_path):
-    for cls, size in (("0", 4), ("1", 4), ("1", 3), ("2", 5)):
+    # a 1x1 image would broadcast into a row of 4x4 ones if it were not checked
+    for cls, size in (("0", 4), ("1", 4), ("1", 1), ("2", 5)):
         (tmp_path / cls).mkdir(exist_ok=True)
         n = len(list((tmp_path / cls).iterdir()))
         write_pgm(np.zeros((1, size, size)), tmp_path / cls / f"{n:05d}.pgm")
     with pytest.raises(ValueError) as err:
         load_dataset(tmp_path)
-    assert str(err.value) == (f"image {tmp_path / '1' / '00001.pgm'} has shape (1, 3, 3), "
+    assert str(err.value) == (f"image {tmp_path / '1' / '00001.pgm'} has shape (1, 1, 1), "
                               "unlike the (1, 4, 4) of the images before it")
     assert load_dataset(tmp_path, limit=2).images.shape == (2, 1, 4, 4)
+
+
+def test_load_dataset_holds_one_copy_of_its_images(tmp_path):
+    save_dataset(generate_synthetic(SyntheticConfig(4, 50, canvas=32, pattern_size=9, jitter=4)),
+                 tmp_path)
+    tracemalloc.start()
+    try:
+        images = load_dataset(tmp_path).images
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert images.shape == (200, 1, 32, 32)
+    assert peak < 1.1 * images.nbytes + 64 * 1024
 
 
 def test_load_dataset_orders_classes_numerically(tmp_path):
