@@ -59,6 +59,16 @@ gap
 dense 3
 softmax
 """
+# an overlapping 3x3 max-pool at stride 2 on an odd 16 -> 7 map: windows
+# share a row and a column, so a change to the max fold's order shows
+POOL3_SPEC = """\
+input 1 16 16
+conv 4 3 stride=1 pad=circular act=relu
+maxpool 3 stride=2
+gap
+dense 3
+softmax
+"""
 
 DATA, MODEL, IMAGE = "$WORK/ds", "$WORK/model.shnn", "$WORK/ds/0/00000.pgm"
 # 12x12 patterns on 12x12 images: stripes and a checker that reach the image
@@ -91,11 +101,17 @@ COMMANDS = [
     ("train-linear-gap", ["train", "--spec", "$WORK/linear.spec", "--data", DATA,
                           "--out", "$WORK/linear.shnn", "--epochs", "10", "--lr", "0.3",
                           "--batch", "5"]),
+    ("train-overlapping-pool", ["train", "--spec", "$WORK/pool3.spec", "--data", DATA,
+                                "--out", "$WORK/pool3.shnn", "--epochs", "10", "--lr", "0.3",
+                                "--batch", "4"]),
     ("train-diverged", ["train", "--spec", "$WORK/net.spec", "--data", DATA,
                         "--out", "$WORK/diverged.shnn", "--epochs", "2", "--init-scale", "1e300"]),
     ("eval", ["eval", "--model", MODEL, "--data", DATA]),
     ("audit-shift", ["audit-shift", "--model", MODEL, "--data", DATA,
                      "--out", "$WORK/shift.csv", "--canvas", "20", "--embed", "16"]),
+    ("audit-shift-overlapping-pool", ["audit-shift", "--model", "$WORK/pool3.shnn",
+                                      "--data", DATA, "--out", "$WORK/shift_pool3.csv",
+                                      "--canvas", "20", "--embed", "16"]),
     # the first 5 of the 24 images: the audit reads only those
     ("audit-shift-limit", ["audit-shift", "--model", MODEL, "--data", DATA,
                            "--out", "$WORK/shift_limit.csv", "--limit", "5", "--canvas", "20",
@@ -173,6 +189,11 @@ COMMANDS = [
     ("feature-trace", ["feature-trace", "--model", MODEL, "--image", IMAGE, "--layer", "3",
                        "--out", "$WORK/trace_max.csv", "--canvas", "20", "--embed", "12",
                        "--shifts", "4"]),
+    # the pooled features of the overlapping max-pool, written as numbers
+    ("feature-trace-overlapping-pool", ["feature-trace", "--model", "$WORK/pool3.shnn",
+                                        "--image", IMAGE, "--layer", "1",
+                                        "--out", "$WORK/trace_pool3.csv", "--canvas", "20",
+                                        "--embed", "12", "--shifts", "4"]),
     ("feature-trace-inpaint", ["feature-trace", "--model", MODEL, "--image", "$WORK/ramp.pgm",
                                "--layer", "3", "--out", "$WORK/trace_inpaint.csv",
                                "--canvas", "20", "--embed", "12", "--shifts", "4",
@@ -253,6 +274,7 @@ def collect(work: Path, src: Path) -> dict:
         raise RuntimeError(f"imported aliascope from {aliascope.__file__}, not {src}")
     (work / "net.spec").write_text(SPEC)
     (work / "linear.spec").write_text(LINEAR_SPEC)
+    (work / "pool3.spec").write_text(POOL3_SPEC)
     (work / "boxes.csv").write_text(_annotations())
     (work / "no_boxes.csv").write_text(ANNOTATION_HEADER + "\n")
     (work / "ramp.pgm").write_bytes(RAMP)

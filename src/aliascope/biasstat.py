@@ -16,8 +16,8 @@ Python object is made per box.
 from __future__ import annotations
 
 import csv
-import io
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -176,21 +176,20 @@ ANNOTATION_HEADER = ["category", "img_w", "img_h", "box_x", "box_y", "box_w", "b
 def read_annotations_csv(path) -> Annotations:
     """The annotations of a CSV file whose first line is ANNOTATION_HEADER.
 
-    The rows are parsed by one `np.loadtxt` with CSV quoting, into a record
-    of a string category and six floats. Blank lines are skipped; a row
-    with another number of fields, or a number that does not parse, raises
-    ValueError.
+    The rows are parsed by one `np.loadtxt` with CSV quoting, straight from
+    the open file, into a record of a string category and six floats. Blank
+    lines are skipped, and a body of none but blank lines holds no box; a
+    row with another number of fields, or a number that does not parse,
+    raises ValueError.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]), None)
-        text = fh.read()
-    if header != ANNOTATION_HEADER:
-        raise ValueError(f"expected header {','.join(ANNOTATION_HEADER)}")
-    if not text.strip("\r\n"):
-        return Annotations.of(*[()] * len(ANNOTATION_HEADER))
     fields = [(ANNOTATION_HEADER[0], object)] + [(name, np.float64)
                                                  for name in ANNOTATION_HEADER[1:]]
-    rows = np.loadtxt(io.StringIO(text), dtype=fields, ndmin=1, delimiter=",", quotechar='"',
-                      comments=None)
+    with open(path, newline="") as fh:
+        if next(csv.reader([fh.readline()]), None) != ANNOTATION_HEADER:
+            raise ValueError(f"expected header {','.join(ANNOTATION_HEADER)}")
+        with warnings.catch_warnings():  # an empty body is no boxes, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, dtype=fields, ndmin=1, delimiter=",", quotechar='"',
+                              comments=None)
     category, iw, ih, bx, by, bw, bh = (rows[name] for name in ANNOTATION_HEADER)
     return Annotations.of(category, bx, by, bw, bh, iw, ih)

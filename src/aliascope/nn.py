@@ -57,8 +57,10 @@ backward step consumes its forward's cache: conv's backward writes the
 relu-masked dy over the forward's `out` and its input gradient over its
 padded input `xp`, each once the step has read what it held, and gap's
 backward returns a read-only broadcast view. After a batch-16 step the
-stride-1 reference net's buffers hold 7.74 MiB and the strided net's
+stride-1 reference net's buffers hold 7.79 MiB and the strided net's
 4.73 MiB (18.53 and 6.98 MiB when each gradient had a buffer of its own).
+A forward alone leaves 8.15 and 3.32 MiB on an audit chunk (10 x 40^2)
+and 11.26 and 3.88 MiB on an inpaint chunk (4 x 64^2).
 The kernels keep every GEMM's operands (the weight gradient's transposed,
 see below) and every elementwise op's order, so the bits are those of
 fresh arrays. Two consequences: a `Model` is not reentrant (two
@@ -86,6 +88,23 @@ of the dilated dy. Nothing reads the input gradient of layer 0, so
 `backward_sgd_step` asks every layer but the first for it (`need_dx`): a
 first conv or dense costs only its weight product, and a first pool or gap
 costs nothing.
+
+The elementwise work runs on contiguous operands where it can, since numpy
+runs a stride-0 or strided operand at about half the rate. Conv's bias is
+added from a contiguous (o, ho*wo) row, broadcast over the batch axis only,
+which is written into "cols" once the GEMM loop has finished with it: each
+output element gets the same single add as from the (o, 1, 1) broadcast.
+Max-pool folds each k x k window in two 1-D passes, 2(k-1) `np.maximum`
+calls against k*k-1 strided ones: first the k column offsets, into an
+(n, c, h', wo) intermediate of the h' <= h rows some window reads, held in
+the pool's "dx" buffer, which only its backward uses otherwise, then the k
+row offsets into "out". Max is exact,
+and numpy returns the second operand on a tie (+0.0 against -0.0
+included), so each fold keeps the last maximum of its row or column and
+the two passes pick the element the row-major k*k fold picks, the last
+maximum in row-major order; a test checks the bytes. Avg-pool keeps its
+row-major k*k sum: a separable sum adds in another order, and so rounds
+to other bits.
 """
 
 from __future__ import annotations
@@ -233,6 +252,26 @@ def _fold_wrap(g, left: int, size: int, axis: int):
     return g[at + (slice(left, left + size),)]
 
 
+def _taps(t, axis: int, k: int, s: int, count: int):
+    """For each of the k offsets of a window moved by s along `axis`, the
+    strided view of `t` holding that offset of `count` windows."""
+    at = (slice(None),) * axis
+    for i in range(k):
+        yield t[at + (slice(i, i + s * (count - 1) + 1, s),)]
+
+
+def _fold(combine, views, out):
+    """out = combine(...combine(combine(v0, v1), v2)..., v_last) over the
+    views in order: one call per view after the first, and a copy when there
+    is only one."""
+    acc = next(views)
+    for view in views:
+        acc = combine(acc, view, out=out)
+    if acc is not out:
+        np.copyto(out, acc)
+    return out
+
+
 def _spatial_hw(shape, what: str, kernel: int = 1):
     """(h, w) of a (c, h, w) layer input that a kernel x kernel window fits."""
     if len(shape) != 3:
@@ -319,16 +358,19 @@ class ConvSpec(_Window):
         Each image's product has the same shapes whatever the batch size, so
         the result for an image does not depend on the other images in the
         batch, and only one image's patch matrix exists at a time. Bias and
-        relu are applied in place on the GEMM output.
+        relu are applied in place on the GEMM output, the bias from a
+        contiguous (o, ho*wo) row written into the spent patch buffer.
         """
         k, s = self.kernel, self.stride
         xp = _pad_spatial(x, (k - 1) // 2, k // 2, self.pad, buf)
         w = p["w"].reshape(p["w"].shape[0], -1)
+        n, o = x.shape[0], w.shape[0]
         ho, wo = -(-x.shape[2] // s), -(-x.shape[3] // s)
-        out = _gemm_each(w, _im2col(xp, k, s, buf),
-                         _buffer(buf, "out", (x.shape[0], w.shape[0], ho * wo)))
-        out = out.reshape(x.shape[0], w.shape[0], ho, wo)
-        out += p["b"][None, :, None, None]
+        out = _gemm_each(w, _im2col(xp, k, s, buf), _buffer(buf, "out", (n, o, ho * wo)))
+        bias = _buffer(buf, "cols", (o, ho * wo))
+        bias[...] = p["b"][:, None]
+        out += bias  # broadcast over the batch axis only: the same add, at a contiguous rate
+        out = out.reshape(n, o, ho, wo)
         if self.activation == "relu":
             np.maximum(out, 0.0, out=out)
         return out, (x.shape, xp, out)
@@ -391,22 +433,21 @@ class PoolSpec(_Window):
     def _windows(self, t, out_hw):
         """For each kernel offset in row-major order, the strided view of `t`
         holding that offset of every pooling window."""
-        k, s = self.kernel, self.stride
-        ho, wo = out_hw
-        for i in range(k):
-            for j in range(k):
-                yield t[:, :, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
+        for rows in _taps(t, 2, self.kernel, self.stride, out_hw[0]):
+            yield from _taps(rows, 3, self.kernel, self.stride, out_hw[1])
 
     def forward(self, x, p, buf):
-        combine = np.maximum if self.op == "max" else np.add
+        k, s = self.kernel, self.stride
         _, ho, wo = self.out_shape(x.shape[1:])
-        windows = self._windows(x, (ho, wo))
         out = _buffer(buf, "out", x.shape[:2] + (ho, wo))
-        np.copyto(out, next(windows))
-        for view in windows:
-            combine(out, view, out=out)
-        if self.op == "avg":
-            out /= self.kernel * self.kernel
+        if self.op == "avg":  # the row-major k*k sum: its order fixes the bits
+            _fold(np.add, self._windows(x, (ho, wo)), out)
+            out /= k * k
+        else:  # the k column offsets into the backward's "dx", then the k row offsets
+            hu = s * (ho - 1) + k  # the rows some window reads
+            rows = _buffer(buf, "dx", x.shape[:2] + (hu, wo))
+            _fold(np.maximum, _taps(x[:, :, :hu], 3, k, s, wo), rows)
+            _fold(np.maximum, _taps(rows, 2, k, s, ho), out)
         return out, (x, out)
 
     def backward(self, dy, p, cache, buf, need_dx=True):

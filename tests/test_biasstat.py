@@ -1,5 +1,7 @@
 import csv
 import math
+import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -369,6 +371,41 @@ def test_bin_annotations_matches_row_by_row_oracle():
             if not r.insufficient:  # bitwise: the oracle's counts give the same statistics
                 assert (r.chi2_pos, r.chi2_size) == (chi2_statistic(pos)[0],
                                                      chi2_statistic(size)[0])
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n", "\n\n\n"])
+def test_read_annotations_csv_of_blank_lines_holds_no_box_and_warns_nothing(tmp_path, body):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"category,img_w,img_h,box_x,box_y,box_w,box_h\n" + body.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        anns = read_annotations_csv(path)
+    assert anns.categories == () and len(anns.codes) == 0
+    with pytest.raises(ValueError, match="no valid box among 0 annotations"):
+        category_bias_report(anns)
+
+
+def test_read_annotations_csv_parses_from_the_open_file(tmp_path):
+    """loadtxt reads the rows from the file, not from one string of its body
+    and a StringIO of it: on 50 000 rows of 1.5 MB the traced peak fell
+    from 9.06 to 6.50 times the file's size."""
+    rng = np.random.default_rng(0)
+    cols = [rng.integers(200, 801, 50_000) for _ in range(6)]
+    path = tmp_path / "boxes.csv"
+    path.write_text("category,img_w,img_h,box_x,box_y,box_w,box_h\n" + "".join(
+        f"cat{i % 20:02d},{','.join(map(str, row))}\n" for i, row in enumerate(zip(*cols))))
+    read_annotations_csv(path)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    anns = read_annotations_csv(path)
+    peak = tracemalloc.get_traced_memory()[1] - base
+    if not tracing:
+        tracemalloc.stop()
+    assert len(anns.codes) == 50_000
+    assert peak < 7.5 * path.stat().st_size
 
 
 def test_read_annotations_csv_rejects_bad_header(tmp_path):

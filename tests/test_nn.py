@@ -272,6 +272,45 @@ def test_pool_forward_matches_loop_oracle(op):
         assert np.max(np.abs(got - want)) < 1e-12, (k, s)
 
 
+def _row_major_max_fold(x, k, s):
+    """The max-pool forward as one fold over the k*k window offsets in
+    row-major order: a copy of offset (0, 0), then np.maximum with each
+    later offset."""
+    ho, wo = (x.shape[2] - k) // s + 1, (x.shape[3] - k) // s + 1
+    out = np.empty(x.shape[:2] + (ho, wo))
+    for i, j in np.ndindex(k, k):
+        view = x[:, :, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
+        if i == j == 0:
+            np.copyto(out, view)
+        else:
+            np.maximum(out, view, out=out)
+    return out
+
+
+MAX_FOLD_INPUTS = {
+    "normal": lambda rng, shape: rng.normal(size=shape),
+    # few distinct values: most windows hold their maximum more than once
+    "repeated": lambda rng, shape: rng.integers(-3, 2, shape).astype(np.float64),
+    # windows whose maximum is a zero of either sign, tied with the other sign
+    "signed-zeros": lambda rng, shape: rng.choice([0.0, -0.0, -1.0, -0.5], shape),
+}
+
+
+@pytest.mark.parametrize("kind", MAX_FOLD_INPUTS)
+@pytest.mark.parametrize("k, s", [(k, s) for k in (1, 2, 3, 6) for s in (1, 2, 3)])
+def test_maxpool_forward_is_the_row_major_fold_bytewise(k, s, kind):
+    """The two 1-D folds (columns, then rows) pick the element the row-major
+    k*k fold picks, on ties and on +0.0/-0.0 ties too: k > s, k = s and
+    k < s, on odd and non-square inputs."""
+    rng = np.random.default_rng(k * 10 + s)
+    layer = PoolSpec("max", k, s)
+    buf = {}
+    for shape in [(2, 3, 9, 7), (3, 2, 13, 11), (1, 1, 6, 6)]:
+        x = MAX_FOLD_INPUTS[kind](rng, shape)
+        out, _ = layer.forward(x, {}, buf)
+        assert out.tobytes() == _row_major_max_fold(x, k, s).tobytes(), shape
+
+
 def test_relu_clamps_negative():
     spec = make_spec((1, 4, 4), (ConvSpec(1, 1, 1, PadMode.ZERO, "relu"),
                                  GapSpec(), DenseSpec(2), SoftmaxSpec()))
@@ -981,6 +1020,33 @@ def test_conv_weight_gradient_is_the_sum_of_dy_cols_products_bitwise(spec, li, l
     assert np.array_equal(grads["b"], dy.sum(axis=(0, 2, 3)))
 
 
+def _bias_cases():
+    """Every reference conv at batch 16 on the nets' 32^2 input and at batch
+    10 on an audit chunk's 40^2."""
+    for param in _reference_convs():
+        spec, li, layer, (c, h, w) = param.values
+        for n, side in ((16, 32), (10, 40)):
+            yield pytest.param(spec, li, layer, (n, c, h * side // 32, w * side // 32),
+                               id=f"{param.id}-n{n}-{side}")
+
+
+@pytest.mark.parametrize("spec, li, layer, x_shape", _bias_cases())
+def test_conv_forward_adds_its_bias_as_the_broadcast_add_bytewise(spec, li, layer, x_shape):
+    """The bias comes from a contiguous (o, ho*wo) row; each output element
+    must get the bits of out + b[None, :, None, None], the add of the (o, 1, 1)
+    broadcast, on the GEMM output, before the relu."""
+    rng = np.random.default_rng(li + x_shape[0])
+    p = dict(init_model(spec, seed=li).params[li], b=rng.normal(size=layer.out_channels))
+    x = rng.normal(size=x_shape)
+    linear = ConvSpec(layer.out_channels, layer.kernel, layer.stride, layer.pad, "none")
+    gemm, _ = linear.forward(x, dict(p, b=np.full_like(p["b"], -0.0)), {})  # x + -0.0 is x
+    want = gemm + p["b"][None, :, None, None]
+    if layer.activation == "relu":
+        want = np.maximum(want, 0.0)
+    got, _ = layer.forward(x, p, {})
+    assert got.tobytes() == want.tobytes()
+
+
 def _fold(g, left, size, axis):
     """Circular padding's adjoint along `axis`: each padded position p adds,
     in ascending order of p, into the inner position left + (p - left) % size."""
@@ -1100,6 +1166,20 @@ def test_warm_forward_allocates_no_large_arrays(text):
     x = np.random.default_rng(3).random((10, 1, 40, 40))  # one audit chunk
     # every forward re-allocated its activations: 12.4 MB on the stride-1 net
     assert _warm_peak_mb(lambda: forward(model, x)) < 1.0
+
+
+@pytest.mark.parametrize("text, x_shape, bound_mib", [
+    (STRIDE1_SPEC, (10, 1, 40, 40), 8.2), (STRIDE1_SPEC, (4, 1, 64, 64), 11.3),
+    (STRIDED_SPEC, (10, 1, 40, 40), 3.35), (STRIDED_SPEC, (4, 1, 64, 64), 3.9)],
+    ids=["stride1-audit", "stride1-inpaint", "strided-audit", "strided-inpaint"])
+def test_forward_scratch_stays_within_its_bound(text, x_shape, bound_mib):
+    """A forward alone, on one audit chunk (10 x 40^2) and one inpaint chunk
+    (4 x 64^2): 8.15, 11.26, 3.32 and 3.88 MiB of scratch. The strided net's
+    max-pool row pass takes 0.73 and 0.75 of those MiB, and conv's bias row
+    0.08 and 0.22 of the stride-1 net's."""
+    model = init_model(parse_spec(text), seed=0)
+    forward(model, np.random.default_rng(3).random(x_shape))
+    assert sum(b.nbytes for buffers in model.scratch for b in buffers.values()) < bound_mib * 2**20
 
 
 def _readout_head_on_full_features(model, layer_index, xs, ys, cfg):
