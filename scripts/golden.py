@@ -69,6 +69,19 @@ gap
 dense 3
 softmax
 """
+# a 2x2 average pool after a conv, then a zero-padded conv: training runs the
+# input gradient of both, which no layer 0 has
+AVGPOOL_SPEC = """\
+input 1 16 16
+conv 4 3 stride=1 pad=circular act=relu
+avgpool 2 stride=2
+conv 4 3 stride=1 pad=zero act=relu
+gap
+dense 3
+softmax
+"""
+# SPEC with its first stride misspelled: the spec is refused, not read as stride 1
+MISSPELLED_SPEC = SPEC.replace("stride=1", "strid=2", 1)
 
 DATA, MODEL, IMAGE = "$WORK/ds", "$WORK/model.shnn", "$WORK/ds/0/00000.pgm"
 # 12x12 patterns on 12x12 images: stripes and a checker that reach the image
@@ -104,6 +117,11 @@ COMMANDS = [
     ("train-overlapping-pool", ["train", "--spec", "$WORK/pool3.spec", "--data", DATA,
                                 "--out", "$WORK/pool3.shnn", "--epochs", "10", "--lr", "0.3",
                                 "--batch", "4"]),
+    ("train-avgpool-zero-pad", ["train", "--spec", "$WORK/avgpool.spec", "--data", DATA,
+                                "--out", "$WORK/avgpool.shnn", "--epochs", "10", "--lr", "0.3",
+                                "--batch", "4"]),
+    ("train-misspelled-option", ["train", "--spec", "$WORK/misspelled.spec", "--data", DATA,
+                                 "--out", "$WORK/misspelled.shnn", "--epochs", "2"]),
     ("train-diverged", ["train", "--spec", "$WORK/net.spec", "--data", DATA,
                         "--out", "$WORK/diverged.shnn", "--epochs", "2", "--init-scale", "1e300"]),
     ("eval", ["eval", "--model", MODEL, "--data", DATA]),
@@ -139,6 +157,10 @@ COMMANDS = [
     ("audit-scale-inpaint-full", ["audit-scale", "--model", MODEL, "--data", FULL,
                                   "--out", "$WORK/scale_inpaint_full.csv", "--canvas", "20",
                                   "--embed", "12", "--fill", "inpaint"]),
+    # the after canvases, 17 px images on 17 px canvases, have no pixel to fill
+    ("audit-scale-inpaint-covered", ["audit-scale", "--model", MODEL, "--data", DATA,
+                                     "--out", "$WORK/scale_inpaint_covered.csv",
+                                     "--canvas", "17", "--embed", "16", "--fill", "inpaint"]),
     ("audit-crop", ["audit-crop", "--model", MODEL, "--data", DATA, "--out", "$WORK/crop.csv",
                     "--crop-size", "12", "--noise-scale", "0.1"]),
     # 64 px crops of the 400 px resize: a chunk holds 2 of the 24 crop pairs
@@ -182,6 +204,11 @@ COMMANDS = [
                                "--epochs", "2", "--canvas", "20", "--embed", "12",
                                "--fill", "inpaint"]),
     ("shiftability", ["shiftability", "--model", MODEL, "--image", IMAGE, "--layer", "1"]),
+    ("shiftability-cubic", ["shiftability", "--model", MODEL, "--image", IMAGE, "--layer", "1",
+                            "--kernel", "cubic"]),
+    # a stride-1 layer is shiftable: its error is 0 with nothing measured
+    ("shiftability-layer-0", ["shiftability", "--model", MODEL, "--image", IMAGE,
+                              "--layer", "0"]),
     ("shiftability-nothing-measured", ["shiftability", "--model", MODEL, "--image", IMAGE,
                                        "--layer", "1", "--kernel", "sinc"]),
     ("shiftability-layer-out-of-range", ["shiftability", "--model", MODEL, "--image", IMAGE,
@@ -224,6 +251,10 @@ COMMANDS = [
     ("bias-audit-two-bins", ["bias-audit", "--annotations", "$WORK/boxes.csv",
                              "--out", "$WORK/bias_two.csv", "--pos-grid", "2",
                              "--size-bins", "2"]),
+    # a third category with too few boxes to test
+    ("bias-audit-rare-category", ["bias-audit", "--annotations", "$WORK/rare_boxes.csv",
+                                  "--out", "$WORK/bias_rare.csv", "--pos-grid", "3",
+                                  "--size-bins", "4"]),
     ("bias-audit-nothing-scored", ["bias-audit", "--annotations", "$WORK/no_boxes.csv",
                                    "--out", "$WORK/none_bias.csv"]),
     ("verify-theory", ["verify-theory"]),
@@ -275,7 +306,11 @@ def collect(work: Path, src: Path) -> dict:
     (work / "net.spec").write_text(SPEC)
     (work / "linear.spec").write_text(LINEAR_SPEC)
     (work / "pool3.spec").write_text(POOL3_SPEC)
+    (work / "avgpool.spec").write_text(AVGPOOL_SPEC)
+    (work / "misspelled.spec").write_text(MISSPELLED_SPEC)
     (work / "boxes.csv").write_text(_annotations())
+    (work / "rare_boxes.csv").write_text(_annotations() + "".join(
+        f"rare,100,100,{10 * i},{5 * i},8,{4 + i}\n" for i in range(9)))
     (work / "no_boxes.csv").write_text(ANNOTATION_HEADER + "\n")
     (work / "ramp.pgm").write_bytes(RAMP)
     (work / "ramp.ppm").write_bytes(RAMP_RGB)

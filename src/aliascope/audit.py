@@ -241,16 +241,15 @@ class DepthProfileEntry(NamedTuple):
 
 
 def depth_invariance_profile(model, xs, ys, layer_indices, cfg, proto: EmbeddingProtocol,
-                             audit_images, seed: int = 0,
-                             delta: ShiftSpec = ShiftSpec(1, 0)) -> list[DepthProfileEntry]:
+                             audit_images, seed: int = 0) -> list[DepthProfileEntry]:
     """Per-layer readout accuracy and 1-pixel-shift flip rate.
 
     A dense+softmax head is trained by `cfg` on the frozen, gap-pooled
     features of each probed layer, and scores the layer's features of the
     training images (its readout accuracy) and of the translate protocol's
-    canvas pairs (its flip rate). The base net runs once per training image
-    and once per canvas, up to the deepest probed layer, whatever the number
-    of layers; a repeated layer reuses its head. This is bitwise what a
+    canvas pairs, one row apart (its flip rate). The base net runs once per
+    training image and once per canvas, up to the deepest probed layer,
+    whatever the number of layers; a repeated layer reuses its head. This is bitwise what a
     readout model (the base's layers up to the probed one, gap, then the
     head) gives run on its own, since the kernels are batch-invariant and a
     layer's output does not depend on the layers after it. Entries follow
@@ -259,8 +258,7 @@ def depth_invariance_profile(model, xs, ys, layer_indices, cfg, proto: Embedding
     """
     layers = list(dict.fromkeys(layer_indices))
     features = partial(nn.pooled_features, model, layers=layers, reduce=np.mean)
-    _, before, after, _ = _scored_pairs(features, audit_images, proto, AuditMode.TRANSLATE,
-                                        seed, delta)
+    _, before, after, _ = _scored_pairs(features, audit_images, proto, AuditMode.TRANSLATE, seed)
     train_feats = nn._stacked(features, xs)
     head_layers = (nn.DenseSpec(int(model.spec.shapes[-1][0])), nn.SoftmaxSpec())
     measured, lo = {}, 0

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 FLAG_THRESHOLD = 1e-10  # categories below this p are "highly non uniform"
+MIN_PER_BIN = 5  # valid boxes a category needs per bin of its larger histogram to be tested
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,10 +131,10 @@ class CategoryBias(NamedTuple):
 
 
 def category_bias_report(annotations: Annotations, position_grid: int = 5,
-                         size_bins: int = 10, min_per_bin: int = 5) -> list[CategoryBias]:
+                         size_bins: int = 10) -> list[CategoryBias]:
     """Per-category uniformity test of positions and sizes.
 
-    Categories with fewer than min_per_bin * max(bins) valid boxes are
+    Categories with fewer than MIN_PER_BIN * max(bins) valid boxes are
     marked insufficient rather than tested. A category is flagged when
     either p-value falls below 1e-10. A grid or bin count below 2, and
     annotations with no valid box, raise ValueError: they test nothing.
@@ -153,7 +154,7 @@ def category_bias_report(annotations: Annotations, position_grid: int = 5,
     out = []
     for category, pos_row, size_row in zip(annotations.categories, pos_counts, size_counts):
         n = int(size_row.sum())
-        if n < min_per_bin * max(n_pos, size_bins):
+        if n < MIN_PER_BIN * max(n_pos, size_bins):
             out.append(CategoryBias(category, n, math.nan, math.nan,
                                     math.nan, math.nan, False, True))
             continue

@@ -1,10 +1,10 @@
 """Command-line surface: one subcommand per experiment.
 
-`COMMANDS` declares each subcommand once: its help and its flags, each flag
-with its default (or REQUIRED) and one parse type that also checks the
-flag's bound, so a value out of range is a usage error before any work
-starts. A command's input flags are not in the table: `build_parser` reads
-them off the parameters of `cmd_<name>` after `args`.
+`COMMANDS` declares each subcommand once: its function, its help and its
+flags, each flag with its default (or REQUIRED) and one parse type that also
+checks the flag's bound, so a value out of range is a usage error before
+any work starts. A command's input flags are not in the table:
+`build_parser` reads them off the parameters of its function after `args`.
 
 `main` does every subcommand's I/O in one place. It loads the input flags
 through `INPUTS`, in its order, so the first input that fails to load is the
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import inspect
 import io
 import json
 import math
@@ -41,8 +40,7 @@ from . import __version__, audit, biasstat, data, nn, sampling, theory
 from .audit import AuditMode, AuditRecord
 from .transforms import EmbeddingProtocol, FillMode, ShiftSpec
 
-# Input flags and their loaders of the parsed arguments, in load order. Each loader
-# looks its module function up when called, so a wrapper on the module sees the call.
+# Input flags and their loaders of the parsed arguments, in load order.
 INPUTS = {
     "spec": lambda args: nn.parse_spec(Path(args.spec).read_text()),
     "model": lambda args: nn.load_model(args.model),
@@ -282,44 +280,47 @@ SEED, OUT, LIMIT = ("--seed", 0, INT_GE0), ("--out", REQUIRED, str), ("--limit",
 PROTO = [("--canvas", 32, INT_GE1), ("--embed", 24, INT_GE1),
          ("--fill", "black", ("black", "inpaint"))]
 
-# Each subcommand's help and flags. A flag is (name, default or REQUIRED,
-# parse type[, help]); a parse type is a Num, an IntList, `pool_descriptor`, int,
-# str, or a tuple of choices. Every subcommand also takes SEED and, before its
-# own flags, one required flag per parameter of `cmd_<name>` after `args`: its inputs.
+# Each subcommand's function, help and flags. A flag is (name, default or
+# REQUIRED, parse type[, help]); a parse type is a Num, an IntList,
+# `pool_descriptor`, int, str, or a tuple of choices. Every subcommand also takes
+# SEED and, before its own flags, one required flag per parameter of its function
+# after `args`: its inputs.
 COMMANDS = {
-    "gen-data": ("generate a synthetic translatable dataset",
+    "gen-data": (cmd_gen_data, "generate a synthetic translatable dataset",
                  [OUT, ("--classes", 8, INT_GE1), ("--per-class", 100, INT_GE1),
                   ("--canvas", 32, INT_GE1), ("--pattern", 9, INT_GE1), ("--jitter", 4, INT_GE0)]),
-    "train": ("train a model from a network spec file",
+    "train": (cmd_train, "train a model from a network spec file",
               [OUT, ("--epochs", 20, INT_GE0), ("--lr", 0.05, FLOAT_GE0), ("--batch", 32, INT_GE1),
                ("--init-scale", 1.0, Num(float, 0, above=True))]),
-    "eval": ("dataset accuracy of a saved model", []),
-    "audit-shift": ("top-1 flip rate under the shift protocol", [OUT, LIMIT, *PROTO, (
-        "--delta", 1, Num(nonzero="a zero shift compares an image with itself"))]),
-    "audit-scale": ("top-1 flip rate under the scale protocol", [OUT, LIMIT, *PROTO]),
-    "audit-crop": ("top-1 flip rate for 1-pixel-shifted crops",
+    "eval": (cmd_eval, "dataset accuracy of a saved model", []),
+    "audit-shift": (cmd_audit_shift, "top-1 flip rate under the shift protocol", [
+        OUT, LIMIT, *PROTO,
+        ("--delta", 1, Num(nonzero="a zero shift compares an image with itself"))]),
+    "audit-scale": (cmd_audit_scale, "top-1 flip rate under the scale protocol",
+                    [OUT, LIMIT, *PROTO]),
+    "audit-crop": (cmd_audit_crop, "top-1 flip rate for 1-pixel-shifted crops",
                    [OUT, LIMIT, ("--crop-size", 32, INT_GE1), ("--noise-scale", 0.0, FLOAT_GE0)]),
-    "sweep-embed": ("flip rate vs embedding size",
+    "sweep-embed": (cmd_sweep_embed, "flip rate vs embedding size",
                     [OUT, LIMIT, ("--sizes", REQUIRED, IntList(1), "comma-separated embed sizes"),
                      ("--mode", "shift", ("shift", "scale")), *PROTO]),
-    "jaggedness": ("correct-class score vs position sweep", [
+    "jaggedness": (cmd_jaggedness, "correct-class score vs position sweep", [
         ("--label", REQUIRED, int), OUT, ("--sweep-start", 0, int), ("--sweep-end", 8, int),
         *PROTO]),
-    "depth-profile": ("per-layer readout accuracy and flip rate", [
+    "depth-profile": (cmd_depth_profile, "per-layer readout accuracy and flip rate", [
         OUT, LIMIT, ("--layers", REQUIRED, IntList(), "comma-separated layer indices"),
         ("--epochs", 10, INT_GE0), ("--lr", 0.1, FLOAT_GE0), ("--batch", 32, INT_GE1), *PROTO]),
-    "shiftability": ("shiftability error of a strided layer", [
+    "shiftability": (cmd_shiftability, "shiftability error of a strided layer", [
         ("--layer", REQUIRED, int), ("--kernel", "tent", ("tent", "cubic", "sinc")),
         ("--window", 0, INT_GE0)]),
-    "feature-trace": ("per-channel spatial sums vs shift",
+    "feature-trace": (cmd_feature_trace, "per-channel spatial sums vs shift",
                       [("--layer", REQUIRED, int), OUT, ("--shifts", 8, INT_GE0), *PROTO]),
-    "pool-swap": ("replace pooling layers, keeping weights", [
+    "pool-swap": (cmd_pool_swap, "replace pooling layers, keeping weights", [
         OUT, ("--old", REQUIRED, pool_descriptor, "'max 2 2' style descriptor"),
         ("--new", REQUIRED, pool_descriptor, "'avg 6 2' style descriptor (stride 0 keeps old)")]),
-    "bias-audit": ("chi-squared dataset-bias report",
+    "bias-audit": (cmd_bias_audit, "chi-squared dataset-bias report",
                    [OUT, ("--pos-grid", 5, Num(lo=2)), ("--size-bins", 10, Num(lo=2))]),
-    "verify-theory": ("numeric checks of the invariance observation / claim / corollary / "
-                      "stride lattice", []),
+    "verify-theory": (cmd_verify_theory, "numeric checks of the invariance observation / "
+                      "claim / corollary / stride lattice", []),
 }
 
 
@@ -330,12 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="aliascope", formatter_class=fmt,
                                      description="Sampling-theory CNN invariance audits")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, (help_text, flags) in COMMANDS.items():
-        # looked up at each call, so a wrapper installed on the module is the one run
-        fn = globals()["cmd_" + name.replace("-", "_")]
+    for name, (fn, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, formatter_class=fmt)
         p.set_defaults(fn=fn)
-        code = inspect.unwrap(fn).__code__  # read directly: inspect.signature costs ~1 ms here
+        code = fn.__code__  # read directly: inspect.signature costs ~1 ms here
         inputs = [(f"--{arg}", REQUIRED, str) for arg in code.co_varnames[1:code.co_argcount]]
         for flag, default, kind, *text in (SEED, *inputs, *flags):
             p.add_argument(flag, required=default is REQUIRED, default=default,

@@ -132,12 +132,16 @@ class SpecError(ValueError):
 # Layer kinds
 # ---------------------------------------------------------------------------
 
-def _parse_kv(tokens):
+def _parse_kv(tokens, keys):
+    """The key=value options of a layer line, each key one of `keys`, given once."""
     kv = {}
     for tok in tokens:
         if "=" not in tok:
             raise SpecError(f"expected key=value, got '{tok}'")
         k, v = tok.split("=", 1)
+        if k not in keys or k in kv:
+            raise SpecError(f"{'repeated' if k in kv else 'unknown'} option '{k}' "
+                            f"(takes {', '.join(keys)})")
         kv[k] = v
     return kv
 
@@ -289,6 +293,8 @@ class _Layer:
 
     @classmethod
     def parse(cls, kind: str, args: list[str]):
+        if args:
+            raise SpecError(f"{kind} takes no arguments, got '{' '.join(args)}'")
         return cls()
 
     def validate(self) -> None:
@@ -322,7 +328,7 @@ class ConvSpec(_Window):
     def parse(cls, kind, args):
         if len(args) < 2:
             raise SpecError("conv takes <out_ch> <k> [options]")
-        kv = _parse_kv(args[2:])
+        kv = _parse_kv(args[2:], ("stride", "pad", "act"))
         pad = kv.get("pad", "zero")
         if pad not in ("zero", "circular"):
             raise SpecError(f"unknown pad mode '{pad}'")
@@ -414,7 +420,7 @@ class PoolSpec(_Window):
     def parse(cls, kind, args):
         if len(args) < 1:
             raise SpecError(f"{kind} takes <k> [stride=<s>]")
-        kv = _parse_kv(args[1:])
+        kv = _parse_kv(args[1:], ("stride",))
         return cls(kind[:3], int(args[0]), int(kv.get("stride", 1)))
 
     def format(self) -> str:
@@ -589,7 +595,10 @@ def make_spec(input_shape, layers) -> NetworkSpec:
 
 
 def parse_spec(text: str) -> NetworkSpec:
-    """Parse the line-oriented network grammar ('#' starts a comment)."""
+    """Parse the line-oriented network grammar ('#' starts a comment). A
+    line is refused, naming its number, when it gives an option its kind
+    does not take or gives one twice, gives gap or softmax an argument, or
+    is a second `input` line."""
     input_shape = None
     layers: list[_Layer] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -599,6 +608,8 @@ def parse_spec(text: str) -> NetworkSpec:
         kind, args = tokens[0], tokens[1:]
         try:
             if kind == "input":
+                if input_shape is not None:
+                    raise SpecError("a second 'input' line")
                 if len(args) != 3:
                     raise SpecError("input takes <c> <h> <w>")
                 input_shape = tuple(int(t) for t in args)
@@ -683,10 +694,9 @@ def replace_pooling(model: Model, old: PoolSpec, new: PoolSpec) -> Model:
 
 
 def _forward_layers(model: Model, x: np.ndarray, upto: int | None = None):
-    """Run layers [0, upto]; returns (activations list, caches list)."""
+    """Run layers [0, upto] on an (n, c, h, w) batch; returns (activations
+    list, caches list)."""
     spec = model.spec
-    if x.ndim == 3:
-        x = x[None]
     if x.shape[1] != spec.input_shape[0]:
         raise ValueError(f"input has {x.shape[1]} channels, spec wants {spec.input_shape[0]}")
     if 0 in x.shape[2:]:

@@ -125,20 +125,16 @@ def bandlimit_check(r_dense: np.ndarray, s: int, energy_tol: float) -> Bandlimit
     return BandlimitResult(frac <= energy_tol, frac)
 
 
-def pooling_invariance_gap(r_dense: np.ndarray, s: int, shifts, margin: int | None = None) -> float:
+def pooling_invariance_gap(r_dense: np.ndarray, s: int, shifts, margin: int) -> float:
     """Worst |pooled(shifted) - pooled(unshifted)| over shifts and phases.
 
     Requires the dense response to have zero support within `margin` of each
-    boundary (default s + max |shift|), standing in for the responses being
-    far from the image edge; shifting is then a plain index translation.
+    boundary, standing in for the responses being far from the image edge;
+    shifting is then a plain index translation.
     """
     r_dense = np.asarray(r_dense, dtype=np.float64)
     n = r_dense.shape[0]
     shifts = [int(d) for d in shifts]
-    if not shifts:
-        return 0.0
-    if margin is None:
-        margin = s + max(abs(d) for d in shifts)
     if margin >= n // 2:
         raise ValueError("response too short for the required margin")
     if np.any(r_dense[:margin] != 0.0) or np.any(r_dense[-margin:] != 0.0):

@@ -336,27 +336,30 @@ def paste(resized: np.ndarray, position: tuple[int, int], out: np.ndarray) -> No
     out[:, r:r + eh, col:col + ew] = resized
 
 
-def check_crop(shape, crop_size: int, long_side: int = 400) -> None:
+CROP_LONG_SIDE = 400  # pixels on the long side of an image before its crops are cut
+
+
+def check_crop(shape, crop_size: int) -> None:
     """Raise ValueError unless `crop_pair_with_noise` can cut crops from a (c, h, w) image."""
     if crop_size < 1:
         raise ValueError(f"crop size must be >= 1, got {crop_size}")
-    h, w = embedded_extent(*shape[-2:], long_side)
+    h, w = embedded_extent(*shape[-2:], CROP_LONG_SIDE)
     if crop_size > h or crop_size + 1 > w:
         raise ValueError(f"crop {crop_size} too large for resized image {h}x{w}")
 
 
 def crop_pair_with_noise(img: np.ndarray, crop_size: int, noise_scale: float,
-                         seed: int, long_side: int = 400) -> np.ndarray:
+                         seed: int) -> np.ndarray:
     """Two crops one horizontal pixel apart, sharing one pre-crop noise field,
     as one (2, c, crop_size, crop_size) array.
 
     The image ([0, 1] pixels) is first resized so its long side is
-    `long_side` pixels; one Uniform[0,1]*noise_scale field is added to the
-    whole image before cropping (so the noise is identical in the two crops
-    up to the 1-pixel translation) and values are clipped to [0, 1].
+    `CROP_LONG_SIDE` pixels; one Uniform[0,1]*noise_scale field is added to
+    the whole image before cropping (so the noise is identical in the two
+    crops up to the 1-pixel translation) and values are clipped to [0, 1].
     """
-    check_crop(img.shape, crop_size, long_side)
-    resized = resize_longest_side(img, long_side)
+    check_crop(img.shape, crop_size)
+    resized = resize_longest_side(img, CROP_LONG_SIDE)
     c, h, w = resized.shape
     rng = np.random.default_rng(seed)
     noisy = resized

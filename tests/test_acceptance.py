@@ -113,7 +113,7 @@ def test_criterion_5_depth_trend(dataset, audit_images, strided_model, capsys):
     for seed in SEEDS:
         entries = audit.depth_invariance_profile(
             strided_model, dataset.images, dataset.labels, [0, 3], READOUT_CFG(seed),
-            OFFSCALE_PROTO, audit_images[:300], seed=seed, delta=DELTA)
+            OFFSCALE_PROTO, audit_images[:300], seed=seed)
         shallow.append(entries[0].flip_rate)
         deep.append(entries[1].flip_rate)
     s, d = float(np.mean(shallow)), float(np.mean(deep))
@@ -132,7 +132,7 @@ def test_criterion_6_pool_swap(dataset, audit_images, strided_model, capsys):
         for seed in SEEDS:
             (entry,) = audit.depth_invariance_profile(
                 model, dataset.images, dataset.labels, [3], READOUT_CFG(seed),
-                OFFSCALE_PROTO, audit_images[:300], seed=seed, delta=DELTA)
+                OFFSCALE_PROTO, audit_images[:300], seed=seed)
             a.append(entry.readout_accuracy)
             f.append(entry.flip_rate)
         flips[name], accs[name] = float(np.mean(f)), float(np.mean(a))

@@ -289,7 +289,7 @@ def _read_row_by_row(path):
             for cat, iw, ih, bx, by, bw, bh in rows]
 
 
-def test_read_annotations_csv_matches_row_by_row_oracle(tmp_path):
+def test_read_annotations_csv_matches_row_by_row_oracle(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     lines = ["category,img_w,img_h,box_x,box_y,box_w,box_h"]
     for i in range(300):
@@ -307,8 +307,8 @@ def test_read_annotations_csv_matches_row_by_row_oracle(tmp_path):
     assert [anns.categories[c] for c in anns.codes] == [row[0] for row in oracle]
     for i, name in enumerate(("box_x", "box_y", "box_w", "box_h", "img_w", "img_h")):
         assert getattr(anns, name).tolist() == [row[i + 1] for row in oracle], name
-    assert category_bias_report(anns, 2, 3, min_per_bin=1) == category_bias_report(
-        _columns(oracle), 2, 3, min_per_bin=1)
+    monkeypatch.setattr(biasstat, "MIN_PER_BIN", 1)
+    assert category_bias_report(anns, 2, 3) == category_bias_report(_columns(oracle), 2, 3)
 
 
 @pytest.mark.parametrize("row", ["dog,640,480,10,20,100", "dog,640,480,10,20,100,50,7",
@@ -345,7 +345,7 @@ def _bin_row_by_row(rows, grid, size_bins):
     return counts
 
 
-def test_bin_annotations_matches_row_by_row_oracle():
+def test_bin_annotations_matches_row_by_row_oracle(monkeypatch):
     rng = np.random.default_rng(8)
     rows = [(str(rng.choice(["a", "b", "c"])), float(rng.integers(-5, 90)),
              float(rng.integers(0, 90)), float(rng.integers(0, 40)),
@@ -353,6 +353,7 @@ def test_bin_annotations_matches_row_by_row_oracle():
             for _ in range(2000)]
     rows += [("c", 0.0, 0.0, 20.0, 100.0, 100.0, 100.0), ("c", 40.0, 0.0, 20.0, 50.0, 100.0, 100.0)]
     rows += [("void", -1.0, 0.0, 10.0, 10.0, 100.0, 100.0)] * 30  # no valid box
+    monkeypatch.setattr(biasstat, "MIN_PER_BIN", 1)
     for grid, size_bins in ((5, 10), (3, 4), (2, 3), (7, 2)):
         oracle = _bin_row_by_row(rows, grid, size_bins)
         # the bins of all boxes, whose counts the chi2 values below cannot tell apart
@@ -362,7 +363,7 @@ def test_bin_annotations_matches_row_by_row_oracle():
             [p for p, _ in oracle.values()], axis=0).tolist()
         assert np.bincount(size, minlength=size_bins).tolist() == np.sum(
             [s for _, s in oracle.values()], axis=0).tolist()
-        report = category_bias_report(_columns(rows), grid, size_bins, min_per_bin=1)
+        report = category_bias_report(_columns(rows), grid, size_bins)
         assert [r.category for r in report] == ["a", "b", "c", "void"]
         for r in report:
             pos, size = oracle[r.category]

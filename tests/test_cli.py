@@ -720,7 +720,7 @@ UNBOUNDED = {"sweep-embed": ["--sizes", "12,16"], "depth-profile": ["--layers", 
 def _bounded_flags(command: str):
     """(flag, parse type) of each flag of `command` in the CLI's table that
     has a bound, in the order the parser declares them."""
-    _, flags = cli.COMMANDS[command]
+    _, _, flags = cli.COMMANDS[command]
     return [(flag, kind) for flag, _, kind, *_ in (cli.SEED, *flags)
             if isinstance(kind, cli.Num) and (kind.lo is not None or kind.nonzero)]
 
@@ -767,11 +767,12 @@ def test_every_subcommand_at_its_bounds_exits_cleanly(workspace, command, draw):
     paths = {"model": workspace / "model.shnn", "data": workspace / "ds",
              "spec": workspace / "net.spec", "image": workspace / "ds" / "0" / "00000.pgm",
              "annotations": workspace / "boxes.csv"}
-    params = list(inspect.signature(getattr(cli, "cmd_" + command.replace("-", "_"))).parameters)
+    fn, _, flags = cli.COMMANDS[command]
+    params = list(inspect.signature(fn).parameters)
     argv = [command, *UNBOUNDED.get(command, [])]
     for name in params[1:]:
         argv += [f"--{name}", str(paths[name])]
-    writes = any(flag == "--out" for flag, *_ in cli.COMMANDS[command][1])
+    writes = any(flag == "--out" for flag, *_ in flags)
     out = out_dir / ("ds" if command == "gen-data" else
                      "model.shnn" if command in ("train", "pool-swap") else "out.csv")
     if writes:

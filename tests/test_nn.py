@@ -85,6 +85,14 @@ def test_parse_conv_defaults():
     ("input 1 8 8\ngap\ngap\ndense 2\nsoftmax", "spatial"),
     ("input 1 8 8\ngap\nconv 2 3\nsoftmax", "spatial"),
     ("input 1 8 8\nsoftmax", "flat"),
+    ("input 1 8 8\nconv 2 3 strid=2\ngap\ndense 2\nsoftmax", "line 2: unknown option 'strid'"),
+    ("input 1 8 8\nconv 2 3 padd=circular\ngap\ndense 2\nsoftmax", "unknown option 'padd'"),
+    ("input 1 8 8\nmaxpool 2 pad=zero\ngap\ndense 2\nsoftmax", "unknown option 'pad'"),
+    ("input 1 8 8\nconv 2 3 stride=1 stride=2\ngap\ndense 2\nsoftmax", "repeated option 'stride'"),
+    ("input 1 8 8\nmaxpool 2 stride=2 stride=2\ngap\ndense 2\nsoftmax", "repeated option 'stride'"),
+    ("input 1 8 8\ngap 5\ndense 2\nsoftmax", "line 2: gap takes no arguments"),
+    ("input 1 8 8\ngap\ndense 2\nsoftmax x", "line 4: softmax takes no arguments"),
+    ("input 1 8 8\ninput 1 4 4\ngap\ndense 2\nsoftmax", "line 2: a second 'input' line"),
 ])
 def test_parse_rejects(text, fragment):
     with pytest.raises(SpecError, match=fragment):
@@ -365,7 +373,7 @@ def test_predict_top1_tie_break():
     model = init_model(spec, seed=0)
     model.params[1]["w"][:] = 0.0
     model.params[1]["b"][:] = 0.0  # all classes tie
-    assert int(np.argmax(forward(model, np.ones((1, 2, 2)))[0])) == 0
+    assert int(np.argmax(forward(model, np.ones((1, 2, 2))[None])[0])) == 0
 
 
 def test_cross_entropy_known_values():

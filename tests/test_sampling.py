@@ -134,7 +134,7 @@ def test_pooling_gap_zero_for_full_factor_shift():
 def test_pooling_gap_rejects_boundary_support():
     r = np.ones(64)
     with pytest.raises(ValueError):
-        pooling_invariance_gap(r, 2, [1])
+        pooling_invariance_gap(r, 2, [1], margin=3)
 
 
 def test_claim_bound_for_eps_shiftable_signals():

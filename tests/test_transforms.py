@@ -452,18 +452,20 @@ def test_embed_is_resize_then_paste(fill):
 # crop pairs with shared noise
 # ---------------------------------------------------------------------------
 
-def test_crop_pair_one_pixel_apart():
+def test_crop_pair_one_pixel_apart(monkeypatch):
+    monkeypatch.setattr(transforms, "CROP_LONG_SIDE", 40)
     rng = np.random.default_rng(4)
     img = rng.random((1, 30, 40))
-    a, b = crop_pair_with_noise(img, crop_size=10, noise_scale=0.0, seed=5, long_side=40)
+    a, b = crop_pair_with_noise(img, crop_size=10, noise_scale=0.0, seed=5)
     assert a.shape == b.shape == (1, 10, 10)
     # identical content shifted one horizontal pixel
     assert np.array_equal(a[:, :, 1:], b[:, :, :-1])
 
 
-def test_crop_pair_noise_is_shared():
+def test_crop_pair_noise_is_shared(monkeypatch):
+    monkeypatch.setattr(transforms, "CROP_LONG_SIDE", 40)
     img = np.full((1, 30, 40), 0.4)
-    a, b = crop_pair_with_noise(img, 10, noise_scale=0.94, seed=6, long_side=40)
+    a, b = crop_pair_with_noise(img, 10, noise_scale=0.94, seed=6)
     # same noise field sampled one pixel apart: overlap columns agree exactly
     assert np.array_equal(a[:, :, 1:], b[:, :, :-1])
     assert not np.array_equal(a, b)
@@ -471,31 +473,35 @@ def test_crop_pair_noise_is_shared():
     assert a.max() == 1.0  # clipping engaged for this scale
 
 
-def test_crop_pair_seed_deterministic():
+def test_crop_pair_seed_deterministic(monkeypatch):
+    monkeypatch.setattr(transforms, "CROP_LONG_SIDE", 40)
     img = np.random.default_rng(7).random((1, 30, 40))
-    a1, b1 = crop_pair_with_noise(img, 10, 0.2, seed=8, long_side=40)
-    a2, b2 = crop_pair_with_noise(img, 10, 0.2, seed=8, long_side=40)
+    a1, b1 = crop_pair_with_noise(img, 10, 0.2, seed=8)
+    a2, b2 = crop_pair_with_noise(img, 10, 0.2, seed=8)
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
-    a3, _ = crop_pair_with_noise(img, 10, 0.2, seed=9, long_side=40)
+    a3, _ = crop_pair_with_noise(img, 10, 0.2, seed=9)
     assert not np.array_equal(a1, a3)
 
 
-def test_crop_pair_resizes_long_side():
+def test_crop_pair_resizes_long_side(monkeypatch):
+    monkeypatch.setattr(transforms, "CROP_LONG_SIDE", 16)
     img = np.random.default_rng(10).random((1, 10, 20))
-    a, b = crop_pair_with_noise(img, 8, 0.0, seed=0, long_side=16)
+    a, b = crop_pair_with_noise(img, 8, 0.0, seed=0)
     assert a.shape == (1, 8, 8)
 
 
-def test_crop_pair_rejects_oversized_crop():
+def test_crop_pair_rejects_oversized_crop(monkeypatch):
+    monkeypatch.setattr(transforms, "CROP_LONG_SIDE", 20)
     img = np.zeros((1, 20, 20))
     with pytest.raises(ValueError, match="too large"):
-        crop_pair_with_noise(img, 20, 0.0, seed=0, long_side=20)
+        crop_pair_with_noise(img, 20, 0.0, seed=0)
 
 
 @pytest.mark.parametrize("crop_size", [0, -3])
-def test_crop_pair_rejects_empty_crop(crop_size):
+def test_crop_pair_rejects_empty_crop(crop_size, monkeypatch):
+    monkeypatch.setattr(transforms, "CROP_LONG_SIDE", 20)
     with pytest.raises(ValueError, match="crop size must be >= 1"):
-        crop_pair_with_noise(np.zeros((1, 20, 20)), crop_size, 0.0, seed=0, long_side=20)
+        crop_pair_with_noise(np.zeros((1, 20, 20)), crop_size, 0.0, seed=0)
 
 
 # ---------------------------------------------------------------------------
