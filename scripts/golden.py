@@ -80,6 +80,22 @@ gap
 dense 3
 softmax
 """
+# a weightless layer 0 under a conv, and gap as layer 0: training reaches
+# neither layer 0's backward, since no weight lies below it
+LEADING_POOL_SPEC = """\
+input 1 16 16
+maxpool 2 stride=2
+conv 4 3 stride=1 pad=circular act=relu
+gap
+dense 3
+softmax
+"""
+LEADING_GAP_SPEC = """\
+input 1 16 16
+gap
+dense 3
+softmax
+"""
 # SPEC with its first stride misspelled: the spec is refused, not read as stride 1
 MISSPELLED_SPEC = SPEC.replace("stride=1", "strid=2", 1)
 
@@ -120,6 +136,12 @@ COMMANDS = [
     ("train-avgpool-zero-pad", ["train", "--spec", "$WORK/avgpool.spec", "--data", DATA,
                                 "--out", "$WORK/avgpool.shnn", "--epochs", "10", "--lr", "0.3",
                                 "--batch", "4"]),
+    ("train-leading-pool", ["train", "--spec", "$WORK/leading_pool.spec", "--data", DATA,
+                            "--out", "$WORK/leading_pool.shnn", "--epochs", "10", "--lr", "0.3",
+                            "--batch", "4"]),
+    ("train-leading-gap", ["train", "--spec", "$WORK/leading_gap.spec", "--data", DATA,
+                           "--out", "$WORK/leading_gap.shnn", "--epochs", "10", "--lr", "0.3",
+                           "--batch", "4"]),
     ("train-misspelled-option", ["train", "--spec", "$WORK/misspelled.spec", "--data", DATA,
                                  "--out", "$WORK/misspelled.shnn", "--epochs", "2"]),
     ("train-diverged", ["train", "--spec", "$WORK/net.spec", "--data", DATA,
@@ -307,6 +329,8 @@ def collect(work: Path, src: Path) -> dict:
     (work / "linear.spec").write_text(LINEAR_SPEC)
     (work / "pool3.spec").write_text(POOL3_SPEC)
     (work / "avgpool.spec").write_text(AVGPOOL_SPEC)
+    (work / "leading_pool.spec").write_text(LEADING_POOL_SPEC)
+    (work / "leading_gap.spec").write_text(LEADING_GAP_SPEC)
     (work / "misspelled.spec").write_text(MISSPELLED_SPEC)
     (work / "boxes.csv").write_text(_annotations())
     (work / "rare_boxes.csv").write_text(_annotations() + "".join(
