@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn, sampling, transforms
-from .transforms import EmbeddingProtocol, FillMode, Rect, ShiftSpec
+from .transforms import EmbeddingProtocol, FillMode, Rect
 
 
 class AuditMode(Enum):
@@ -86,18 +86,15 @@ def image_seed(global_seed: int, image_id: str) -> int:
     return (global_seed * 0x9E3779B1 + zlib.crc32(image_id.encode("utf-8"))) % (2**32)
 
 
-def _random_position(rng, proto: EmbeddingProtocol, eh: int, ew: int,
-                     delta: ShiftSpec = ShiftSpec(0, 0)):
+def _random_position(rng, proto: EmbeddingProtocol, eh: int, ew: int, dy: int = 0):
     """A top-left corner drawn uniformly among those where an eh x ew image
-    fits the canvas both there and moved by `delta`."""
-    top, left = max(0, -delta.dy), max(0, -delta.dx)
-    room_h = proto.canvas_h - eh - abs(delta.dy)
-    room_w = proto.canvas_w - ew - abs(delta.dx)
+    fits the canvas both there and moved by `dy` rows (down when positive)."""
+    room_h = proto.canvas_h - eh - abs(dy)
+    room_w = proto.canvas_w - ew
     if room_h < 0 or room_w < 0:
-        raise ValueError(f"embedded image {eh}x{ew} and a step of ({delta.dy}, "
-                         f"{delta.dx}) do not fit the {proto.canvas_h}x{proto.canvas_w} "
-                         f"canvas")
-    return top + int(rng.integers(0, room_h + 1)), left + int(rng.integers(0, room_w + 1))
+        raise ValueError(f"embedded image {eh}x{ew} and a step of ({dy}, 0) do not fit the "
+                         f"{proto.canvas_h}x{proto.canvas_w} canvas")
+    return max(0, -dy) + int(rng.integers(0, room_h + 1)), int(rng.integers(0, room_w + 1))
 
 
 def _canvases(proto: EmbeddingProtocol, chunk) -> np.ndarray:
@@ -132,11 +129,11 @@ def _canvas_rows(fn, plans, proto: EmbeddingProtocol) -> np.ndarray:
 
 
 def _scored_pairs(fn, images, proto: EmbeddingProtocol, mode: AuditMode, seed: int = 0,
-                  delta: ShiftSpec = ShiftSpec(1, 0), crop_size: int = 0,
-                  noise_scale: float = 0.0):
-    """Plan each image's before/after canvases under a 1-step protocol, with
-    positions drawn from the image's derived seed, and score them by
-    `_canvas_rows` (a crop pair by `nn._stacked`, as its two canvases).
+                  delta: int = 1, crop_size: int = 0, noise_scale: float = 0.0):
+    """Plan each image's before/after canvases under a 1-step protocol (a
+    translation moves an image by `delta` rows), with positions drawn from
+    the image's derived seed, and score them by `_canvas_rows` (a crop pair
+    by `nn._stacked`, as its two canvases).
     Returns (keys, before, after, skipped): keys holds (image_id,
     param_before, param_after) for each scored image in input order, before
     and after hold fn's rows for its two canvases, and skipped holds the
@@ -150,7 +147,7 @@ def _scored_pairs(fn, images, proto: EmbeddingProtocol, mode: AuditMode, seed: i
             if mode is AuditMode.TRANSLATE:
                 extent = transforms.embedded_extent(*img.shape[1:], size)
                 pos = _random_position(rng, proto, *extent, delta)
-                moved = (pos[0] + delta.dy, pos[1] + delta.dx)
+                moved = (pos[0] + delta, pos[1])
                 plans.append(((image_id, f"{pos}", f"{moved}"), img, ((size, pos), (size, moved))))
             elif mode is AuditMode.SCALE:
                 extent = transforms.embedded_extent(*img.shape[1:], size + 1)
@@ -175,27 +172,27 @@ def _scored_pairs(fn, images, proto: EmbeddingProtocol, mode: AuditMode, seed: i
     return tuple(key for key, _, _ in plans), rows[0::2], rows[1::2], tuple(skipped)
 
 
-def top1_change_probability(model, images, proto: EmbeddingProtocol, mode: AuditMode,
-                            seed: int = 0, delta: ShiftSpec = ShiftSpec(1, 0),
-                            crop_size: int = 0, noise_scale: float = 0.0,
-                            labels=None) -> AuditReport:
+def top1_change_probability(model, images, labels, proto: EmbeddingProtocol,
+                            mode: AuditMode, seed: int = 0, delta: int = 1,
+                            crop_size: int = 0, noise_scale: float = 0.0) -> AuditReport:
     """Fraction of images whose top-1 prediction flips under a 1-step protocol.
 
-    `images` is a sequence of (image_id, (c, h, w) array). Positions are
-    drawn per image from the derived seed; geometry violations are recorded
-    as skips, not raised. When labels are given, the recorded scores are the
-    correct-class scores; otherwise the before-top-1 class is scored.
+    `images` is a sequence of (image_id, (c, h, w) array) and `labels` one of
+    (image_id, class); the recorded scores are the correct class's. Positions
+    are drawn per image from the derived seed, and a translation moves an
+    image by `delta` rows (down when positive). Geometry violations are
+    recorded as skips, not raised.
     """
     keys, before, after, skipped = _scored_pairs(partial(nn.forward, model), images, proto,
                                                  mode, seed, delta, crop_size, noise_scale)
-    label_of = dict(labels) if labels else {}
+    label_of = dict(labels)
     protocol = (f"canvas={proto.canvas_h}x{proto.canvas_w},embed={proto.embed_size},"
                 f"fill={proto.fill.value}")
     records = []
     for (image_id, pb, pa), scores_b, scores_a, t1b, t1a in zip(
             keys, before, after, np.argmax(before, axis=1).tolist(),
             np.argmax(after, axis=1).tolist()):
-        cls = label_of.get(image_id, t1b)
+        cls = label_of[image_id]
         records.append(AuditRecord(
             image_id=image_id, protocol=protocol,
             mode=mode.value, param_before=pb, param_after=pa,

@@ -38,7 +38,7 @@ from pathlib import Path
 
 from . import __version__, audit, biasstat, data, nn, sampling, theory
 from .audit import AuditMode, AuditRecord
-from .transforms import EmbeddingProtocol, FillMode, ShiftSpec
+from .transforms import EmbeddingProtocol, FillMode
 
 # Input flags and their loaders of the parsed arguments, in load order.
 INPUTS = {
@@ -135,8 +135,8 @@ def cmd_eval(args, model, data):
 
 def _run_audit(args, model, ds, mode: AuditMode, proto: EmbeddingProtocol, **kwargs):
     images, labels = _audit_images(ds, args.limit)
-    report = audit.top1_change_probability(model, images, proto, mode,
-                                           seed=args.seed, labels=labels, **kwargs)
+    report = audit.top1_change_probability(model, images, labels, proto, mode,
+                                           seed=args.seed, **kwargs)
     lo, hi = report.wilson_interval
     print(f"p_hat={report.p_hat:.4f} ci=[{lo:.4f},{hi:.4f}] n={report.n} "
           f"skipped={len(report.skipped)}")
@@ -146,8 +146,7 @@ def _run_audit(args, model, ds, mode: AuditMode, proto: EmbeddingProtocol, **kwa
 
 
 def cmd_audit_shift(args, model, data):
-    return _run_audit(args, model, data, AuditMode.TRANSLATE, _proto(args),
-                      delta=ShiftSpec(args.delta, 0))
+    return _run_audit(args, model, data, AuditMode.TRANSLATE, _proto(args), delta=args.delta)
 
 
 def cmd_audit_scale(args, model, data):
@@ -163,8 +162,9 @@ def cmd_audit_crop(args, model, data):
 def cmd_sweep_embed(args, model, data):
     images, labels = _audit_images(data, args.limit)
     mode = AuditMode.TRANSLATE if args.mode == "shift" else AuditMode.SCALE
-    reports = [audit.top1_change_probability(model, images, replace(_proto(args), embed_size=size),
-                                             mode, seed=args.seed, labels=labels)
+    reports = [audit.top1_change_probability(model, images, labels,
+                                             replace(_proto(args), embed_size=size), mode,
+                                             seed=args.seed)
                for size in args.sizes]
     for size, rep in zip(args.sizes, reports):
         print(f"embed={size} p_hat={rep.p_hat:.4f} n={rep.n}")

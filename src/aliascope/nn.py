@@ -58,10 +58,8 @@ relu-masked dy over the forward's `out` and its input gradient over its
 padded input `xp`, each once the step has read what it held, and gap's
 backward returns a read-only broadcast view. After a batch-16 step the
 stride-1 reference net's buffers hold 7.79 MiB and the strided net's
-4.73 MiB (18.53 and 6.98 MiB when each gradient had a buffer of its own).
-A forward alone leaves 8.15 and 3.32 MiB on an audit chunk (10 x 40^2)
-and 11.26 and 3.88 MiB on an inpaint chunk (4 x 64^2).
-The kernels keep every GEMM's operands (the weight gradient's transposed,
+4.73 MiB. A forward alone leaves 8.15 and 3.32 MiB on an audit chunk
+(10 x 40^2) and 11.26 and 3.88 MiB on an inpaint chunk (4 x 64^2). The kernels keep every GEMM's operands (the weight gradient's transposed,
 see below) and every elementwise op's order, so the bits are those of
 fresh arrays. Two consequences: a `Model` is not reentrant (two
 calls on one model must not interleave, e.g. from threads), and nothing
@@ -84,10 +82,12 @@ built: `_dy_cols` zeroes "cols" once per call and writes each image's dy
 straight to the matrix's non-zero entries through one strided view, so
 each GEMM has the framed correlation's operands and dx its bits, which a
 test checks. At stride s > 1 that GEMM still multiplies the zero columns
-of the dilated dy. Nothing reads the input gradient of layer 0, so
-`backward_sgd_step` asks every layer but the first for it (`need_dx`): a
-first conv or dense costs only its weight product, and a first pool or gap
-costs nothing.
+of the dilated dy. Nothing reads a gradient below the lowest layer with
+weights, so `backward_sgd_step` stops there: that layer, a conv or dense,
+is asked for its weight gradient alone (`need_dx=False`), and the
+weightless layers under it, such as a leading pool or gap, run no backward.
+So only conv and dense read `need_dx`; every other layer is always asked
+for its input gradient.
 
 The elementwise work runs on contiguous operands where it can, since numpy
 runs a stride-0 or strided operand at about half the rate. Conv's bias is
@@ -457,8 +457,6 @@ class PoolSpec(_Window):
         return out, (x, out)
 
     def backward(self, dy, p, cache, buf, need_dx=True):
-        if not need_dx:
-            return None, {}
         x, out = cache
         hw = dy.shape[2:]
         dx = _buffer(buf, "dx", x.shape)
@@ -495,8 +493,6 @@ class GapSpec(_Layer):
         return x.mean(axis=(2, 3)), x.shape
 
     def backward(self, dy, p, shape, buf, need_dx=True):
-        if not need_dx:
-            return None, {}
         return np.broadcast_to((dy / (shape[2] * shape[3]))[:, :, None, None], shape), {}
 
 
@@ -799,10 +795,10 @@ def backward_sgd_step(model: Model, batch_x: np.ndarray, batch_y: np.ndarray,
     if len(batch_x) == 0:
         raise ValueError("empty batch")
     spec = model.spec
-    acts, caches = _forward_layers(model, batch_x)
-    probs = acts[-1]
     if not isinstance(spec.layers[-1], SoftmaxSpec):
         raise SpecError("training requires a softmax output layer")
+    acts, caches = _forward_layers(model, batch_x)
+    probs = acts[-1]
     n = len(batch_y)
     loss = cross_entropy(probs, batch_y)
     correct = int(np.sum(np.argmax(probs, axis=1) == batch_y))
@@ -810,11 +806,12 @@ def backward_sgd_step(model: Model, batch_x: np.ndarray, batch_y: np.ndarray,
     dcur = probs.copy()
     dcur[np.arange(n), batch_y] -= 1.0
     dcur /= n
-    for li in range(len(spec.layers) - 2, -1, -1):
+    # no gradient is needed below the lowest layer with weights
+    first = next((li for li, p in enumerate(model.params) if p), len(spec.layers))
+    for li in range(len(spec.layers) - 2, first - 1, -1):
         p = model.params[li]
-        # nothing reads the input gradient of layer 0
         dcur, grads = spec.layers[li].backward(dcur, p, caches[li], model.scratch[li],
-                                               need_dx=li > 0)
+                                               need_dx=li > first)
         for key, g in grads.items():
             p[key] -= lr * g
     return loss, correct

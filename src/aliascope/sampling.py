@@ -99,17 +99,20 @@ def shiftability_error(r_dense: np.ndarray, s: int, b: BasisKernel) -> float:
     return worst
 
 
+NYQUIST_ENERGY_TOL = 0.01  # the spectral energy share above Nyquist that still passes
+
+
 @dataclass(frozen=True)
 class BandlimitResult:
     shiftable: bool
     high_freq_fraction: float
 
 
-def bandlimit_check(r_dense: np.ndarray, s: int, energy_tol: float) -> BandlimitResult:
+def bandlimit_check(r_dense: np.ndarray, s: int) -> BandlimitResult:
     """Fraction of spectral energy above the subsampled Nyquist limit 1/(2s).
 
     The response is declared shiftable-per-Nyquist when that fraction is at
-    most energy_tol.
+    most NYQUIST_ENERGY_TOL.
     """
     r_dense = np.asarray(r_dense, dtype=np.float64)
     n = r_dense.shape[0]
@@ -122,7 +125,7 @@ def bandlimit_check(r_dense: np.ndarray, s: int, energy_tol: float) -> Bandlimit
         return BandlimitResult(True, 0.0)
     high = float(spectrum[freqs > 1.0 / (2.0 * s)].sum())
     frac = high / total
-    return BandlimitResult(frac <= energy_tol, frac)
+    return BandlimitResult(frac <= NYQUIST_ENERGY_TOL, frac)
 
 
 def pooling_invariance_gap(r_dense: np.ndarray, s: int, shifts, margin: int) -> float:

@@ -129,8 +129,8 @@ def claim_check() -> ClaimResult:
     mass = float(impulse.sum())
     impulse_gap = sampling.pooling_invariance_gap(impulse, s, shifts=[1], margin=margin)
     return ClaimResult(err, gap, impulse_gap, mass,
-                       sampling.bandlimit_check(bump, s, 0.01),
-                       sampling.bandlimit_check(impulse, s, 0.01))
+                       sampling.bandlimit_check(bump, s),
+                       sampling.bandlimit_check(impulse, s))
 
 
 @dataclass(frozen=True)

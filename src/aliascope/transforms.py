@@ -39,12 +39,6 @@ class EmbeddingProtocol:
 
 
 @dataclass(frozen=True)
-class ShiftSpec:
-    dy: int
-    dx: int
-
-
-@dataclass(frozen=True)
 class Rect:
     top: int
     left: int

@@ -22,7 +22,7 @@ import pytest
 from aliascope import audit, biasstat, data, nn, sampling, theory
 from aliascope.audit import AuditMode
 from aliascope.nn import PoolSpec, TrainConfig
-from aliascope.transforms import EmbeddingProtocol, FillMode, ShiftSpec
+from aliascope.transforms import EmbeddingProtocol, FillMode
 from reference_nets import STRIDE1_SPEC, STRIDED_SPEC
 
 TRAIN_CFG = TrainConfig(learning_rate=0.5, epochs=30, batch_size=16, seed=0)
@@ -30,7 +30,6 @@ READOUT_CFG = lambda seed: TrainConfig(0.5, 5, 32, seed)  # noqa: E731
 
 AUDIT_PROTO = EmbeddingProtocol(40, 40, 32, (0, 0), FillMode.BLACK)
 OFFSCALE_PROTO = EmbeddingProtocol(40, 40, 28, (0, 0), FillMode.BLACK)
-DELTA = ShiftSpec(1, 0)
 SEEDS = (0, 1, 2)
 
 
@@ -54,6 +53,11 @@ def audit_images(dataset):
 
 
 @pytest.fixture(scope="module")
+def audit_labels(dataset, audit_images):
+    return [(image_id, int(lbl)) for (image_id, _), lbl in zip(audit_images, dataset.labels)]
+
+
+@pytest.fixture(scope="module")
 def strided_model(dataset):
     return nn.train(nn.parse_spec(STRIDED_SPEC), dataset.images, dataset.labels, TRAIN_CFG)
 
@@ -63,12 +67,12 @@ def stride1_model(dataset):
     return nn.train(nn.parse_spec(STRIDE1_SPEC), dataset.images, dataset.labels, TRAIN_CFG)
 
 
-def test_criterion_1_exact_invariance(audit_images, capsys):
+def test_criterion_1_exact_invariance(audit_images, audit_labels, capsys):
     """Random stride-1 circular net: exactly invariant under every translation."""
     worst = theory.observation_check(seed=0)
     model = nn.init_model(nn.parse_spec(STRIDE1_SPEC), seed=0)
-    report = audit.top1_change_probability(model, audit_images[:200], AUDIT_PROTO,
-                                           AuditMode.TRANSLATE, seed=0, delta=DELTA)
+    report = audit.top1_change_probability(model, audit_images[:200], audit_labels,
+                                           AUDIT_PROTO, AuditMode.TRANSLATE, seed=0)
     ok = worst < 1e-9 and report.p_hat == 0.0 and report.n == 200
     _report(capsys, 1, "exact invariance", ok,
             f"max logit gap {worst:.2e}, audit p_hat {report.p_hat}")
@@ -92,15 +96,15 @@ def test_criterion_3_piecewise_shifts(capsys):
             f"stride-1 gap {res.stride1_gap:.2e}, detector gap {res.detector_gap:.2e}")
 
 
-def test_criterion_4_flip_rate_contrast(dataset, audit_images, strided_model,
+def test_criterion_4_flip_rate_contrast(dataset, audit_images, audit_labels, strided_model,
                                         stride1_model, capsys):
     """Trained stride-1 net never flips under 1-pixel shifts; strided one does."""
     acc1 = nn._accuracy(stride1_model, dataset.images, dataset.labels)
     acc2 = nn._accuracy(strided_model, dataset.images, dataset.labels)
-    rep1 = audit.top1_change_probability(stride1_model, audit_images[:500], AUDIT_PROTO,
-                                         AuditMode.TRANSLATE, seed=0, delta=DELTA)
-    rep2 = audit.top1_change_probability(strided_model, audit_images[:500], AUDIT_PROTO,
-                                         AuditMode.TRANSLATE, seed=0, delta=DELTA)
+    rep1 = audit.top1_change_probability(stride1_model, audit_images[:500], audit_labels,
+                                         AUDIT_PROTO, AuditMode.TRANSLATE, seed=0)
+    rep2 = audit.top1_change_probability(strided_model, audit_images[:500], audit_labels,
+                                         AUDIT_PROTO, AuditMode.TRANSLATE, seed=0)
     ok = (abs(acc1 - acc2) <= 0.05 and rep1.n >= 500 and rep2.n >= 500
           and rep1.p_hat == 0.0 and rep2.p_hat > 0.05)
     _report(capsys, 4, "stride-1 vs strided flips", ok,
@@ -151,14 +155,15 @@ def test_criterion_6_pool_swap(dataset, audit_images, strided_model, capsys):
             f"acc {accs['max']:.3f}->{accs['avg']:.3f}")
 
 
-def test_criterion_7_embedding_size_trend(audit_images, strided_model, capsys):
+def test_criterion_7_embedding_size_trend(audit_images, audit_labels, strided_model, capsys):
     """Smaller embedded images flip more: smallest >= 1.5x the largest size."""
     sizes = [32, 36, 40]
     small, large = [], []
     for seed in SEEDS:
         by_size = {size: audit.top1_change_probability(
-            strided_model, audit_images[:300], EmbeddingProtocol(44, 44, size, (0, 0)),
-            AuditMode.TRANSLATE, seed=seed, delta=DELTA).p_hat for size in sizes}
+            strided_model, audit_images[:300], audit_labels,
+            EmbeddingProtocol(44, 44, size, (0, 0)), AuditMode.TRANSLATE, seed=seed).p_hat
+            for size in sizes}
         small.append(by_size[sizes[0]])
         large.append(by_size[sizes[-1]])
     s, l = float(np.mean(small)), float(np.mean(large))
@@ -264,8 +269,8 @@ def test_criterion_10_numerical_hygiene(capsys):
     n = 48
     lowband = np.cos(2 * np.pi * np.arange(n) / 8)
     highband = np.cos(2 * np.pi * np.arange(n) / 3)
-    res_low = sampling.bandlimit_check(lowband, 2, energy_tol=0.01)
-    res_high = sampling.bandlimit_check(highband, 2, energy_tol=0.01)
+    res_low = sampling.bandlimit_check(lowband, 2)
+    res_high = sampling.bandlimit_check(highband, 2)
     ok = worst < 1e-4 and res_low.shiftable and not res_high.shiftable
     _report(capsys, 10, "numerical hygiene", ok,
             f"grad rel err {worst:.2e}, Nyquist pass/fail "

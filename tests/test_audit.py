@@ -23,11 +23,7 @@ from aliascope.audit import (
 )
 from aliascope.nn import TrainConfig, init_model, parse_spec
 from aliascope.sampling import BasisKernel, KernelKind
-from aliascope.transforms import (
-    EmbeddingProtocol,
-    FillMode,
-    ShiftSpec,
-)
+from aliascope.transforms import EmbeddingProtocol, FillMode
 
 STRIDE1 = ("input 1 16 16\nconv 4 3 pad=circular act=relu\n"
            "gap\ndense 3\nsoftmax\n")
@@ -40,6 +36,11 @@ PROTO = EmbeddingProtocol(16, 16, 8, (0, 0), FillMode.BLACK)
 def _images(n=12, seed=0, size=6):
     rng = np.random.default_rng(seed)
     return [(f"img/{i:03d}", rng.random((1, size, size))) for i in range(n)]
+
+
+def _labels(images):
+    """(image id, class) pairs for `images`: the classes 0, 1, 2 in turn."""
+    return [(image_id, i % 3) for i, (image_id, _) in enumerate(images)]
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +91,8 @@ def test_image_seed_stable_and_distinct():
 
 def test_translate_flip_rate_zero_for_stride1_circular():
     model = init_model(parse_spec(STRIDE1), seed=0)
-    report = top1_change_probability(model, _images(), PROTO, AuditMode.TRANSLATE, seed=0)
+    report = top1_change_probability(model, _images(), _labels(_images()), PROTO,
+                                     AuditMode.TRANSLATE, seed=0)
     assert report.n == 12
     assert report.p_hat == 0.0
     for r in report.records:
@@ -101,8 +103,9 @@ def test_translate_flip_rate_zero_for_stride1_circular():
 def test_translate_report_is_order_independent():
     model = init_model(parse_spec(STRIDED), seed=1)
     images = _images()
-    r1 = top1_change_probability(model, images, PROTO, AuditMode.TRANSLATE, seed=3)
-    r2 = top1_change_probability(model, list(reversed(images)), PROTO,
+    r1 = top1_change_probability(model, images, _labels(images), PROTO, AuditMode.TRANSLATE,
+                                 seed=3)
+    r2 = top1_change_probability(model, list(reversed(images)), _labels(images), PROTO,
                                  AuditMode.TRANSLATE, seed=3)
     assert r1 == r2
 
@@ -111,10 +114,11 @@ def test_translate_report_is_order_independent():
 def test_report_is_independent_of_chunking_and_order(monkeypatch, mode):
     model = init_model(parse_spec(STRIDED), seed=1)
     images = _images(40)  # 40 pairs of 16x16 canvases: default chunks of 32 and 8 pairs
-    whole = top1_change_probability(model, images, PROTO, mode, seed=3)
+    labels = _labels(images)
+    whole = top1_change_probability(model, images, labels, PROTO, mode, seed=3)
     rotated = images[7:] + images[:7]  # moves images across the chunk boundary
-    assert top1_change_probability(model, rotated, PROTO, mode, seed=3) == whole
-    assert top1_change_probability(model, images[::-1], PROTO, mode, seed=3) == whole
+    assert top1_change_probability(model, rotated, labels, PROTO, mode, seed=3) == whole
+    assert top1_change_probability(model, images[::-1], labels, PROTO, mode, seed=3) == whole
     ds = SimpleNamespace(images=[img for _, img in images], labels=np.arange(40) % 3,
                          ids=tuple(image_id for image_id, _ in images))
     args = SimpleNamespace(limit=None, seed=3)
@@ -222,8 +226,7 @@ def test_each_canvas_of_a_chunk_is_the_embed_of_its_image_alone(mode, fill):
         size = proto.embed_size
         if mode is AuditMode.TRANSLATE:
             pos = audit._random_position(np.random.default_rng(image_seed(16, image_id)), proto,
-                                         *transforms.embedded_extent(*img.shape[1:], size),
-                                         ShiftSpec(1, 0))
+                                         *transforms.embedded_extent(*img.shape[1:], size), 1)
             places = ((size, pos), (size, (pos[0] + 1, pos[1])))
         else:
             pos = audit._random_position(np.random.default_rng(image_seed(16, image_id)), proto,
@@ -285,28 +288,30 @@ def test_translate_skips_images_with_no_room_to_shift():
     images = [(f"img/{i:03d}", rng.random((1, 4, 16))) for i in range(3)]
     images.append(("big/000", rng.random((1, 40, 40))))
     proto = EmbeddingProtocol(16, 16, 16, (0, 0))
-    report = top1_change_probability(model, images, proto, AuditMode.TRANSLATE)
+    report = top1_change_probability(model, images, _labels(images), proto, AuditMode.TRANSLATE)
     assert report.n == 3
     assert len(report.skipped) == 1
     assert report.skipped[0][0] == "big/000"
 
 
-@pytest.mark.parametrize("delta", [ShiftSpec(-1, 0), ShiftSpec(0, -2), ShiftSpec(-3, 2)])
+@pytest.mark.parametrize("delta", [-1, -2, -3])
 def test_translate_positions_leave_room_for_a_step_of_either_sign(delta):
     model = init_model(parse_spec(STRIDE1), seed=0)
     images = _images(40, size=12)  # 12x12 in a 16x16 canvas: 4 - |step| rows to spare
     proto = EmbeddingProtocol(16, 16, 12, (0, 0))
-    report = top1_change_probability(model, images, proto, AuditMode.TRANSLATE, delta=delta)
+    report = top1_change_probability(model, images, _labels(images), proto, AuditMode.TRANSLATE,
+                                     delta=delta)
     assert report.skipped == () and report.n == 40
     for r in report.records:
         before, after = ast.literal_eval(r.param_before), ast.literal_eval(r.param_after)
-        assert after == (before[0] + delta.dy, before[1] + delta.dx)
+        assert after == (before[0] + delta, before[1])
         assert all(0 <= v <= 4 for v in before + after)
 
 
 def test_scale_mode_params_and_flip_counting():
     model = init_model(parse_spec(STRIDED), seed=2)
-    report = top1_change_probability(model, _images(), PROTO, AuditMode.SCALE, seed=0)
+    report = top1_change_probability(model, _images(), _labels(_images()), PROTO, AuditMode.SCALE,
+                                     seed=0)
     assert report.n == 12
     for r in report.records:
         assert r.param_before == "8" and r.param_after == "9"
@@ -317,8 +322,8 @@ def test_scale_mode_params_and_flip_counting():
 def test_crop_noise_mode_runs():
     model = init_model(parse_spec(STRIDE1), seed=0)
     images = _images(4, size=20)
-    report = top1_change_probability(model, images, PROTO, AuditMode.CROP_NOISE,
-                                     seed=0, crop_size=16, noise_scale=0.2)
+    report = top1_change_probability(model, images, _labels(images), PROTO,
+                                     AuditMode.CROP_NOISE, seed=0, crop_size=16, noise_scale=0.2)
     assert report.n == 4
     for r in report.records:
         assert r.mode == "crop+noise"
@@ -328,8 +333,7 @@ def test_labels_select_scored_class():
     model = init_model(parse_spec(STRIDE1), seed=0)
     images = _images(2)
     labels = [(images[0][0], 2), (images[1][0], 1)]
-    report = top1_change_probability(model, images, PROTO, AuditMode.TRANSLATE,
-                                     labels=labels)
+    report = top1_change_probability(model, images, labels, PROTO, AuditMode.TRANSLATE)
     for r, (_, cls) in zip(report.records, labels):
         assert 0.0 < r.score_before < 1.0
 
@@ -339,9 +343,10 @@ def test_audit_that_scores_nothing_raises():
     proto = EmbeddingProtocol(6, 6, 8, (0, 0))  # an 8-pixel embed never fits
     with pytest.raises(ValueError, match=r"^audit scored no image \(3 skipped; first: "
                                          r"img/000: .*do not fit"):
-        top1_change_probability(model, _images(3), proto, AuditMode.TRANSLATE)
+        top1_change_probability(model, _images(3), _labels(_images(3)), proto,
+                                AuditMode.TRANSLATE)
     with pytest.raises(ValueError, match=r"^audit scored no image \(0 skipped\)$"):
-        top1_change_probability(model, [], PROTO, AuditMode.SCALE)
+        top1_change_probability(model, [], [], PROTO, AuditMode.SCALE)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +427,7 @@ DEEP = ("input 1 16 16\nconv 4 3 pad=circular act=relu\nmaxpool 2 stride=2\n"
 FLAT = "input 1 8 8\nconv 3 3 pad=circular act=relu\nmaxpool 2 stride=2\ndense 5\nsoftmax\n"
 
 
-def _three_pass_profile(model, xs, ys, layer_indices, cfg, proto, audit_images, seed, delta):
+def _three_pass_profile(model, xs, ys, layer_indices, cfg, proto, audit_images, seed):
     """The depth profile as each probed layer's own readout model gives it:
     the base's layers up to the probed one, a gap when it is spatial, then a
     dense+softmax head trained on its pooled features. The readout runs the
@@ -440,8 +445,8 @@ def _three_pass_profile(model, xs, ys, layer_indices, cfg, proto, audit_images, 
         spec = nn.make_spec(model.spec.input_shape,
                             model.spec.layers[:li + 1] + gap + head_layers)
         readout = nn.Model(spec, model.params[:li + 1] + [{} for _ in gap] + head.params)
-        report = top1_change_probability(readout, audit_images, proto, AuditMode.TRANSLATE,
-                                         seed=seed, delta=delta)
+        report = top1_change_probability(readout, audit_images, _labels(audit_images), proto,
+                                         AuditMode.TRANSLATE, seed=seed)
         out.append(DepthProfileEntry(li, li / max(1, n_layers - 1),
                                      nn._accuracy(readout, xs, ys), report.p_hat))
     return out
@@ -455,7 +460,7 @@ def test_depth_profile_is_the_three_pass_readout_bitwise():
     cfg = TrainConfig(0.5, 5, 8, seed=1)
     entries = depth_invariance_profile(model, xs, ys, [3, 0, 3], cfg, proto, images, seed=2)
     assert entries == _three_pass_profile(model, xs, ys, [3, 0, 3], cfg, proto, images,
-                                          seed=2, delta=ShiftSpec(1, 0))
+                                          seed=2)
     assert entries[0] == entries[2]
     assert entries[0].flip_rate > 0.0
 
@@ -469,12 +474,11 @@ def test_depth_profile_of_a_flat_layer_is_the_three_pass_readout_bitwise():
     cfg = TrainConfig(0.5, 3, 8, seed=2)
     entries = depth_invariance_profile(model, xs, ys, [2, 1], cfg, proto, images, seed=4)
     assert entries == _three_pass_profile(model, xs, ys, [2, 1], cfg, proto, images,
-                                          seed=4, delta=ShiftSpec(1, 0))
+                                          seed=4)
     # layers before the dense one take canvases of any size, as their readout does
     larger = EmbeddingProtocol(11, 11, 6, (0, 0), FillMode.BLACK)
     assert depth_invariance_profile(model, xs, ys, [1], cfg, larger, images) == \
-        _three_pass_profile(model, xs, ys, [1], cfg, larger, images, seed=0,
-                            delta=ShiftSpec(1, 0))
+        _three_pass_profile(model, xs, ys, [1], cfg, larger, images, seed=0)
 
 
 def test_depth_profile_runs_the_base_once_per_image(monkeypatch):
@@ -583,7 +587,7 @@ def test_write_report_csv_roundtrip():
     ds = SimpleNamespace(images=[rng.random((1, 6, 6)) for _ in range(5)],
                          labels=np.array([0, 1, 2, 0, 1]), ids=("a", "b", "c", "d", "e"))
     images, labels = cli._audit_images(ds)
-    report = top1_change_probability(model, images, PROTO, AuditMode.TRANSLATE, labels=labels)
+    report = top1_change_probability(model, images, labels, PROTO, AuditMode.TRANSLATE)
     text = cli._run_audit(SimpleNamespace(limit=None, seed=0), model, ds,
                           AuditMode.TRANSLATE, PROTO)
     lines = text.splitlines()

@@ -602,26 +602,40 @@ def test_maxpool_backward_routes_to_first_max():
 
 @pytest.mark.parametrize("first", ["maxpool 2 stride=2", "avgpool 3 stride=1", "gap", "dense 3"])
 def test_a_first_pool_or_gap_returns_no_input_gradient(first, monkeypatch):
+    """The step runs no backward under the lowest layer with weights and asks
+    that layer for its weight gradient alone: a first pool or gap runs none.
+    The weights move as when every layer that runs computes its input
+    gradient."""
     spec = parse_spec(f"input 2 6 6\n{first}\ndense 3\nsoftmax\n")
-    layer, rng = spec.layers[0], np.random.default_rng(11)
+    rng = np.random.default_rng(11)
     x, y = rng.normal(size=(4, 2, 6, 6)), np.array([0, 1, 2, 1])
     model = init_model(spec, seed=0)
-    p = model.params[0]  # a dense layer's weights; pool and gap have none
-    out, cache = layer.forward(x, p, {})
-    dy = rng.normal(size=out.shape)
-    dx, grads = layer.backward(dy, p, cache, {}, need_dx=False)
-    want = layer.backward(dy, p, cache, {}, need_dx=True)[1]
-    assert dx is None and grads.keys() == want.keys() == p.keys()
-    assert all(np.array_equal(grads[k], want[k]) for k in grads)
     twin = copy.deepcopy(model)
+    asked, kinds = [], {type(layer): type(layer).backward for layer in spec.layers}
+
+    def record(force):
+        """Patch every kind's backward to log (layer, need_dx), and with
+        `force` to compute the input gradient whatever it is asked."""
+        for kind, backward in kinds.items():
+            monkeypatch.setattr(kind, "backward", lambda self, *args, need_dx, backward=backward: (
+                asked.append((self, need_dx)) or backward(self, *args, need_dx=need_dx or force)))
+
+    record(force=False)
     backward_sgd_step(model, x, y, lr=0.5)
-    # the same step with layer 0's input gradient computed, as nothing reads it
-    backward = type(layer).backward
-    monkeypatch.setattr(type(layer), "backward",
-                        lambda self, *args, need_dx: backward(self, *args, need_dx=True))
+    dense = DenseSpec(3)
+    assert asked == ([(dense, True), (dense, False)] if first == "dense 3" else [(dense, False)])
+    record(force=True)
     backward_sgd_step(twin, x, y, lr=0.5)
     for p, q in zip(model.params, twin.params, strict=True):
         assert p.keys() == q.keys() and all(np.array_equal(p[k], q[k]) for k in p)
+
+
+def test_a_step_refuses_a_net_with_no_softmax_output_before_its_forward():
+    spec = parse_spec("input 1 6 6\nconv 2 3 stride=1 pad=zero act=relu\ngap\ndense 3\n")
+    model = init_model(spec, seed=0)
+    with pytest.raises(SpecError, match="^training requires a softmax output layer$"):
+        backward_sgd_step(model, np.zeros((2, 1, 6, 6)), np.array([0, 1]), lr=0.1)
+    assert model.scratch == [{}, {}, {}]
 
 
 def test_a_linear_conv_under_gap_steps_as_on_a_contiguous_gradient(monkeypatch):
