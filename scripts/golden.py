@@ -229,6 +229,9 @@ COMMANDS = [
     ("shiftability-cubic", ["shiftability", "--model", MODEL, "--image", IMAGE, "--layer", "1",
                             "--kernel", "cubic"]),
     # a stride-1 layer is shiftable: its error is 0 with nothing measured
+    # only the windowed sinc has a window: the tent refuses one
+    ("shiftability-tent-window", ["shiftability", "--model", MODEL, "--image", IMAGE,
+                                  "--layer", "1", "--window", "3"]),
     ("shiftability-layer-0", ["shiftability", "--model", MODEL, "--image", IMAGE,
                               "--layer", "0"]),
     ("shiftability-nothing-measured", ["shiftability", "--model", MODEL, "--image", IMAGE,

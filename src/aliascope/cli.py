@@ -189,11 +189,9 @@ def cmd_depth_profile(args, model, data):
 
 
 def cmd_shiftability(args, model, image):
-    kind = {"tent": sampling.KernelKind.LINEAR_TENT,
-            "cubic": sampling.KernelKind.CUBIC_BSPLINE,
-            "sinc": sampling.KernelKind.WINDOWED_SINC}[args.kernel]
     s = audit.spatial_layer_factor(model, args.layer)
-    basis = sampling.BasisKernel(kind, max(1, s), window_halfwidth=args.window)
+    basis = sampling.BasisKernel(sampling.KernelKind(args.kernel), max(1, s),
+                                 window_halfwidth=args.window)
     err = audit.feature_shiftability_error(model, args.layer, image, basis)
     print(f"layer={args.layer} stride={s} shiftability_error={err!r}")
 
@@ -310,7 +308,8 @@ COMMANDS = {
         OUT, LIMIT, ("--layers", REQUIRED, IntList(), "comma-separated layer indices"),
         ("--epochs", 10, INT_GE0), ("--lr", 0.1, FLOAT_GE0), ("--batch", 32, INT_GE1), *PROTO]),
     "shiftability": (cmd_shiftability, "shiftability error of a strided layer", [
-        ("--layer", REQUIRED, int), ("--kernel", "tent", ("tent", "cubic", "sinc")),
+        ("--layer", REQUIRED, int),
+        ("--kernel", "tent", tuple(kind.value for kind in sampling.KernelKind)),
         ("--window", 0, INT_GE0)]),
     "feature-trace": (cmd_feature_trace, "per-channel spatial sums vs shift",
                       [("--layer", REQUIRED, int), OUT, ("--shifts", 8, INT_GE0), *PROTO]),

@@ -16,10 +16,10 @@ from enum import Enum
 import numpy as np
 
 
-class KernelKind(Enum):
-    LINEAR_TENT = "linear-tent"
-    CUBIC_BSPLINE = "cubic-bspline"
-    WINDOWED_SINC = "windowed-sinc"
+class KernelKind(Enum):  # the values are the names `shiftability --kernel` takes
+    LINEAR_TENT = "tent"
+    CUBIC_BSPLINE = "cubic"
+    WINDOWED_SINC = "sinc"
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,8 @@ class BasisKernel:
 
     The windowed sinc uses a raised-cosine window of half-width W (default
     8s); pure sinc is not summable, so bounded support keeps every sum
-    finite. Tolerance-critical callers pass a larger W.
+    finite. Tolerance-critical callers pass a larger W. The tent and the
+    cubic B-spline have no window, and refuse a W above 0.
     """
 
     kind: KernelKind
@@ -40,6 +41,9 @@ class BasisKernel:
             raise ValueError("factor must be a positive integer")
         if self.window_halfwidth < 0:
             raise ValueError(f"window half-width must be >= 0, got {self.window_halfwidth}")
+        if self.kind is not KernelKind.WINDOWED_SINC and self.window_halfwidth > 0:
+            raise ValueError(f"the {self.kind.value} kernel has no window, got a half-width "
+                             f"of {self.window_halfwidth}")
         if self.kind is KernelKind.WINDOWED_SINC and self.window_halfwidth == 0:
             object.__setattr__(self, "window_halfwidth", 8 * self.factor)
 

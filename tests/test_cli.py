@@ -467,6 +467,15 @@ def test_shiftability_that_measures_nothing_exits_1(workspace, capsys, window):
     assert out == "" and "the longest is 16" in err
 
 
+@pytest.mark.parametrize("kernel", ["tent", "cubic"])
+def test_shiftability_with_a_window_on_a_kernel_with_none_exits_1(workspace, capsys, kernel):
+    assert main(["shiftability", "--model", str(workspace / "model.shnn"),
+                 "--image", str(workspace / "ds" / "0" / "00000.pgm"), "--layer", "1",
+                 "--kernel", kernel, "--window", "3"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: the {kernel} kernel has no window, got a half-width of 3\n")
+
+
 def test_shiftability_command(workspace, capsys):
     img_path = workspace / "probe2.pgm"
     data.write_pgm(data.generate_synthetic(

@@ -70,6 +70,14 @@ def test_basis_kernel_rejects_negative_window(kind):
         BasisKernel(kind, 2, window_halfwidth=-2)
 
 
+@pytest.mark.parametrize("kind", [KernelKind.LINEAR_TENT, KernelKind.CUBIC_BSPLINE])
+def test_a_kernel_with_no_window_refuses_a_window(kind):
+    with pytest.raises(ValueError, match=f"^the {kind.value} kernel has no window, got a "
+                                         "half-width of 3$"):
+        BasisKernel(kind, 2, window_halfwidth=3)
+    assert BasisKernel(kind, 2, window_halfwidth=0).window_halfwidth == 0
+
+
 def test_shiftability_rejects_short_input():
     with pytest.raises(ValueError):
         shiftability_error(np.zeros(8), 2, TENT2)
