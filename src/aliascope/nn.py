@@ -59,7 +59,8 @@ padded input `xp`, each once the step has read what it held, and gap's
 backward returns a read-only broadcast view. After a batch-16 step the
 stride-1 reference net's buffers hold 7.79 MiB and the strided net's
 4.73 MiB. A forward alone leaves 8.15 and 3.32 MiB on an audit chunk
-(10 x 40^2) and 11.26 and 3.88 MiB on an inpaint chunk (4 x 64^2). The kernels keep every GEMM's operands (the weight gradient's transposed,
+(10 x 40^2) and 11.26 and 3.88 MiB on an inpaint chunk (4 x 64^2).
+The kernels keep every GEMM's operands (the weight gradient's transposed,
 see below) and every elementwise op's order, so the bits are those of
 fresh arrays. Two consequences: a `Model` is not reentrant (two
 calls on one model must not interleave, e.g. from threads), and nothing

@@ -294,7 +294,7 @@ def test_translate_skips_images_with_no_room_to_shift():
     assert report.skipped[0][0] == "big/000"
 
 
-@pytest.mark.parametrize("delta", [-1, -2, -3])
+@pytest.mark.parametrize("delta", [-1, 2, -3])
 def test_translate_positions_leave_room_for_a_step_of_either_sign(delta):
     model = init_model(parse_spec(STRIDE1), seed=0)
     images = _images(40, size=12)  # 12x12 in a 16x16 canvas: 4 - |step| rows to spare
