@@ -96,6 +96,22 @@ gap
 dense 3
 softmax
 """
+# 16-channel convs, the width of the reference nets: on a 40^2 or a 64^2
+# canvas the second conv's product is large enough for conv's forward to
+# split it into row blocks, on 33^2 (1089 columns) it is not
+WIDE_SPEC = """\
+input 1 16 16
+conv 16 3 stride=1 pad=circular act=relu
+conv 16 3 stride=1 pad=circular act=relu
+gap
+dense 3
+softmax
+"""
+# a second conv with c*k*k = 64*9 = 576 rows in its patch matrix: too many
+# for a row block to keep the bits of the whole product. OpenBLAS gives a
+# 16 x 576 x 1600 product the same bits on 1 and 2 threads, unlike one of
+# 16 x 432 x 1600, so the run is the same on both.
+WIDE_K576_SPEC = WIDE_SPEC.replace("conv 16 3", "conv 64 3", 1)
 # SPEC with its first stride misspelled: the spec is refused, not read as stride 1
 MISSPELLED_SPEC = SPEC.replace("stride=1", "strid=2", 1)
 
@@ -142,6 +158,12 @@ COMMANDS = [
     ("train-leading-gap", ["train", "--spec", "$WORK/leading_gap.spec", "--data", DATA,
                            "--out", "$WORK/leading_gap.shnn", "--epochs", "10", "--lr", "0.3",
                            "--batch", "4"]),
+    ("train-wide", ["train", "--spec", "$WORK/wide.spec", "--data", DATA,
+                    "--out", "$WORK/wide.shnn", "--epochs", "10", "--lr", "0.3", "--batch", "4"]),
+    # the seed's weights: a step of this net runs products that OpenBLAS
+    # splits across threads, into other bits on 2 threads than on 1
+    ("train-wide-k576-untrained", ["train", "--spec", "$WORK/wide_k576.spec", "--data", DATA,
+                                   "--out", "$WORK/wide_k576.shnn", "--epochs", "0"]),
     ("train-misspelled-option", ["train", "--spec", "$WORK/misspelled.spec", "--data", DATA,
                                  "--out", "$WORK/misspelled.shnn", "--epochs", "2"]),
     ("train-diverged", ["train", "--spec", "$WORK/net.spec", "--data", DATA,
@@ -149,6 +171,17 @@ COMMANDS = [
     ("eval", ["eval", "--model", MODEL, "--data", DATA]),
     ("audit-shift", ["audit-shift", "--model", MODEL, "--data", DATA,
                      "--out", "$WORK/shift.csv", "--canvas", "20", "--embed", "16"]),
+    # the wide net's second conv in row blocks (40^2) and in one block
+    # (33^2, and 40^2 with 432 patch rows)
+    ("audit-shift-wide-blocked", ["audit-shift", "--model", "$WORK/wide.shnn", "--data", DATA,
+                                  "--out", "$WORK/shift_wide_40.csv", "--canvas", "40",
+                                  "--embed", "16"]),
+    ("audit-shift-wide-one-block", ["audit-shift", "--model", "$WORK/wide.shnn", "--data", DATA,
+                                    "--out", "$WORK/shift_wide_33.csv", "--canvas", "33",
+                                    "--embed", "16"]),
+    ("audit-shift-wide-k576-one-block", ["audit-shift", "--model", "$WORK/wide_k576.shnn",
+                                         "--data", DATA, "--out", "$WORK/shift_wide_k576.csv",
+                                         "--canvas", "40", "--embed", "16"]),
     ("audit-shift-overlapping-pool", ["audit-shift", "--model", "$WORK/pool3.shnn",
                                       "--data", DATA, "--out", "$WORK/shift_pool3.csv",
                                       "--canvas", "20", "--embed", "16"]),
@@ -254,6 +287,12 @@ COMMANDS = [
                                     "--image", "$WORK/tall.pgm", "--layer", "3",
                                     "--out", "$WORK/trace_tall.csv", "--canvas", "20",
                                     "--embed", "12", "--shifts", "4", "--fill", "inpaint"]),
+    # the wide net's second conv in row blocks on a 64^2 inpainted canvas
+    ("feature-trace-wide-inpaint-blocked", ["feature-trace", "--model", "$WORK/wide.shnn",
+                                            "--image", "$WORK/ramp.pgm", "--layer", "1",
+                                            "--out", "$WORK/trace_wide.csv", "--canvas", "64",
+                                            "--embed", "16", "--shifts", "4",
+                                            "--fill", "inpaint"]),
     # P6 read by its magic number, whatever the case of the suffix
     ("feature-trace-ppm-wrong-channels", ["feature-trace", "--model", MODEL,
                                           "--image", "$WORK/ramp.ppm", "--layer", "3",
@@ -334,6 +373,8 @@ def collect(work: Path, src: Path) -> dict:
     (work / "avgpool.spec").write_text(AVGPOOL_SPEC)
     (work / "leading_pool.spec").write_text(LEADING_POOL_SPEC)
     (work / "leading_gap.spec").write_text(LEADING_GAP_SPEC)
+    (work / "wide.spec").write_text(WIDE_SPEC)
+    (work / "wide_k576.spec").write_text(WIDE_K576_SPEC)
     (work / "misspelled.spec").write_text(MISSPELLED_SPEC)
     (work / "boxes.csv").write_text(_annotations())
     (work / "rare_boxes.csv").write_text(_annotations() + "".join(
