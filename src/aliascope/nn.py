@@ -176,22 +176,57 @@ def _pad_spatial(x, left, right, mode: PadMode, buf: dict):
     return xp
 
 
-def _im2col(xp, k: int, s: int, buf):
-    """The patch matrices of a padded batch, one per image: (c*k*k, ho*wo),
-    rows in (c, i, j) order, the image's k x k windows at stride s copied
-    into the buffer "cols", which each step of the iteration overwrites.
-    The forward's GEMM loop and the weight gradient read this one generator;
+# Conv's forward multiplies a large patch matrix in blocks of whole output
+# rows, each at most BLOCK_COLUMNS columns, when the blocks keep the bits of
+# one product. Measured on OpenBLAS 0.3.31 (DYNAMIC_ARCH, its SkylakeX
+# kernels, 1 thread): a dgemm of m*n*k at most SMALL_GEMM_MNK runs the
+# small-matrix kernel, 40-60 GFLOP/s for 16 x 144 x 128..416 against about
+# 33 for the normal kernel from 448 columns; that kernel gives the normal
+# kernel's bits on every full group of 8 columns while k is at most
+# BLOCK_MAX_K, and other bits from k = 392 on. 256 columns was the fastest
+# block at 16 x 144; 160 to 400 were within noise.
+BLOCK_COLUMNS = 256
+BLOCK_MAX_K = 384
+SMALL_GEMM_MNK = 10**6
+
+
+def _block_rows(o: int, kk: int, ho: int, wo: int) -> int:
+    """The output rows of each of conv's forward GEMMs for an (o, kk) kernel
+    matrix and an ho x wo output: blocks of at most BLOCK_COLUMNS columns, a
+    multiple of 8 each, when every block is a run of full 8-column groups
+    (ho*wo a multiple of 8), kk is at most BLOCK_MAX_K and the whole product
+    would not already run the small-matrix kernel; all ho rows otherwise."""
+    if ho * wo % 8 or kk > BLOCK_MAX_K or o * kk * ho * wo <= SMALL_GEMM_MNK:
+        return ho
+    step = 8 // math.gcd(wo, 8)  # rows whose columns are a multiple of 8
+    return BLOCK_COLUMNS // (wo * step) * step or ho
+
+
+def _im2col(xp, k: int, s: int, buf, rows: int = 0):
+    """The patch matrices of a padded batch, (c*k*k, ho*wo) per image, rows
+    in (c, i, j) order, the image's k x k windows at stride s, in blocks of
+    `rows` output rows (all of them when 0). Yields (image, first column,
+    block) for each block of each image, the block a (c*k*k, columns) matrix
+    copied into the buffer "cols", which the next block overwrites. The
+    forward's GEMM loop and the weight gradient read this one generator;
     the input gradient's GEMM loop reads `_dy_cols`."""
     n, c, hp, wp = xp.shape
     ho, wo = (hp - k) // s + 1, (wp - k) // s + 1
     windows = as_strided(xp, (n, c, k, k, ho, wo),  # offset (i, j) of each window, strided
                          xp.strides + (xp.strides[2] * s, xp.strides[3] * s), writeable=False)
-    cols = _buffer(buf, "cols", (c * k * k, ho * wo))
-    return _patches(windows, cols, cols.reshape(c, k, k, ho, wo))
+    rows, blocks = min(rows or ho, ho), []
+    for y in range(0, ho, rows):  # the first block is the largest: the rest fit its buffer
+        r = min(rows, ho - y)
+        cols = _buffer(buf, "cols", (c * k * k, r * wo))
+        blocks.append((y * wo, cols, cols.reshape(c, k, k, r, wo), windows[..., y:y + r, :]))
+    for i in range(n):
+        for lo, cols, view, window in blocks:
+            np.copyto(view, window[i])
+            yield i, lo, cols
 
 
 def _dy_cols(dy, k: int, s: int, hp: int, wp: int, buf):
-    """The input gradient's patch matrices, one per image: (o*k*k, hp*wp),
+    """The input gradient's patch matrices, one block per image: (o*k*k, hp*wp),
     rows in (o, i, j) order, the k x k windows at stride 1 of dy dilated by
     s and set k-1 in from the top-left of a zero frame one kernel larger
     than the (hp, wp) padded input. Only dy's own entries are non-zero, so
@@ -208,22 +243,16 @@ def _dy_cols(dy, k: int, s: int, hp: int, wp: int, buf):
     frame = as_strided(cols.reshape(-1)[(k - 1) * wp + k - 1:], (o, k, k, ho, wo),
                        (e * k * k * hp * wp, e * (k * hp - 1) * wp, e * (hp * wp - 1),
                         e * s * wp, e * s))
-    return _patches(dy[:, :, None, None], cols, frame)
-
-
-def _patches(images, cols, view):
-    """Yield `cols` once per image, after copying the image into `view`, a
-    view of `cols` that the image's broadcast shape fills."""
-    for image in images:
-        np.copyto(view, image)
-        yield cols
+    for i, image in enumerate(dy):
+        np.copyto(frame, image[:, None, None])
+        yield i, 0, cols
 
 
 def _gemm_each(w2d, patches, out):
-    """out[i] = w2d @ the i-th patch matrix: one GEMM per image, whose shapes
-    do not depend on the batch."""
-    for i, cols in enumerate(patches):
-        np.matmul(w2d, cols, out=out[i])
+    """out[i][:, lo:lo + width] = w2d @ block for each (i, lo, block) of
+    `patches`: one GEMM per block, whose shapes do not depend on the batch."""
+    for i, lo, cols in patches:
+        np.matmul(w2d, cols, out=out[i, :, lo:lo + cols.shape[1]])
     return out
 
 
@@ -373,7 +402,8 @@ class ConvSpec(_Window):
         w = p["w"].reshape(p["w"].shape[0], -1)
         n, o = x.shape[0], w.shape[0]
         ho, wo = -(-x.shape[2] // s), -(-x.shape[3] // s)
-        out = _gemm_each(w, _im2col(xp, k, s, buf), _buffer(buf, "out", (n, o, ho * wo)))
+        patches = _im2col(xp, k, s, buf, _block_rows(o, w.shape[1], ho, wo))
+        out = _gemm_each(w, patches, _buffer(buf, "out", (n, o, ho * wo)))
         bias = _buffer(buf, "cols", (o, ho * wo))
         bias[...] = p["b"][:, None]
         out += bias  # broadcast over the batch axis only: the same add, at a contiguous rate
@@ -395,7 +425,7 @@ class ConvSpec(_Window):
         dy_rows = dy.reshape(n, o, ho * wo)
         # dw^T, summed in image order: cols_i @ dy_i^T has the bits of (dy_i @ cols_i^T)^T
         dw, term = np.zeros((c * k * k, o)), np.empty((c * k * k, o))
-        for i, cols in enumerate(_im2col(xp, k, s, buf)):
+        for i, _, cols in _im2col(xp, k, s, buf):
             dw += np.matmul(cols, dy_rows[i].T, out=term)
         grads = {"w": dw.T.reshape(p["w"].shape), "b": dy_rows.sum(axis=(0, 2))}
         if not need_dx:

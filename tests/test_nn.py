@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import tempfile
 import tracemalloc
@@ -1069,6 +1070,57 @@ def test_conv_forward_adds_its_bias_as_the_broadcast_add_bytewise(spec, li, laye
     assert got.tobytes() == want.tobytes()
 
 
+def _block_cases():
+    """(layer, input shape, blocked): every reference conv at batch 2 on
+    canvases of 32^2, 40^2, 44^2, 64^2, 33^2 and 34^2 (1156 columns, no
+    multiple of 8), then convs of c*k*k = 9 to 432 patch rows and a stride-2
+    conv at 40^2 out. `blocked` says whether the forward splits the layer's
+    product into row blocks."""
+    blocked = {("stride1-layer1", side) for side in (32, 40, 44, 64)} | {("strided-layer2", 64)}
+    for name, text in (("stride1", STRIDE1_SPEC), ("strided", STRIDED_SPEC)):
+        for side in (32, 40, 44, 64, 33, 34):
+            spec = parse_spec(text.replace("32 32", f"{side} {side}"))
+            in_shapes = (spec.input_shape,) + spec.shapes[:-1]
+            for li, (layer, shape) in enumerate(zip(spec.layers, in_shapes)):
+                if isinstance(layer, ConvSpec):
+                    key = (f"{name}-layer{li}", side)
+                    yield pytest.param(layer, (2,) + shape, key in blocked, id=f"{key[0]}-{side}")
+    for o, c, k, s, blocked in [(128, 1, 3, 1, True), (16, 8, 3, 1, True), (8, 32, 3, 1, True),
+                                (16, 32, 3, 1, True), (8, 24, 4, 1, True), (16, 24, 4, 1, True),
+                                (8, 48, 3, 1, False), (16, 48, 3, 1, False),
+                                (16, 16, 3, 2, True)]:
+        yield pytest.param(ConvSpec(o, k, s, PadMode.CIRCULAR, "relu"), (2, c, 40 * s, 40 * s),
+                           blocked, id=f"o{o}-ckk{c * k * k}-stride{s}")
+
+
+@pytest.mark.parametrize("pad", list(PadMode))
+@pytest.mark.parametrize("layer, x_shape, blocked", _block_cases())
+def test_conv_forward_in_row_blocks_is_one_product_per_image_bytewise(layer, x_shape, blocked,
+                                                                      pad):
+    """Conv's forward multiplies a large patch matrix in blocks of whole
+    output rows, by the rule of `nn._block_rows`. Each output must keep the
+    bytes of one GEMM per image, w2d @ the image's whole contiguous patch
+    matrix, plus the bias row, then relu."""
+    layer = dataclasses.replace(layer, pad=pad)
+    n, c, h, w = x_shape
+    o, k, s = layer.out_channels, layer.kernel, layer.stride
+    ho, wo = -(-h // s), -(-w // s)
+    assert (nn._block_rows(o, c * k * k, ho, wo) < ho) == blocked
+    rng = np.random.default_rng(o * c * k + h)
+    p = {"w": rng.normal(size=(o, c, k, k)), "b": rng.normal(size=o)}
+    x = rng.normal(size=x_shape)
+    mode = "wrap" if pad is PadMode.CIRCULAR else "constant"
+    xp = np.pad(x, ((0, 0), (0, 0), ((k - 1) // 2, k // 2), ((k - 1) // 2, k // 2)), mode=mode)
+    want = np.empty((n, o, ho * wo))
+    for i in range(n):
+        windows = np.lib.stride_tricks.sliding_window_view(xp[i], (k, k), axis=(1, 2))
+        cols = np.ascontiguousarray(windows[:, ::s, ::s].transpose(0, 3, 4, 1, 2)
+                                    .reshape(c * k * k, -1))
+        want[i] = p["w"].reshape(o, -1) @ cols + p["b"][:, None]
+    got, _ = layer.forward(x, p, {})
+    assert got.tobytes() == np.maximum(want, 0.0).reshape(n, o, ho, wo).tobytes()
+
+
 def _fold(g, left, size, axis):
     """Circular padding's adjoint along `axis`: each padded position p adds,
     in ascending order of p, into the inner position left + (p - left) % size."""
@@ -1191,14 +1243,16 @@ def test_warm_forward_allocates_no_large_arrays(text):
 
 
 @pytest.mark.parametrize("text, x_shape, bound_mib", [
-    (STRIDE1_SPEC, (10, 1, 40, 40), 8.2), (STRIDE1_SPEC, (4, 1, 64, 64), 11.3),
-    (STRIDED_SPEC, (10, 1, 40, 40), 3.35), (STRIDED_SPEC, (4, 1, 64, 64), 3.9)],
+    (STRIDE1_SPEC, (10, 1, 40, 40), 6.7), (STRIDE1_SPEC, (4, 1, 64, 64), 7.3),
+    (STRIDED_SPEC, (10, 1, 40, 40), 3.35), (STRIDED_SPEC, (4, 1, 64, 64), 3.5)],
     ids=["stride1-audit", "stride1-inpaint", "strided-audit", "strided-inpaint"])
 def test_forward_scratch_stays_within_its_bound(text, x_shape, bound_mib):
     """A forward alone, on one audit chunk (10 x 40^2) and one inpaint chunk
-    (4 x 64^2): 8.15, 11.26, 3.32 and 3.88 MiB of scratch. The strided net's
-    max-pool row pass takes 0.73 and 0.75 of those MiB, and conv's bias row
-    0.08 and 0.22 of the stride-1 net's."""
+    (4 x 64^2): 6.65, 7.26, 3.32 and 3.46 MiB of scratch. They were 8.15,
+    11.26, 3.32 and 3.88 when conv's forward held each image's whole patch
+    matrix, not a block of its rows. The strided net's max-pool row pass
+    takes 0.73 and 0.75 of those MiB, and conv's bias row, where it is
+    larger than the patch block, 0.08 and 0.44 of the stride-1 net's."""
     model = init_model(parse_spec(text), seed=0)
     forward(model, np.random.default_rng(3).random(x_shape))
     assert sum(b.nbytes for buffers in model.scratch for b in buffers.values()) < bound_mib * 2**20
