@@ -141,6 +141,10 @@ COMMANDS = [
                   "--canvas", "16", "--pattern", "7", "--jitter", "2"]),
     ("gen-data-full", ["gen-data", "--out", FULL, "--classes", "3", "--per-class", "4",
                        "--canvas", "12", "--pattern", "12", "--jitter", "0"]),
+    # classes 3 and 4, which the 3-class nets trained below have no class for
+    ("gen-data-five-classes", ["gen-data", "--out", "$WORK/ds5", "--classes", "5",
+                               "--per-class", "2", "--canvas", "16", "--pattern", "7",
+                               "--jitter", "2"]),
     ("train", ["train", "--spec", "$WORK/net.spec", "--data", DATA, "--out", MODEL,
                "--epochs", "20", "--lr", "0.3", "--batch", "4"]),
     ("train-linear-gap", ["train", "--spec", "$WORK/linear.spec", "--data", DATA,
@@ -201,11 +205,18 @@ COMMANDS = [
     ("audit-shift-nothing-scored", ["audit-shift", "--model", MODEL, "--data", DATA,
                                     "--out", "$WORK/none.csv", "--canvas", "10",
                                     "--embed", "16"]),
+    ("audit-shift-more-classes", ["audit-shift", "--model", MODEL, "--data", "$WORK/ds5",
+                                  "--out", "$WORK/more_classes.csv", "--canvas", "20",
+                                  "--embed", "16"]),
     ("depth-profile-nothing-scored", ["depth-profile", "--model", MODEL, "--data", DATA,
                                       "--out", "$WORK/none_depth.csv", "--layers", "0",
                                       "--epochs", "1", "--canvas", "10", "--embed", "16"]),
     ("audit-scale", ["audit-scale", "--model", MODEL, "--data", DATA,
                      "--out", "$WORK/scale.csv", "--canvas", "20", "--embed", "14"]),
+    # each image's 17 px after canvas is larger than the canvas
+    ("audit-scale-nothing-fits", ["audit-scale", "--model", MODEL, "--data", DATA,
+                                  "--out", "$WORK/none_scale.csv", "--canvas", "16",
+                                  "--embed", "16"]),
     ("audit-scale-inpaint", ["audit-scale", "--model", MODEL, "--data", DATA,
                              "--out", "$WORK/scale_inpaint.csv", "--canvas", "20",
                              "--embed", "12", "--fill", "inpaint"]),

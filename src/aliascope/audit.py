@@ -92,9 +92,20 @@ def _random_position(rng, proto: EmbeddingProtocol, eh: int, ew: int, dy: int = 
     room_h = proto.canvas_h - eh - abs(dy)
     room_w = proto.canvas_w - ew
     if room_h < 0 or room_w < 0:
-        raise ValueError(f"embedded image {eh}x{ew} and a step of ({dy}, 0) do not fit the "
+        what = f"and a step of ({dy}, 0) do" if dy else "does"
+        raise ValueError(f"embedded image {eh}x{ew} {what} not fit the "
                          f"{proto.canvas_h}x{proto.canvas_w} canvas")
     return max(0, -dy) + int(rng.integers(0, room_h + 1)), int(rng.integers(0, room_w + 1))
+
+
+def _check_labels(model, labels) -> None:
+    """Refuse the first (image id, label) pair whose label is not one of the
+    model's classes, before any canvas is built."""
+    classes = model.spec.shapes[-1][0]
+    for image_id, label in labels:
+        if not 0 <= label < classes:
+            raise ValueError(f"image {image_id} has label {label}, but the model has "
+                             f"{classes} classes")
 
 
 def _canvases(proto: EmbeddingProtocol, chunk) -> np.ndarray:
@@ -181,8 +192,10 @@ def top1_change_probability(model, images, labels, proto: EmbeddingProtocol,
     (image_id, class); the recorded scores are the correct class's. Positions
     are drawn per image from the derived seed, and a translation moves an
     image by `delta` rows (down when positive). Geometry violations are
-    recorded as skips, not raised.
+    recorded as skips, not raised; a label that is not one of the model's
+    classes raises ValueError before any canvas is built.
     """
+    _check_labels(model, labels)
     keys, before, after, skipped = _scored_pairs(partial(nn.forward, model), images, proto,
                                                  mode, seed, delta, crop_size, noise_scale)
     label_of = dict(labels)
@@ -251,8 +264,11 @@ def depth_invariance_profile(model, xs, ys, layer_indices, cfg, proto: Embedding
     head) gives run on its own, since the kernels are batch-invariant and a
     layer's output does not depend on the layers after it. Entries follow
     `layer_indices` and report absolute layer indices plus a normalized
-    depth fraction.
+    depth fraction. A label of `ys` that is not one of the model's classes
+    raises ValueError before any canvas is built, naming the image `#<row
+    of xs>`.
     """
+    _check_labels(model, ((f"#{i}", y) for i, y in enumerate(ys.tolist())))
     layers = list(dict.fromkeys(layer_indices))
     features = partial(nn.pooled_features, model, layers=layers, reduce=np.mean)
     _, before, after, _ = _scored_pairs(features, audit_images, proto, AuditMode.TRANSLATE, seed)

@@ -349,6 +349,39 @@ def test_audit_that_scores_nothing_raises():
         top1_change_probability(model, [], [], PROTO, AuditMode.SCALE)
 
 
+def test_a_scale_audit_that_fits_nothing_names_no_step():
+    model = init_model(parse_spec(STRIDE1), seed=0)
+    proto = EmbeddingProtocol(8, 8, 8, (0, 0))  # the 9-pixel after canvas never fits
+    with pytest.raises(ValueError, match=r"^audit scored no image \(3 skipped; first: img/000: "
+                                         r"embedded image 9x9 does not fit the 8x8 canvas\)$"):
+        top1_change_probability(model, _images(3), _labels(_images(3)), proto, AuditMode.SCALE)
+
+
+@pytest.mark.parametrize("label", [3, -1])
+def test_a_label_the_model_has_no_class_for_is_refused_before_any_canvas(label, monkeypatch):
+    """Each audit and the depth profile check every label against the
+    model's 3 classes first: an audit used to score every canvas, then fail
+    indexing the scores by the label."""
+    model = init_model(parse_spec(STRIDE1), seed=0)
+    images = _images(4)
+    labels = _labels(images)
+    labels[1:3] = [(labels[1][0], label), (labels[2][0], 5)]
+
+    def no_canvas(*args):
+        raise AssertionError("a canvas was built")
+
+    monkeypatch.setattr(audit, "_canvases", no_canvas)
+    for mode in (AuditMode.TRANSLATE, AuditMode.SCALE, AuditMode.CROP_NOISE):
+        with pytest.raises(ValueError, match=rf"^image img/001 has label {label}, but the model "
+                                             r"has 3 classes$"):
+            top1_change_probability(model, images, labels, PROTO, mode, crop_size=4)
+    xs = np.stack([img for _, img in images])
+    with pytest.raises(ValueError, match=rf"^image #1 has label {label}, but the model has 3 "
+                                         r"classes$"):
+        depth_invariance_profile(model, xs, np.array([y for _, y in labels]), [0],
+                                 TrainConfig(0.2, 1, 8, 0), PROTO, images)
+
+
 # ---------------------------------------------------------------------------
 # curves, sweeps, profiles
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ _SPEC = importlib.util.spec_from_file_location("golden", SCRIPT)
 golden = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(golden)
 REFUSED = ("nothing-scored", "nothing-measured", "out-of-range", "diverged",
-           "wrong-channels", "misspelled-option", "tent-window")  # runs that exit 1
+           "wrong-channels", "misspelled-option", "tent-window", "more-classes",
+           "nothing-fits")  # runs that exit 1
 
 
 @pytest.fixture(scope="module")
