@@ -25,15 +25,16 @@ store the weights named "w" and "b").
 
 Forward passes are batch-invariant: `forward(m, x)[i]` is bitwise equal to
 `forward(m, x[i:i+1])[0]` for every batch. Conv is one GEMM per image on
-that image's im2col matrix, dense is a per-image vector-matrix product, and
-pooling, gap and softmax are elementwise or per-row. So callers may stack
-inputs in any grouping and get the same bits as one at a time. The cost of a
-batch is its memory: every layer's activations for the whole batch are held
-at once, plus one image's patch matrix. `chunked` is the one chunk rule (at
-most `CHUNK_VALUES` input values a call) and `_stacked` the one loop over its
-chunks: the dataset accuracy, `theory`, the shiftability error, the depth
-profile, the crop pairs and the audits' placed canvases are all read out by
-it, so only a training batch is ever larger.
+that image's im2col matrix (or on blocks of it, with that GEMM's bits; see
+below), dense is a per-image vector-matrix product, and pooling, gap and
+softmax are elementwise or per-row. So callers may stack inputs in any
+grouping and get the same bits as one at a time. The cost of a batch is its
+memory: every layer's activations for the whole batch are held at once,
+plus one image's patch matrix or one block of it. `chunked` is the one
+chunk rule (at most `CHUNK_VALUES` input values a call) and `_stacked` the
+one loop over its chunks: the dataset accuracy, `theory`, the shiftability
+error, the depth profile, the crop pairs and the audits' placed canvases are
+all read out by it, so only a training batch is ever larger.
 `pooled_features` is the one pooled read-out (the depth profile, the feature
 trace, `theory`'s corollary): one pass up to the deepest of its layers serves
 them all, since a layer's output does not depend on how far the pass goes.
@@ -58,8 +59,8 @@ relu-masked dy over the forward's `out` and its input gradient over its
 padded input `xp`, each once the step has read what it held, and gap's
 backward returns a read-only broadcast view. After a batch-16 step the
 stride-1 reference net's buffers hold 7.79 MiB and the strided net's
-4.73 MiB. A forward alone leaves 8.15 and 3.32 MiB on an audit chunk
-(10 x 40^2) and 11.26 and 3.88 MiB on an inpaint chunk (4 x 64^2).
+4.73 MiB. A forward alone leaves 6.65 and 3.32 MiB on an audit chunk
+(10 x 40^2) and 7.26 and 3.46 MiB on an inpaint chunk (4 x 64^2).
 The kernels keep every GEMM's operands (the weight gradient's transposed,
 see below) and every elementwise op's order, so the bits are those of
 fresh arrays. Two consequences: a `Model` is not reentrant (two
@@ -69,11 +70,13 @@ softmax, which allocate their small outputs, `pooled_features` reduces into
 a fresh array and `layer_activations` copies.
 
 Conv's forward and its input gradient run one loop, `_gemm_each`: for each
-image, fill the patch buffer "cols", then one GEMM into that image's rows
-of the output (im2col, Chellapilla et al. 2006). The weight gradient is the
-sum over images of cols_i @ dy_i^T (c*k*k, o), transposed once, with cols_i
-the forward's patch matrix from the same generator, `_im2col`, rebuilt
-rather than kept for the whole batch; each product is bitwise the transpose
+block of an image, fill the patch buffer "cols", then one GEMM into that
+block's columns of the image's output (im2col, Chellapilla et al. 2006).
+The input gradient and the weight gradient take each image as one block.
+The weight gradient is the sum over images of cols_i @ dy_i^T (c*k*k, o),
+transposed once, with cols_i the forward's patch matrix from the same
+generator, `_im2col`, rebuilt rather than kept for the whole batch; each
+product is bitwise the transpose
 of dy_i @ cols_i^T, which a test checks on the reference nets' shapes. The
 input gradient is the stride-1 "full" correlation of dy, dilated by the
 stride, with the flipped, channel-transposed kernel; padding's adjoint then
@@ -89,6 +92,27 @@ is asked for its weight gradient alone (`need_dx=False`), and the
 weightless layers under it, such as a leading pool or gap, run no backward.
 So only conv and dense read `need_dx`; every other layer is always asked
 for its input gradient.
+
+Conv's forward splits a large patch matrix into blocks of whole output
+rows, each a multiple of 8 columns and at most `BLOCK_COLUMNS` (256), so
+that each GEMM runs OpenBLAS's small-matrix dgemm kernel on a patch block
+that stays in cache (blocking to the cache and kernel as in Goto & van de
+Geijn 2008). Measured on OpenBLAS 0.3.31 (its SkylakeX kernels, one
+thread), a dgemm with m*n*k at most 10^6 takes that kernel, at 40-60
+GFLOP/s for 16 x 144 x n with n from 128 to 416, against about 33 for the
+normal kernel from n = 448 on. On every full group of 8 columns the two
+kernels give the same bits while k is at most 384; from k = 392 on every
+column differs, and the last n mod 8 columns differ whenever the kernel
+or the width changes. So `_block_rows`
+splits a layer only when ho*wo is a multiple of 8 (every block is then a
+run of full groups), c*k*k is at most 384, and o*c*k*k*ho*wo exceeds 10^6
+(a smaller product already takes the small kernel: blocks only add calls,
+0.25 against 0.33 ms or more for the 1->16 conv at 40^2). The reference
+nets' 16->16 conv at 32^2, 40^2, 44^2 and 64^2 and their 8->16 conv at
+32^2 are split; at 33^2 (1089 columns) and with 432 patch rows a layer is
+one block, and a test checks every case's bytes against one GEMM per
+image. The input gradient and the weight gradient stay one block per
+image: splitting their 1156-column frame or their k changes bits.
 
 The elementwise work runs on contiguous operands where it can, since numpy
 runs a stride-0 or strided operand at about half the rate. Conv's bias is
@@ -176,15 +200,12 @@ def _pad_spatial(x, left, right, mode: PadMode, buf: dict):
     return xp
 
 
-# Conv's forward multiplies a large patch matrix in blocks of whole output
-# rows, each at most BLOCK_COLUMNS columns, when the blocks keep the bits of
-# one product. Measured on OpenBLAS 0.3.31 (DYNAMIC_ARCH, its SkylakeX
-# kernels, 1 thread): a dgemm of m*n*k at most SMALL_GEMM_MNK runs the
-# small-matrix kernel, 40-60 GFLOP/s for 16 x 144 x 128..416 against about
-# 33 for the normal kernel from 448 columns; that kernel gives the normal
-# kernel's bits on every full group of 8 columns while k is at most
-# BLOCK_MAX_K, and other bits from k = 392 on. 256 columns was the fastest
-# block at 16 x 144; 160 to 400 were within noise.
+# The row blocks of conv's forward (see the module docstring), measured on
+# OpenBLAS 0.3.31 (DYNAMIC_ARCH, its SkylakeX kernels, one thread): the
+# widest block in columns (256 was the fastest at 16 x 144, 160 to 400 were
+# within noise, 480 takes the normal kernel and was slower), the most patch
+# rows with which the small-matrix kernel keeps the normal kernel's bits,
+# and the largest m*n*k that OpenBLAS runs through the small-matrix kernel.
 BLOCK_COLUMNS = 256
 BLOCK_MAX_K = 384
 SMALL_GEMM_MNK = 10**6
