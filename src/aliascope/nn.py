@@ -106,8 +106,9 @@ column differs, and the last n mod 8 columns differ whenever the kernel
 or the width changes. So `_block_rows`
 splits a layer only when ho*wo is a multiple of 8 (every block is then a
 run of full groups), c*k*k is at most 384, and o*c*k*k*ho*wo exceeds 10^6
-(a smaller product already takes the small kernel: blocks only add calls,
-0.25 against 0.33 ms or more for the 1->16 conv at 40^2). The reference
+(a smaller product already takes the small kernel, and blocks only add
+calls: 6-row blocks took the 1->16 conv on a 10 x 40^2 chunk from 0.54-0.56
+to 0.69-0.70 ms). The reference
 nets' 16->16 conv at 32^2, 40^2, 44^2 and 64^2 and their 8->16 conv at
 32^2 are split; at 33^2 (1089 columns) and with 432 patch rows a layer is
 one block, and a test checks every case's bytes against one GEMM per
@@ -223,19 +224,19 @@ def _block_rows(o: int, kk: int, ho: int, wo: int) -> int:
     return BLOCK_COLUMNS // (wo * step) * step or ho
 
 
-def _im2col(xp, k: int, s: int, buf, rows: int = 0):
+def _im2col(xp, k: int, s: int, rows: int, buf):
     """The patch matrices of a padded batch, (c*k*k, ho*wo) per image, rows
     in (c, i, j) order, the image's k x k windows at stride s, in blocks of
-    `rows` output rows (all of them when 0). Yields (image, first column,
-    block) for each block of each image, the block a (c*k*k, columns) matrix
-    copied into the buffer "cols", which the next block overwrites. The
-    forward's GEMM loop and the weight gradient read this one generator;
-    the input gradient's GEMM loop reads `_dy_cols`."""
+    `rows` output rows (one block when rows >= ho). Yields (image, first
+    column, block) for each block of each image, the block a (c*k*k,
+    columns) matrix copied into the buffer "cols", which the next block
+    overwrites. The forward's GEMM loop and the weight gradient read this
+    one generator; the input gradient's GEMM loop reads `_dy_cols`."""
     n, c, hp, wp = xp.shape
     ho, wo = (hp - k) // s + 1, (wp - k) // s + 1
     windows = as_strided(xp, (n, c, k, k, ho, wo),  # offset (i, j) of each window, strided
                          xp.strides + (xp.strides[2] * s, xp.strides[3] * s), writeable=False)
-    rows, blocks = min(rows or ho, ho), []
+    blocks = []
     for y in range(0, ho, rows):  # the first block is the largest: the rest fit its buffer
         r = min(rows, ho - y)
         cols = _buffer(buf, "cols", (c * k * k, r * wo))
@@ -423,7 +424,7 @@ class ConvSpec(_Window):
         w = p["w"].reshape(p["w"].shape[0], -1)
         n, o = x.shape[0], w.shape[0]
         ho, wo = -(-x.shape[2] // s), -(-x.shape[3] // s)
-        patches = _im2col(xp, k, s, buf, _block_rows(o, w.shape[1], ho, wo))
+        patches = _im2col(xp, k, s, _block_rows(o, w.shape[1], ho, wo), buf)
         out = _gemm_each(w, patches, _buffer(buf, "out", (n, o, ho * wo)))
         bias = _buffer(buf, "cols", (o, ho * wo))
         bias[...] = p["b"][:, None]
@@ -446,7 +447,7 @@ class ConvSpec(_Window):
         dy_rows = dy.reshape(n, o, ho * wo)
         # dw^T, summed in image order: cols_i @ dy_i^T has the bits of (dy_i @ cols_i^T)^T
         dw, term = np.zeros((c * k * k, o)), np.empty((c * k * k, o))
-        for i, _, cols in _im2col(xp, k, s, buf):
+        for i, _, cols in _im2col(xp, k, s, ho, buf):
             dw += np.matmul(cols, dy_rows[i].T, out=term)
         grads = {"w": dw.T.reshape(p["w"].shape), "b": dy_rows.sum(axis=(0, 2))}
         if not need_dx:
